@@ -28,13 +28,16 @@ from .errors import (
     RestartRequired,
 )
 from .groups import GroupParams
-from .protocol import (
+
+# Attack code reads the run's shared base grid (AuctionRun.outcome_bases).
+# compute_outcome_bases stays importable from here: the perfbench tracer
+# rebinds every protocol name this module holds, and its tests look it up.
+from .protocol import (  # noqa: F401
     ROUND_BID,
     AuctionConfig,
     AuctionRun,
     BidderAgent,
     bidder_name,
-    collect_bids,
     collect_outcome,
     compute_outcome_bases,
     expected_winner,
@@ -157,13 +160,14 @@ def reencrypt_bid_copy(params: GroupParams, ct: elgamal.Ciphertext, y: int,
 # Outcome-round masking removal and the forged equality proof
 # --------------------------------------------------------------------------
 
-def noise_removal_shares(params: GroupParams, board, n: int,
-                         mallory_index: int, exponent: int = 1):
+def noise_removal_shares(run: AuctionRun, mallory_index: int,
+                         exponent: int = 1):
     """Masking shares that cancel everyone else's: base^exponent divided by
     the product of the other bidders' posted shares.  The full products
     then come out as base^exponent, so each decrypted cell is the marker
     raised to exponent * (cell count)."""
-    posts = board.latest_by_author("outcome", "outcome")
+    params, n = run.config.params, run.config.n
+    posts = run.board.latest_by_author("outcome", "outcome")
     others = []
     for h in range(1, n + 1):
         if h == mallory_index:
@@ -172,13 +176,13 @@ def noise_removal_shares(params: GroupParams, board, n: int,
         if post is None:
             raise MissingShares(f"no outcome shares from {bidder_name(h)} yet")
         others.append(post.payload)
-    alphas, betas = collect_bids(board, n)
-    k = len(alphas[0])
+    bases = run.outcome_bases()
+    k = run.config.k
     gamma = [[0] * k for _ in range(n)]
     delta = [[0] * k for _ in range(n)]
     for i in range(n):
         for j in range(k):
-            ba, bb = compute_outcome_bases(params, alphas, betas, i, j)
+            ba, bb = bases[i][j]
             og = od = 1
             for payload in others:
                 og = og * payload["gamma"][i][j] % params.p
@@ -203,11 +207,10 @@ def forge_outcome_eqdl(run: AuctionRun, mallory_name: str, i: int, j: int,
         raise ModeMismatch("forging needs a forwardable verifier challenge")
     params = run.config.params
     n = run.config.n
-    alphas, betas = collect_bids(run.board, n)
-    ba, bb = compute_outcome_bases(params, alphas, betas, i, j)
+    gens = run.outcome_bases()[i][j]
     gammas, deltas = collect_outcome(run.board, n)
     mine = int(mallory_name.split("-")[1]) - 1
-    stmt = sigma.EQDLStatement(gens=(ba, bb),
+    stmt = sigma.EQDLStatement(gens=gens,
                                targets=(gammas[mine][i][j], deltas[mine][i][j]))
 
     others = [agent for name, agent in run.agents.items() if name != mallory_name]
@@ -243,9 +246,8 @@ class NoiseRemovalBidder(BidderAgent):
         self.exponent = exponent
 
     def post_outcome(self):
-        gamma, delta = noise_removal_shares(
-            self.params, self.run.board, self.config.n, self.index,
-            self.exponent)
+        gamma, delta = noise_removal_shares(self.run, self.index,
+                                            self.exponent)
         payload = {"bidder": self.index, "gamma": gamma, "delta": delta,
                    "proofs": None}
         return self._post("outcome", "outcome", payload)

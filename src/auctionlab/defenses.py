@@ -85,27 +85,20 @@ def verify_post(registry: AuthRegistry, post: Post) -> bool:
 # Outcome round product checks
 # --------------------------------------------------------------------------
 
-def check_exceptional_base(params: GroupParams, board: BulletinBoard,
-                           i: int, j: int, n: int, k: int) -> bool:
-    """True when cell (i, j) (0-based) needs a restart: its alpha base
-    product collapsed to 1 by chance.  Structurally empty cells (the lone
-    cell of a one-bidder, one-price auction) are exempt."""
-    from .protocol import base_is_structurally_empty, compute_gamma_delta_base
-
-    if base_is_structurally_empty(n, k, i, j):
-        return False
-    ba, _ = compute_gamma_delta_base(params, board, i, j, n)
-    return ba == 1
-
-
 def scan_exceptional_bases(params: GroupParams, board: BulletinBoard,
                            n: int, k: int) -> list[tuple[int, int]]:
-    """All cells (1-based) whose base product collapsed to 1."""
+    """All cells (1-based) that need a restart: their alpha base product
+    collapsed to 1 by chance.  Structurally empty cells (the lone cell of a
+    one-bidder, one-price auction) are exempt."""
+    from .protocol import (base_is_structurally_empty, collect_bids,
+                           compute_outcome_bases)
+
+    bases = compute_outcome_bases(params, *collect_bids(board, n))
     return [
         (i + 1, j + 1)
         for i in range(n)
         for j in range(k)
-        if check_exceptional_base(params, board, i, j, n, k)
+        if bases[i][j][0] == 1 and not base_is_structurally_empty(n, k, i, j)
     ]
 
 
@@ -146,15 +139,17 @@ def check_noise_cancellation(params: GroupParams, board: BulletinBoard,
     everyone else's masking with unit exponent lands there always.  (An
     attacker using a different secret exponent does not, which is why this
     check alone is not a fix.)"""
-    from .protocol import base_is_structurally_empty, compute_gamma_delta_base
+    from .protocol import (base_is_structurally_empty, collect_bids,
+                           compute_outcome_bases)
 
     products = _gamma_products(params, board, n)
+    bases = compute_outcome_bases(params, *collect_bids(board, n))
     out = []
     for i in range(n):
         for j in range(k):
             if base_is_structurally_empty(n, k, i, j):
                 continue
-            ba, _ = compute_gamma_delta_base(params, board, i, j, n)
+            ba = bases[i][j][0]
             if ba != 1 and products[i][j] == ba:
                 out.append((i + 1, j + 1))
     return out

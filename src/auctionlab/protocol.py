@@ -9,7 +9,9 @@ Rounds, all driven through the bulletin board:
               the price it bids, 1 elsewhere, with validity and sum proofs.
 3. outcome  - every bidder raises the published cell bases to its private
               outcome exponents and posts the resulting masking shares with
-              equality proofs.
+              equality proofs.  The n x k grid of cell bases is built from
+              the posted bids in O(nk) products, once per bid state, and
+              every reader of the run shares it (``AuctionRun.outcome_bases``).
 4. decrypt  - every bidder sends its decryption share for every cell to the
               seller with a proof; the seller withholds publication until
               all have arrived, then posts each bidder's shares for all rows
@@ -97,23 +99,43 @@ def encode_bid(price: int, k: int) -> list[int]:
     return out
 
 
-def compute_outcome_bases(params: GroupParams, alphas, betas, i: int, j: int):
-    """Cell (i, j) base pair (0-based): the product of all bids at higher
-    prices, bidder i's bids at lower prices, and earlier bidders' bids at
-    price j, taken over the alpha and beta components separately."""
+def compute_outcome_bases(params: GroupParams, alphas, betas):
+    """Every cell's base pair, as an n x k grid (0-based) of
+    ``(alpha_base, beta_base)``.
+
+    Cell (i, j) takes the product of all bids at higher prices, bidder i's
+    bids at lower prices, and earlier bidders' bids at price j, over the
+    alpha and beta components separately.  The grid comes from one suffix
+    product over the column totals, one running prefix along each bidder's
+    row and one running prefix down each price column: O(nk) products for
+    all n*k cells, the multiplicative twin of ``recovery.apply_f``'s
+    ``above``, ``own_below`` and ``ranked_before``."""
+    p = params.p
     n, k = len(alphas), len(alphas[0])
-    ba = bb = 1
-    for h in range(n):
-        for d in range(j + 1, k):
-            ba = ba * alphas[h][d] % params.p
-            bb = bb * betas[h][d] % params.p
-    for d in range(j):
-        ba = ba * alphas[i][d] % params.p
-        bb = bb * betas[i][d] % params.p
-    for h in range(i):
-        ba = ba * alphas[h][j] % params.p
-        bb = bb * betas[h][j] % params.p
-    return ba, bb
+    # above[j]: every bid at prices j+1..k-1, alpha and beta.
+    above_a, above_b = [1] * k, [1] * k
+    for j in range(k - 1, 0, -1):
+        ca, cb = above_a[j], above_b[j]
+        for h in range(n):
+            ca = ca * alphas[h][j] % p
+            cb = cb * betas[h][j] % p
+        above_a[j - 1], above_b[j - 1] = ca, cb
+    # ranked_before[j]: bidders 0..i-1 at price j, grown row by row.
+    before_a, before_b = [1] * k, [1] * k
+    grid = []
+    for i in range(n):
+        row_a, row_b = alphas[i], betas[i]
+        own_a = own_b = 1                  # bidder i at prices 0..j-1
+        row = []
+        for j in range(k):
+            row.append((above_a[j] * own_a % p * before_a[j] % p,
+                        above_b[j] * own_b % p * before_b[j] % p))
+            own_a = own_a * row_a[j] % p
+            own_b = own_b * row_b[j] % p
+            before_a[j] = before_a[j] * row_a[j] % p
+            before_b[j] = before_b[j] * row_b[j] % p
+        grid.append(row)
+    return grid
 
 
 def base_is_structurally_empty(n: int, k: int, i: int, j: int) -> bool:
@@ -175,13 +197,6 @@ def collect_outcome(board: BulletinBoard, n: int):
         out_g.append(gammas[name])
         out_d.append(deltas[name])
     return out_g, out_d
-
-
-def compute_gamma_delta_base(params: GroupParams, board: BulletinBoard,
-                             i: int, j: int, n: int):
-    """Board-level wrapper around compute_outcome_bases (0-based cell)."""
-    alphas, betas = collect_bids(board, n)
-    return compute_outcome_bases(params, alphas, betas, i, j)
 
 
 # --------------------------------------------------------------------------
@@ -276,12 +291,12 @@ class BidderAgent:
         """(gamma, delta) matrices from the current board and own exponents."""
         params = self.params
         n, k = self.config.n, self.config.k
-        alphas, betas = collect_bids(self.run.board, n)
+        bases = self.run.outcome_bases()
         gamma = [[0] * k for _ in range(n)]
         delta = [[0] * k for _ in range(n)]
         for i in range(n):
             for j in range(k):
-                ba, bb = compute_outcome_bases(params, alphas, betas, i, j)
+                ba, bb = bases[i][j]
                 gamma[i][j] = params.exp(ba, self.m[i][j])
                 delta[i][j] = params.exp(bb, self.m[i][j])
         return gamma, delta
@@ -297,13 +312,13 @@ class BidderAgent:
     def _outcome_proof_payloads(self, gamma, delta):
         params = self.params
         n, k = self.config.n, self.config.k
-        alphas, betas = collect_bids(self.run.board, n)
+        bases = self.run.outcome_bases()
         fs = sigma.fiat_shamir_source(params)
         rows = []
         for i in range(n):
             row = []
             for j in range(k):
-                ba, bb = compute_outcome_bases(params, alphas, betas, i, j)
+                ba, bb = bases[i][j]
                 stmt = sigma.EQDLStatement(gens=(ba, bb),
                                            targets=(gamma[i][j], delta[i][j]))
                 tr = sigma.eqdl_run(params, stmt, self.m[i][j], self.rng, fs)
@@ -315,13 +330,12 @@ class BidderAgent:
         """Replace the outcome exponents at the flagged cells (1-based) and
         post corrected shares."""
         params = self.params
-        n = self.config.n
-        alphas, betas = collect_bids(self.run.board, n)
+        bases = self.run.outcome_bases()
         new_g, new_d, proofs = [], [], []
         for ci, cj in cells:
             i, j = ci - 1, cj - 1
             self.m[i][j] = self.rng.randrange(1, params.q)
-            ba, bb = compute_outcome_bases(params, alphas, betas, i, j)
+            ba, bb = bases[i][j]
             gv = params.exp(ba, self.m[i][j])
             dv = params.exp(bb, self.m[i][j])
             new_g.append(gv)
@@ -429,8 +443,7 @@ class BidderAgent:
         """Fresh session proving own masking share at cell (i, j), 0-based."""
         self._require_interactive()
         params = self.params
-        alphas, betas = collect_bids(self.run.board, self.config.n)
-        ba, bb = compute_outcome_bases(params, alphas, betas, i, j)
+        ba, bb = self.run.outcome_bases()[i][j]
         gamma = params.exp(ba, self.m[i][j])
         delta = params.exp(bb, self.m[i][j])
         stmt = sigma.EQDLStatement(gens=(ba, bb), targets=(gamma, delta))
@@ -637,6 +650,8 @@ class AuctionRun:
         self.board = BulletinBoard()
         self.outcome_order = outcome_order or list(range(1, config.n + 1))
         self.bid_order = bid_order or list(range(1, config.n + 1))
+        self._bases_key = None               # bid vectors behind _bases
+        self._bases = None
 
         master = random.Random(seed)
         self.agents: dict[str, BidderAgent] = {}
@@ -670,6 +685,16 @@ class AuctionRun:
     def honest_agents(self) -> list[BidderAgent]:
         return [a for a in self.agents.values() if a.honest]
 
+    def outcome_bases(self):
+        """The outcome-base grid (see ``compute_outcome_bases``) for the bids
+        now on the board.  It is built once per bid state and shared by
+        every reader; a late or re-posted bid gets a fresh grid."""
+        bids = collect_bids(self.board, self.config.n)
+        if bids != self._bases_key:
+            self._bases = compute_outcome_bases(self.config.params, *bids)
+            self._bases_key = bids
+        return self._bases
+
     def _check_auth(self, round_name: str) -> None:
         if not self.config.flags.authenticate:
             return
@@ -690,6 +715,10 @@ class AuctionRun:
     def _verify_keygen(self) -> None:
         params = self.config.params
         shares = self.board.latest_by_author(ROUND_KEYGEN, "keyshare")
+        for name, post in shares.items():
+            if not params.is_element(post.payload["y"]):
+                raise ProofRejected(name, ROUND_KEYGEN,
+                                    "key share is outside the order-q subgroup")
         for verifier in self.honest_agents():
             for name, post in shares.items():
                 if name == verifier.name:
@@ -793,7 +822,7 @@ class AuctionRun:
     def _verify_outcome(self) -> None:
         params = self.config.params
         n, k = self.config.n, self.config.k
-        alphas, betas = collect_bids(self.board, n)
+        bases = self.outcome_bases()
         gammas, deltas = collect_outcome(self.board, n)
         proof_posts = self.board.latest_by_author(ROUND_OUTCOME, "outcome")
         fix_posts = list(self.board.select(round=ROUND_OUTCOME, kind="outcome-fix"))
@@ -804,9 +833,8 @@ class AuctionRun:
                     continue
                 for i in range(n):
                     for j in range(k):
-                        ba, bb = compute_outcome_bases(params, alphas, betas, i, j)
                         stmt = sigma.EQDLStatement(
-                            gens=(ba, bb),
+                            gens=bases[i][j],
                             targets=(gammas[a][i][j], deltas[a][i][j]))
                         if self.config.interactive:
                             author = self.agents[name]

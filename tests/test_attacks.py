@@ -117,10 +117,11 @@ class TestNoiseRemoval:
         g = SMALL_GROUP
         run = _attack_run_through_outcome(2, exponent)
         alphas, betas = collect_bids(run.board, 3)
+        bases = compute_outcome_bases(g, alphas, betas)
         gammas, deltas = collect_outcome(run.board, 3)
         for i in range(3):
             for j in range(2):
-                ba, bb = compute_outcome_bases(g, alphas, betas, i, j)
+                ba, bb = bases[i][j]
                 pg = pd = 1
                 for a in range(3):
                     pg = pg * gammas[a][i][j] % g.p
@@ -133,7 +134,7 @@ class TestNoiseRemoval:
         verifier = sigma.verifier_source(small, random.Random(99))
         tr = attacks.forge_outcome_eqdl(run, bidder_name(3), 0, 0, 1, verifier)
         alphas, betas = collect_bids(run.board, 3)
-        ba, bb = compute_outcome_bases(small, alphas, betas, 0, 0)
+        ba, bb = compute_outcome_bases(small, alphas, betas)[0][0]
         gammas, deltas = collect_outcome(run.board, 3)
         stmt = sigma.EQDLStatement(gens=(ba, bb),
                                    targets=(gammas[2][0][0], deltas[2][0][0]))

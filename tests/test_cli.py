@@ -1,15 +1,19 @@
 """Scenario runner and command-line interface."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import auctionlab
 from auctionlab import scenarios
 from auctionlab.cli import build_parser, main, spec_from_args
 from auctionlab.defenses import DefenseFlags
 from auctionlab.errors import UsageError
+from auctionlab.groups import validate_group
 from auctionlab.scenarios import SCENARIOS, ScenarioSpec, emit_report, run_scenario
 
 
@@ -104,6 +108,38 @@ class TestScenarioExpectations:
             "n", "notes", "outcome", "scenario", "seed", "success"]
         json.dumps(result.report)        # must be serialisable as-is
 
+    def test_spec_is_not_changed_by_a_run(self, tmp_path):
+        """The same spec run three times gives the same report bytes."""
+        spec = ScenarioSpec(scenario="full-privacy-attack", n=2, k=2,
+                            bids=[1, 2], seed=3,
+                            flags=DefenseFlags(ni_proofs=True))
+        reports = []
+        for index in range(3):
+            emit_report(run_scenario(spec), tmp_path / str(index))
+            reports.append((tmp_path / str(index) / "report.json").read_bytes())
+        assert reports[0] == reports[1] == reports[2]
+        assert spec.notes == []
+
+    def test_wrong_key_threshold_follows_chance_bound(self):
+        """At q=113, n=k=5 a run shows a chance 1 cell with probability up to
+        2nk/q = 0.44, so a fixed 95 % no-winner rule fails working code."""
+        spec = ScenarioSpec(scenario="wrong-key", n=5, k=5, seed=1,
+                            params=validate_group(227, 113, 4))
+        result = run_scenario(spec)
+        outcome = result.report["outcome"]
+        assert outcome["no_winner_runs"] < 19
+        assert outcome["no_winner_runs"] >= outcome["no_winner_runs_needed"]
+        assert result.expectation_met
+
+    def test_wrong_key_small_bound_demands_nearly_all(self):
+        """With mid n=k=2 the bound is 8/1019, so 19 of 20 runs must end
+        with no winner."""
+        assert scenarios.wrong_key_pass_threshold(20, 8 / 1019) == 19
+        result = run_scenario(ScenarioSpec(scenario="wrong-key", n=2, k=2,
+                                           seed=3, group_name="mid"))
+        assert result.report["outcome"]["no_winner_runs_needed"] == 19
+        assert result.expectation_met
+
 
 class TestExitCodes:
     def test_met_expectation_exits_zero(self, tmp_path, capsys):
@@ -183,10 +219,15 @@ class TestReports:
 
 class TestModuleEntryPoint:
     def test_python_dash_m(self, tmp_path):
+        # The child imports the same package this test imported, whether it
+        # came from PYTHONPATH or from pytest's own pythonpath setting.
+        src = str(Path(auctionlab.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
             [sys.executable, "-m", "auctionlab.cli", "run", "--scenario",
              "honest", "--n", "2", "--k", "2", "--bids", "1,2", "--seed", "3",
              "--out", str(tmp_path)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert "expectation MET" in proc.stdout

@@ -14,12 +14,13 @@ from auctionlab.errors import (
     PriceOutOfRange,
     RestartRequired,
 )
-from auctionlab.groups import SMALL_GROUP
+from auctionlab.groups import MID_GROUP, SMALL_GROUP
 from auctionlab.protocol import (
     ROUND_KEYGEN,
     ROUND_OUTCOME,
     AuctionConfig,
     AuctionRun,
+    BidderAgent,
     base_is_structurally_empty,
     bidder_name,
     collect_bids,
@@ -74,30 +75,63 @@ class TestConfig:
         assert AuctionConfig(n=2, k=2).marker_for(2) == 4
 
 
+def _brute_force_bases(params, alphas, betas, i, j):
+    """Cell (i, j) base pair by the definition, one product at a time."""
+    n, k = len(alphas), len(alphas[0])
+    expect_a = expect_b = 1
+    for h in range(n):
+        for d in range(j + 1, k):
+            expect_a = expect_a * alphas[h][d] % params.p
+            expect_b = expect_b * betas[h][d] % params.p
+    for d in range(j):
+        expect_a = expect_a * alphas[i][d] % params.p
+        expect_b = expect_b * betas[i][d] % params.p
+    for h in range(i):
+        expect_a = expect_a * alphas[h][j] % params.p
+        expect_b = expect_b * betas[h][j] % params.p
+    return expect_a, expect_b
+
+
 class TestOutcomeBases:
     def test_matches_direct_products(self):
         """The three product groups: later prices anywhere, earlier prices
-        in the same row, same price in earlier rows."""
-        n, k = 3, 3
+        in the same row, same price in earlier rows.  The whole grid, in the
+        small and mid groups, including the one-row, one-column and
+        single-cell shapes."""
         rng = random.Random(2)
-        g = SMALL_GROUP
-        alphas = [[rng.choice(g.elements()) for _ in range(k)] for _ in range(n)]
-        betas = [[rng.choice(g.elements()) for _ in range(k)] for _ in range(n)]
-        for i in range(n):
-            for j in range(k):
-                expect_a = expect_b = 1
-                for h in range(n):
-                    for d in range(j + 1, k):
-                        expect_a = expect_a * alphas[h][d] % g.p
-                        expect_b = expect_b * betas[h][d] % g.p
-                for d in range(j):
-                    expect_a = expect_a * alphas[i][d] % g.p
-                    expect_b = expect_b * betas[i][d] % g.p
-                for h in range(i):
-                    expect_a = expect_a * alphas[h][j] % g.p
-                    expect_b = expect_b * betas[h][j] % g.p
-                assert compute_outcome_bases(g, alphas, betas, i, j) == (
-                    expect_a, expect_b)
+        for g in (SMALL_GROUP, MID_GROUP):
+            elements = g.elements()
+            for n, k in ((3, 3), (4, 6), (1, 4), (5, 1), (1, 1)):
+                alphas = [[rng.choice(elements) for _ in range(k)] for _ in range(n)]
+                betas = [[rng.choice(elements) for _ in range(k)] for _ in range(n)]
+                grid = compute_outcome_bases(g, alphas, betas)
+                assert grid == [
+                    [_brute_force_bases(g, alphas, betas, i, j) for j in range(k)]
+                    for i in range(n)
+                ], (g.p, n, k)
+
+    def test_run_memo_follows_reposted_bids(self):
+        """The run's grid is built once per bid state: asking again returns
+        the same grid, and a bid re-posted mid-run gets a fresh one."""
+        cfg = AuctionConfig(n=2, k=2, flags=DefenseFlags(ni_proofs=True))
+        run = AuctionRun(cfg, [1, 2], 5)
+        run.step_keygen()
+        for index in range(1, 3):
+            run.bidder(index).submit_bid(run.bids[index - 1])
+        first = run.outcome_bases()
+        assert run.outcome_bases() is first
+        assert first == compute_outcome_bases(cfg.params,
+                                              *collect_bids(run.board, 2))
+        victim = run.board.latest_by_author("bid", "bid")[bidder_name(1)]
+        bad_payload = dict(victim.payload)
+        bad_payload["alphas"] = list(bad_payload["alphas"])
+        bad_payload["alphas"][0] = bad_payload["alphas"][0] * 2 % cfg.params.p
+        run.board.append("bid", bidder_name(1), "bid", bad_payload)
+        second = run.outcome_bases()
+        assert second != first
+        assert second == compute_outcome_bases(cfg.params,
+                                               *collect_bids(run.board, 2))
+        assert run.outcome_bases() is second
 
     def test_structurally_empty_cells(self):
         """Only the first bidder's single-price cell has no product terms:
@@ -275,3 +309,43 @@ class TestBidRoundVerification:
         run.board.append("bid", bidder_name(1), "bid", bad_payload)
         with pytest.raises(ProofRejected):
             run._verify_bids()
+
+
+class NegatedShareBidder(BidderAgent):
+    """Re-posts its key share as -g^x, outside the order-q subgroup, with a
+    hashed knowledge proof that verifies: retrying until the challenge is
+    even makes (-1)^c vanish from the check."""
+
+    def keygen(self):
+        super().keygen()
+        params = self.params
+        y = params.p - self.share.y
+        stmt = sigma.PDLStatement(g=params.g, v=y)
+        tr = None
+        while tr is None or tr.challenge % 2:
+            tr = sigma.prove_pdl(params, stmt, self.share.x, self.rng,
+                                 sigma.fiat_shamir_source(params))
+        assert sigma.verify_transcript(params, stmt, tr, require_hashed=True)
+        return self._post(ROUND_KEYGEN, "keyshare",
+                          {"bidder": self.index, "y": y,
+                           "proof": sigma.transcript_to_payload(tr)})
+
+
+class TestKeygenVerification:
+    def test_keyshare_outside_subgroup_rejected(self):
+        from auctionlab.errors import ProofRejected
+
+        cfg = AuctionConfig(n=2, k=2, params=MID_GROUP, marker=9,
+                            flags=DefenseFlags(ni_proofs=True))
+
+        def factory(run, index, rng):
+            if index == 2:
+                return NegatedShareBidder(run, index, rng)
+            return BidderAgent(run, index, rng)
+
+        run = AuctionRun(cfg, [1, 2], 5, agent_factory=factory)
+        with pytest.raises(ProofRejected) as caught:
+            run.step_keygen()
+        assert caught.value.author == bidder_name(2)
+        assert caught.value.round_name == ROUND_KEYGEN
+        assert "subgroup" in caught.value.detail
