@@ -40,7 +40,9 @@ from .protocol import (  # noqa: F401
     bidder_name,
     collect_outcome,
     compute_outcome_bases,
+    encode_bid,
     expected_winner,
+    with_restarts,
 )
 
 
@@ -74,6 +76,16 @@ class AttackReport:
             "error": self.error,
             "extras": self.extras,
         }
+
+
+def dishonest_bidder(index: int, agent_cls, *args):
+    """Agent factory for ``AuctionRun``: bidder ``index`` (1-based) is
+    ``agent_cls(run, index, rng, *args)``, every other bidder is honest."""
+    def factory(run, i, rng):
+        if i == index:
+            return agent_cls(run, i, rng, *args)
+        return BidderAgent(run, i, rng)
+    return factory
 
 
 # --------------------------------------------------------------------------
@@ -279,32 +291,20 @@ def recovered_bids_by_enumeration(params: GroupParams, config: AuctionConfig,
     n, k = config.n, config.k
     matrix = recovery.build_matrix(n, k)
     for candidate in product(range(1, k + 1), repeat=n):
-        flat = []
-        for i, price in enumerate(candidate):
-            flat.extend(1 if j + 1 == price else 0 for j in range(k))
+        flat = [bit for price in candidate for bit in encode_bid(price, k)]
         predicted = [[1] * k for _ in range(n)]
         for i in range(n):
             for j in range(k):
                 for h in range(n):
-                    count = _cell_count_for(flat, n, k, i, j, h)
+                    # Bidder h's bids counted in cell (i, j) by the outcome map.
+                    count = sum(matrix.entry(i * k + j, h * k + d) * flat[h * k + d]
+                                for d in range(k))
                     predicted[i][j] = (predicted[i][j] *
                                       params.exp(config.marker_for(h + 1),
                                                  exponent * count)) % params.p
         if all(predicted[i][j] == v[i][j] for i in range(n) for j in range(k)):
             return list(candidate)
     return None
-
-
-def _cell_count_for(flat, n, k, i, j, h):
-    """Bidder h's contribution to cell (i, j): own bids at higher prices,
-    plus lower prices when h is the row bidder, plus price j when ranked
-    earlier."""
-    count = sum(flat[h * k + d] for d in range(j + 1, k))
-    if h == i:
-        count += sum(flat[h * k + d] for d in range(j))
-    if h < i:
-        count += flat[h * k + j]
-    return count
 
 
 def full_privacy_attack(config: AuctionConfig, bids: list[int], seed: int,
@@ -315,38 +315,38 @@ def full_privacy_attack(config: AuctionConfig, bids: list[int], seed: int,
     decrypted table."""
     mallory = mallory_index if mallory_index is not None else config.n
     order = [i for i in range(1, config.n + 1) if i != mallory] + [mallory]
-
-    def factory(run, index, rng):
-        if index == mallory:
-            return NoiseRemovalBidder(run, index, rng, exponent)
-        return BidderAgent(run, index, rng)
+    factory = dishonest_bidder(mallory, NoiseRemovalBidder, exponent)
 
     report = AttackReport(scenario="full-privacy-attack", success=False,
                           detail="", true_bids=list(bids),
                           extras={"mallory_index": mallory,
                                   "exponent": exponent})
-    outcome = None
-    for attempt in range(200):
-        run = AuctionRun(config, bids, seed + attempt, agent_factory=factory,
+
+    def attempt(attempt_seed):
+        run = AuctionRun(config, bids, attempt_seed, agent_factory=factory,
                          outcome_order=order)
         report.board = run.board
         try:
-            outcome = run.run()
+            return run.run()
         except RestartRequired as exc:
-            if "cancellation" in exc.reason:
-                report.detail = "product check caught the stripped masking"
-                report.error = "RestartRequired"
-                report.extras["detected"] = True
-                report.extras["flagged_cells"] = [list(c) for c in exc.cells]
-                return report
-            continue          # chance base collapse: restart like anyone would
-        except ProofRejected as exc:
-            report.detail = f"honest agents rejected {exc.author} in round {exc.round_name}"
-            report.error = "ProofRejected"
-            return report
-        break
-    if outcome is None:
+            if "cancellation" not in exc.reason:
+                raise         # chance base collapse: restart like anyone would
+            report.detail = "product check caught the stripped masking"
+            report.error = "RestartRequired"
+            report.extras["detected"] = True
+            report.extras["flagged_cells"] = [list(c) for c in exc.cells]
+            return None
+
+    try:
+        outcome = with_restarts(attempt, seed, 200)
+    except RestartRequired:
         report.detail = "no run survived the restart checks"
+        return report
+    except ProofRejected as exc:
+        report.detail = f"honest agents rejected {exc.author} in round {exc.round_name}"
+        report.error = "ProofRejected"
+        return report
+    if outcome is None:               # the product check caught the attack
         return report
 
     report.status = outcome.status
@@ -478,32 +478,33 @@ def impersonation_attack(config: AuctionConfig, target_bid: int, seed: int,
         return CopycatBidder(run, index, rng, target_index=1,
                              rerandomize=rerandomize)
 
-    last_error = None
-    for attempt in range(50):
-        run = AuctionRun(config, [target_bid] * config.n, seed + attempt,
+    def attempt(attempt_seed):
+        run = AuctionRun(config, [target_bid] * config.n, attempt_seed,
                          agent_factory=factory)
         report.board = run.board
-        try:
-            outcome = run.run()
-        except ProofRejected as exc:
-            last_error = exc
-            break
+        outcome = run.run()
         if outcome.status == "multiple-ones":
-            continue
-        report.status = outcome.status
-        report.winner_bidder = outcome.winner_bidder
-        report.winner_price = outcome.winner_price
-        report.recovered_bids = ([outcome.winner_price]
-                                 if outcome.winner_price is not None else None)
-        report.success = outcome.winner_price == target_bid
-        report.detail = ("winning price equals the target's secret bid"
-                         if report.success else "price did not match")
-        return report
-    if last_error is not None:
-        report.error = "ProofRejected"
-        report.detail = str(last_error)
-    else:
+            raise RestartRequired("no decisive outcome", outcome.ones)
+        return outcome
+
+    try:
+        outcome = with_restarts(attempt, seed, 50)
+    except RestartRequired:
         report.detail = "no decisive outcome"
+        return report
+    except ProofRejected as exc:
+        report.error = "ProofRejected"
+        report.detail = str(exc)
+        report.extras["rejected_round"] = exc.round_name
+        return report
+    report.status = outcome.status
+    report.winner_bidder = outcome.winner_bidder
+    report.winner_price = outcome.winner_price
+    report.recovered_bids = ([outcome.winner_price]
+                             if outcome.winner_price is not None else None)
+    report.success = outcome.winner_price == target_bid
+    report.detail = ("winning price equals the target's secret bid"
+                     if report.success else "price did not match")
     return report
 
 
@@ -538,9 +539,7 @@ def force_zero_noise(config: AuctionConfig, bids: list[int],
     the seller faces two 1 cells and cannot decide; with it the collapsed
     cell is redrawn and the true result survives."""
     matrix = recovery.build_matrix(config.n, config.k)
-    flat = []
-    for price in bids:
-        flat.extend(1 if j + 1 == price else 0 for j in range(config.k))
+    flat = [bit for price in bids for bit in encode_bid(price, config.k)]
     image = recovery.apply_f(matrix, flat)
     ci, cj = cell
     if image[(ci - 1) * config.k + (cj - 1)] == 0:
@@ -548,26 +547,22 @@ def force_zero_noise(config: AuctionConfig, bids: list[int],
 
     colluder = config.n
     order = [i for i in range(1, config.n + 1) if i != colluder] + [colluder]
-
-    def factory(run, index, rng):
-        if index == colluder:
-            return ZeroNoiseColluder(run, index, rng, cell)
-        return BidderAgent(run, index, rng)
+    factory = dishonest_bidder(colluder, ZeroNoiseColluder, cell)
 
     report = AttackReport(scenario="exceptional-values", success=False,
                           detail="", true_bids=list(bids),
                           extras={"cell": list(cell),
                                   "colluder_index": colluder})
-    for attempt in range(200):
-        run = AuctionRun(config, bids, seed + attempt, agent_factory=factory,
+
+    def attempt(attempt_seed):
+        run = AuctionRun(config, bids, attempt_seed, agent_factory=factory,
                          outcome_order=order)
         report.board = run.board
-        try:
-            outcome = run.run()
-        except RestartRequired:
-            continue
-        break
-    else:
+        return run, run.run()
+
+    try:
+        run, outcome = with_restarts(attempt, seed, 200)
+    except RestartRequired:
         report.detail = "no run survived the restart checks"
         return report
 
@@ -622,11 +617,7 @@ def wrong_key_decrypt(config: AuctionConfig, bids: list[int], seed: int,
     garbage, nobody sees a 1, and the auction dies with no winner, with
     no proof pointing at anyone unless key consistency is on."""
     cheater = cheater_index if cheater_index is not None else config.n
-
-    def factory(run, index, rng):
-        if index == cheater:
-            return WrongKeyBidder(run, index, rng, offset)
-        return BidderAgent(run, index, rng)
+    factory = dishonest_bidder(cheater, WrongKeyBidder, offset)
 
     report = AttackReport(scenario="wrong-key", success=False, detail="",
                           true_bids=list(bids),

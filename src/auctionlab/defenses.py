@@ -1,5 +1,7 @@
 """Countermeasures, each behind a flag so runs can show life with and
-without them.
+without them.  The protocol calls into this module, never the other way
+round: the product checks take the grids the run already holds instead of
+reading the board.
 
 * ``ni_proofs``: hashed challenges everywhere.  Removes the verifier from
   the challenge loop, which kills every relay/transform trick on the proofs.
@@ -8,7 +10,8 @@ without them.
 * ``noise_product_check``: pre- and post-publication product sanity checks
   in the outcome round, including redraw-and-repost for collapsed cells.
 * ``key_consistency``: the decryption proof additionally binds the keygen
-  share, so decrypting with a substitute exponent becomes unprovable.
+  share, so decrypting with a substitute exponent becomes unprovable.  The
+  statement itself is built in one place, ``protocol.decrypt_statement``.
 """
 
 from __future__ import annotations
@@ -18,10 +21,8 @@ import hmac
 import random
 from dataclasses import dataclass
 
-from .board import BulletinBoard, Post, canonical_bytes
+from .board import Post, canonical_bytes
 from .errors import UnknownAuthor
-from .groups import GroupParams
-from . import sigma
 
 
 @dataclass
@@ -84,16 +85,21 @@ def verify_post(registry: AuthRegistry, post: Post) -> bool:
 # --------------------------------------------------------------------------
 # Outcome round product checks
 # --------------------------------------------------------------------------
+# Each check reads an n x k grid (0-based) and returns 1-based cells.  The
+# bases are the run's outcome-base grid of (alpha_base, beta_base) pairs;
+# the Γ-products are the cell-wise products of every bidder's masking shares.
 
-def scan_exceptional_bases(params: GroupParams, board: BulletinBoard,
-                           n: int, k: int) -> list[tuple[int, int]]:
-    """All cells (1-based) that need a restart: their alpha base product
-    collapsed to 1 by chance.  Structurally empty cells (the lone cell of a
-    one-bidder, one-price auction) are exempt."""
-    from .protocol import (base_is_structurally_empty, collect_bids,
-                           compute_outcome_bases)
+def base_is_structurally_empty(n: int, k: int, i: int, j: int) -> bool:
+    """True when cell (i, j) has no factors at all (only (1,1) with k=1),
+    so its base is the empty product 1 by construction, not by accident."""
+    return i == 0 and j == 0 and k == 1
 
-    bases = compute_outcome_bases(params, *collect_bids(board, n))
+
+def scan_exceptional_bases(bases) -> list[tuple[int, int]]:
+    """All cells that need a restart: their alpha base product collapsed to
+    1 by chance.  Structurally empty cells (the lone cell of a one-bidder,
+    one-price auction) are exempt."""
+    n, k = len(bases), len(bases[0])
     return [
         (i + 1, j + 1)
         for i in range(n)
@@ -102,83 +108,33 @@ def scan_exceptional_bases(params: GroupParams, board: BulletinBoard,
     ]
 
 
-def _gamma_products(params: GroupParams, board: BulletinBoard, n: int):
-    from .protocol import collect_outcome
-
-    gammas, _ = collect_outcome(board, n)
-    k = len(gammas[0][0])
-    out = [[1] * k for _ in range(n)]
-    for i in range(n):
-        for j in range(k):
-            for a in range(n):
-                out[i][j] = out[i][j] * gammas[a][i][j] % params.p
-    return out
-
-
-def check_noise_products(params: GroupParams, board: BulletinBoard,
-                         n: int, k: int) -> list[tuple[int, int]]:
-    """Cells (1-based) where the product of all masking shares is 1, i.e.
-    the joint exponent collapsed to zero and the cell would read as a win
-    no matter the bids.  The cure is redrawing exponents there."""
-    from .protocol import base_is_structurally_empty
-
-    products = _gamma_products(params, board, n)
+def check_noise_products(gamma_products) -> list[tuple[int, int]]:
+    """Cells where the product of all masking shares is 1, i.e. the joint
+    exponent collapsed to zero and the cell would read as a win no matter
+    the bids.  The cure is redrawing exponents there."""
+    n, k = len(gamma_products), len(gamma_products[0])
     return [
         (i + 1, j + 1)
         for i in range(n)
         for j in range(k)
-        if products[i][j] == 1 and not base_is_structurally_empty(n, k, i, j)
+        if gamma_products[i][j] == 1 and not base_is_structurally_empty(n, k, i, j)
     ]
 
 
-def check_noise_cancellation(params: GroupParams, board: BulletinBoard,
-                             n: int, k: int) -> list[tuple[int, int]]:
-    """Cells (1-based) where the product of all masking shares equals the
-    bare base product, i.e. the joint exponent is exactly 1.  Honest
-    exponents land there with negligible probability; an attacker stripping
-    everyone else's masking with unit exponent lands there always.  (An
-    attacker using a different secret exponent does not, which is why this
-    check alone is not a fix.)"""
-    from .protocol import (base_is_structurally_empty, collect_bids,
-                           compute_outcome_bases)
-
-    products = _gamma_products(params, board, n)
-    bases = compute_outcome_bases(params, *collect_bids(board, n))
+def check_noise_cancellation(bases, gamma_products) -> list[tuple[int, int]]:
+    """Cells where the product of all masking shares equals the bare base
+    product, i.e. the joint exponent is exactly 1.  Honest exponents land
+    there with negligible probability; an attacker stripping everyone
+    else's masking with unit exponent lands there always.  (An attacker
+    using a different secret exponent does not, which is why this check
+    alone is not a fix.)"""
+    n, k = len(bases), len(bases[0])
     out = []
     for i in range(n):
         for j in range(k):
             if base_is_structurally_empty(n, k, i, j):
                 continue
             ba = bases[i][j][0]
-            if ba != 1 and products[i][j] == ba:
+            if ba != 1 and gamma_products[i][j] == ba:
                 out.append((i + 1, j + 1))
     return out
-
-
-# --------------------------------------------------------------------------
-# Key-consistent decryption proof
-# --------------------------------------------------------------------------
-
-def key_consistency_statement(params: GroupParams, y_share: int,
-                              delta_products: list[int],
-                              phis: list[int]) -> sigma.EQDLStatement:
-    """One exponent ties the keygen share to every decryption share."""
-    return sigma.EQDLStatement(
-        gens=(params.g, *delta_products),
-        targets=(y_share, *phis),
-    )
-
-
-def key_consistency_prove(params: GroupParams, y_share: int, x: int,
-                          delta_products: list[int], phis: list[int],
-                          rng: random.Random,
-                          challenge_source: sigma.ChallengeSource) -> sigma.Transcript:
-    stmt = key_consistency_statement(params, y_share, delta_products, phis)
-    return sigma.eqdl_run(params, stmt, x, rng, challenge_source)
-
-
-def key_consistency_verify(params: GroupParams, y_share: int,
-                           delta_products: list[int], phis: list[int],
-                           tr: sigma.Transcript, require_hashed: bool) -> bool:
-    stmt = key_consistency_statement(params, y_share, delta_products, phis)
-    return sigma.verify_transcript(params, stmt, tr, require_hashed=require_hashed)

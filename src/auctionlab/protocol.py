@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import partial
 
 from . import defenses, elgamal, sigma
 from .board import BulletinBoard, Post
@@ -138,10 +139,55 @@ def compute_outcome_bases(params: GroupParams, alphas, betas):
     return grid
 
 
-def base_is_structurally_empty(n: int, k: int, i: int, j: int) -> bool:
-    """True when cell (i, j) has no factors at all (only (1,1) with k=1),
-    so its base is the empty product 1 by construction, not by accident."""
-    return i == 0 and j == 0 and k == 1
+def cell_products(params: GroupParams, matrices):
+    """Cell-wise product of a list of n x k matrices: the Γ-products of the
+    bidders' masking shares γ, the Δ-products of their shares δ, or the
+    product of their decryption shares φ."""
+    p = params.p
+    out = [[1] * len(row) for row in matrices[0]]
+    for matrix in matrices:
+        for out_row, row in zip(out, matrix):
+            for j, value in enumerate(row):
+                out_row[j] = out_row[j] * value % p
+    return out
+
+
+def decrypt_statement(params: GroupParams, delta_products, phi,
+                      y_share: int | None = None) -> sigma.EQDLStatement:
+    """One exponent raises every cell's Δ-product to its decryption share φ.
+    Under the key-consistency defense the keygen share y = g^x is bound in
+    front, so decrypting with any exponent other than the key share fails."""
+    gens = [params.g] if y_share is not None else []
+    targets = [y_share] if y_share is not None else []
+    for delta_row, phi_row in zip(delta_products, phi):
+        gens.extend(delta_row)
+        targets.extend(phi_row)
+    return sigma.EQDLStatement(gens=tuple(gens), targets=tuple(targets))
+
+
+def check_proof(config: AuctionConfig, rng: random.Random, author: str,
+                round_name: str, stmt, payload, prove, failure: str,
+                where: str = "") -> None:
+    """Check ``author``'s proof of ``stmt`` in the run's proof mode, or
+    raise ProofRejected naming the author, the round and ``where``.
+
+    Interactive: ``prove(challenge_source)`` runs a fresh session against a
+    verifier drawing its challenges from ``rng``.  Hashed: the posted
+    ``payload`` is parsed, and its challenge must be the canonical hash.
+    The proof is missing when the one the mode needs is None."""
+    params, interactive = config.params, config.interactive
+    if (prove if interactive else payload) is None:
+        raise ProofRejected(author, round_name, f"missing proof{where}")
+    if interactive:
+        tr = prove(sigma.verifier_source(params, rng))
+    else:
+        try:
+            tr = sigma.transcript_from_payload(payload)
+        except ValueError as exc:
+            raise ProofRejected(author, round_name,
+                                f"malformed proof{where}: {exc}") from exc
+    if not sigma.verify_transcript(params, stmt, tr, require_hashed=not interactive):
+        raise ProofRejected(author, round_name, failure + where)
 
 
 # --------------------------------------------------------------------------
@@ -203,7 +249,19 @@ def collect_outcome(board: BulletinBoard, n: int):
 # Agents
 # --------------------------------------------------------------------------
 
-class BidderAgent:
+class Party:
+    """A bidder or the seller: posts to the run's board under its name, with
+    a tag from its key when the authentication defense is on."""
+
+    def _post(self, round_name: str, kind: str, payload: dict) -> Post:
+        auth = None
+        if self.config.flags.authenticate:
+            auth = defenses.authenticate_post(
+                self.auth_key, round_name, self.name, kind, payload)
+        return self.run.board.append(round_name, self.name, kind, payload, auth)
+
+
+class BidderAgent(Party):
     """An honest bidder.  Holds the private key share, the outcome
     exponents, the bid randomisers, and answers proof requests."""
 
@@ -222,16 +280,10 @@ class BidderAgent:
         self.price: int | None = None
         self.joint_y: int | None = None
         self.phi: list[list[int]] | None = None
+        self.decrypt_stmt: sigma.EQDLStatement | None = None
         self.auth_key: bytes | None = None
 
     # -- posting ----------------------------------------------------------
-
-    def _post(self, round_name: str, kind: str, payload: dict) -> Post:
-        auth = None
-        if self.config.flags.authenticate:
-            auth = defenses.authenticate_post(
-                self.auth_key, round_name, self.name, kind, payload)
-        return self.run.board.append(round_name, self.name, kind, payload, auth)
 
     def keygen(self) -> Post:
         """Draw the key share plus all later private randomness, then post
@@ -287,66 +339,47 @@ class BidderAgent:
 
     # -- outcome ----------------------------------------------------------
 
-    def outcome_shares(self):
-        """(gamma, delta) matrices from the current board and own exponents."""
-        params = self.params
-        n, k = self.config.n, self.config.k
-        bases = self.run.outcome_bases()
-        gamma = [[0] * k for _ in range(n)]
-        delta = [[0] * k for _ in range(n)]
-        for i in range(n):
-            for j in range(k):
-                ba, bb = bases[i][j]
-                gamma[i][j] = params.exp(ba, self.m[i][j])
-                delta[i][j] = params.exp(bb, self.m[i][j])
-        return gamma, delta
+    def _outcome_statement(self, bases, i: int, j: int) -> sigma.EQDLStatement:
+        """Own masking shares at cell (i, j), 0-based: the cell's base pair
+        raised to the outcome exponent, as the statement that proves them."""
+        ba, bb = bases[i][j]
+        m = self.m[i][j]
+        return sigma.EQDLStatement(
+            gens=(ba, bb), targets=(self.params.exp(ba, m), self.params.exp(bb, m)))
+
+    def _hashed_outcome_proof(self, stmt, i: int, j: int) -> dict:
+        tr = sigma.eqdl_run(self.params, stmt, self.m[i][j], self.rng,
+                            sigma.fiat_shamir_source(self.params))
+        return sigma.transcript_to_payload(tr)
 
     def post_outcome(self) -> Post:
-        gamma, delta = self.outcome_shares()
-        payload = {"bidder": self.index, "gamma": gamma, "delta": delta,
+        bases = self.run.outcome_bases()
+        stmts = [[self._outcome_statement(bases, i, j) for j in range(self.config.k)]
+                 for i in range(self.config.n)]
+        payload = {"bidder": self.index,
+                   "gamma": [[s.targets[0] for s in row] for row in stmts],
+                   "delta": [[s.targets[1] for s in row] for row in stmts],
                    "proofs": None}
         if not self.config.interactive:
-            payload["proofs"] = self._outcome_proof_payloads(gamma, delta)
+            payload["proofs"] = [[self._hashed_outcome_proof(s, i, j)
+                                  for j, s in enumerate(row)]
+                                 for i, row in enumerate(stmts)]
         return self._post(ROUND_OUTCOME, "outcome", payload)
-
-    def _outcome_proof_payloads(self, gamma, delta):
-        params = self.params
-        n, k = self.config.n, self.config.k
-        bases = self.run.outcome_bases()
-        fs = sigma.fiat_shamir_source(params)
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(k):
-                ba, bb = bases[i][j]
-                stmt = sigma.EQDLStatement(gens=(ba, bb),
-                                           targets=(gamma[i][j], delta[i][j]))
-                tr = sigma.eqdl_run(params, stmt, self.m[i][j], self.rng, fs)
-                row.append(sigma.transcript_to_payload(tr))
-            rows.append(row)
-        return rows
 
     def redraw_exponents(self, cells) -> Post:
         """Replace the outcome exponents at the flagged cells (1-based) and
         post corrected shares."""
-        params = self.params
         bases = self.run.outcome_bases()
-        new_g, new_d, proofs = [], [], []
+        stmts, proofs = [], []
         for ci, cj in cells:
             i, j = ci - 1, cj - 1
-            self.m[i][j] = self.rng.randrange(1, params.q)
-            ba, bb = bases[i][j]
-            gv = params.exp(ba, self.m[i][j])
-            dv = params.exp(bb, self.m[i][j])
-            new_g.append(gv)
-            new_d.append(dv)
+            self.m[i][j] = self.rng.randrange(1, self.params.q)
+            stmts.append(self._outcome_statement(bases, i, j))
             if not self.config.interactive:
-                stmt = sigma.EQDLStatement(gens=(ba, bb), targets=(gv, dv))
-                tr = sigma.eqdl_run(params, stmt, self.m[i][j], self.rng,
-                                    sigma.fiat_shamir_source(params))
-                proofs.append(sigma.transcript_to_payload(tr))
+                proofs.append(self._hashed_outcome_proof(stmts[-1], i, j))
         payload = {"bidder": self.index, "cells": [list(c) for c in cells],
-                   "gamma": new_g, "delta": new_d,
+                   "gamma": [s.targets[0] for s in stmts],
+                   "delta": [s.targets[1] for s in stmts],
                    "proofs": proofs if not self.config.interactive else None}
         return self._post(ROUND_OUTCOME, "outcome-fix", payload)
 
@@ -357,49 +390,22 @@ class BidderAgent:
         bidders use their key share; subclasses may misbehave here."""
         return self.share.x
 
-    def compute_decrypt_shares(self):
-        params = self.params
-        n, k = self.config.n, self.config.k
-        _, deltas = collect_outcome(self.run.board, n)
-        x = self.decrypt_exponent()
-        phi = [[0] * k for _ in range(n)]
-        for i in range(n):
-            for j in range(k):
-                prod = 1
-                for a in range(n):
-                    prod = prod * deltas[a][i][j] % params.p
-                phi[i][j] = params.exp(prod, x)
-        self.phi = phi
-        return phi
-
-    def decrypt_statement(self) -> sigma.EQDLStatement:
-        """Same-exponent statement over every cell; under the key
-        consistency defense it additionally binds the keygen share."""
-        params = self.params
-        n, k = self.config.n, self.config.k
-        _, deltas = collect_outcome(self.run.board, n)
-        gens, targets = [], []
-        if self.config.flags.key_consistency:
-            gens.append(params.g)
-            targets.append(self.share.y)
-        for i in range(n):
-            for j in range(k):
-                prod = 1
-                for a in range(n):
-                    prod = prod * deltas[a][i][j] % params.p
-                gens.append(prod)
-                targets.append(self.phi[i][j])
-        return sigma.EQDLStatement(gens=tuple(gens), targets=tuple(targets))
-
     def send_decrypt_shares(self) -> None:
-        phi = self.compute_decrypt_shares()
+        """Raise every cell's Δ-product to ``decrypt_exponent`` and send the
+        shares to the seller, with a hashed proof in hashed mode."""
+        params = self.params
+        _, deltas = collect_outcome(self.run.board, self.config.n)
+        delta_products = cell_products(params, deltas)
+        x = self.decrypt_exponent()
+        self.phi = [[params.exp(d, x) for d in row] for row in delta_products]
+        y = self.share.y if self.config.flags.key_consistency else None
+        self.decrypt_stmt = decrypt_statement(params, delta_products, self.phi, y)
         proof = None
         if not self.config.interactive:
-            stmt = self.decrypt_statement()
-            tr = sigma.eqdl_run(self.params, stmt, self.decrypt_exponent(),
-                                self.rng, sigma.fiat_shamir_source(self.params))
+            tr = sigma.eqdl_run(params, self.decrypt_stmt, x, self.rng,
+                                sigma.fiat_shamir_source(params))
             proof = sigma.transcript_to_payload(tr)
-        self.run.seller.receive_shares(self.name, phi, proof)
+        self.run.seller.receive_shares(self.name, self.phi, proof)
 
     # -- interactive proving ----------------------------------------------
 
@@ -442,26 +448,20 @@ class BidderAgent:
     def open_outcome_session(self, i: int, j: int) -> sigma.ProverSession:
         """Fresh session proving own masking share at cell (i, j), 0-based."""
         self._require_interactive()
-        params = self.params
-        ba, bb = self.run.outcome_bases()[i][j]
-        gamma = params.exp(ba, self.m[i][j])
-        delta = params.exp(bb, self.m[i][j])
-        stmt = sigma.EQDLStatement(gens=(ba, bb), targets=(gamma, delta))
-        return sigma.ProverSession(params, stmt, self.m[i][j])
+        stmt = self._outcome_statement(self.run.outcome_bases(), i, j)
+        return sigma.ProverSession(self.params, stmt, self.m[i][j])
 
     def prove_outcome_cell(self, i: int, j: int,
                            challenge_source: sigma.ChallengeSource) -> sigma.Transcript:
-        session = self.open_outcome_session(i, j)
-        com = session.commit(self.rng)
-        c = challenge_source(session.stmt, com) % self.params.q
-        return sigma.Transcript(commitment=com, challenge=c,
-                                response=session.respond(c))
+        self._require_interactive()
+        stmt = self._outcome_statement(self.run.outcome_bases(), i, j)
+        return sigma.eqdl_run(self.params, stmt, self.m[i][j], self.rng,
+                              challenge_source)
 
     def prove_decrypt(self, challenge_source: sigma.ChallengeSource) -> sigma.Transcript:
         self._require_interactive()
-        stmt = self.decrypt_statement()
-        return sigma.eqdl_run(self.params, stmt, self.decrypt_exponent(),
-                              self.rng, challenge_source)
+        return sigma.eqdl_run(self.params, self.decrypt_stmt,
+                              self.decrypt_exponent(), self.rng, challenge_source)
 
     # -- own-row view ------------------------------------------------------
 
@@ -479,11 +479,9 @@ class BidderAgent:
                                               kind="decrypt-publish")
         }
         mine = self.index - 1
+        gamma_products = cell_products(params, gammas)[mine]
         row = []
         for j in range(k):
-            pg = 1
-            for a in range(n):
-                pg = pg * gammas[a][mine][j] % params.p
             pphi = self.phi[mine][j]
             for h in range(1, n + 1):
                 if h == self.index:
@@ -495,11 +493,11 @@ class BidderAgent:
                 if val is None:
                     raise MissingShares("own row withheld in publication")
                 pphi = pphi * val % params.p
-            row.append(pg * params.inv(pphi) % params.p)
+            row.append(gamma_products[j] * params.inv(pphi) % params.p)
         return row
 
 
-class SellerAgent:
+class SellerAgent(Party):
     """Collects decryption shares, verifies their proofs, publishes the
     redacted table, and computes the result.  Never bids."""
 
@@ -523,42 +521,17 @@ class SellerAgent:
             name = bidder_name(i)
             if name not in self.shares:
                 raise MissingShares(f"no decryption shares from {name}")
+        _, deltas = collect_outcome(self.run.board, n)
+        delta_products = cell_products(self.params, deltas)
+        keys = (collect_keyshares(self.run.board, n)
+                if self.config.flags.key_consistency else [None] * n)
         for i in range(1, n + 1):
             name = bidder_name(i)
-            agent = self.run.agents[name]
-            phi = self.shares[name]
-            stmt = self._decrypt_statement_for(name, phi)
-            if self.config.interactive:
-                tr = agent.prove_decrypt(sigma.verifier_source(self.params, self.rng))
-                ok = sigma.verify_transcript(self.params, stmt, tr,
-                                             require_hashed=False)
-            else:
-                payload = self.proofs[name]
-                if payload is None:
-                    raise ProofRejected(name, ROUND_DECRYPT, "missing proof")
-                tr = sigma.transcript_from_payload(payload)
-                ok = sigma.verify_transcript(self.params, stmt, tr,
-                                             require_hashed=True)
-            if not ok:
-                raise ProofRejected(name, ROUND_DECRYPT, "decrypt share proof failed")
-
-    def _decrypt_statement_for(self, name: str, phi) -> sigma.EQDLStatement:
-        params = self.params
-        n, k = self.config.n, self.config.k
-        _, deltas = collect_outcome(self.run.board, n)
-        gens, targets = [], []
-        if self.config.flags.key_consistency:
-            y = collect_keyshares(self.run.board, n)[int(name.split("-")[1]) - 1]
-            gens.append(params.g)
-            targets.append(y)
-        for i in range(n):
-            for j in range(k):
-                prod = 1
-                for a in range(n):
-                    prod = prod * deltas[a][i][j] % params.p
-                gens.append(prod)
-                targets.append(phi[i][j])
-        return sigma.EQDLStatement(gens=tuple(gens), targets=tuple(targets))
+            stmt = decrypt_statement(self.params, delta_products,
+                                     self.shares[name], keys[i - 1])
+            check_proof(self.config, self.rng, name, ROUND_DECRYPT, stmt,
+                        self.proofs[name], self.run.agents[name].prove_decrypt,
+                        "decrypt share proof failed")
 
     def publish_shares(self) -> None:
         """Post every bidder's shares for all rows except the bidder's own."""
@@ -570,27 +543,18 @@ class SellerAgent:
                 [None if i == h - 1 else phi[i][j] for j in range(self.config.k)]
                 for i in range(n)
             ]
-            payload = {"bidder": h, "phi": redacted}
-            auth = None
-            if self.config.flags.authenticate:
-                auth = defenses.authenticate_post(
-                    self.auth_key, ROUND_DECRYPT, self.name, "decrypt-publish",
-                    payload)
-            self.run.board.append(ROUND_DECRYPT, self.name, "decrypt-publish",
-                                  payload, auth)
+            self._post(ROUND_DECRYPT, "decrypt-publish", {"bidder": h, "phi": redacted})
 
     def compute_result(self) -> "AuctionOutcome":
         params = self.params
         n, k = self.config.n, self.config.k
         gammas, _ = collect_outcome(self.run.board, n)
-        v = [[0] * k for _ in range(n)]
-        for i in range(n):
-            for j in range(k):
-                pg = pphi = 1
-                for a in range(n):
-                    pg = pg * gammas[a][i][j] % params.p
-                    pphi = pphi * self.shares[bidder_name(a + 1)][i][j] % params.p
-                v[i][j] = pg * params.inv(pphi) % params.p
+        gamma_products = cell_products(params, gammas)
+        phi_products = cell_products(
+            params, [self.shares[bidder_name(a)] for a in range(1, n + 1)])
+        v = [[pg * params.inv(pphi) % params.p
+              for pg, pphi in zip(g_row, phi_row)]
+             for g_row, phi_row in zip(gamma_products, phi_products)]
         ones = [(i + 1, j + 1) for i in range(n) for j in range(k) if v[i][j] == 1]
         if len(ones) == 1:
             outcome = AuctionOutcome(status="winner", v=v, ones=ones,
@@ -608,11 +572,7 @@ class SellerAgent:
             "winner_price": outcome.winner_price,
             "ones": [list(c) for c in outcome.ones],
         }
-        auth = None
-        if self.config.flags.authenticate:
-            auth = defenses.authenticate_post(self.auth_key, ROUND_RESULT,
-                                              self.name, "result", payload)
-        self.run.board.append(ROUND_RESULT, self.name, "result", payload, auth)
+        self._post(ROUND_RESULT, "result", payload)
         return outcome
 
 
@@ -723,21 +683,11 @@ class AuctionRun:
             for name, post in shares.items():
                 if name == verifier.name:
                     continue
+                author = self.agents.get(name)    # None: not in this auction
                 stmt = sigma.PDLStatement(g=params.g, v=post.payload["y"])
-                if self.config.interactive:
-                    author = self.agents[name]
-                    tr = author.prove_keyshare(
-                        sigma.verifier_source(params, verifier.rng))
-                    ok = sigma.verify_transcript(params, stmt, tr,
-                                                 require_hashed=False)
-                else:
-                    if post.payload["proof"] is None:
-                        raise ProofRejected(name, ROUND_KEYGEN, "missing proof")
-                    tr = sigma.transcript_from_payload(post.payload["proof"])
-                    ok = sigma.verify_transcript(params, stmt, tr,
-                                                 require_hashed=True)
-                if not ok:
-                    raise ProofRejected(name, ROUND_KEYGEN, "key share proof failed")
+                check_proof(self.config, verifier.rng, name, ROUND_KEYGEN, stmt,
+                            post.payload["proof"], author and author.prove_keyshare,
+                            "key share proof failed")
 
     def step_bid(self) -> None:
         for index in self.bid_order:
@@ -750,52 +700,33 @@ class AuctionRun:
         posts = self.board.latest_by_author(ROUND_BID, "bid")
         joint = elgamal.aggregate_keys(
             params, collect_keyshares(self.board, self.config.n)).y
+        k = self.config.k
         for verifier in self.honest_agents():
             for name, post in posts.items():
                 if name == verifier.name:
                     continue
-                author_index = post.payload["bidder"]
-                marker = self.config.marker_for(author_index)
+                author = self.agents.get(name)    # None: not in this auction
+                marker = self.config.marker_for(post.payload["bidder"])
                 alphas = post.payload["alphas"]
                 betas = post.payload["betas"]
-                for j in range(self.config.k):
+                proofs = post.payload["proofs"] or [None] * k
+                for j in range(k):
                     stmt = sigma.BidValidityStatement(
                         y=joint, g=params.g, marker=marker,
                         alpha=alphas[j], beta=betas[j])
-                    if self.config.interactive:
-                        author = self.agents[name]
-                        tr = author.prove_bid_cell(
-                            j, sigma.verifier_source(params, verifier.rng))
-                        ok = sigma.verify_transcript(params, stmt, tr,
-                                                     require_hashed=False)
-                    else:
-                        tr = sigma.transcript_from_payload(post.payload["proofs"][j])
-                        ok = sigma.verify_transcript(params, stmt, tr,
-                                                     require_hashed=True)
-                    if not ok:
-                        raise ProofRejected(name, ROUND_BID,
-                                            f"validity proof failed at price {j + 1}")
+                    check_proof(self.config, verifier.rng, name, ROUND_BID, stmt,
+                                proofs[j], author and partial(author.prove_bid_cell, j),
+                                "validity proof failed", f" at price {j + 1}")
                 sum_stmt = sigma.SumValidityStatement(
                     y=joint, g=params.g, marker=marker,
                     alphas=tuple(alphas), betas=tuple(betas))
-                if self.config.interactive:
-                    author = self.agents[name]
-                    tr = author.prove_bid_sum(
-                        sigma.verifier_source(params, verifier.rng))
-                    ok = sigma.verify_transcript(params, sum_stmt, tr,
-                                                 require_hashed=False)
-                else:
-                    tr = sigma.transcript_from_payload(post.payload["sum_proof"])
-                    ok = sigma.verify_transcript(params, sum_stmt, tr,
-                                                 require_hashed=True)
-                if not ok:
-                    raise ProofRejected(name, ROUND_BID, "sum proof failed")
+                check_proof(self.config, verifier.rng, name, ROUND_BID, sum_stmt,
+                            post.payload["sum_proof"], author and author.prove_bid_sum,
+                            "sum proof failed")
 
     def step_outcome(self) -> None:
         if self.config.flags.noise_product_check:
-            cells = defenses.scan_exceptional_bases(self.config.params,
-                                                    self.board, self.config.n,
-                                                    self.config.k)
+            cells = defenses.scan_exceptional_bases(self.outcome_bases())
             if cells:
                 raise RestartRequired("exceptional base product", cells)
         for index in self.outcome_order:
@@ -806,69 +737,57 @@ class AuctionRun:
         self._verify_outcome()
 
     def _noise_product_pass(self, max_rounds: int = 10) -> None:
-        cancelled = defenses.check_noise_cancellation(
-            self.config.params, self.board, self.config.n, self.config.k)
+        params, n = self.config.params, self.config.n
+        products = cell_products(params, collect_outcome(self.board, n)[0])
+        cancelled = defenses.check_noise_cancellation(self.outcome_bases(),
+                                                      products)
         if cancelled:
             raise RestartRequired("noise cancellation detected", cancelled)
         for _ in range(max_rounds):
-            flagged = defenses.check_noise_products(
-                self.config.params, self.board, self.config.n, self.config.k)
+            flagged = defenses.check_noise_products(products)
             if not flagged:
                 return
-            for index in range(1, self.config.n + 1):
+            for index in range(1, n + 1):
                 self.bidder(index).redraw_exponents(flagged)
+            products = cell_products(params, collect_outcome(self.board, n)[0])
         raise RestartRequired("noise products kept collapsing", [])
 
     def _verify_outcome(self) -> None:
-        params = self.config.params
         n, k = self.config.n, self.config.k
         bases = self.outcome_bases()
         gammas, deltas = collect_outcome(self.board, n)
-        proof_posts = self.board.latest_by_author(ROUND_OUTCOME, "outcome")
-        fix_posts = list(self.board.select(round=ROUND_OUTCOME, kind="outcome-fix"))
+        proofs = self._outcome_proofs()
+        # Cell labels are made once: the loop runs about n^3 k checks.
+        cells = [(i, j, f" at cell ({i + 1},{j + 1})")
+                 for i in range(n) for j in range(k)]
         for verifier in self.honest_agents():
             for a in range(n):
                 name = bidder_name(a + 1)
                 if name == verifier.name:
                     continue
-                for i in range(n):
-                    for j in range(k):
-                        stmt = sigma.EQDLStatement(
-                            gens=bases[i][j],
-                            targets=(gammas[a][i][j], deltas[a][i][j]))
-                        if self.config.interactive:
-                            author = self.agents[name]
-                            tr = author.prove_outcome_cell(
-                                i, j, sigma.verifier_source(params, verifier.rng))
-                            ok = sigma.verify_transcript(params, stmt, tr,
-                                                         require_hashed=False)
-                        else:
-                            payload = self._outcome_proof_payload(
-                                proof_posts, fix_posts, name, i, j)
-                            if payload is None:
-                                raise ProofRejected(name, ROUND_OUTCOME,
-                                                    f"missing proof at cell ({i + 1},{j + 1})")
-                            tr = sigma.transcript_from_payload(payload)
-                            ok = sigma.verify_transcript(params, stmt, tr,
-                                                         require_hashed=True)
-                        if not ok:
-                            raise ProofRejected(name, ROUND_OUTCOME,
-                                                f"masking proof failed at cell ({i + 1},{j + 1})")
+                prove = self.agents[name].prove_outcome_cell
+                for i, j, where in cells:
+                    stmt = sigma.EQDLStatement(
+                        gens=bases[i][j], targets=(gammas[a][i][j], deltas[a][i][j]))
+                    check_proof(self.config, verifier.rng, name, ROUND_OUTCOME,
+                                stmt, proofs[name][i][j], partial(prove, i, j),
+                                "masking proof failed", where)
 
-    @staticmethod
-    def _outcome_proof_payload(proof_posts, fix_posts, name, i, j):
-        """Latest hashed proof payload for author's cell (i, j), 0-based."""
-        payload = None
-        post = proof_posts.get(name)
-        if post is not None and post.payload.get("proofs") is not None:
-            payload = post.payload["proofs"][i][j]
-        for fix in fix_posts:
-            if fix.author != name or fix.payload.get("proofs") is None:
-                continue
-            for idx, (ci, cj) in enumerate(fix.payload["cells"]):
-                if (ci - 1, cj - 1) == (i, j):
-                    payload = fix.payload["proofs"][idx]
-        return payload
+    def _outcome_proofs(self):
+        """Each author's latest hashed proof payload per cell, as an n x k
+        grid (0-based): its outcome post's proofs with its fix posts'
+        proofs laid over them, None where it posted none."""
+        n, k = self.config.n, self.config.k
+        out = {}
+        for name, post in self.board.latest_by_author(ROUND_OUTCOME, "outcome").items():
+            proofs = post.payload.get("proofs")
+            out[name] = ([list(row) for row in proofs] if proofs is not None
+                         else [[None] * k for _ in range(n)])
+        for fix in self.board.select(round=ROUND_OUTCOME, kind="outcome-fix"):
+            for (ci, cj), proof in zip(fix.payload["cells"],
+                                       fix.payload.get("proofs") or []):
+                out[fix.author][ci - 1][cj - 1] = proof
+        return out
 
     def step_decrypt(self) -> None:
         for index in range(1, self.config.n + 1):
@@ -894,9 +813,20 @@ def run_auction(config: AuctionConfig, bids: list[int], seed: int,
     return run, run.run()
 
 
+def with_restarts(attempt, seed: int, max_attempts: int):
+    """Call ``attempt(seed)``, ``attempt(seed + 1)``, ... until a call
+    returns without RestartRequired, and return what it returned.  The last
+    of ``max_attempts`` calls raises whatever it raises."""
+    for offset in range(max_attempts - 1):
+        try:
+            return attempt(seed + offset)
+        except RestartRequired:
+            pass
+    return attempt(seed + max_attempts - 1)
+
+
 def run_with_restarts(config: AuctionConfig, bids: list[int], seed: int,
-                      max_attempts: int = 200, retry_multiple_ones: bool = True,
-                      **kwargs):
+                      max_attempts: int = 200, **kwargs):
     """Re-run with derived seeds until the auction lands on a decisive
     outcome.  Chance exponent collisions in a small group routinely produce
     stray 1 cells; an operator restarts such an undecidable auction, which
@@ -904,19 +834,15 @@ def run_with_restarts(config: AuctionConfig, bids: list[int], seed: int,
 
     Returns (run, outcome, attempts_used).
     """
-    last_exc: RestartRequired | None = None
-    for attempt in range(max_attempts):
-        try:
-            run, outcome = run_auction(config, bids, seed + attempt, **kwargs)
-        except RestartRequired as exc:
-            last_exc = exc
-            continue
-        if outcome.status == "multiple-ones" and retry_multiple_ones:
-            continue
-        return run, outcome, attempt + 1
-    if last_exc is not None:
-        raise last_exc
-    raise RestartRequired(f"no decisive outcome in {max_attempts} attempts", [])
+    def attempt(attempt_seed):
+        run, outcome = run_auction(config, bids, attempt_seed, **kwargs)
+        if outcome.status == "multiple-ones":
+            raise RestartRequired(
+                f"no decisive outcome in {max_attempts} attempts", [])
+        return run, outcome
+
+    run, outcome = with_restarts(attempt, seed, max_attempts)
+    return run, outcome, run.seed - seed + 1
 
 
 def expected_winner(bids: list[int]) -> tuple[int, int]:

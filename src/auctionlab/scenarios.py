@@ -26,8 +26,12 @@ from .groups import DEFAULT_MARKER, GROUPS_BY_NAME, GroupParams
 from .protocol import (
     AuctionConfig,
     AuctionRun,
+    bidder_name,
+    collect_outcome,
+    encode_bid,
     expected_winner,
     run_with_restarts,
+    with_restarts,
 )
 
 SCENARIOS = (
@@ -236,12 +240,8 @@ def scenario_forged_eqdl(spec: ScenarioSpec) -> ScenarioResult:
     config = spec.config()
     mallory = config.n
     order = [i for i in range(1, config.n + 1) if i != mallory] + [mallory]
-
-    def factory(run, index, rng):
-        if index == mallory:
-            return attacks.NoiseRemovalBidder(run, index, rng, spec.exponent)
-        from .protocol import BidderAgent
-        return BidderAgent(run, index, rng)
+    factory = attacks.dishonest_bidder(mallory, attacks.NoiseRemovalBidder,
+                                       spec.exponent)
 
     if spec.flags.ni_proofs:
         report = _base_report(spec, "forgery impossible under hashed challenges")
@@ -263,18 +263,18 @@ def scenario_forged_eqdl(spec: ScenarioSpec) -> ScenarioResult:
 
     report = _base_report(
         spec, "honest verifier accepts a proof nobody holds a witness for")
-    run = None
-    for attempt in range(50):
-        run = AuctionRun(config, bids, spec.seed + attempt,
-                         agent_factory=factory, outcome_order=order)
-        try:
-            run.step_keygen()
-            run.step_bid()
-            run.step_outcome()      # includes per-cell verification by all
-        except RestartRequired:
-            continue
-        break
-    else:
+
+    def attempt(attempt_seed):
+        run = AuctionRun(config, bids, attempt_seed, agent_factory=factory,
+                         outcome_order=order)
+        run.step_keygen()
+        run.step_bid()
+        run.step_outcome()      # includes per-cell verification by all
+        return run
+
+    try:
+        run = with_restarts(attempt, spec.seed, 50)
+    except RestartRequired:
         report["expectation_met"] = False
         report["success"] = False
         report["notes"].append("no run survived the restart checks")
@@ -282,8 +282,6 @@ def scenario_forged_eqdl(spec: ScenarioSpec) -> ScenarioResult:
 
     # One explicit forged transcript, challenged by a fresh honest verifier.
     verifier_rng = random.Random(spec.seed + 999)
-    from .protocol import bidder_name, collect_outcome
-
     tr = attacks.forge_outcome_eqdl(run, bidder_name(mallory), 0, 0,
                                     spec.exponent,
                                     sigma.verifier_source(config.params,
@@ -307,16 +305,22 @@ def scenario_forged_eqdl(spec: ScenarioSpec) -> ScenarioResult:
 def scenario_impersonation(spec: ScenarioSpec) -> ScenarioResult:
     target_bid = spec.target_bid if spec.target_bid is not None else min(2, spec.k)
     if spec.flags.authenticate:
+        blocked_by = "AuthRejected"
         expectation = "forged bid posts rejected in the bid round"
+    elif spec.rerandomize and spec.flags.ni_proofs:
+        # Hashed transcripts cannot be shifted to fit re-randomised copies.
+        blocked_by = "ProofRejected"
+        expectation = "re-randomised copies carry no proofs; rejected in the bid round"
     else:
+        blocked_by = None
         expectation = "winning price reveals the target's secret bid"
     report = _base_report(spec, expectation)
     result = attacks.impersonation_attack(spec.config(), target_bid, spec.seed,
                                           rerandomize=spec.rerandomize)
     report["success"] = result.success
     report["outcome"].update(result.to_dict())
-    if spec.flags.authenticate:
-        met = (not result.success and result.error == "AuthRejected"
+    if blocked_by is not None:
+        met = (not result.success and result.error == blocked_by
                and result.extras.get("rejected_round") == "bid")
     else:
         met = result.success
@@ -423,9 +427,7 @@ def scenario_recovery_bench(spec: ScenarioSpec) -> ScenarioResult:
     matrix = recovery.build_matrix(n, k)
     rng = random.Random(spec.seed)
     bids = [rng.randrange(1, k + 1) for _ in range(n)]
-    flat = []
-    for price in bids:
-        flat.extend(1 if j + 1 == price else 0 for j in range(k))
+    flat = [bit for price in bids for bit in encode_bid(price, k)]
     image = recovery.apply_f(matrix, flat)
     solved = recovery.recover_bids(image, n, k)
     elapsed = time.perf_counter() - start

@@ -221,6 +221,8 @@ def prove_pdl(params: GroupParams, stmt: PDLStatement, witness: int,
 
 
 def verify_pdl(params: GroupParams, stmt: PDLStatement, tr: Transcript) -> bool:
+    if len(tr.commitment) != 1:
+        return False
     (z,) = tr.commitment
     lhs = params.exp(stmt.g, tr.response)
     rhs = z * params.exp(stmt.v, tr.challenge) % params.p
@@ -379,12 +381,29 @@ def transcript_to_payload(tr) -> dict:
 
 
 def transcript_from_payload(payload: dict):
+    """Parse a posted proof.  Raises ValueError when the payload does not
+    have a transcript's shape: a mapping with an integer challenge, a hash
+    name, and either an integer response with a list of integer commitments
+    or two such transcripts under ``or``."""
+    if type(payload) is not dict:
+        raise ValueError("proof is not a mapping")
+    chal, hash_name = payload.get("chal"), payload.get("hash")
+    if type(chal) is not int or type(hash_name) is not str:
+        raise ValueError("challenge or hash name missing or of the wrong type")
     if "or" in payload:
-        b0, b1 = (transcript_from_payload(b) for b in payload["or"])
-        return OrTranscript(branches=(b0, b1), challenge=payload["chal"],
-                            hash_name=payload["hash"])
-    return Transcript(commitment=tuple(payload["com"]), challenge=payload["chal"],
-                      response=payload["resp"], hash_name=payload["hash"])
+        branches = payload["or"]
+        if type(branches) not in (list, tuple) or len(branches) != 2:
+            raise ValueError("an OR proof needs two branches")
+        return OrTranscript(branches=(transcript_from_payload(branches[0]),
+                                      transcript_from_payload(branches[1])),
+                            challenge=chal, hash_name=hash_name)
+    com, resp = payload.get("com"), payload.get("resp")
+    if type(resp) is not int:
+        raise ValueError("response missing or of the wrong type")
+    if type(com) not in (list, tuple) or not set(map(type, com)) <= {int}:
+        raise ValueError("commitments must be a list of integers")
+    return Transcript(commitment=tuple(com), challenge=chal, response=resp,
+                      hash_name=hash_name)
 
 
 def make_bid_ciphertext(params: GroupParams, y: int, marker: int,

@@ -163,6 +163,15 @@ class TestExitCodes:
         assert code == 1
         assert "NOT MET" in capsys.readouterr().out
 
+    def test_impersonation_restarts_after_base_collapse(self, tmp_path, capsys):
+        """The first attempt at seed 9 collapses a base under the product
+        check; the attack restarts like every other one instead of exiting."""
+        code = main(["run", "--scenario", "impersonation", "--noise-product-check",
+                     "--group", "mid", "--n", "4", "--k", "6", "--seed", "9",
+                     "--out", str(tmp_path)])
+        assert code == 0
+        assert "expectation MET" in capsys.readouterr().out
+
     def test_usage_error_exits_two(self, capsys):
         assert main(["run", "--scenario", "nope"]) == 2
         assert main(["run", "--scenario", "honest", "--bids", "1,2,3,4"]) == 2

@@ -12,14 +12,18 @@ from auctionlab.defenses import (
     authenticate_post,
     check_noise_cancellation,
     check_noise_products,
-    key_consistency_prove,
-    key_consistency_verify,
     scan_exceptional_bases,
     verify_post,
 )
 from auctionlab.errors import UnknownAuthor
 from auctionlab.groups import SMALL_GROUP
-from auctionlab.protocol import AuctionConfig, AuctionRun
+from auctionlab.protocol import (
+    AuctionConfig,
+    AuctionRun,
+    cell_products,
+    collect_outcome,
+    decrypt_statement,
+)
 
 
 class TestFlags:
@@ -99,11 +103,16 @@ def _run_through_outcome(seed, n=2, k=2, bids=(1, 2), flags=None):
     return run
 
 
+def _masking_products(run):
+    gammas, _ = collect_outcome(run.board, run.config.n)
+    return cell_products(SMALL_GROUP, gammas)
+
+
 class TestProductChecks:
     def test_zero_joint_exponent_flagged(self):
         """Seed 1 (checks off) leaves a cell whose masking product is 1."""
         run = _run_through_outcome(1)
-        flagged = check_noise_products(SMALL_GROUP, run.board, 2, 2)
+        flagged = check_noise_products(_masking_products(run))
         assert flagged, "expected a collapsed masking product at this seed"
 
     def test_redraw_clears_the_flag(self):
@@ -111,23 +120,25 @@ class TestProductChecks:
         clearing is a bounded loop, mirroring the in-protocol pass."""
         run = _run_through_outcome(1)
         for _ in range(10):
-            flagged = check_noise_products(SMALL_GROUP, run.board, 2, 2)
+            flagged = check_noise_products(_masking_products(run))
             if not flagged:
                 break
             for agent in run.agents.values():
                 agent.redraw_exponents(flagged)
-        assert check_noise_products(SMALL_GROUP, run.board, 2, 2) == []
+        assert check_noise_products(_masking_products(run)) == []
 
     def test_chance_cancellation_detected(self):
         """Seed 7: the honest joint exponent happens to be exactly 1, the
         same signature a unit-exponent stripping attacker leaves."""
         run = _run_through_outcome(7)
-        assert check_noise_cancellation(SMALL_GROUP, run.board, 2, 2)
+        assert check_noise_cancellation(run.outcome_bases(),
+                                        _masking_products(run))
 
     def test_clean_seed_passes_both_checks(self):
         run = _run_through_outcome(0)
-        assert check_noise_products(SMALL_GROUP, run.board, 2, 2) == []
-        assert check_noise_cancellation(SMALL_GROUP, run.board, 2, 2) == []
+        assert check_noise_products(_masking_products(run)) == []
+        assert check_noise_cancellation(run.outcome_bases(),
+                                        _masking_products(run)) == []
 
     def test_base_collapse_scan(self):
         """Seed 3's bid round lands a base product on 1."""
@@ -135,7 +146,7 @@ class TestProductChecks:
         run = AuctionRun(cfg, [1, 2], 3)
         run.step_keygen()
         run.step_bid()
-        assert scan_exceptional_bases(SMALL_GROUP, run.board, 2, 2)
+        assert scan_exceptional_bases(run.outcome_bases())
 
     def test_stripping_attacker_always_flagged(self):
         """Whatever the seed, unit-exponent stripping trips the
@@ -156,7 +167,8 @@ class TestProductChecks:
             run.step_bid()
             for index in run.outcome_order:
                 run.bidder(index).post_outcome()
-            assert check_noise_cancellation(SMALL_GROUP, run.board, 2, 2)
+            assert check_noise_cancellation(run.outcome_bases(),
+                                            _masking_products(run))
 
 
 class TestKeyConsistency:
@@ -164,12 +176,11 @@ class TestKeyConsistency:
         rng = random.Random(3)
         x = 4
         y = small.exp(small.g, x)
-        deltas = [small.exp(small.g, 5), small.exp(small.g, 7)]
-        phis = [small.exp(d, x) for d in deltas]
-        tr = key_consistency_prove(small, y, x, deltas, phis, rng,
-                                   sigma.fiat_shamir_source(small))
-        assert key_consistency_verify(small, y, deltas, phis, tr,
-                                      require_hashed=True)
+        deltas = [[small.exp(small.g, 5), small.exp(small.g, 7)]]
+        phis = [[small.exp(d, x) for d in deltas[0]]]
+        stmt = decrypt_statement(small, deltas, phis, y)
+        tr = sigma.eqdl_run(small, stmt, x, rng, sigma.fiat_shamir_source(small))
+        assert sigma.verify_transcript(small, stmt, tr, require_hashed=True)
 
     def test_shifted_exponent_rejected(self, small):
         """Decrypting with x+1 while the registered share is g^x cannot be
@@ -177,12 +188,12 @@ class TestKeyConsistency:
         rng = random.Random(3)
         x = 4
         y = small.exp(small.g, x)
-        deltas = [small.exp(small.g, 5), small.exp(small.g, 7)]
-        wrong_phis = [small.exp(d, x + 1) for d in deltas]
-        tr = key_consistency_prove(small, y, x + 1, deltas, wrong_phis, rng,
-                                   sigma.fiat_shamir_source(small))
-        assert not key_consistency_verify(small, y, deltas, wrong_phis, tr,
-                                          require_hashed=True)
+        deltas = [[small.exp(small.g, 5), small.exp(small.g, 7)]]
+        wrong_phis = [[small.exp(d, x + 1) for d in deltas[0]]]
+        stmt = decrypt_statement(small, deltas, wrong_phis, y)
+        tr = sigma.eqdl_run(small, stmt, x + 1, rng,
+                            sigma.fiat_shamir_source(small))
+        assert not sigma.verify_transcript(small, stmt, tr, require_hashed=True)
 
 
 class TestAuthenticatedRun:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from auctionlab import sigma
-from auctionlab.defenses import DefenseFlags
+from auctionlab.defenses import DefenseFlags, base_is_structurally_empty
 from auctionlab.errors import (
     MissingShares,
     ModeMismatch,
@@ -21,7 +21,6 @@ from auctionlab.protocol import (
     AuctionConfig,
     AuctionRun,
     BidderAgent,
-    base_is_structurally_empty,
     bidder_name,
     collect_bids,
     compute_outcome_bases,
@@ -235,7 +234,9 @@ class TestModeDiscipline:
         cfg = AuctionConfig(n=2, k=2, flags=DefenseFlags(ni_proofs=True))
         run = AuctionRun(cfg, [1, 2], 5)
         run.step_keygen()
-        for name, post in run.board.latest_by_author(ROUND_KEYGEN, "key").items():
+        posts = run.board.latest_by_author(ROUND_KEYGEN, "keyshare")
+        assert len(posts) == cfg.n
+        for name, post in posts.items():
             stmt = sigma.PDLStatement(g=cfg.params.g, v=post.payload["y"])
             tr = sigma.transcript_from_payload(post.payload["proof"])
             assert sigma.verify_transcript(cfg.params, stmt, tr,
@@ -244,7 +245,9 @@ class TestModeDiscipline:
     def test_interactive_posts_omit_proofs(self):
         run = AuctionRun(AuctionConfig(n=2, k=2), [1, 2], 5)
         run.step_keygen()
-        for post in run.board.latest_by_author(ROUND_KEYGEN, "key").values():
+        posts = run.board.latest_by_author(ROUND_KEYGEN, "keyshare")
+        assert len(posts) == 2
+        for post in posts.values():
             assert post.payload["proof"] is None
 
 
@@ -349,3 +352,70 @@ class TestKeygenVerification:
         assert caught.value.author == bidder_name(2)
         assert caught.value.round_name == ROUND_KEYGEN
         assert "subgroup" in caught.value.detail
+
+
+def _tampered_keygen(tamper):
+    """Run keygen under hashed proofs with bidder 2's proof payload changed
+    by ``tamper`` before it is posted; return the rejection it causes."""
+    from auctionlab.errors import ProofRejected
+
+    class TamperingBidder(BidderAgent):
+        def _post(self, round_name, kind, payload):
+            if round_name == ROUND_KEYGEN:
+                tamper(payload["proof"])
+            return super()._post(round_name, kind, payload)
+
+    def factory(run, index, rng):
+        return (TamperingBidder if index == 2 else BidderAgent)(run, index, rng)
+
+    cfg = AuctionConfig(n=2, k=2, flags=DefenseFlags(ni_proofs=True))
+    run = AuctionRun(cfg, [1, 2], 5, agent_factory=factory)
+    with pytest.raises(ProofRejected) as caught:
+        run.step_keygen()
+    exc = caught.value
+    return "ProofRejected", exc.author, exc.round_name, exc.detail
+
+
+def _rerandomized_copy_under_hashed_proofs():
+    from auctionlab.scenarios import ScenarioSpec, run_scenario
+
+    result = run_scenario(ScenarioSpec(scenario="impersonation", rerandomize=True,
+                                       flags=DefenseFlags(ni_proofs=True)))
+    assert result.expectation_met
+    outcome = result.report["outcome"]
+    return (outcome["error"], "bidder-2", outcome["extras"]["rejected_round"],
+            outcome["detail"].split(": ", 1)[1])
+
+
+def _set_string_commitment(proof):
+    proof["com"] = [str(proof["com"][0])]
+
+
+class TestMalformedProofs:
+    def test_interactive_keyshare_with_no_bidder_behind_it(self):
+        """Nobody answers a session for a key share posted under a name
+        outside the auction, so its proof is missing."""
+        from auctionlab.errors import ProofRejected
+
+        cfg = AuctionConfig(n=2, k=2)
+        run = AuctionRun(cfg, [1, 2], 5)
+        run.board.append(ROUND_KEYGEN, "ghost", "keyshare",
+                         {"bidder": 3, "y": cfg.params.g, "proof": None})
+        with pytest.raises(ProofRejected) as caught:
+            run.step_keygen()
+        assert (caught.value.author, caught.value.detail) == ("ghost", "missing proof")
+
+    @pytest.mark.parametrize("case,round_name,detail", [
+        (_rerandomized_copy_under_hashed_proofs, "bid", "missing proof at price 1"),
+        (lambda: _tampered_keygen(lambda proof: proof.pop("resp")),
+         "keygen", "malformed proof: response missing or of the wrong type"),
+        (lambda: _tampered_keygen(lambda proof: proof["com"].append(proof["com"][0])),
+         "keygen", "key share proof failed"),
+        (lambda: _tampered_keygen(_set_string_commitment),
+         "keygen", "malformed proof: commitments must be a list of integers"),
+    ], ids=["rerandomized-copy-without-proofs", "keygen-without-response",
+            "keygen-two-commitments", "keygen-string-commitment"])
+    def test_rejected_with_author_and_round(self, case, round_name, detail):
+        """A hashed proof that is missing or not shaped like a transcript is
+        refused with the author and round named, never a bare exception."""
+        assert case() == ("ProofRejected", "bidder-2", round_name, detail)
