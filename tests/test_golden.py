@@ -7,6 +7,11 @@ and restart loops were merged, so a refactor that changes any report or
 transcript byte fails here.  Impersonation under the product check alone is
 left out: at both seeds its first attempt hits a chance base collapse, which
 the recorded code did not restart.
+
+The small group's elements are one byte wide, so the hashed path is also
+pinned in the mid and large groups: honest runs with hashed proofs alone and
+with all four defenses, recorded before the hashed path stopped re-checking
+a proof once per verifier and before its two encoders were rewritten.
 """
 
 import hashlib
@@ -135,3 +140,23 @@ def test_report_and_transcript_bytes(scenario, flags, seed, tmp_path):
     if transcript.exists():
         digest.update(transcript.read_bytes())
     assert digest.hexdigest() == GOLDEN[scenario, flags, seed]
+
+
+# (group, n, k, flags, seed) -> sha256 of report.json followed by
+# transcript.json for an honest run.
+GOLDEN_WIDE = {
+    ("mid", 4, 6, "ni_proofs", 7): "3f76ddd15bd4f1f87f6ae6dd9eb4747ec5d82dfd59ec6be0c237538c52b1d80a",
+    ("mid", 4, 6, "all", 7): "13cb89abded2bbeec376a12d5f3c780b1a629a0c8ac0550c7e2cbf0490569e6d",
+    ("large", 2, 3, "ni_proofs", 7): "e637986e46e7038a6a949a1d2f4e5c7b3d800b364027b0b266a7596863160718",
+    ("large", 2, 3, "all", 7): "9648926ff9ebe090010f9cf78a9162a71cc3b27fa3b0f8d905b1a2ab721408aa",
+}
+
+
+@pytest.mark.parametrize("group,n,k,flags,seed", sorted(GOLDEN_WIDE))
+def test_hashed_path_bytes_in_wide_groups(group, n, k, flags, seed, tmp_path):
+    result = run_scenario(ScenarioSpec(scenario="honest", group_name=group, n=n,
+                                       k=k, flags=FLAGS[flags], seed=seed))
+    emit_report(result, tmp_path)
+    digest = hashlib.sha256((tmp_path / "report.json").read_bytes())
+    digest.update((tmp_path / "transcript.json").read_bytes())
+    assert digest.hexdigest() == GOLDEN_WIDE[group, n, k, flags, seed]
