@@ -19,31 +19,78 @@ def canonical_bytes(obj) -> bytes:
     ints are minimal big-endian with a length prefix, strings are UTF-8,
     lists and dicts are length-prefixed sequences (dict keys sorted).
     """
+    parts: list[bytes] = []
+    _encode(obj, parts.append)
+    return b"".join(parts)
+
+
+# Types the encoder dispatches on directly; anything else (None, bools,
+# subclasses, unsupported values) is classified by ``_kind``.
+_EXACT_TYPES = frozenset({int, str, list, tuple, dict})
+
+class _Heads(dict):
+    """Tag and 4-byte length prefix by length, kept for lengths below 256."""
+
+    def __init__(self, tag: bytes):
+        super().__init__((size, tag + size.to_bytes(4, "big")) for size in range(256))
+        self.tag = tag
+
+    def __missing__(self, size: int) -> bytes:
+        return self.tag + size.to_bytes(4, "big")
+
+
+_INT_HEADS, _STR_HEADS = _Heads(b"i"), _Heads(b"s")
+
+
+def _kind(obj) -> type:
+    """The branch ``obj`` is encoded by, tested in the order None, bool, int,
+    str, list or tuple, dict."""
     if obj is None:
-        return b"n"
-    if isinstance(obj, bool):
-        return b"b1" if obj else b"b0"
-    if isinstance(obj, int):
+        return type(None)
+    for kind in (bool, int, str, list, tuple, dict):
+        if isinstance(obj, kind):
+            return kind
+    raise ValueError(f"unsupported payload type: {type(obj).__name__}")
+
+
+def _encode(obj, put) -> None:
+    """Hand ``obj``'s encoding to ``put`` piece by piece.  The ints in a
+    list and the string keys of a dict, most of a payload's leaves, are
+    encoded in the container's loop rather than by a call each."""
+    kind = type(obj)
+    if kind not in _EXACT_TYPES:
+        kind = _kind(obj)
+    if kind is int:
         if obj < 0:
             raise ValueError("payload ints must be non-negative")
         enc = obj.to_bytes((obj.bit_length() + 7) // 8 or 1, "big")
-        return b"i" + len(enc).to_bytes(4, "big") + enc
-    if isinstance(obj, str):
+        put(_INT_HEADS[len(enc)] + enc)
+    elif kind is list or kind is tuple:
+        put(b"l" + len(obj).to_bytes(4, "big"))
+        for item in obj:
+            if type(item) is int and item >= 0:
+                enc = item.to_bytes((item.bit_length() + 7) // 8 or 1, "big")
+                put(_INT_HEADS[len(enc)] + enc)
+            else:
+                _encode(item, put)
+    elif kind is str:
         enc = obj.encode("utf-8")
-        return b"s" + len(enc).to_bytes(4, "big") + enc
-    if isinstance(obj, (list, tuple)):
-        parts = [b"l", len(obj).to_bytes(4, "big")]
-        parts.extend(canonical_bytes(item) for item in obj)
-        return b"".join(parts)
-    if isinstance(obj, dict):
-        parts = [b"d", len(obj).to_bytes(4, "big")]
+        put(_STR_HEADS[len(enc)] + enc)
+    elif kind is dict:
+        put(b"d" + len(obj).to_bytes(4, "big"))
         for key in sorted(obj):
-            if not isinstance(key, str):
+            if type(key) is str:
+                enc = key.encode("utf-8")
+                put(_STR_HEADS[len(enc)] + enc)
+            elif isinstance(key, str):
+                _encode(key, put)
+            else:
                 raise ValueError("payload dict keys must be strings")
-            parts.append(canonical_bytes(key))
-            parts.append(canonical_bytes(obj[key]))
-        return b"".join(parts)
-    raise ValueError(f"unsupported payload type: {type(obj).__name__}")
+            _encode(obj[key], put)
+    elif kind is bool:
+        put(b"b1" if obj else b"b0")
+    else:
+        put(b"n")
 
 
 @dataclass(frozen=True)

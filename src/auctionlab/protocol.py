@@ -21,8 +21,11 @@ Rounds, all driven through the bulletin board:
 
 Honest agents verify every proof they see.  In hashed-proof mode they check
 static transcripts; in interactive mode they engage the poster in a fresh
-commit/challenge/respond session.  Attack code must get past these checks,
-never around them.
+commit/challenge/respond session.  A hashed transcript's verdict depends on
+its statement and transcript alone, so each distinct one is checked once per
+round and every verifier shares the verdict; interactive sessions are run
+once per verifier.  Attack code must get past these checks, never around
+them.
 """
 
 from __future__ import annotations
@@ -167,27 +170,46 @@ def decrypt_statement(params: GroupParams, delta_products, phi,
 
 def check_proof(config: AuctionConfig, rng: random.Random, author: str,
                 round_name: str, stmt, payload, prove, failure: str,
-                where: str = "") -> None:
+                where: str = "", accepted: set | None = None) -> None:
     """Check ``author``'s proof of ``stmt`` in the run's proof mode, or
     raise ProofRejected naming the author, the round and ``where``.
 
     Interactive: ``prove(challenge_source)`` runs a fresh session against a
     verifier drawing its challenges from ``rng``.  Hashed: the posted
-    ``payload`` is parsed, and its challenge must be the canonical hash.
-    The proof is missing when the one the mode needs is None."""
+    ``payload`` is parsed, every commitment must lie in 0 < z < p, and the
+    challenge must be the canonical hash.  The proof is missing when the one
+    the mode needs is None.
+
+    A hashed transcript's verdict depends on the statement and transcript
+    alone, so it is checked once per round and shared by every verifier:
+    ``accepted`` holds the ``(statement, transcript)`` pairs already
+    accepted, a pair found there passes, and a pair joins it only once
+    verified.  Rejections are never kept, and interactive sessions never
+    use it, since each verifier draws its own challenges."""
     params, interactive = config.params, config.interactive
     if (prove if interactive else payload) is None:
         raise ProofRejected(author, round_name, f"missing proof{where}")
     if interactive:
         tr = prove(sigma.verifier_source(params, rng))
+        accepted = None
     else:
         try:
             tr = sigma.transcript_from_payload(payload)
         except ValueError as exc:
             raise ProofRejected(author, round_name,
                                 f"malformed proof{where}: {exc}") from exc
+        p = params.p
+        for z in tr.commitment:
+            if not 0 < z < p:
+                raise ProofRejected(author, round_name,
+                                    f"malformed proof{where}: commitment "
+                                    "outside 0 < z < p")
+        if accepted is not None and (stmt, tr) in accepted:
+            return
     if not sigma.verify_transcript(params, stmt, tr, require_hashed=not interactive):
         raise ProofRejected(author, round_name, failure + where)
+    if accepted is not None:
+        accepted.add((stmt, tr))
 
 
 # --------------------------------------------------------------------------
@@ -679,6 +701,7 @@ class AuctionRun:
             if not params.is_element(post.payload["y"]):
                 raise ProofRejected(name, ROUND_KEYGEN,
                                     "key share is outside the order-q subgroup")
+        accepted = set()
         for verifier in self.honest_agents():
             for name, post in shares.items():
                 if name == verifier.name:
@@ -687,7 +710,7 @@ class AuctionRun:
                 stmt = sigma.PDLStatement(g=params.g, v=post.payload["y"])
                 check_proof(self.config, verifier.rng, name, ROUND_KEYGEN, stmt,
                             post.payload["proof"], author and author.prove_keyshare,
-                            "key share proof failed")
+                            "key share proof failed", accepted=accepted)
 
     def step_bid(self) -> None:
         for index in self.bid_order:
@@ -701,6 +724,19 @@ class AuctionRun:
         joint = elgamal.aggregate_keys(
             params, collect_keyshares(self.board, self.config.n)).y
         k = self.config.k
+        for name, post in posts.items():
+            for field_name in ("alphas", "betas", "proofs"):
+                entries = post.payload[field_name]
+                if field_name == "proofs" and not entries:
+                    continue                      # missing: reported per price
+                if type(entries) not in (list, tuple):
+                    raise ProofRejected(name, ROUND_BID,
+                                        f"malformed bid: {field_name} is not a list")
+                if len(entries) != k:
+                    raise ProofRejected(name, ROUND_BID,
+                                        f"malformed bid: {len(entries)} "
+                                        f"{field_name} for {k} prices")
+        accepted = set()
         for verifier in self.honest_agents():
             for name, post in posts.items():
                 if name == verifier.name:
@@ -716,13 +752,13 @@ class AuctionRun:
                         alpha=alphas[j], beta=betas[j])
                     check_proof(self.config, verifier.rng, name, ROUND_BID, stmt,
                                 proofs[j], author and partial(author.prove_bid_cell, j),
-                                "validity proof failed", f" at price {j + 1}")
+                                "validity proof failed", f" at price {j + 1}", accepted)
                 sum_stmt = sigma.SumValidityStatement(
                     y=joint, g=params.g, marker=marker,
                     alphas=tuple(alphas), betas=tuple(betas))
                 check_proof(self.config, verifier.rng, name, ROUND_BID, sum_stmt,
                             post.payload["sum_proof"], author and author.prove_bid_sum,
-                            "sum proof failed")
+                            "sum proof failed", accepted=accepted)
 
     def step_outcome(self) -> None:
         if self.config.flags.noise_product_check:
@@ -760,6 +796,7 @@ class AuctionRun:
         # Cell labels are made once: the loop runs about n^3 k checks.
         cells = [(i, j, f" at cell ({i + 1},{j + 1})")
                  for i in range(n) for j in range(k)]
+        accepted = set()
         for verifier in self.honest_agents():
             for a in range(n):
                 name = bidder_name(a + 1)
@@ -771,7 +808,7 @@ class AuctionRun:
                         gens=bases[i][j], targets=(gammas[a][i][j], deltas[a][i][j]))
                     check_proof(self.config, verifier.rng, name, ROUND_OUTCOME,
                                 stmt, proofs[name][i][j], partial(prove, i, j),
-                                "masking proof failed", where)
+                                "masking proof failed", where, accepted)
 
     def _outcome_proofs(self):
         """Each author's latest hashed proof payload per cell, as an n x k

@@ -148,15 +148,31 @@ def _statement_elements(stmt) -> list[int]:
     raise TypeError(f"unknown statement type: {type(stmt).__name__}")
 
 
+# GroupParams -> (encoded p, q and g; element length prefix; element width).
+_GROUP_HEADERS: dict[GroupParams, tuple[bytes, bytes, int]] = {}
+
+
+def _group_header(params: GroupParams) -> tuple[bytes, bytes, int]:
+    header = _GROUP_HEADERS.get(params)
+    if header is None:
+        width = (params.p.bit_length() + 7) // 8
+        prefix = width.to_bytes(4, "big")
+        header = (b"".join(prefix + int(v).to_bytes(width, "big")
+                           for v in (params.p, params.q, params.g)),
+                  prefix, width)
+        _GROUP_HEADERS[params] = header
+    return header
+
+
 def serialize_statement(params: GroupParams, stmt, commitments: Iterable[int]) -> bytes:
     """Domain tag, then p, q, g, statement elements and commitments, each as
-    fixed-width big-endian bytes with a length prefix."""
-    width = (params.p.bit_length() + 7) // 8
-    parts = [_DOMAIN_TAGS[type(stmt)]]
-    for v in (params.p, params.q, params.g, *_statement_elements(stmt), *commitments):
-        enc = int(v).to_bytes(width, "big")
-        parts.append(len(enc).to_bytes(4, "big"))
-        parts.append(enc)
+    fixed-width big-endian bytes with a length prefix.  The p, q, g part is
+    encoded once per group."""
+    tag = _DOMAIN_TAGS[type(stmt)]
+    values = (*_statement_elements(stmt), *commitments)
+    header, prefix, width = _group_header(params)
+    parts = [tag, header]
+    parts.extend([prefix + int(v).to_bytes(width, "big") for v in values])
     return b"".join(parts)
 
 

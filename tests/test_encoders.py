@@ -1,0 +1,150 @@
+"""The board's payload encoder and the Fiat-Shamir statement encoder give
+the same bytes and raise the same errors as their first, plain versions,
+which are kept here verbatim as the reference."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from auctionlab import sigma
+from auctionlab.board import canonical_bytes
+from auctionlab.groups import LARGE_GROUP, MID_GROUP, SMALL_GROUP
+
+
+def reference_canonical_bytes(obj) -> bytes:
+    if obj is None:
+        return b"n"
+    if isinstance(obj, bool):
+        return b"b1" if obj else b"b0"
+    if isinstance(obj, int):
+        if obj < 0:
+            raise ValueError("payload ints must be non-negative")
+        enc = obj.to_bytes((obj.bit_length() + 7) // 8 or 1, "big")
+        return b"i" + len(enc).to_bytes(4, "big") + enc
+    if isinstance(obj, str):
+        enc = obj.encode("utf-8")
+        return b"s" + len(enc).to_bytes(4, "big") + enc
+    if isinstance(obj, (list, tuple)):
+        parts = [b"l", len(obj).to_bytes(4, "big")]
+        parts.extend(reference_canonical_bytes(item) for item in obj)
+        return b"".join(parts)
+    if isinstance(obj, dict):
+        parts = [b"d", len(obj).to_bytes(4, "big")]
+        for key in sorted(obj):
+            if not isinstance(key, str):
+                raise ValueError("payload dict keys must be strings")
+            parts.append(reference_canonical_bytes(key))
+            parts.append(reference_canonical_bytes(obj[key]))
+        return b"".join(parts)
+    raise ValueError(f"unsupported payload type: {type(obj).__name__}")
+
+
+def reference_serialize_statement(params, stmt, commitments) -> bytes:
+    width = (params.p.bit_length() + 7) // 8
+    parts = [sigma._DOMAIN_TAGS[type(stmt)]]
+    for v in (params.p, params.q, params.g, *sigma._statement_elements(stmt),
+              *commitments):
+        enc = int(v).to_bytes(width, "big")
+        parts.append(len(enc).to_bytes(4, "big"))
+        parts.append(enc)
+    return b"".join(parts)
+
+
+def outcome(fn, *args):
+    """The bytes ``fn`` returns, or the type and text of what it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:   # noqa: BLE001 - the error itself is compared
+        return type(exc), str(exc)
+
+
+class Count(int):
+    """An int subclass: encoded by the int branch, through its own methods."""
+
+
+class Label(str):
+    """A str subclass."""
+
+
+class Row(list):
+    """A list subclass."""
+
+
+class Table(dict):
+    """A dict subclass."""
+
+
+LEAVES = (st.none() | st.booleans() | st.integers(-2**70, 2**70)
+          | st.text(max_size=6) | st.floats(allow_nan=False)
+          | st.integers(0, 2**40).map(Count) | st.text(max_size=4).map(Label))
+KEYS = st.text(max_size=4) | st.integers(-3, 3) | st.text(max_size=3).map(Label)
+PAYLOADS = st.recursive(
+    LEAVES,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(inner, max_size=4).map(tuple)
+                   | st.lists(inner, max_size=3).map(Row)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=4)
+                   | st.dictionaries(KEYS, inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=3).map(Table)),
+    max_leaves=16)
+
+
+class TestCanonicalBytesMatchesReference:
+    @given(PAYLOADS)
+    @settings(max_examples=250)
+    def test_same_bytes_or_same_error(self, obj):
+        assert outcome(canonical_bytes, obj) == outcome(reference_canonical_bytes, obj)
+
+    @pytest.mark.parametrize("obj", [
+        None, True, False, 0, 255, -1, Count(7), "", "é", Label("k"), [], (),
+        [None, [True, (1, "a")]], {}, {"b": 1, "a": [2]}, {1: 2}, {"a": 1, 2: 3},
+        {"a": {"b": -5}}, 1.5, b"raw", {1, 2}, Row([1, Table(a=2)]),
+        2**2100, [2**2100], "x" * 300, {"y" * 300: 1},
+    ])
+    def test_edge_values(self, obj):
+        assert outcome(canonical_bytes, obj) == outcome(reference_canonical_bytes, obj)
+
+
+GROUPS = (SMALL_GROUP, MID_GROUP, LARGE_GROUP)
+
+
+@st.composite
+def statements(draw):
+    """A group, a statement of any of the four kinds with elements around
+    the group's range (some out of it), and a commitment tuple."""
+    params = draw(st.sampled_from(GROUPS))
+    p = params.p
+    element = st.integers(1, p - 1) | st.integers(-p, 300 * p)
+    kind = draw(st.sampled_from(("pdl", "eqdl", "bid", "sum")))
+    size = draw(st.integers(1, 4))
+    vector = st.lists(element, min_size=size, max_size=size).map(tuple)
+    if kind == "pdl":
+        stmt = sigma.PDLStatement(g=draw(element), v=draw(element))
+    elif kind == "eqdl":
+        stmt = sigma.EQDLStatement(gens=draw(vector), targets=draw(vector))
+    elif kind == "bid":
+        stmt = sigma.BidValidityStatement(*(draw(element) for _ in range(5)))
+    else:
+        stmt = sigma.SumValidityStatement(draw(element), draw(element), draw(element),
+                                          draw(vector), draw(vector))
+    commitments = draw(st.lists(element, max_size=4).map(tuple))
+    return params, stmt, commitments
+
+
+class TestSerializeStatementMatchesReference:
+    @given(statements())
+    @settings(max_examples=250)
+    def test_same_bytes_or_same_error(self, case):
+        params, stmt, commitments = case
+        assert (outcome(sigma.serialize_statement, params, stmt, commitments)
+                == outcome(reference_serialize_statement, params, stmt, commitments))
+
+    def test_groups_do_not_share_a_header(self):
+        stmt = sigma.PDLStatement(g=2, v=3)
+        for params in GROUPS + GROUPS:
+            assert (sigma.serialize_statement(params, stmt, (4,))
+                    == reference_serialize_statement(params, stmt, (4,)))
+
+    def test_unknown_statement_type(self):
+        assert (outcome(sigma.serialize_statement, SMALL_GROUP, object(), ())
+                == outcome(reference_serialize_statement, SMALL_GROUP, object(), ()))

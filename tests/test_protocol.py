@@ -12,10 +12,12 @@ from auctionlab.errors import (
     MissingShares,
     ModeMismatch,
     PriceOutOfRange,
+    ProofRejected,
     RestartRequired,
 )
 from auctionlab.groups import MID_GROUP, SMALL_GROUP
 from auctionlab.protocol import (
+    ROUND_BID,
     ROUND_KEYGEN,
     ROUND_OUTCOME,
     AuctionConfig,
@@ -419,3 +421,116 @@ class TestMalformedProofs:
         """A hashed proof that is missing or not shaped like a transcript is
         refused with the author and round named, never a bare exception."""
         assert case() == ("ProofRejected", "bidder-2", round_name, detail)
+
+    @pytest.mark.parametrize("shift", [300, -1], ids=["z+300p", "z-p"])
+    def test_hashed_commitment_outside_the_group_range(self, shift):
+        """z + 300p and z - p pass the algebra, which reduces mod p, but have
+        no place in the challenge's fixed-width encoding."""
+        def shifted(proof):
+            proof["com"][0] += shift * SMALL_GROUP.p
+
+        assert _tampered_keygen(shifted) == (
+            "ProofRejected", "bidder-2", "keygen",
+            "malformed proof: commitment outside 0 < z < p")
+
+
+def _hashed_bids_posted(n=2, k=3, seed=5):
+    """A hashed run in the small group with keygen done and every bid on the
+    board, not yet verified."""
+    cfg = AuctionConfig(n=n, k=k, flags=DefenseFlags(ni_proofs=True))
+    run = AuctionRun(cfg, list(range(1, n + 1)), seed)
+    run.step_keygen()
+    for index in range(1, n + 1):
+        run.bidder(index).submit_bid(run.bids[index - 1])
+    return run
+
+
+def _repost_bid(run, author, payload_from=None, **changes):
+    """Post ``payload_from``'s latest bid (default: ``author``'s) again under
+    ``author``'s name, with ``changes`` applied to the payload."""
+    posts = run.board.latest_by_author(ROUND_BID, "bid")
+    payload = dict(posts[bidder_name(payload_from or author)].payload, **changes)
+    run.board.append(ROUND_BID, bidder_name(author), "bid", payload)
+    return payload
+
+
+class TestMalformedBids:
+    @pytest.mark.parametrize("field,size,detail", [
+        ("proofs", 1, "malformed bid: 1 proofs for 3 prices"),
+        ("alphas", 1, "malformed bid: 1 alphas for 3 prices"),
+        ("betas", 2, "malformed bid: 2 betas for 3 prices"),
+        ("alphas", 4, "malformed bid: 4 alphas for 3 prices"),
+    ])
+    def test_wrong_length_refused_before_any_proof(self, field, size, detail):
+        run = _hashed_bids_posted()
+        entries = run.board.latest_by_author(ROUND_BID, "bid")[bidder_name(1)].payload[field]
+        _repost_bid(run, 1, **{field: (list(entries) * 2)[:size]})
+        with pytest.raises(ProofRejected) as caught:
+            run._verify_bids()
+        exc = caught.value
+        assert (exc.author, exc.round_name, exc.detail) == (bidder_name(1), ROUND_BID, detail)
+
+
+def _count_verifications(monkeypatch):
+    calls = []
+    verify = sigma.verify_transcript
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return verify(*args, **kwargs)
+
+    monkeypatch.setattr(sigma, "verify_transcript", counting)
+    return calls
+
+
+class TestSharedHashedVerdicts:
+    """A hashed transcript is checked once per round and every verifier
+    shares the verdict; interactive sessions still run once per verifier."""
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    @pytest.mark.parametrize("flags", [DefenseFlags(ni_proofs=True), DefenseFlags.all_on()],
+                             ids=["ni_proofs", "all"])
+    def test_each_hashed_proof_checked_once(self, monkeypatch, flags, seed):
+        n, k = 4, 6
+        calls = _count_verifications(monkeypatch)
+        cfg = AuctionConfig(n=n, k=k, params=MID_GROUP, marker=9, flags=flags)
+        run_auction(cfg, [2, 5, 3, 6], seed)
+        # keygen, bids (k cells and a sum each), outcome cells, decryption.
+        assert len(calls) == n + n * (k + 1) + n * n * k + n == 132
+
+    def test_interactive_sessions_run_per_verifier(self, monkeypatch):
+        n, k = 4, 6
+        calls = _count_verifications(monkeypatch)
+        cfg = AuctionConfig(n=n, k=k, params=MID_GROUP, marker=9)
+        run_auction(cfg, [2, 5, 3, 6], 3)
+        per_verifier = n + n * (k + 1) + n * n * k
+        assert len(calls) == (n - 1) * per_verifier + n == 388
+
+    def test_first_rejection_is_unchanged(self):
+        """Bidder 1, the first verifier, skips its own bad bid and rejects
+        bidder 2's, exactly as when every verifier checked every proof."""
+        run = _hashed_bids_posted(n=3)
+        for author in (1, 2):
+            alphas = list(run.board.latest_by_author(ROUND_BID, "bid")
+                          [bidder_name(author)].payload["alphas"])
+            alphas[0] = alphas[0] * 2 % SMALL_GROUP.p
+            _repost_bid(run, author, alphas=alphas)
+        with pytest.raises(ProofRejected) as caught:
+            run._verify_bids()
+        exc = caught.value
+        assert (exc.author, exc.detail) == (bidder_name(2), "validity proof failed at price 1")
+
+    def test_copy_under_another_name_gets_a_fresh_verdict(self, monkeypatch):
+        """Bidder 2's bid posted again under bidder 3's name is the same
+        statement and transcript, so it passes as a fresh check would; the
+        same proofs over bidder 3's own ciphertexts are checked afresh and
+        fail."""
+        run = _hashed_bids_posted(n=3)
+        _repost_bid(run, 3, payload_from=2)
+        run._verify_bids()
+        own = run.board.latest_by_author(ROUND_BID, "bid")[bidder_name(1)].payload
+        _repost_bid(run, 3, payload_from=2, alphas=own["alphas"], betas=own["betas"])
+        with pytest.raises(ProofRejected) as caught:
+            run._verify_bids()
+        assert (caught.value.author, caught.value.detail) == (
+            bidder_name(3), "validity proof failed at price 1")
