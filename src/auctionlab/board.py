@@ -28,19 +28,6 @@ def canonical_bytes(obj) -> bytes:
 # subclasses, unsupported values) is classified by ``_kind``.
 _EXACT_TYPES = frozenset({int, str, list, tuple, dict})
 
-class _Heads(dict):
-    """Tag and 4-byte length prefix by length, kept for lengths below 256."""
-
-    def __init__(self, tag: bytes):
-        super().__init__((size, tag + size.to_bytes(4, "big")) for size in range(256))
-        self.tag = tag
-
-    def __missing__(self, size: int) -> bytes:
-        return self.tag + size.to_bytes(4, "big")
-
-
-_INT_HEADS, _STR_HEADS = _Heads(b"i"), _Heads(b"s")
-
 
 def _kind(obj) -> type:
     """The branch ``obj`` is encoded by, tested in the order None, bool, int,
@@ -64,24 +51,24 @@ def _encode(obj, put) -> None:
         if obj < 0:
             raise ValueError("payload ints must be non-negative")
         enc = obj.to_bytes((obj.bit_length() + 7) // 8 or 1, "big")
-        put(_INT_HEADS[len(enc)] + enc)
+        put(b"i" + len(enc).to_bytes(4, "big") + enc)
     elif kind is list or kind is tuple:
         put(b"l" + len(obj).to_bytes(4, "big"))
         for item in obj:
             if type(item) is int and item >= 0:
                 enc = item.to_bytes((item.bit_length() + 7) // 8 or 1, "big")
-                put(_INT_HEADS[len(enc)] + enc)
+                put(b"i" + len(enc).to_bytes(4, "big") + enc)
             else:
                 _encode(item, put)
     elif kind is str:
         enc = obj.encode("utf-8")
-        put(_STR_HEADS[len(enc)] + enc)
+        put(b"s" + len(enc).to_bytes(4, "big") + enc)
     elif kind is dict:
         put(b"d" + len(obj).to_bytes(4, "big"))
         for key in sorted(obj):
             if type(key) is str:
                 enc = key.encode("utf-8")
-                put(_STR_HEADS[len(enc)] + enc)
+                put(b"s" + len(enc).to_bytes(4, "big") + enc)
             elif isinstance(key, str):
                 _encode(key, put)
             else:

@@ -19,6 +19,7 @@ commitment, which removes the verifier from the loop entirely.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import random
 from dataclasses import dataclass
@@ -148,20 +149,15 @@ def _statement_elements(stmt) -> list[int]:
     raise TypeError(f"unknown statement type: {type(stmt).__name__}")
 
 
-# GroupParams -> (encoded p, q and g; element length prefix; element width).
-_GROUP_HEADERS: dict[GroupParams, tuple[bytes, bytes, int]] = {}
-
-
+@functools.lru_cache(maxsize=8)
 def _group_header(params: GroupParams) -> tuple[bytes, bytes, int]:
-    header = _GROUP_HEADERS.get(params)
-    if header is None:
-        width = (params.p.bit_length() + 7) // 8
-        prefix = width.to_bytes(4, "big")
-        header = (b"".join(prefix + int(v).to_bytes(width, "big")
-                           for v in (params.p, params.q, params.g)),
-                  prefix, width)
-        _GROUP_HEADERS[params] = header
-    return header
+    """The group's encoded p, q and g, the length prefix every element
+    carries, and the element width."""
+    width = (params.p.bit_length() + 7) // 8
+    prefix = width.to_bytes(4, "big")
+    header = b"".join(prefix + int(v).to_bytes(width, "big")
+                      for v in (params.p, params.q, params.g))
+    return header, prefix, width
 
 
 def serialize_statement(params: GroupParams, stmt, commitments: Iterable[int]) -> bytes:
