@@ -451,7 +451,6 @@ def _repost_bid(run, author, payload_from=None, **changes):
     posts = run.board.latest_by_author(ROUND_BID, "bid")
     payload = dict(posts[bidder_name(payload_from or author)].payload, **changes)
     run.board.append(ROUND_BID, bidder_name(author), "bid", payload)
-    return payload
 
 
 class TestMalformedBids:
@@ -472,6 +471,7 @@ class TestMalformedBids:
 
 
 def _count_verifications(monkeypatch):
+    """A list that gains the statement of every ``verify_transcript`` call."""
     calls = []
     verify = sigma.verify_transcript
 
