@@ -17,7 +17,7 @@ different ways.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from . import defenses, elgamal, recovery, sigma
 from .errors import (
@@ -38,6 +38,7 @@ from .protocol import (  # noqa: F401
     AuctionRun,
     BidderAgent,
     bidder_name,
+    cell_products,
     collect_outcome,
     compute_outcome_bases,
     encode_bid,
@@ -64,18 +65,7 @@ class AttackReport:
     board: object | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "success": self.success,
-            "detail": self.detail,
-            "true_bids": self.true_bids,
-            "recovered_bids": self.recovered_bids,
-            "winner_bidder": self.winner_bidder,
-            "winner_price": self.winner_price,
-            "status": self.status,
-            "error": self.error,
-            "extras": self.extras,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "board"}
 
 
 def dishonest_bidder(index: int, agent_cls, *args):
@@ -178,29 +168,27 @@ def noise_removal_shares(run: AuctionRun, mallory_index: int,
     the product of the other bidders' posted shares.  The full products
     then come out as base^exponent, so each decrypted cell is the marker
     raised to exponent * (cell count)."""
-    params, n = run.config.params, run.config.n
+    params, n, k = run.config.params, run.config.n, run.config.k
     posts = run.board.latest_by_author("outcome", "outcome")
-    others = []
+    # A matrix of ones leads each product, so with n = 1 nothing is cancelled.
+    ones = [[1] * k for _ in range(n)]
+    gammas, deltas = [ones], [ones]
     for h in range(1, n + 1):
         if h == mallory_index:
             continue
         post = posts.get(bidder_name(h))
         if post is None:
             raise MissingShares(f"no outcome shares from {bidder_name(h)} yet")
-        others.append(post.payload)
+        gammas.append(post.payload["gamma"])
+        deltas.append(post.payload["delta"])
+    others_g, others_d = cell_products(params, gammas), cell_products(params, deltas)
     bases = run.outcome_bases()
-    k = run.config.k
-    gamma = [[0] * k for _ in range(n)]
-    delta = [[0] * k for _ in range(n)]
-    for i in range(n):
-        for j in range(k):
-            ba, bb = bases[i][j]
-            og = od = 1
-            for payload in others:
-                og = og * payload["gamma"][i][j] % params.p
-                od = od * payload["delta"][i][j] % params.p
-            gamma[i][j] = params.exp(ba, exponent) * params.inv(og) % params.p
-            delta[i][j] = params.exp(bb, exponent) * params.inv(od) % params.p
+    gamma = [[params.exp(ba, exponent) * params.inv(og) % params.p
+              for (ba, _), og in zip(base_row, og_row)]
+             for base_row, og_row in zip(bases, others_g)]
+    delta = [[params.exp(bb, exponent) * params.inv(od) % params.p
+              for (_, bb), od in zip(base_row, od_row)]
+             for base_row, od_row in zip(bases, others_d)]
     return gamma, delta
 
 
@@ -229,8 +217,8 @@ def forge_outcome_eqdl(run: AuctionRun, mallory_name: str, i: int, j: int,
     if not others:
         # Nobody to cancel: the share is base^exponent and the witness is
         # simply the exponent, so prove it straight.
-        return sigma.eqdl_run(params, stmt, exponent,
-                              run.agents[mallory_name].rng, victor_source)
+        return sigma.prove(params, stmt, exponent,
+                           run.agents[mallory_name].rng, victor_source)
 
     sessions = [o.open_outcome_session(i, j) for o in others]
     commitments = [s.commit(o.rng) for s, o in zip(sessions, others)]
@@ -275,10 +263,8 @@ def recovered_bids_from_v(params: GroupParams, v, marker: int, exponent: int,
     read the counts off a power table of marker^exponent, then invert the
     outcome map."""
     step = params.exp(marker, exponent)
-    image = []
-    for i in range(n):
-        for j in range(k):
-            image.append(recovery.exponent_from_power(params, v[i][j], step, n))
+    image = [recovery.exponent_from_power(params, value, step, n)
+             for row in v for value in row]
     return recovery.recover_bids(image, n, k).prices()
 
 
@@ -397,11 +383,11 @@ class CopycatBidder(BidderAgent):
         sum_proof = post.payload["sum_proof"]
         if self.rerandomize:
             self.shift = self.rng.randrange(1, self.params.q)
-            e = self.shift
-            alphas = [a * self.params.exp(self.joint_y, e) % self.params.p
-                      for a in alphas]
-            betas = [b * self.params.exp(self.params.g, e) % self.params.p
-                     for b in betas]
+            copies = [reencrypt_bid_copy(self.params, elgamal.Ciphertext(a, b),
+                                         self.joint_y, self.shift)
+                      for a, b in zip(alphas, betas)]
+            alphas = [ct.alpha for ct in copies]
+            betas = [ct.beta for ct in copies]
             proofs = None          # static transcripts cannot be shifted
             sum_proof = None
         payload = {"bidder": self.index, "alphas": alphas, "betas": betas,

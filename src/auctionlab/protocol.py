@@ -85,7 +85,8 @@ class AuctionConfig:
         if self.n < 1 or self.k < 1:
             raise ValueError("need n >= 1 bidders and k >= 1 prices")
         if self.n >= self.params.q:
-            raise ValueError("bidder count must stay below the subgroup order")
+            raise ValueError(f"bidder count {self.n} must stay below the "
+                             f"subgroup order {self.params.q}")
         markers = self.markers_per_bidder or (self.marker,)
         if self.markers_per_bidder is not None and len(markers) != self.n:
             raise ValueError("need one marker per bidder")
@@ -166,6 +167,17 @@ def decrypt_statement(params: GroupParams, delta_products, phi,
         gens.extend(delta_row)
         targets.extend(phi_row)
     return sigma.EQDLStatement(gens=tuple(gens), targets=tuple(targets))
+
+
+def check_elements(params: GroupParams, author: str, round_name: str,
+                   what: str, *rows) -> None:
+    """Refuse posted group elements that are not integers in 0 < v < p,
+    before any proof or challenge encoding sees them.  Subgroup membership
+    is not checked here."""
+    p = params.p
+    if not all(type(v) is int and 0 < v < p for row in rows for v in row):
+        raise ProofRejected(author, round_name,
+                            f"malformed {what}: element outside 0 < v < p")
 
 
 def check_proof(config: AuctionConfig, rng: random.Random, author: str,
@@ -285,7 +297,8 @@ class Party:
 
 class BidderAgent(Party):
     """An honest bidder.  Holds the private key share, the outcome
-    exponents, the bid randomisers, and answers proof requests."""
+    exponents, the bid randomisers and every statement it posts, and proves
+    those statements on request."""
 
     honest = True
 
@@ -302,8 +315,28 @@ class BidderAgent(Party):
         self.price: int | None = None
         self.joint_y: int | None = None
         self.phi: list[list[int]] | None = None
-        self.decrypt_stmt: sigma.EQDLStatement | None = None
         self.auth_key: bytes | None = None
+        # The statements behind this bidder's posts, as posted.
+        self.key_stmt: sigma.PDLStatement | None = None
+        self.cell_stmts: list[sigma.BidValidityStatement] | None = None
+        self.sum_stmt: sigma.SumValidityStatement | None = None
+        self.outcome_stmts: list[list[sigma.EQDLStatement]] | None = None
+        self.decrypt_stmt: sigma.EQDLStatement | None = None
+
+    def _posted_proof(self, stmt, witness) -> dict | None:
+        """The hashed transcript posted with ``stmt``; None in interactive
+        mode, where proofs are sessions instead."""
+        if self.config.interactive:
+            return None
+        tr = sigma.prove(self.params, stmt, witness, self.rng,
+                         sigma.fiat_shamir_source(self.params))
+        return sigma.transcript_to_payload(tr)
+
+    def _session(self, stmt, witness, challenge_source: sigma.ChallengeSource):
+        """One interactive proof of a posted statement."""
+        if not self.config.interactive:
+            raise ModeMismatch("no interactive sessions under hashed proofs")
+        return sigma.prove(self.params, stmt, witness, self.rng, challenge_source)
 
     # -- posting ----------------------------------------------------------
 
@@ -315,12 +348,9 @@ class BidderAgent(Party):
         n, k = self.config.n, self.config.k
         self.m = [[self.rng.randrange(1, q) for _ in range(k)] for _ in range(n)]
         self.r = [self.rng.randrange(q) for _ in range(k)]
-        payload = {"bidder": self.index, "y": self.share.y, "proof": None}
-        if not self.config.interactive:
-            stmt = sigma.PDLStatement(g=params.g, v=self.share.y)
-            tr = sigma.prove_pdl(params, stmt, self.share.x, self.rng,
-                                 sigma.fiat_shamir_source(params))
-            payload["proof"] = sigma.transcript_to_payload(tr)
+        self.key_stmt = sigma.PDLStatement(g=params.g, v=self.share.y)
+        payload = {"bidder": self.index, "y": self.share.y,
+                   "proof": self._posted_proof(self.key_stmt, self.share.x)}
         return self._post(ROUND_KEYGEN, "keyshare", payload)
 
     def learn_joint_key(self) -> None:
@@ -329,34 +359,26 @@ class BidderAgent(Party):
 
     def submit_bid(self, price: int) -> Post:
         self.price = price
-        bits = encode_bid(price, self.config.k)
-        params = self.params
+        params, y = self.params, self.joint_y
         marker = self.config.marker_for(self.index)
-        alphas, betas, proofs = [], [], []
-        for j, bit in enumerate(bits):
-            ct = sigma.make_bid_ciphertext(params, self.joint_y, marker,
-                                           bool(bit), self.r[j])
-            alphas.append(ct.alpha)
-            betas.append(ct.beta)
-        payload = {"bidder": self.index, "alphas": alphas, "betas": betas,
-                   "proofs": None, "sum_proof": None}
-        if not self.config.interactive:
-            fs = sigma.fiat_shamir_source(params)
-            for j, bit in enumerate(bits):
-                stmt = sigma.BidValidityStatement(
-                    y=self.joint_y, g=params.g, marker=marker,
-                    alpha=alphas[j], beta=betas[j])
-                tr = sigma.bid_validity_prove(params, stmt, self.r[j],
-                                              bool(bit), self.rng, fs)
-                proofs.append(sigma.transcript_to_payload(tr))
-            sum_stmt = sigma.SumValidityStatement(
-                y=self.joint_y, g=params.g, marker=marker,
-                alphas=tuple(alphas), betas=tuple(betas))
-            sum_tr = sigma.sum_validity_prove(params, sum_stmt,
-                                              sum(self.r) % params.q,
-                                              self.rng, fs)
-            payload["proofs"] = proofs
-            payload["sum_proof"] = sigma.transcript_to_payload(sum_tr)
+        bits = encode_bid(price, self.config.k)
+        cts = [elgamal.encrypt(params, marker if bit else 1, y, r)
+               for bit, r in zip(bits, self.r)]
+        self.cell_stmts = [
+            sigma.BidValidityStatement(y=y, g=params.g, marker=marker,
+                                       alpha=ct.alpha, beta=ct.beta)
+            for ct in cts]
+        self.sum_stmt = sigma.SumValidityStatement(
+            y=y, g=params.g, marker=marker,
+            alphas=tuple(ct.alpha for ct in cts), betas=tuple(ct.beta for ct in cts))
+        proofs = [self._posted_proof(stmt, (r, bool(bit)))
+                  for stmt, r, bit in zip(self.cell_stmts, self.r, bits)]
+        payload = {"bidder": self.index,
+                   "alphas": list(self.sum_stmt.alphas),
+                   "betas": list(self.sum_stmt.betas),
+                   "proofs": None if self.config.interactive else proofs,
+                   "sum_proof": self._posted_proof(self.sum_stmt,
+                                                   sum(self.r) % params.q)}
         return self._post(ROUND_BID, "bid", payload)
 
     # -- outcome ----------------------------------------------------------
@@ -369,23 +391,17 @@ class BidderAgent(Party):
         return sigma.EQDLStatement(
             gens=(ba, bb), targets=(self.params.exp(ba, m), self.params.exp(bb, m)))
 
-    def _hashed_outcome_proof(self, stmt, i: int, j: int) -> dict:
-        tr = sigma.eqdl_run(self.params, stmt, self.m[i][j], self.rng,
-                            sigma.fiat_shamir_source(self.params))
-        return sigma.transcript_to_payload(tr)
-
     def post_outcome(self) -> Post:
         bases = self.run.outcome_bases()
-        stmts = [[self._outcome_statement(bases, i, j) for j in range(self.config.k)]
-                 for i in range(self.config.n)]
+        stmts = self.outcome_stmts = [
+            [self._outcome_statement(bases, i, j) for j in range(self.config.k)]
+            for i in range(self.config.n)]
+        proofs = [[self._posted_proof(s, self.m[i][j]) for j, s in enumerate(row)]
+                  for i, row in enumerate(stmts)]
         payload = {"bidder": self.index,
                    "gamma": [[s.targets[0] for s in row] for row in stmts],
                    "delta": [[s.targets[1] for s in row] for row in stmts],
-                   "proofs": None}
-        if not self.config.interactive:
-            payload["proofs"] = [[self._hashed_outcome_proof(s, i, j)
-                                  for j, s in enumerate(row)]
-                                 for i, row in enumerate(stmts)]
+                   "proofs": None if self.config.interactive else proofs}
         return self._post(ROUND_OUTCOME, "outcome", payload)
 
     def redraw_exponents(self, cells) -> Post:
@@ -397,12 +413,12 @@ class BidderAgent(Party):
             i, j = ci - 1, cj - 1
             self.m[i][j] = self.rng.randrange(1, self.params.q)
             stmts.append(self._outcome_statement(bases, i, j))
-            if not self.config.interactive:
-                proofs.append(self._hashed_outcome_proof(stmts[-1], i, j))
+            self.outcome_stmts[i][j] = stmts[-1]
+            proofs.append(self._posted_proof(stmts[-1], self.m[i][j]))
         payload = {"bidder": self.index, "cells": [list(c) for c in cells],
                    "gamma": [s.targets[0] for s in stmts],
                    "delta": [s.targets[1] for s in stmts],
-                   "proofs": proofs if not self.config.interactive else None}
+                   "proofs": None if self.config.interactive else proofs}
         return self._post(ROUND_OUTCOME, "outcome-fix", payload)
 
     # -- decryption -------------------------------------------------------
@@ -422,101 +438,63 @@ class BidderAgent(Party):
         self.phi = [[params.exp(d, x) for d in row] for row in delta_products]
         y = self.share.y if self.config.flags.key_consistency else None
         self.decrypt_stmt = decrypt_statement(params, delta_products, self.phi, y)
-        proof = None
-        if not self.config.interactive:
-            tr = sigma.eqdl_run(params, self.decrypt_stmt, x, self.rng,
-                                sigma.fiat_shamir_source(params))
-            proof = sigma.transcript_to_payload(tr)
-        self.run.seller.receive_shares(self.name, self.phi, proof)
+        self.run.seller.receive_shares(self.name, self.phi,
+                                       self._posted_proof(self.decrypt_stmt, x))
 
     # -- interactive proving ----------------------------------------------
 
-    def _require_interactive(self):
-        if not self.config.interactive:
-            raise ModeMismatch("no interactive sessions under hashed proofs")
-
     def prove_keyshare(self, challenge_source: sigma.ChallengeSource) -> sigma.Transcript:
-        self._require_interactive()
-        stmt = sigma.PDLStatement(g=self.params.g, v=self.share.y)
-        return sigma.prove_pdl(self.params, stmt, self.share.x, self.rng,
-                               challenge_source)
+        return self._session(self.key_stmt, self.share.x, challenge_source)
 
     def prove_bid_cell(self, j: int,
                        challenge_source: sigma.ChallengeSource) -> sigma.OrTranscript:
         """OR proof for own price cell j (0-based)."""
-        self._require_interactive()
-        params = self.params
-        marker = self.config.marker_for(self.index)
-        is_marker = (self.price - 1 == j)
-        ct = sigma.make_bid_ciphertext(params, self.joint_y, marker,
-                                       is_marker, self.r[j])
-        stmt = sigma.BidValidityStatement(y=self.joint_y, g=params.g,
-                                          marker=marker, alpha=ct.alpha,
-                                          beta=ct.beta)
-        return sigma.bid_validity_prove(params, stmt, self.r[j], is_marker,
-                                        self.rng, challenge_source)
+        return self._session(self.cell_stmts[j], (self.r[j], self.price - 1 == j),
+                             challenge_source)
 
     def prove_bid_sum(self, challenge_source: sigma.ChallengeSource) -> sigma.Transcript:
-        self._require_interactive()
-        params = self.params
-        alphas, betas = collect_bids(self.run.board, self.config.n)
-        mine = self.index - 1
-        stmt = sigma.SumValidityStatement(
-            y=self.joint_y, g=params.g, marker=self.config.marker_for(self.index),
-            alphas=tuple(alphas[mine]), betas=tuple(betas[mine]))
-        return sigma.sum_validity_prove(params, stmt, sum(self.r) % params.q,
-                                        self.rng, challenge_source)
+        return self._session(self.sum_stmt, sum(self.r) % self.params.q,
+                             challenge_source)
 
     def open_outcome_session(self, i: int, j: int) -> sigma.ProverSession:
         """Fresh session proving own masking share at cell (i, j), 0-based."""
-        self._require_interactive()
-        stmt = self._outcome_statement(self.run.outcome_bases(), i, j)
-        return sigma.ProverSession(self.params, stmt, self.m[i][j])
+        if not self.config.interactive:
+            raise ModeMismatch("no interactive sessions under hashed proofs")
+        return sigma.ProverSession(self.params, self.outcome_stmts[i][j], self.m[i][j])
 
     def prove_outcome_cell(self, i: int, j: int,
                            challenge_source: sigma.ChallengeSource) -> sigma.Transcript:
-        self._require_interactive()
-        stmt = self._outcome_statement(self.run.outcome_bases(), i, j)
-        return sigma.eqdl_run(self.params, stmt, self.m[i][j], self.rng,
-                              challenge_source)
+        return self._session(self.outcome_stmts[i][j], self.m[i][j], challenge_source)
 
     def prove_decrypt(self, challenge_source: sigma.ChallengeSource) -> sigma.Transcript:
-        self._require_interactive()
-        return sigma.eqdl_run(self.params, self.decrypt_stmt,
-                              self.decrypt_exponent(), self.rng, challenge_source)
+        return self._session(self.decrypt_stmt, self.decrypt_exponent(),
+                             challenge_source)
 
     # -- own-row view ------------------------------------------------------
 
     def own_row_values(self) -> list[int]:
         """v values for this bidder's row, from published shares plus the
         bidder's own decryption share."""
-        params = self.params
-        n, k = self.config.n, self.config.k
-        gammas, _ = collect_outcome(self.run.board, n)
+        params, mine = self.params, self.index - 1
+        gammas, _ = collect_outcome(self.run.board, self.config.n)
         # All publications are authored by the seller; the subject bidder
         # is named in the payload.
         published = {
-            post.payload["bidder"]: post
+            post.payload["bidder"]: post.payload["phi"][mine]
             for post in self.run.board.select(round=ROUND_DECRYPT,
                                               kind="decrypt-publish")
         }
-        mine = self.index - 1
-        gamma_products = cell_products(params, gammas)[mine]
-        row = []
-        for j in range(k):
-            pphi = self.phi[mine][j]
-            for h in range(1, n + 1):
-                if h == self.index:
-                    continue
-                post = published.get(h)
-                if post is None:
+        rows = [self.phi[mine]]
+        for h in range(1, self.config.n + 1):
+            if h != self.index:
+                if h not in published:
                     raise MissingShares(f"no published shares from {bidder_name(h)}")
-                val = post.payload["phi"][mine][j]
-                if val is None:
-                    raise MissingShares("own row withheld in publication")
-                pphi = pphi * val % params.p
-            row.append(gamma_products[j] * params.inv(pphi) % params.p)
-        return row
+                rows.append(published[h])
+        if any(None in row for row in rows):
+            raise MissingShares("own row withheld in publication")
+        phi_row = cell_products(params, [[row] for row in rows])[0]
+        return [pg * params.inv(pphi) % params.p
+                for pg, pphi in zip(cell_products(params, gammas)[mine], phi_row)]
 
 
 class SellerAgent(Party):
@@ -543,6 +521,8 @@ class SellerAgent(Party):
             name = bidder_name(i)
             if name not in self.shares:
                 raise MissingShares(f"no decryption shares from {name}")
+            check_elements(self.params, name, ROUND_DECRYPT, "decrypt shares",
+                           *self.shares[name])
         _, deltas = collect_outcome(self.run.board, n)
         delta_products = cell_products(self.params, deltas)
         keys = (collect_keyshares(self.run.board, n)
@@ -578,16 +558,10 @@ class SellerAgent(Party):
               for pg, pphi in zip(g_row, phi_row)]
              for g_row, phi_row in zip(gamma_products, phi_products)]
         ones = [(i + 1, j + 1) for i in range(n) for j in range(k) if v[i][j] == 1]
-        if len(ones) == 1:
-            outcome = AuctionOutcome(status="winner", v=v, ones=ones,
-                                     winner_bidder=ones[0][0],
-                                     winner_price=ones[0][1])
-        elif not ones:
-            outcome = AuctionOutcome(status="no-winner", v=v, ones=[],
-                                     winner_bidder=None, winner_price=None)
-        else:
-            outcome = AuctionOutcome(status="multiple-ones", v=v, ones=ones,
-                                     winner_bidder=None, winner_price=None)
+        status = "winner" if len(ones) == 1 else "multiple-ones" if ones else "no-winner"
+        bidder, price = ones[0] if status == "winner" else (None, None)
+        outcome = AuctionOutcome(status=status, v=v, ones=ones,
+                                 winner_bidder=bidder, winner_price=price)
         payload = {
             "status": outcome.status,
             "winner_bidder": outcome.winner_bidder,
@@ -736,6 +710,8 @@ class AuctionRun:
                     raise ProofRejected(name, ROUND_BID,
                                         f"malformed bid: {len(entries)} "
                                         f"{field_name} for {k} prices")
+            check_elements(params, name, ROUND_BID, "bid",
+                           post.payload["alphas"], post.payload["betas"])
         accepted = set()
         for verifier in self.honest_agents():
             for name, post in posts.items():
@@ -792,6 +768,9 @@ class AuctionRun:
         n, k = self.config.n, self.config.k
         bases = self.outcome_bases()
         gammas, deltas = collect_outcome(self.board, n)
+        for a in range(n):
+            check_elements(self.config.params, bidder_name(a + 1), ROUND_OUTCOME,
+                           "outcome", *gammas[a], *deltas[a])
         proofs = self._outcome_proofs()
         # Cell labels are made once: the loop runs about n^3 k checks.
         cells = [(i, j, f" at cell ({i + 1},{j + 1})")

@@ -23,8 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InconsistentExponents, InvalidBidVector, NotAPower
 from .groups import GroupParams
 
@@ -54,14 +52,10 @@ class StructuredMatrix:
             return 1 if pd > pj else 0           # strictly above the diagonal
         return 1 if pd >= pj else 0              # at or above the diagonal
 
-    def dense(self) -> np.ndarray:
+    def dense(self) -> list[list[int]]:
         """Materialized matrix; intended for desk-scale checking only."""
-        size = self.size
-        out = np.zeros((size, size), dtype=np.int64)
-        for row in range(size):
-            for col in range(size):
-                out[row, col] = self.entry(row, col)
-        return out
+        cols = range(self.size)
+        return [[self.entry(row, col) for col in cols] for row in range(self.size)]
 
 
 def build_matrix(n: int, k: int) -> StructuredMatrix:
@@ -83,20 +77,23 @@ def validate_bid_vector(b, n: int, k: int) -> None:
 
 def apply_f(matrix: StructuredMatrix, b) -> list[int]:
     """Image of a valid bid vector under the outcome map, via the counting
-    form with cumulative sums (no dense materialization)."""
+    form with running sums (no dense materialization): the additive twin of
+    ``protocol.compute_outcome_bases``."""
     n, k = matrix.n, matrix.k
     validate_bid_vector(b, n, k)
-    grid = np.asarray(b, dtype=np.int64).reshape(n, k)
-
-    col_totals = grid.sum(axis=0)                      # bids per price
-    above = np.concatenate([np.cumsum(col_totals[::-1])[::-1][1:], [0]])
-    own_below = np.concatenate([np.zeros((n, 1), dtype=np.int64),
-                                np.cumsum(grid, axis=1)[:, :-1]], axis=1)
-    ranked_before = np.concatenate([np.zeros((1, k), dtype=np.int64),
-                                    np.cumsum(grid, axis=0)[:-1, :]], axis=0)
-
-    image = above[np.newaxis, :] + own_below + ranked_before
-    return [int(v) for v in image.reshape(-1)]
+    grid = [b[i * k:(i + 1) * k] for i in range(n)]
+    above = [0] * k                          # bids at prices j+1..k-1
+    for j in range(k - 1, 0, -1):
+        above[j - 1] = above[j] + sum(row[j] for row in grid)
+    ranked_before = [0] * k                  # bidders 0..i-1 at price j
+    image = []
+    for row in grid:
+        own_below = 0                        # bidder i at prices 0..j-1
+        for j, bit in enumerate(row):
+            image.append(above[j] + own_below + ranked_before[j])
+            own_below += bit
+            ranked_before[j] += bit
+    return image
 
 
 @dataclass(frozen=True)
@@ -169,9 +166,7 @@ def count_operations(n: int, k: int) -> int:
     """Instrumented addition count of the solver on a worst-case image."""
     matrix = build_matrix(n, k)
     bids = [k - (i % k) for i in range(n)]            # spread over all prices
-    b = [0] * (n * k)
-    for i, price in enumerate(bids):
-        b[i * k + price - 1] = 1
+    b = [int(j == price - 1) for price in bids for j in range(k)]
     image = apply_f(matrix, b)
     result = recover_bids(image, n, k)
     if list(result.b) != b:

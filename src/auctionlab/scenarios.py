@@ -21,7 +21,8 @@ from pathlib import Path
 
 from . import attacks, recovery, sigma
 from .defenses import DefenseFlags
-from .errors import IoError, ModeMismatch, RestartRequired, UsageError
+from .errors import (AuctionLabError, IoError, ModeMismatch, RestartRequired,
+                     UsageError)
 from .groups import DEFAULT_MARKER, GROUPS_BY_NAME, GroupParams
 from .protocol import (
     AuctionConfig,
@@ -80,8 +81,13 @@ class ScenarioSpec:
         return DEFAULT_MARKER[self.group_name]
 
     def config(self) -> AuctionConfig:
-        return AuctionConfig(n=self.n, k=self.k, params=self.resolved_params(),
-                             marker=self.resolved_marker(), flags=self.flags)
+        config = AuctionConfig(n=self.n, k=self.k, params=self.resolved_params(),
+                               marker=self.resolved_marker(), flags=self.flags)
+        try:
+            config.validate()
+        except ValueError as exc:
+            raise UsageError(f"bad configuration: {exc}") from exc
+        return config
 
     def resolved_bids(self) -> list[int]:
         if self.bids is not None:
@@ -92,6 +98,17 @@ class ScenarioSpec:
                     raise UsageError(f"--bids value {b} outside 1..{self.k}")
             return list(self.bids)
         return [(i % self.k) + 1 for i in range(self.n)]
+
+    def resolved_cell(self, bids: list[int]) -> tuple[int, int]:
+        """The exceptional-values target: a losing cell inside the grid."""
+        cell = self.cell if self.cell is not None else (1, 1)
+        if not (1 <= cell[0] <= self.n and 1 <= cell[1] <= self.k):
+            raise UsageError(f"--cell {cell[0]},{cell[1]} outside "
+                             f"1..{self.n} x 1..{self.k}")
+        if cell == expected_winner(bids):
+            raise UsageError(f"--cell {cell[0]},{cell[1]} is the winning cell; "
+                             "pick a losing one")
+        return cell
 
 
 @dataclass
@@ -243,35 +260,33 @@ def scenario_forged_eqdl(spec: ScenarioSpec) -> ScenarioResult:
     factory = attacks.dishonest_bidder(mallory, attacks.NoiseRemovalBidder,
                                        spec.exponent)
 
-    if spec.flags.ni_proofs:
-        report = _base_report(spec, "forgery impossible under hashed challenges")
-        run = AuctionRun(config, bids, spec.seed, agent_factory=factory,
-                         outcome_order=order)
-        try:
-            run.step_keygen()
-            run.step_bid()
-            run.step_outcome()
-            report["expectation_met"] = False
-            report["success"] = True
-        except Exception as exc:
-            report["outcome"]["error"] = type(exc).__name__
-            report["outcome"]["detail"] = str(exc)
-            report["success"] = False
-            report["expectation_met"] = True
-        return ScenarioResult(report, report["expectation_met"],
-                              run.board.to_json())
-
-    report = _base_report(
-        spec, "honest verifier accepts a proof nobody holds a witness for")
+    runs = []
 
     def attempt(attempt_seed):
         run = AuctionRun(config, bids, attempt_seed, agent_factory=factory,
                          outcome_order=order)
+        runs.append(run)
         run.step_keygen()
         run.step_bid()
         run.step_outcome()      # includes per-cell verification by all
         return run
 
+    if spec.flags.ni_proofs:
+        report = _base_report(spec, "forgery impossible under hashed challenges")
+        try:
+            attempt(spec.seed)
+            report["expectation_met"] = False
+            report["success"] = True
+        except AuctionLabError as exc:
+            report["outcome"]["error"] = type(exc).__name__
+            report["outcome"]["detail"] = str(exc)
+            report["success"] = False
+            report["expectation_met"] = True
+        return ScenarioResult(report, report["expectation_met"],
+                              runs[0].board.to_json())
+
+    report = _base_report(
+        spec, "honest verifier accepts a proof nobody holds a witness for")
     try:
         run = with_restarts(attempt, spec.seed, 50)
     except RestartRequired:
@@ -330,7 +345,7 @@ def scenario_impersonation(spec: ScenarioSpec) -> ScenarioResult:
 
 def scenario_exceptional_values(spec: ScenarioSpec) -> ScenarioResult:
     bids = spec.resolved_bids()
-    cell = spec.cell if spec.cell is not None else (1, 1)
+    cell = spec.resolved_cell(bids)
     if spec.flags.noise_product_check:
         expectation = "collapsed cell redrawn; unique correct winner stands"
     else:

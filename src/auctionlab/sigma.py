@@ -9,6 +9,9 @@ Supported statements:
   statements, composed by simulating the false branch);
 * a ciphertext vector encrypts exactly one marker (equality on aggregates).
 
+Every statement is proven by one call, ``prove(params, stmt, witness, rng,
+challenge_source)``, and the challenge source decides the mode.
+
 Interactive runs are deliberately unhardened: the verifier's challenge is
 whatever the caller's challenge source supplies, and an honest prover will
 happily open fresh sessions for the same statement.  That is the behaviour
@@ -26,7 +29,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .errors import AlreadyCommitted, NotCommitted, WitnessMismatch
-from .elgamal import Ciphertext
 from .groups import GroupParams
 
 CHALLENGE_HASH = "sha256"
@@ -188,7 +190,7 @@ def verifier_source(params: GroupParams, rng: random.Random) -> ChallengeSource:
 
 
 # --------------------------------------------------------------------------
-# Interactive prover sessions (single generator and equality statements)
+# Prover sessions and the one prover (every statement, either mode)
 # --------------------------------------------------------------------------
 
 class ProverSession:
@@ -200,21 +202,17 @@ class ProverSession:
             raise TypeError("sessions cover single-exponent statements only")
         self.params = params
         self.stmt = stmt
+        self.gens = (stmt.g,) if isinstance(stmt, PDLStatement) else stmt.gens
         self.witness = witness % params.q
         self.nonce: int | None = None
         self.phase = "created"
-
-    def _gens(self) -> tuple[int, ...]:
-        if isinstance(self.stmt, PDLStatement):
-            return (self.stmt.g,)
-        return self.stmt.gens
 
     def commit(self, rng: random.Random) -> tuple[int, ...]:
         if self.phase != "created":
             raise AlreadyCommitted("session already produced its commitment")
         self.nonce = rng.randrange(self.params.q)
         self.phase = "committed"
-        return tuple(self.params.exp(gen, self.nonce) for gen in self._gens())
+        return tuple(self.params.exp(gen, self.nonce) for gen in self.gens)
 
     def respond(self, challenge: int) -> int:
         if self.phase != "committed":
@@ -223,10 +221,19 @@ class ProverSession:
         return (self.nonce + challenge * self.witness) % self.params.q
 
 
-def prove_pdl(params: GroupParams, stmt: PDLStatement, witness: int,
-              rng: random.Random, challenge_source: ChallengeSource) -> Transcript:
-    """Full three-move run for a knowledge statement."""
-    session = ProverSession(params, stmt, witness)
+def prove(params: GroupParams, stmt, witness, rng: random.Random,
+          challenge_source: ChallengeSource):
+    """Full three-move run proving ``stmt``; the challenge source always
+    sees ``stmt`` itself.  A knowledge or equality statement takes its
+    exponent; a sum statement takes the randomiser sum and is proven over
+    its aggregate form; a bid cell takes ``(r, is_marker)`` and gets an OR
+    transcript."""
+    if isinstance(stmt, BidValidityStatement):
+        return _prove_bid_cell(params, stmt, *witness, rng, challenge_source)
+    if isinstance(stmt, SumValidityStatement):
+        session = ProverSession(params, sum_statement_core(params, stmt), witness)
+    else:
+        session = ProverSession(params, stmt, witness)
     com = session.commit(rng)
     c = challenge_source(stmt, com) % params.q
     return Transcript(commitment=com, challenge=c, response=session.respond(c))
@@ -241,15 +248,6 @@ def verify_pdl(params: GroupParams, stmt: PDLStatement, tr: Transcript) -> bool:
     return lhs == rhs
 
 
-def eqdl_run(params: GroupParams, stmt: EQDLStatement, witness: int,
-             rng: random.Random, challenge_source: ChallengeSource) -> Transcript:
-    """Full three-move run for an equality statement."""
-    session = ProverSession(params, stmt, witness)
-    com = session.commit(rng)
-    c = challenge_source(stmt, com) % params.q
-    return Transcript(commitment=com, challenge=c, response=session.respond(c))
-
-
 def verify_eqdl(params: GroupParams, stmt: EQDLStatement, tr: Transcript) -> bool:
     if len(tr.commitment) != len(stmt.gens):
         return False
@@ -262,7 +260,7 @@ def verify_eqdl(params: GroupParams, stmt: EQDLStatement, tr: Transcript) -> boo
 
 
 # --------------------------------------------------------------------------
-# OR composition for bid cells
+# Bid cells (OR composition) and bid sums
 # --------------------------------------------------------------------------
 
 def _simulate_eqdl(params: GroupParams, stmt: EQDLStatement,
@@ -278,9 +276,9 @@ def _simulate_eqdl(params: GroupParams, stmt: EQDLStatement,
     return Transcript(commitment=com, challenge=c, response=s)
 
 
-def bid_validity_prove(params: GroupParams, stmt: BidValidityStatement,
-                       r: int, is_marker: bool, rng: random.Random,
-                       challenge_source: ChallengeSource) -> OrTranscript:
+def _prove_bid_cell(params: GroupParams, stmt: BidValidityStatement,
+                    r: int, is_marker: bool, rng: random.Random,
+                    challenge_source: ChallengeSource) -> OrTranscript:
     """Prove the cell encrypts 1 or the marker without revealing which.
 
     The branch we do not hold a witness for is simulated with a pre-chosen
@@ -320,22 +318,6 @@ def bid_validity_verify(params: GroupParams, stmt: BidValidityStatement,
     if (b0.challenge + b1.challenge) % params.q != tr.challenge % params.q:
         return False
     return verify_eqdl(params, plain_stmt, b0) and verify_eqdl(params, marked_stmt, b1)
-
-
-# --------------------------------------------------------------------------
-# Sum validity (exactly one marker across the vector)
-# --------------------------------------------------------------------------
-
-def sum_validity_prove(params: GroupParams, stmt: SumValidityStatement,
-                       r_sum: int, rng: random.Random,
-                       challenge_source: ChallengeSource) -> Transcript:
-    """Honest attempt with the prover's known randomiser sum.  If the vector
-    does not contain exactly one marker the transcript will not verify."""
-    core = sum_statement_core(params, stmt)
-    session = ProverSession(params, core, r_sum)
-    com = session.commit(rng)
-    c = challenge_source(stmt, com) % params.q
-    return Transcript(commitment=com, challenge=c, response=session.respond(c))
 
 
 def sum_validity_verify(params: GroupParams, stmt: SumValidityStatement,
@@ -416,11 +398,3 @@ def transcript_from_payload(payload: dict):
         raise ValueError("commitments must be a list of integers")
     return Transcript(commitment=tuple(com), challenge=chal, response=resp,
                       hash_name=hash_name)
-
-
-def make_bid_ciphertext(params: GroupParams, y: int, marker: int,
-                        is_marker: bool, r: int) -> Ciphertext:
-    """Convenience used by tests and the protocol: encrypt 1 or the marker."""
-    from .elgamal import encrypt
-
-    return encrypt(params, marker if is_marker else 1, y, r)

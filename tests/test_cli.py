@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import auctionlab
-from auctionlab import scenarios
+from auctionlab import protocol, scenarios
 from auctionlab.cli import build_parser, main, spec_from_args
 from auctionlab.defenses import DefenseFlags
 from auctionlab.errors import UsageError
@@ -120,6 +120,18 @@ class TestScenarioExpectations:
         assert reports[0] == reports[1] == reports[2]
         assert spec.notes == []
 
+    def test_forged_eqdl_crash_is_not_a_block(self, monkeypatch):
+        """Under hashed proofs only a lab error counts as the forgery being
+        blocked; any other exception propagates."""
+        def crash(run):
+            raise RuntimeError("not a refusal")
+
+        monkeypatch.setattr(protocol.AuctionRun, "step_outcome", crash)
+        spec = ScenarioSpec(scenario="forged-eqdl",
+                            flags=DefenseFlags(ni_proofs=True))
+        with pytest.raises(RuntimeError):
+            run_scenario(spec)
+
     def test_wrong_key_threshold_follows_chance_bound(self):
         """At q=113, n=k=5 a run shows a chance 1 cell with probability up to
         2nk/q = 0.44, so a fixed 95 % no-winner rule fails working code."""
@@ -178,6 +190,18 @@ class TestExitCodes:
         assert main([]) == 2
         err = capsys.readouterr().err
         assert "usage error" in err
+
+    @pytest.mark.parametrize("argv, words", [
+        (["--scenario", "honest", "--marker", "1"], "marker 1"),
+        (["--scenario", "honest", "--n", "30"], "subgroup order 11"),
+        (["--scenario", "exceptional-values", "--cell", "9,9"], "--cell 9,9 outside"),
+        (["--scenario", "exceptional-values", "--bids", "1,2,1", "--cell", "2,2"],
+         "winning cell"),
+    ], ids=["marker-1", "n-above-q", "cell-outside", "winning-cell"])
+    def test_bad_configuration_exits_two(self, tmp_path, capsys, argv, words):
+        assert main(["run", *argv, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error") and words in err
 
     def test_unwritable_out_dir_exits_two(self, capsys):
         code = main(["run", "--scenario", "recovery-bench", "--n", "2",
@@ -240,3 +264,14 @@ class TestModuleEntryPoint:
             capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert "expectation MET" in proc.stdout
+
+    def test_import_leaves_numpy_out(self):
+        src = str(Path(auctionlab.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, auctionlab; print('numpy' in sys.modules)"],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 0
+        assert proc.stdout.strip() == "False"

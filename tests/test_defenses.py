@@ -179,7 +179,7 @@ class TestKeyConsistency:
         deltas = [[small.exp(small.g, 5), small.exp(small.g, 7)]]
         phis = [[small.exp(d, x) for d in deltas[0]]]
         stmt = decrypt_statement(small, deltas, phis, y)
-        tr = sigma.eqdl_run(small, stmt, x, rng, sigma.fiat_shamir_source(small))
+        tr = sigma.prove(small, stmt, x, rng, sigma.fiat_shamir_source(small))
         assert sigma.verify_transcript(small, stmt, tr, require_hashed=True)
 
     def test_shifted_exponent_rejected(self, small):
@@ -191,8 +191,8 @@ class TestKeyConsistency:
         deltas = [[small.exp(small.g, 5), small.exp(small.g, 7)]]
         wrong_phis = [[small.exp(d, x + 1) for d in deltas[0]]]
         stmt = decrypt_statement(small, deltas, wrong_phis, y)
-        tr = sigma.eqdl_run(small, stmt, x + 1, rng,
-                            sigma.fiat_shamir_source(small))
+        tr = sigma.prove(small, stmt, x + 1, rng,
+                         sigma.fiat_shamir_source(small))
         assert not sigma.verify_transcript(small, stmt, tr, require_hashed=True)
 
 

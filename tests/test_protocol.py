@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from auctionlab import sigma
+from auctionlab import protocol, sigma
 from auctionlab.defenses import DefenseFlags, base_is_structurally_empty
 from auctionlab.errors import (
     MissingShares,
@@ -18,6 +18,7 @@ from auctionlab.errors import (
 from auctionlab.groups import MID_GROUP, SMALL_GROUP
 from auctionlab.protocol import (
     ROUND_BID,
+    ROUND_DECRYPT,
     ROUND_KEYGEN,
     ROUND_OUTCOME,
     AuctionConfig,
@@ -328,8 +329,8 @@ class NegatedShareBidder(BidderAgent):
         stmt = sigma.PDLStatement(g=params.g, v=y)
         tr = None
         while tr is None or tr.challenge % 2:
-            tr = sigma.prove_pdl(params, stmt, self.share.x, self.rng,
-                                 sigma.fiat_shamir_source(params))
+            tr = sigma.prove(params, stmt, self.share.x, self.rng,
+                             sigma.fiat_shamir_source(params))
         assert sigma.verify_transcript(params, stmt, tr, require_hashed=True)
         return self._post(ROUND_KEYGEN, "keyshare",
                           {"bidder": self.index, "y": y,
@@ -534,3 +535,77 @@ class TestSharedHashedVerdicts:
             run._verify_bids()
         assert (caught.value.author, caught.value.detail) == (
             bidder_name(3), "validity proof failed at price 1")
+
+
+class OutOfRangeBidder(BidderAgent):
+    """Sends one element shifted by 300p in its chosen round: equal mod p,
+    so every proof equation still holds."""
+
+    def __init__(self, run, index, rng, round_name):
+        super().__init__(run, index, rng)
+        self.round_name = round_name
+
+    def _post(self, round_name, kind, payload):
+        shift = 300 * self.params.p
+        if round_name == self.round_name == ROUND_BID:
+            payload["alphas"][0] += shift
+        elif round_name == self.round_name == ROUND_OUTCOME:
+            payload["gamma"][0][0] += shift
+        return super()._post(round_name, kind, payload)
+
+    def send_decrypt_shares(self):
+        super().send_decrypt_shares()
+        if self.round_name == ROUND_DECRYPT:
+            self.run.seller.shares[self.name][0][0] += 300 * self.params.p
+
+
+class TestElementRange:
+    """Posted elements outside 0 < v < p are refused before any proof sees
+    them: hashed proofs would crash the challenge encoding, and interactive
+    checks reduce them mod p and let them through."""
+
+    @pytest.mark.parametrize("round_name", [ROUND_BID, ROUND_OUTCOME, ROUND_DECRYPT])
+    @pytest.mark.parametrize("ni_proofs", [False, True], ids=["interactive", "hashed"])
+    def test_refused_with_author_and_round(self, ni_proofs, round_name):
+        cfg = AuctionConfig(n=2, k=3, flags=DefenseFlags(ni_proofs=ni_proofs))
+
+        def factory(run, index, rng):
+            if index == 2:
+                return OutOfRangeBidder(run, index, rng, round_name)
+            return BidderAgent(run, index, rng)
+
+        run = AuctionRun(cfg, [1, 2], 5, agent_factory=factory)
+        with pytest.raises(ProofRejected) as caught:
+            run.run()
+        exc = caught.value
+        assert (exc.author, exc.round_name) == (bidder_name(2), round_name)
+        assert "element outside 0 < v < p" in exc.detail
+
+
+def _count_bid_reads(monkeypatch):
+    calls = []
+    collect = protocol.collect_bids
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return collect(*args, **kwargs)
+
+    monkeypatch.setattr(protocol, "collect_bids", counting)
+    return calls
+
+
+class TestProverKeepsItsStatements:
+    """Bidders prove the statements they posted, so an interactive session
+    rereads nothing from the board."""
+
+    def test_bid_reads_per_run(self, monkeypatch):
+        calls = _count_bid_reads(monkeypatch)
+        reads = []
+        for flags in (DefenseFlags(), DefenseFlags.all_on()):
+            cfg = AuctionConfig(n=4, k=6, params=MID_GROUP, marker=9, flags=flags)
+            run_auction(cfg, [1, 2, 3, 4], 3)
+            reads.append(len(calls))
+            calls.clear()
+        interactive, defended = reads
+        assert interactive <= 10     # 305 when sessions reread the board
+        assert defended == 7

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from auctionlab import sigma
+from auctionlab.elgamal import encrypt
 from auctionlab.errors import AlreadyCommitted, NotCommitted, WitnessMismatch
 from auctionlab.groups import SMALL_GROUP
 
@@ -18,7 +19,7 @@ class TestKnowledgeProofFrozen:
 
     def test_transcript(self, small):
         stmt = sigma.PDLStatement(g=2, v=8)
-        tr = sigma.prove_pdl(small, stmt, 3, FixedNonce(4), fixed_challenge(2))
+        tr = sigma.prove(small, stmt, 3, FixedNonce(4), fixed_challenge(2))
         assert tr.commitment == (16,)
         assert tr.challenge == 2
         assert tr.response == 10
@@ -31,7 +32,7 @@ class TestKnowledgeProofFrozen:
 
     def test_wrong_witness_fails(self, small):
         stmt = sigma.PDLStatement(g=2, v=8)
-        tr = sigma.prove_pdl(small, stmt, 4, FixedNonce(4), fixed_challenge(2))
+        tr = sigma.prove(small, stmt, 4, FixedNonce(4), fixed_challenge(2))
         assert not sigma.verify_pdl(small, stmt, tr)
 
 
@@ -40,7 +41,7 @@ class TestEqualityProofFrozen:
 
     def test_transcript(self, small):
         stmt = sigma.EQDLStatement(gens=(2, 4), targets=(8, 18))
-        tr = sigma.eqdl_run(small, stmt, 3, FixedNonce(5), fixed_challenge(7))
+        tr = sigma.prove(small, stmt, 3, FixedNonce(5), fixed_challenge(7))
         assert tr.commitment == (9, 12)
         assert tr.challenge == 7
         assert tr.response == 4
@@ -49,7 +50,7 @@ class TestEqualityProofFrozen:
     def test_unequal_exponents_rejected(self, small):
         # targets with different exponents: 2^3=8 but 4^4=3
         stmt = sigma.EQDLStatement(gens=(2, 4), targets=(8, 3))
-        tr = sigma.eqdl_run(small, stmt, 3, FixedNonce(5), fixed_challenge(7))
+        tr = sigma.prove(small, stmt, 3, FixedNonce(5), fixed_challenge(7))
         assert not sigma.verify_eqdl(small, stmt, tr)
 
     def test_vector_shape_enforced(self):
@@ -130,15 +131,15 @@ class TestHashedChallenges:
 
     def test_hashed_proof_round_trip(self, small):
         stmt = sigma.PDLStatement(g=2, v=8)
-        tr = sigma.prove_pdl(small, stmt, 3, random.Random(5),
-                             sigma.fiat_shamir_source(small))
+        tr = sigma.prove(small, stmt, 3, random.Random(5),
+                         sigma.fiat_shamir_source(small))
         assert sigma.verify_transcript(small, stmt, tr, require_hashed=True)
 
     def test_interactive_transcript_fails_hashed_check(self, small):
         """A challenge that is not the hash must be rejected when hashing
         is demanded, even though the check equation holds."""
         stmt = sigma.PDLStatement(g=2, v=8)
-        tr = sigma.prove_pdl(small, stmt, 3, FixedNonce(4), fixed_challenge(2))
+        tr = sigma.prove(small, stmt, 3, FixedNonce(4), fixed_challenge(2))
         assert sigma.verify_pdl(small, stmt, tr)
         assert not sigma.verify_transcript(small, stmt, tr, require_hashed=True)
 
@@ -152,7 +153,7 @@ class TestHashedChallenges:
 class TestBidValidity:
     def _stmt(self, small, r, is_marker):
         y = 3
-        ct = sigma.make_bid_ciphertext(small, y, 4, is_marker, r)
+        ct = encrypt(small, 4 if is_marker else 1, y, r)
         return sigma.BidValidityStatement(y=y, g=small.g, marker=4,
                                           alpha=ct.alpha, beta=ct.beta)
 
@@ -161,15 +162,15 @@ class TestBidValidity:
         rng = random.Random(11)
         for r in range(small.q):
             stmt = self._stmt(small, r, is_marker)
-            tr = sigma.bid_validity_prove(small, stmt, r, is_marker, rng,
-                                          sigma.fiat_shamir_source(small))
+            tr = sigma.prove(small, stmt, (r, is_marker), rng,
+                             sigma.fiat_shamir_source(small))
             assert sigma.bid_validity_verify(small, stmt, tr)
 
     def test_witness_must_match_ciphertext(self, small):
         stmt = self._stmt(small, 5, True)
         with pytest.raises(WitnessMismatch):
-            sigma.bid_validity_prove(small, stmt, 5, False, random.Random(1),
-                                     sigma.fiat_shamir_source(small))
+            sigma.prove(small, stmt, (5, False), random.Random(1),
+                        sigma.fiat_shamir_source(small))
 
     def test_non_bid_plaintext_rejected(self, small):
         """A cell encrypting marker^2 satisfies neither branch."""
@@ -180,13 +181,13 @@ class TestBidValidity:
         stmt = sigma.BidValidityStatement(y=y, g=small.g, marker=4,
                                           alpha=alpha, beta=beta)
         with pytest.raises(WitnessMismatch):
-            sigma.bid_validity_prove(small, stmt, r, True, random.Random(1),
-                                     sigma.fiat_shamir_source(small))
+            sigma.prove(small, stmt, (r, True), random.Random(1),
+                        sigma.fiat_shamir_source(small))
 
     def test_challenge_split_checked(self, small):
         stmt = self._stmt(small, 5, False)
-        tr = sigma.bid_validity_prove(small, stmt, 5, False, random.Random(2),
-                                      sigma.fiat_shamir_source(small))
+        tr = sigma.prove(small, stmt, (5, False), random.Random(2),
+                         sigma.fiat_shamir_source(small))
         broken = sigma.OrTranscript(branches=tr.branches,
                                     challenge=(tr.challenge + 1) % small.q)
         assert not sigma.bid_validity_verify(small, stmt, broken)
@@ -197,28 +198,28 @@ class TestSumValidity:
         y = 3
         rng = random.Random(4)
         rs = [rng.randrange(small.q) for _ in range(3)]
-        cts = [sigma.make_bid_ciphertext(small, y, 4, j == 1, r)
+        cts = [encrypt(small, 4 if j == 1 else 1, y, r)
                for j, r in enumerate(rs)]
         stmt = sigma.SumValidityStatement(
             y=y, g=small.g, marker=4,
             alphas=tuple(c.alpha for c in cts),
             betas=tuple(c.beta for c in cts))
-        tr = sigma.sum_validity_prove(small, stmt, sum(rs) % small.q, rng,
-                                      sigma.fiat_shamir_source(small))
+        tr = sigma.prove(small, stmt, sum(rs) % small.q, rng,
+                         sigma.fiat_shamir_source(small))
         assert sigma.sum_validity_verify(small, stmt, tr)
 
     def test_two_markers_rejected(self, small):
         y = 3
         rng = random.Random(4)
         rs = [rng.randrange(small.q) for _ in range(3)]
-        cts = [sigma.make_bid_ciphertext(small, y, 4, j <= 1, r)
+        cts = [encrypt(small, 4 if j <= 1 else 1, y, r)
                for j, r in enumerate(rs)]
         stmt = sigma.SumValidityStatement(
             y=y, g=small.g, marker=4,
             alphas=tuple(c.alpha for c in cts),
             betas=tuple(c.beta for c in cts))
-        tr = sigma.sum_validity_prove(small, stmt, sum(rs) % small.q, rng,
-                                      sigma.fiat_shamir_source(small))
+        tr = sigma.prove(small, stmt, sum(rs) % small.q, rng,
+                         sigma.fiat_shamir_source(small))
         assert not sigma.sum_validity_verify(small, stmt, tr)
 
 
@@ -241,8 +242,8 @@ class TestTamperResistance:
     def test_bumped_response_rejected(self, seed, bump):
         g = SMALL_GROUP
         stmt = sigma.PDLStatement(g=2, v=8)
-        tr = sigma.prove_pdl(g, stmt, 3, random.Random(seed),
-                             sigma.fiat_shamir_source(g))
+        tr = sigma.prove(g, stmt, 3, random.Random(seed),
+                         sigma.fiat_shamir_source(g))
         bad = sigma.Transcript(commitment=tr.commitment, challenge=tr.challenge,
                                response=(tr.response + bump) % g.q)
         assert not sigma.verify_pdl(g, stmt, bad)
@@ -251,18 +252,18 @@ class TestTamperResistance:
 class TestPayloadRoundTrip:
     def test_plain_transcript(self, small):
         stmt = sigma.PDLStatement(g=2, v=8)
-        tr = sigma.prove_pdl(small, stmt, 3, random.Random(5),
-                             sigma.fiat_shamir_source(small))
+        tr = sigma.prove(small, stmt, 3, random.Random(5),
+                         sigma.fiat_shamir_source(small))
         back = sigma.transcript_from_payload(sigma.transcript_to_payload(tr))
         assert back == tr
 
     def test_or_transcript(self, small):
         y = 3
-        ct = sigma.make_bid_ciphertext(small, y, 4, True, 5)
+        ct = encrypt(small, 4, y, 5)
         stmt = sigma.BidValidityStatement(y=y, g=small.g, marker=4,
                                           alpha=ct.alpha, beta=ct.beta)
-        tr = sigma.bid_validity_prove(small, stmt, 5, True, random.Random(1),
-                                      sigma.fiat_shamir_source(small))
+        tr = sigma.prove(small, stmt, (5, True), random.Random(1),
+                         sigma.fiat_shamir_source(small))
         back = sigma.transcript_from_payload(sigma.transcript_to_payload(tr))
         assert back == tr
         assert sigma.bid_validity_verify(small, stmt, back)
@@ -274,8 +275,8 @@ class TestCompleteness:
     def test_knowledge_proofs_always_verify(self, x, seed):
         g = SMALL_GROUP
         stmt = sigma.PDLStatement(g=g.g, v=g.exp(g.g, x))
-        tr = sigma.prove_pdl(g, stmt, x, random.Random(seed),
-                             sigma.fiat_shamir_source(g))
+        tr = sigma.prove(g, stmt, x, random.Random(seed),
+                         sigma.fiat_shamir_source(g))
         assert sigma.verify_transcript(g, stmt, tr, require_hashed=True)
 
     @given(x=st.integers(0, 10), seed=st.integers(0, 5000),
@@ -287,5 +288,5 @@ class TestCompleteness:
         gens = tuple(rng.choice(g.elements()) for _ in range(arity))
         stmt = sigma.EQDLStatement(gens=gens,
                                    targets=tuple(g.exp(b, x) for b in gens))
-        tr = sigma.eqdl_run(g, stmt, x, rng, sigma.fiat_shamir_source(g))
+        tr = sigma.prove(g, stmt, x, rng, sigma.fiat_shamir_source(g))
         assert sigma.verify_transcript(g, stmt, tr, require_hashed=True)
