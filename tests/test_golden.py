@@ -12,6 +12,10 @@ The small group's elements are one byte wide, so the hashed path is also
 pinned in the mid and large groups: honest runs with hashed proofs alone and
 with all four defenses, recorded before the hashed path stopped re-checking
 a proof once per verifier and before its two encoders were rewritten.
+
+Interactive proofs in the large group are pinned too, for every scenario at
+n=3, k=4: recorded before ``GroupParams.exp`` raised recurring bases through
+tables of powers, which only wide groups use.
 """
 
 import hashlib
@@ -160,3 +164,29 @@ def test_hashed_path_bytes_in_wide_groups(group, n, k, flags, seed, tmp_path):
     digest = hashlib.sha256((tmp_path / "report.json").read_bytes())
     digest.update((tmp_path / "transcript.json").read_bytes())
     assert digest.hexdigest() == GOLDEN_WIDE[group, n, k, flags, seed]
+
+
+# scenario -> sha256 of report.json followed by transcript.json (if any) for
+# the large group, interactive proofs, n=3, k=4, seed 7.
+GOLDEN_LARGE_INTERACTIVE = {
+    "honest": "70c18b75569f982620e82a0b7e792d7064a64f0bc557786f99529bea6001ab35",
+    "full-privacy-attack": "75cd4995214695426f04bf609eb70fb1f014623029e0c1be9b860b4c745cff04",
+    "mitm-demo": "1317e3b8d3fb31cfa87f7e9861ebf5c01f2dc78d450889cd5e967142721bc2a2",
+    "forged-eqdl": "8a4a31328625d93250222c4f6ee2c6a57f0ddbbf285b5b14ed29152c6a532558",
+    "impersonation": "5e09a428dce4a8224d205edd8db908955a701c3b7c559904dad1fe33f07f1cfb",
+    "exceptional-values": "1bb3129f19074d54cbef1cf840a339ea3d6868853492bccc35b4ca4dbf475267",
+    "wrong-key": "65aebf354fe6ffb2c89584b6844c2cd03a60ba4399dc309b7d96201772a09e97",
+    "recovery-bench": "61831531df3fe9202854547fb01eb9e2844ed63d9285d8c1fed8fa925061e289",
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(GOLDEN_LARGE_INTERACTIVE))
+def test_interactive_bytes_in_large_group(scenario, tmp_path):
+    result = run_scenario(ScenarioSpec(scenario=scenario, group_name="large",
+                                       n=3, k=4, flags=FLAGS["none"], seed=7))
+    emit_report(result, tmp_path)
+    digest = hashlib.sha256((tmp_path / "report.json").read_bytes())
+    transcript = tmp_path / "transcript.json"
+    if transcript.exists():
+        digest.update(transcript.read_bytes())
+    assert digest.hexdigest() == GOLDEN_LARGE_INTERACTIVE[scenario]
