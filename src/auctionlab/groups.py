@@ -4,11 +4,27 @@ All protocol values live in the order-q subgroup of Z_p*, with p and q prime
 and q | p - 1.  Elements are plain Python ints; scalars (exponents) are ints
 reduced mod q.  The default desk group (p=23, q=11, g=2) is small enough to
 enumerate, which the test suite leans on heavily.
+
+Fixed-base tables.  In a group whose p has at least 128 bits,
+``GroupParams.exp`` builds a table of the powers x^(16^i) mod p on the
+second use of a base x, and raises x through it from then on by Yao's
+bucket method (Brickell-Gordon-McCurley-Wilson, "Fast Exponentiation with
+Precomputation", EUROCRYPT '92).  Under CPython 3.11 a 256-bit power from a
+table costs about a third of builtin ``pow``, and a table about 0.8 of one
+``pow`` to build.  Narrower groups keep no table: ``pow`` is cheaper there.
+The result always equals ``pow(x, e, p)``.  A table serves only an int
+exponent 0 <= e < 2^(8w), w the byte width of q, and never reduces e mod q,
+so bases outside the subgroup come out exact too; every other exponent goes
+to ``pow``.  Tables belong to one ``GroupParams`` (the mid and large groups
+share bases 4 and 9).  A group keeps at most 128, evicting the least
+recently used, and ``AuctionRun.run`` drops them when it ends, so they live
+for one run.
 """
 
 from __future__ import annotations
 
 import random
+from collections import OrderedDict
 from dataclasses import dataclass
 
 from .errors import BadGenerator, NotPrime, OrderMismatch
@@ -16,6 +32,12 @@ from .errors import BadGenerator, NotPrime, OrderMismatch
 # Deterministic trial division below this bound, Miller-Rabin above it.
 _SMALL_PRIME_BOUND = 1 << 20
 _MILLER_RABIN_ROUNDS = 40
+
+# Fixed-base tables: the narrowest modulus that gets them, how many tables a
+# group keeps, and how many once-raised bases it remembers.
+_TABLE_MIN_BITS = 128
+_MAX_TABLES = 128
+_MAX_SEEN = 4096
 
 
 def is_prime(n: int) -> bool:
@@ -62,9 +84,68 @@ class GroupParams:
     q: int
     g: int
 
+    def __post_init__(self):
+        # Tables are not fields: equality, hash and repr stay (p, q, g).
+        wide = self.p.bit_length() >= _TABLE_MIN_BITS
+        width = (self.q.bit_length() + 7) // 8     # exponent bytes a table serves
+        object.__setattr__(self, "_tables", OrderedDict() if wide else None)
+        object.__setattr__(self, "_seen", set())
+        object.__setattr__(self, "_table_bytes", width)
+        object.__setattr__(self, "_table_limit", 1 << 8 * width)
+
     def exp(self, x: int, e: int) -> int:
-        """x**e mod p.  Negative e works because x is a unit mod p."""
-        return pow(x, e, self.p)
+        """x**e mod p.  Negative e works because x is a unit mod p.  A
+        recurring base in a wide group is raised through its table."""
+        tables = self._tables
+        if (tables is None or type(e) is not int or type(x) is not int
+                or not 0 <= e < self._table_limit):
+            return pow(x, e, self.p)
+        table = tables.get(x)
+        if table is None:
+            if x not in self._seen:
+                if len(self._seen) >= _MAX_SEEN:
+                    self._seen.clear()
+                self._seen.add(x)
+                return pow(x, e, self.p)
+            self._seen.discard(x)
+            table = tables[x] = self._build_table(x)
+            if len(tables) > _MAX_TABLES:
+                tables.popitem(last=False)
+        else:
+            tables.move_to_end(x)
+        return self._table_exp(table, e)
+
+    def _build_table(self, x: int) -> list[tuple[int, int]]:
+        """x^(16^i) mod p for each hex digit of a table-served exponent,
+        paired by byte."""
+        p = self.p
+        powers = [x % p]
+        for _ in range(2 * self._table_bytes - 1):
+            powers.append(pow(powers[-1], 16, p))
+        return list(zip(powers[0::2], powers[1::2]))
+
+    def _table_exp(self, table: list[tuple[int, int]], e: int) -> int:
+        """Yao's method: bucket d holds the product of the powers whose
+        hex digit of e is d; the result is the product of bucket d raised
+        to d, folded from the top digit down."""
+        p = self.p
+        buckets = [1] * 16
+        for b, (lo, hi) in zip(e.to_bytes(self._table_bytes, "little"), table):
+            d = b & 15
+            buckets[d] = buckets[d] * lo % p
+            d = b >> 4
+            buckets[d] = buckets[d] * hi % p
+        acc = run = buckets[15]
+        for d in range(14, 0, -1):
+            run = run * buckets[d] % p
+            acc = acc * run % p
+        return acc
+
+    def _drop_tables(self) -> None:
+        """Forget every table and every once-raised base."""
+        if self._tables is not None:
+            self._tables.clear()
+        self._seen.clear()
 
     def inv(self, x: int) -> int:
         """Multiplicative inverse of x mod p."""

@@ -180,6 +180,51 @@ def check_elements(params: GroupParams, author: str, round_name: str,
                             f"malformed {what}: element outside 0 < v < p")
 
 
+def _is_list(value, length: int) -> bool:
+    return type(value) in (list, tuple) and len(value) == length
+
+
+def _outcome_shape_problem(post: Post, n: int, k: int) -> str | None:
+    """What makes an outcome or fix post unfit for the n x k grid, or None.
+
+    An outcome post holds n x k ``gamma`` and ``delta`` grids, and a grid of
+    proofs or None.  A fix post names cells in 1..n x 1..k and holds one
+    ``gamma``, one ``delta`` and, unless its proofs are None, one proof per
+    cell."""
+    payload = post.payload
+    if post.kind == "outcome":
+        for name in ("gamma", "delta", "proofs"):
+            grid = payload.get(name)
+            if name == "proofs" and grid is None:
+                continue
+            if not (_is_list(grid, n) and all(_is_list(row, k) for row in grid)):
+                return f"{name} is not a {n} x {k} grid"
+    elif post.kind == "outcome-fix":
+        cells = payload.get("cells")
+        if type(cells) not in (list, tuple):
+            return "cells is not a list"
+        for cell in cells:
+            if not (_is_list(cell, 2) and all(type(c) is int for c in cell)
+                    and 1 <= cell[0] <= n and 1 <= cell[1] <= k):
+                return f"fix cell {cell!r} outside 1..{n} x 1..{k}"
+        for name in ("gamma", "delta", "proofs"):
+            entries = payload.get(name)
+            if name == "proofs" and entries is None:
+                continue
+            if not _is_list(entries, len(cells)):
+                return f"fix {name} does not hold one entry per cell"
+    return None
+
+
+def _canonical_scalars(tr, q: int) -> bool:
+    """Every challenge and response of ``tr``, OR branches included, lies
+    in 0 <= v < q."""
+    if isinstance(tr, sigma.OrTranscript):
+        return (0 <= tr.challenge < q and _canonical_scalars(tr.branches[0], q)
+                and _canonical_scalars(tr.branches[1], q))
+    return 0 <= tr.challenge < q and 0 <= tr.response < q
+
+
 def check_proof(config: AuctionConfig, rng: random.Random, author: str,
                 round_name: str, stmt, payload, prove, failure: str,
                 where: str = "", accepted: set | None = None) -> None:
@@ -188,7 +233,9 @@ def check_proof(config: AuctionConfig, rng: random.Random, author: str,
 
     Interactive: ``prove(challenge_source)`` runs a fresh session against a
     verifier drawing its challenges from ``rng``.  Hashed: the posted
-    ``payload`` is parsed, every commitment must lie in 0 < z < p, and the
+    ``payload`` is parsed, every commitment must lie in 0 < z < p, every
+    challenge and response (OR branches included) in 0 <= v < q, so that no
+    statement has a second accepting transcript made by adding q, and the
     challenge must be the canonical hash.  The proof is missing when the one
     the mode needs is None.
 
@@ -218,6 +265,10 @@ def check_proof(config: AuctionConfig, rng: random.Random, author: str,
                                     "outside 0 < z < p")
         if accepted is not None and (stmt, tr) in accepted:
             return
+        if not _canonical_scalars(tr, params.q):
+            raise ProofRejected(author, round_name,
+                                f"malformed proof{where}: response or "
+                                "challenge outside 0 <= v < q")
     if not sigma.verify_transcript(params, stmt, tr, require_hashed=not interactive):
         raise ProofRejected(author, round_name, failure + where)
     if accepted is not None:
@@ -748,9 +799,20 @@ class AuctionRun:
             self._noise_product_pass()
         self._verify_outcome()
 
+    def _outcome_shares(self):
+        """``collect_outcome`` for this run, after refusing any outcome or
+        fix post whose shape does not fit the n x k grid."""
+        n, k = self.config.n, self.config.k
+        for post in self.board.select(round=ROUND_OUTCOME):
+            problem = _outcome_shape_problem(post, n, k)
+            if problem is not None:
+                raise ProofRejected(post.author, ROUND_OUTCOME,
+                                    f"malformed outcome: {problem}")
+        return collect_outcome(self.board, n)
+
     def _noise_product_pass(self, max_rounds: int = 10) -> None:
         params, n = self.config.params, self.config.n
-        products = cell_products(params, collect_outcome(self.board, n)[0])
+        products = cell_products(params, self._outcome_shares()[0])
         cancelled = defenses.check_noise_cancellation(self.outcome_bases(),
                                                       products)
         if cancelled:
@@ -761,13 +823,13 @@ class AuctionRun:
                 return
             for index in range(1, n + 1):
                 self.bidder(index).redraw_exponents(flagged)
-            products = cell_products(params, collect_outcome(self.board, n)[0])
+            products = cell_products(params, self._outcome_shares()[0])
         raise RestartRequired("noise products kept collapsing", [])
 
     def _verify_outcome(self) -> None:
         n, k = self.config.n, self.config.k
         bases = self.outcome_bases()
-        gammas, deltas = collect_outcome(self.board, n)
+        gammas, deltas = self._outcome_shares()
         for a in range(n):
             check_elements(self.config.params, bidder_name(a + 1), ROUND_OUTCOME,
                            "outcome", *gammas[a], *deltas[a])
@@ -816,11 +878,14 @@ class AuctionRun:
         return self.seller.compute_result()
 
     def run(self) -> AuctionOutcome:
-        self.step_keygen()
-        self.step_bid()
-        self.step_outcome()
-        self.step_decrypt()
-        return self.determine_winner()
+        try:
+            self.step_keygen()
+            self.step_bid()
+            self.step_outcome()
+            self.step_decrypt()
+            return self.determine_winner()
+        finally:
+            self.config.params._drop_tables()   # tables live for one run
 
 
 def run_auction(config: AuctionConfig, bids: list[int], seed: int,

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from auctionlab import groups
 from auctionlab.errors import BadGenerator, NotPrime, OrderMismatch
 from auctionlab.groups import (
     DEFAULT_MARKER,
@@ -13,6 +14,7 @@ from auctionlab.groups import (
     LARGE_GROUP,
     MID_GROUP,
     SMALL_GROUP,
+    GroupParams,
     is_prime,
     validate_group,
 )
@@ -115,3 +117,76 @@ class TestProperties:
     def test_exponent_arithmetic_mod_order(self, e):
         g = MID_GROUP
         assert g.exp(g.g, e) == g.exp(g.g, e % g.q)
+
+
+_P, _Q, _G = LARGE_GROUP.p, LARGE_GROUP.q, LARGE_GROUP.g
+
+_BASES = st.one_of(
+    st.integers(0, _Q - 1).map(lambda a: pow(_G, a, _P)),      # subgroup members
+    st.integers(0, _Q - 1).map(lambda a: _P - pow(_G, a, _P)),  # -g^a: non-members
+    st.sampled_from([1, _P - 1]),
+)
+# Served by a table: 0 <= e < 2^256, above q too.  Left to pow: the rest.
+_EDGE_EXPONENTS = [0, 1, _Q - 1, _Q, _Q + 1, 2 * _Q + 1, 2**256 - 1,
+                   -1, -_Q, 2**256, 2**256 + 1, 2**300]
+
+
+class TestFixedBaseTables:
+    """In the 256-bit group ``exp`` raises a recurring base through a table
+    of powers; the result must be builtin ``pow``'s for every base and
+    exponent."""
+
+    @given(x=_BASES, exponents=st.lists(
+        st.one_of(st.integers(0, 2**256 - 1), st.integers(-(2**300), 2**300)),
+        max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_recurring_base_matches_pow(self, x, exponents):
+        LARGE_GROUP._drop_tables()
+        for e in [*_EDGE_EXPONENTS, *exponents]:
+            assert LARGE_GROUP.exp(x, e) == pow(x, e, _P)
+        assert x in LARGE_GROUP._tables
+        LARGE_GROUP._drop_tables()
+
+    def test_mid_and_large_groups_keep_their_own_powers(self):
+        """Both groups have g = 4 and marker 9: a table keyed on the base
+        alone would hand one group the other's powers."""
+        exponents = [0, 1, 2, MID_GROUP.q - 1, MID_GROUP.q, _Q - 1, 2**255 + 3]
+        try:
+            for _ in range(3):
+                for x in (4, 9):
+                    for e in exponents:
+                        assert MID_GROUP.exp(x, e) == pow(x, e, MID_GROUP.p)
+                        assert LARGE_GROUP.exp(x, e) == pow(x, e, _P)
+            assert set(LARGE_GROUP._tables) == {4, 9}
+        finally:
+            LARGE_GROUP._drop_tables()
+
+    def test_narrow_groups_build_no_table(self):
+        for params in (SMALL_GROUP, MID_GROUP):
+            for e in range(3 * params.q):
+                assert params.exp(params.g, e) == pow(params.g, e, params.p)
+            assert params._tables is None
+
+    def test_tables_are_not_fields(self):
+        try:
+            for e in range(3):
+                LARGE_GROUP.exp(_G, e)
+            fresh = GroupParams(p=_P, q=_Q, g=_G)
+            assert LARGE_GROUP._tables and not fresh._tables
+            assert fresh == LARGE_GROUP and hash(fresh) == hash(LARGE_GROUP)
+            assert repr(fresh) == repr(LARGE_GROUP) == f"GroupParams(p={_P}, q={_Q}, g={_G})"
+        finally:
+            LARGE_GROUP._drop_tables()
+
+    def test_bounded_with_least_recently_used_evicted(self, monkeypatch):
+        monkeypatch.setattr(groups, "_MAX_TABLES", 3)
+        monkeypatch.setattr(groups, "_MAX_SEEN", 5)
+        params = GroupParams(p=_P, q=_Q, g=_G)
+        for x in (2, 3, 5, 2, 3, 5, 2, 7, 7):       # 3 is least recently used
+            assert params.exp(x, _Q - 2) == pow(x, _Q - 2, _P)
+        assert list(params._tables) == [5, 2, 7]
+        for x in range(100, 112):
+            params.exp(x, 3)
+        assert len(params._seen) <= 5
+        params._drop_tables()
+        assert not params._tables and not params._seen

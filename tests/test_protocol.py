@@ -1,5 +1,6 @@
 """Five-round auction runs: keygen, bid, outcome, decrypt, result."""
 
+import copy
 import random
 
 import pytest
@@ -15,7 +16,7 @@ from auctionlab.errors import (
     ProofRejected,
     RestartRequired,
 )
-from auctionlab.groups import MID_GROUP, SMALL_GROUP
+from auctionlab.groups import LARGE_GROUP, MID_GROUP, SMALL_GROUP
 from auctionlab.protocol import (
     ROUND_BID,
     ROUND_DECRYPT,
@@ -435,6 +436,40 @@ class TestMalformedProofs:
             "malformed proof: commitment outside 0 < z < p")
 
 
+class TestNonCanonicalScalars:
+    """A hashed challenge or response outside 0 <= v < q is a second
+    accepting transcript for the same statement (v + q passes every
+    equation), so it is refused, OR branches included."""
+
+    @pytest.mark.parametrize("field,shift", [
+        ("resp", SMALL_GROUP.q),
+        ("resp", -SMALL_GROUP.q),
+        ("chal", SMALL_GROUP.q),
+        ("resp", SMALL_GROUP.q << 200_000),
+    ], ids=["resp+q", "resp-q", "chal+q", "resp-200000-bits"])
+    def test_keygen_proof(self, field, shift):
+        def shifted(proof):
+            proof[field] += shift
+
+        assert _tampered_keygen(shifted) == (
+            "ProofRejected", "bidder-2", "keygen",
+            "malformed proof: response or challenge outside 0 <= v < q")
+
+    @pytest.mark.parametrize("branch,field", [(0, "resp"), (1, "chal")])
+    def test_or_branch(self, branch, field):
+        run = _hashed_bids_posted()
+        proofs = copy.deepcopy(run.board.latest_by_author(ROUND_BID, "bid")
+                               [bidder_name(2)].payload["proofs"])
+        proofs[0]["or"][branch][field] += SMALL_GROUP.q
+        _repost_bid(run, 2, proofs=proofs)
+        with pytest.raises(ProofRejected) as caught:
+            run._verify_bids()
+        exc = caught.value
+        assert (exc.author, exc.round_name, exc.detail) == (
+            bidder_name(2), ROUND_BID,
+            "malformed proof at price 1: response or challenge outside 0 <= v < q")
+
+
 def _hashed_bids_posted(n=2, k=3, seed=5):
     """A hashed run in the small group with keygen done and every bid on the
     board, not yet verified."""
@@ -609,3 +644,113 @@ class TestProverKeepsItsStatements:
         interactive, defended = reads
         assert interactive <= 10     # 305 when sessions reread the board
         assert defended == 7
+
+
+def _outcome_verified(flags=DefenseFlags()):
+    """A small-group run, n=2 and k=3, whose outcome round has passed."""
+    run = AuctionRun(AuctionConfig(n=2, k=3, flags=flags), [1, 2], 5)
+    run.step_keygen()
+    run.step_bid()
+    run.step_outcome()
+    return run
+
+
+def _fix(cells, gamma=None):
+    """A fix post by bidder 2, built from its outcome post's payload."""
+    def payload(shares):
+        return {"bidder": 2, "cells": cells,
+                "gamma": gamma or [shares["gamma"][0][0]],
+                "delta": [shares["delta"][0][0]], "proofs": None}
+    return "outcome-fix", payload
+
+
+def _outcome(**grids):
+    """Bidder 2's outcome post again, with each named grid changed."""
+    def payload(shares):
+        return dict(shares, **{name: grid(shares[name]) for name, grid in grids.items()})
+    return "outcome", payload
+
+
+class TestOutcomeShapes:
+    """Outcome posts must hold n x k grids, and fix posts must name cells
+    inside the grid with one share per cell; anything else is refused with
+    the author named, never a bare IndexError or a share laid on the wrong
+    cell."""
+
+    @pytest.mark.parametrize("post,detail", [
+        (_fix([[9, 9]]), "fix cell [9, 9] outside 1..2 x 1..3"),
+        (_fix([[0, 1]]), "fix cell [0, 1] outside 1..2 x 1..3"),
+        (_outcome(gamma=lambda grid: [row[:-1] for row in grid]),
+         "gamma is not a 2 x 3 grid"),
+        (_outcome(delta=lambda grid: grid[:-1]), "delta is not a 2 x 3 grid"),
+        (_outcome(proofs=lambda grid: [[None]]), "proofs is not a 2 x 3 grid"),
+        (_fix([[1, 1]], gamma=[2, 2]), "fix gamma does not hold one entry per cell"),
+    ], ids=["fix-cell-9-9", "fix-cell-0-1", "gamma-rows-short", "delta-row-missing",
+            "proofs-grid-short", "fix-lengths-differ"])
+    def test_refused_before_the_verifier_loop(self, post, detail):
+        run = _outcome_verified()
+        kind, payload = post
+        shares = run.board.latest_by_author(ROUND_OUTCOME, "outcome")[bidder_name(2)]
+        run.board.append(ROUND_OUTCOME, bidder_name(2), kind,
+                         payload(copy.deepcopy(shares.payload)))
+        with pytest.raises(ProofRejected) as caught:
+            run._verify_outcome()
+        exc = caught.value
+        assert (exc.author, exc.round_name, exc.detail) == (
+            bidder_name(2), ROUND_OUTCOME, f"malformed outcome: {detail}")
+
+    def test_refused_before_the_noise_product_pass(self):
+        class ShortRowBidder(BidderAgent):
+            def _post(self, round_name, kind, payload):
+                if kind == "outcome":
+                    payload["gamma"] = [row[:-1] for row in payload["gamma"]]
+                return super()._post(round_name, kind, payload)
+
+        def factory(run, index, rng):
+            return (ShortRowBidder if index == 2 else BidderAgent)(run, index, rng)
+
+        cfg = AuctionConfig(n=2, k=3, params=MID_GROUP, marker=9,
+                            flags=DefenseFlags(noise_product_check=True))
+        run = AuctionRun(cfg, [1, 2], 5, agent_factory=factory)
+        run.step_keygen()
+        run.step_bid()
+        verified = []
+        run._verify_outcome = lambda: verified.append(True)
+        with pytest.raises(ProofRejected) as caught:
+            run.step_outcome()
+        assert caught.value.detail == "malformed outcome: gamma is not a 2 x 3 grid"
+        assert not verified
+
+
+class TableRecordingBidder(OutOfRangeBidder):
+    """Notes how many fixed-base tables its group holds when it bids; with
+    a round name it sends an out-of-range element there."""
+
+    tables_at_bid: list = []
+
+    def submit_bid(self, price):
+        self.tables_at_bid.append(len(self.params._tables))
+        return super().submit_bid(price)
+
+
+class TestTableLifetime:
+    """Tables of powers live for one run: ``AuctionRun.run`` drops them
+    however it ends."""
+
+    @pytest.mark.parametrize("round_name", [None, ROUND_OUTCOME],
+                             ids=["returns", "raises"])
+    def test_dropped_when_the_run_ends(self, round_name, monkeypatch):
+        monkeypatch.setattr(TableRecordingBidder, "tables_at_bid", [])
+
+        def factory(run, index, rng):
+            return TableRecordingBidder(run, index, rng,
+                                        round_name if index == 2 else None)
+
+        cfg = AuctionConfig(n=2, k=2, params=LARGE_GROUP, marker=9)
+        if round_name is None:
+            assert run_auction(cfg, [1, 2], 3, agent_factory=factory)[1].status == "winner"
+        else:
+            with pytest.raises(ProofRejected):
+                run_auction(cfg, [1, 2], 3, agent_factory=factory)
+        assert min(TableRecordingBidder.tables_at_bid) > 0
+        assert not LARGE_GROUP._tables and not LARGE_GROUP._seen
