@@ -6,19 +6,24 @@ reduced mod q.  The default desk group (p=23, q=11, g=2) is small enough to
 enumerate, which the test suite leans on heavily.
 
 Fixed-base tables.  In a group whose p has at least 128 bits,
-``GroupParams.exp`` builds a table of the powers x^(16^i) mod p on the
-second use of a base x, and raises x through it from then on by Yao's
+``GroupParams.exp`` builds a table of the powers x^(16^i) mod p the first
+time it raises a base x, and raises x through it from then on by Yao's
 bucket method (Brickell-Gordon-McCurley-Wilson, "Fast Exponentiation with
 Precomputation", EUROCRYPT '92).  Under CPython 3.11 a 256-bit power from a
 table costs about a third of builtin ``pow``, and a table about 0.8 of one
-``pow`` to build.  Narrower groups keep no table: ``pow`` is cheaper there.
-The result always equals ``pow(x, e, p)``.  A table serves only an int
-exponent 0 <= e < 2^(8w), w the byte width of q, and never reduces e mod q,
-so bases outside the subgroup come out exact too; every other exponent goes
-to ``pow``.  Tables belong to one ``GroupParams`` (the mid and large groups
-share bases 4 and 9).  A group keeps at most 128, evicting the least
-recently used, and ``AuctionRun.run`` drops them when it ends, so they live
-for one run.
+``pow`` to build, so a base raised twice has already paid for its table.
+Narrower groups keep no table: ``pow`` is cheaper there.  A negative
+exponent e raises the inverse x^-1 to -e: the inverse costs about a tenth
+of a negative ``pow``, gets its own table, and a base that is not a unit
+raises the same ValueError as ``pow``.  The result always equals
+``pow(x, e, p)``.  A table serves only an int exponent 0 <= e < 2^(8w), w
+the byte width of q, and never reduces e mod q, so bases outside the
+subgroup come out exact too; every other exponent goes to ``pow``.  Tables
+belong to one ``GroupParams`` (the mid and large groups share bases 4 and
+9).  A group keeps at most 384, which covers the bases of the widest round
+of an n=4, k=8 auction, evicting the least recently used, and
+``AuctionRun.run`` and ``scenarios.run_scenario`` drop them when they end,
+so they live for one run.
 """
 
 from __future__ import annotations
@@ -33,11 +38,10 @@ from .errors import BadGenerator, NotPrime, OrderMismatch
 _SMALL_PRIME_BOUND = 1 << 20
 _MILLER_RABIN_ROUNDS = 40
 
-# Fixed-base tables: the narrowest modulus that gets them, how many tables a
-# group keeps, and how many once-raised bases it remembers.
+# Fixed-base tables: the narrowest modulus that gets them, and how many
+# tables a group keeps.
 _TABLE_MIN_BITS = 128
-_MAX_TABLES = 128
-_MAX_SEEN = 4096
+_MAX_TABLES = 384
 
 
 def is_prime(n: int) -> bool:
@@ -89,25 +93,21 @@ class GroupParams:
         wide = self.p.bit_length() >= _TABLE_MIN_BITS
         width = (self.q.bit_length() + 7) // 8     # exponent bytes a table serves
         object.__setattr__(self, "_tables", OrderedDict() if wide else None)
-        object.__setattr__(self, "_seen", set())
         object.__setattr__(self, "_table_bytes", width)
         object.__setattr__(self, "_table_limit", 1 << 8 * width)
 
     def exp(self, x: int, e: int) -> int:
-        """x**e mod p.  Negative e works because x is a unit mod p.  A
-        recurring base in a wide group is raised through its table."""
+        """x**e mod p.  Negative e works because x is a unit mod p.  In a
+        wide group x, or x^-1 for negative e, is raised through its table."""
         tables = self._tables
-        if (tables is None or type(e) is not int or type(x) is not int
-                or not 0 <= e < self._table_limit):
+        if tables is None or type(e) is not int or type(x) is not int:
+            return pow(x, e, self.p)
+        if e < 0:
+            x, e = pow(x, -1, self.p), -e
+        if e >= self._table_limit:
             return pow(x, e, self.p)
         table = tables.get(x)
         if table is None:
-            if x not in self._seen:
-                if len(self._seen) >= _MAX_SEEN:
-                    self._seen.clear()
-                self._seen.add(x)
-                return pow(x, e, self.p)
-            self._seen.discard(x)
             table = tables[x] = self._build_table(x)
             if len(tables) > _MAX_TABLES:
                 tables.popitem(last=False)
@@ -142,10 +142,9 @@ class GroupParams:
         return acc
 
     def _drop_tables(self) -> None:
-        """Forget every table and every once-raised base."""
+        """Forget every table."""
         if self._tables is not None:
             self._tables.clear()
-        self._seen.clear()
 
     def inv(self, x: int) -> int:
         """Multiplicative inverse of x mod p."""

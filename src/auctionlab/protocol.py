@@ -233,11 +233,12 @@ def check_proof(config: AuctionConfig, rng: random.Random, author: str,
 
     Interactive: ``prove(challenge_source)`` runs a fresh session against a
     verifier drawing its challenges from ``rng``.  Hashed: the posted
-    ``payload`` is parsed, every commitment must lie in 0 < z < p, every
-    challenge and response (OR branches included) in 0 <= v < q, so that no
-    statement has a second accepting transcript made by adding q, and the
-    challenge must be the canonical hash.  The proof is missing when the one
-    the mode needs is None.
+    ``payload`` is parsed, every commitment must lie in 0 < z < p, and the
+    challenge must be the canonical hash.  In both modes every challenge and
+    response (OR branches included) must lie in 0 <= v < q, so that no
+    statement has a second accepting transcript made by adding q and no
+    verifier raises a base to an oversized response.  The proof is missing
+    when the one the mode needs is None.
 
     A hashed transcript's verdict depends on the statement and transcript
     alone, so it is checked once per round and shared by every verifier:
@@ -265,10 +266,10 @@ def check_proof(config: AuctionConfig, rng: random.Random, author: str,
                                     "outside 0 < z < p")
         if accepted is not None and (stmt, tr) in accepted:
             return
-        if not _canonical_scalars(tr, params.q):
-            raise ProofRejected(author, round_name,
-                                f"malformed proof{where}: response or "
-                                "challenge outside 0 <= v < q")
+    if not _canonical_scalars(tr, params.q):
+        raise ProofRejected(author, round_name,
+                            f"malformed proof{where}: response or "
+                            "challenge outside 0 <= v < q")
     if not sigma.verify_transcript(params, stmt, tr, require_hashed=not interactive):
         raise ProofRejected(author, round_name, failure + where)
     if accepted is not None:

@@ -476,7 +476,10 @@ _RUNNERS = {
 def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
     if spec.scenario not in _RUNNERS:
         raise UsageError(f"--scenario must be one of: {', '.join(SCENARIOS)}")
-    return _RUNNERS[spec.scenario](spec)
+    try:
+        return _RUNNERS[spec.scenario](spec)
+    finally:
+        spec.resolved_params()._drop_tables()   # not every runner reaches AuctionRun.run
 
 
 def emit_report(result: ScenarioResult, out_dir: Path) -> list[Path]:

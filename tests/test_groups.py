@@ -18,6 +18,7 @@ from auctionlab.groups import (
     is_prime,
     validate_group,
 )
+from auctionlab.protocol import AuctionConfig, run_auction
 
 
 class TestPrimality:
@@ -180,13 +181,63 @@ class TestFixedBaseTables:
 
     def test_bounded_with_least_recently_used_evicted(self, monkeypatch):
         monkeypatch.setattr(groups, "_MAX_TABLES", 3)
-        monkeypatch.setattr(groups, "_MAX_SEEN", 5)
         params = GroupParams(p=_P, q=_Q, g=_G)
         for x in (2, 3, 5, 2, 3, 5, 2, 7, 7):       # 3 is least recently used
             assert params.exp(x, _Q - 2) == pow(x, _Q - 2, _P)
         assert list(params._tables) == [5, 2, 7]
         for x in range(100, 112):
             params.exp(x, 3)
-        assert len(params._seen) <= 5
+        assert list(params._tables) == [109, 110, 111]
         params._drop_tables()
-        assert not params._tables and not params._seen
+        assert not params._tables
+
+    @given(x=_BASES, e=st.integers(0, 2**256 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_first_use_builds_a_table(self, x, e):
+        LARGE_GROUP._drop_tables()
+        try:
+            assert LARGE_GROUP.exp(x, e) == pow(x, e, _P)
+            assert x in LARGE_GROUP._tables
+        finally:
+            LARGE_GROUP._drop_tables()
+
+    @given(x=_BASES)
+    @settings(max_examples=40, deadline=None)
+    def test_negative_exponent_through_the_inverse(self, x):
+        """x^-e is (x^-1)^e: the inverse gets the table, and -2^256 and
+        -2^300, too wide for one, still match ``pow``."""
+        LARGE_GROUP._drop_tables()
+        try:
+            for e in (-1, -_Q, -(_Q - 1), -(2**256), -(2**300)):
+                assert LARGE_GROUP.exp(x, e) == pow(x, e, _P)
+            assert pow(x, -1, _P) in LARGE_GROUP._tables
+        finally:
+            LARGE_GROUP._drop_tables()
+
+    @pytest.mark.parametrize("x,e", [(_P, -3), (0, -1)])
+    def test_negative_power_of_a_non_unit_raises_like_pow(self, x, e):
+        LARGE_GROUP._drop_tables()
+        with pytest.raises(ValueError) as expected:
+            pow(x, e, _P)
+        with pytest.raises(ValueError) as caught:
+            LARGE_GROUP.exp(x, e)
+        assert str(caught.value) == str(expected.value)
+        assert not LARGE_GROUP._tables
+
+    def test_every_power_of_an_interactive_auction_uses_a_table(self, monkeypatch):
+        calls = {"exp": 0, "build": 0, "table": 0}
+
+        def counted(name, method):
+            def wrapper(self, *args):
+                calls[name] += 1
+                return method(self, *args)
+            return wrapper
+
+        for name, attr in (("exp", "exp"), ("build", "_build_table"),
+                           ("table", "_table_exp")):
+            monkeypatch.setattr(GroupParams, attr,
+                                counted(name, getattr(GroupParams, attr)))
+        cfg = AuctionConfig(n=2, k=2, params=LARGE_GROUP, marker=9)
+        assert run_auction(cfg, [1, 2], 3)[1].status == "winner"
+        assert calls["exp"] > 0 and calls["table"] == calls["exp"]
+        assert 0 < calls["build"] < calls["exp"]

@@ -1,6 +1,7 @@
 """Five-round auction runs: keygen, bid, outcome, decrypt, result."""
 
 import copy
+import dataclasses
 import random
 
 import pytest
@@ -33,6 +34,7 @@ from auctionlab.protocol import (
     run_auction,
     run_with_restarts,
 )
+from auctionlab.scenarios import SCENARIOS, ScenarioSpec, run_scenario
 
 
 class TestEncoding:
@@ -455,6 +457,26 @@ class TestNonCanonicalScalars:
             "ProofRejected", "bidder-2", "keygen",
             "malformed proof: response or challenge outside 0 <= v < q")
 
+    @pytest.mark.parametrize("shift", [SMALL_GROUP.q, SMALL_GROUP.q << 200_000],
+                             ids=["resp+q", "resp-200000-bits"])
+    def test_interactive_session(self, shift):
+        """An interactive response shifted by a multiple of q passes every
+        equation too; it is refused before any verifier raises a base to it."""
+        class ShiftingBidder(BidderAgent):
+            def prove_keyshare(self, challenge_source):
+                tr = super().prove_keyshare(challenge_source)
+                return dataclasses.replace(tr, response=tr.response + shift)
+
+        def factory(run, index, rng):
+            return (ShiftingBidder if index == 2 else BidderAgent)(run, index, rng)
+
+        with pytest.raises(ProofRejected) as caught:
+            run_auction(AuctionConfig(n=2, k=2), [1, 2], 5, agent_factory=factory)
+        exc = caught.value
+        assert (exc.author, exc.round_name, exc.detail) == (
+            bidder_name(2), ROUND_KEYGEN,
+            "malformed proof: response or challenge outside 0 <= v < q")
+
     @pytest.mark.parametrize("branch,field", [(0, "resp"), (1, "chal")])
     def test_or_branch(self, branch, field):
         run = _hashed_bids_posted()
@@ -753,4 +775,12 @@ class TestTableLifetime:
             with pytest.raises(ProofRejected):
                 run_auction(cfg, [1, 2], 3, agent_factory=factory)
         assert min(TableRecordingBidder.tables_at_bid) > 0
-        assert not LARGE_GROUP._tables and not LARGE_GROUP._seen
+        assert not LARGE_GROUP._tables
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_dropped_after_every_scenario(self, scenario):
+        """Some scenarios never reach ``AuctionRun.run``; ``run_scenario``
+        drops the tables however the scenario ran."""
+        run_scenario(ScenarioSpec(scenario=scenario, group_name="large",
+                                  n=3, k=4, seed=7))
+        assert not LARGE_GROUP._tables
