@@ -16,6 +16,10 @@ a proof once per verifier and before its two encoders were rewritten.
 Interactive proofs in the large group are pinned too, for every scenario at
 n=3, k=4: recorded before ``GroupParams.exp`` raised recurring bases through
 tables of powers, which only wide groups use.
+
+Every scenario is pinned in the mid group as well, at n=4, k=6, with no
+defenses and with all four: recorded before each round's posts were read
+once, when the round closes, and kept on the run for every later reader.
 """
 
 import hashlib
@@ -190,3 +194,37 @@ def test_interactive_bytes_in_large_group(scenario, tmp_path):
     if transcript.exists():
         digest.update(transcript.read_bytes())
     assert digest.hexdigest() == GOLDEN_LARGE_INTERACTIVE[scenario]
+
+
+# (scenario, flags) -> sha256 of report.json followed by transcript.json (if
+# any) for the mid group, n=4, k=6, seed 7.
+GOLDEN_MID = {
+    ("honest", "none"): "d2bfa7472411145d7b526441167deb88188fd19b5d6ea3e727e6207826afea96",
+    ("honest", "all"): "13cb89abded2bbeec376a12d5f3c780b1a629a0c8ac0550c7e2cbf0490569e6d",
+    ("full-privacy-attack", "none"): "334c11c0c36022785d459dea2f43af3d10f8507d5a426bb0b08e7a7219b3a2ed",
+    ("full-privacy-attack", "all"): "cbdc5fea8c7e04178a36ae3751910ea8514e96f13a1f5197018948c7acb7b9d8",
+    ("mitm-demo", "none"): "340497f8f4865f888cfd64411a4234ca0529b16e4decad202289c63ed848860a",
+    ("mitm-demo", "all"): "ea7730a896235118906296bd26b8a3cbc5f5ffc3c4b28d37c5e7e03c43d47c18",
+    ("forged-eqdl", "none"): "c7418ad529c25c97c573ae4d19d0adce3eb467f8584cee8da896a661c5c9e21a",
+    ("forged-eqdl", "all"): "1c194e5831600ae0392df29fd49a61bcf59f628955335e4cc9181bea59a0f7a9",
+    ("impersonation", "none"): "4624ca325a00013ac76be295cdbaa3e21974008706b4b4e05538bca7b191b03c",
+    ("impersonation", "all"): "dd01cfeece2ab11c2e509b679d095e876350d48cddc924fd454f4866ba94f88e",
+    ("exceptional-values", "none"): "35300d09c2e6b6116340bb5ed758eefd186c502ca46c45976523cceb8b3c7a2b",
+    ("exceptional-values", "all"): "a52fe05ca80f32efe44aae5b73e97500d0bf04603659ca21b51dbca0f08e133d",
+    ("wrong-key", "none"): "a2b92adf38151cc0aad6845b7f725a172636bd2a4097e9a1fd0fca46f061aa98",
+    ("wrong-key", "all"): "542a44074911f670ae450515a68ba98b363c53d1b6e52753d7b0a66f466da827",
+    ("recovery-bench", "none"): "ffafe99e8f0f56eb38fc0195f7c2daa9fbe6c08657d8d7701f8d3b6fc527d980",
+    ("recovery-bench", "all"): "5343cbe3cb3ab2d82648f3485b5e873cd616618c68b8b161984de062d7cdeda5",
+}
+
+
+@pytest.mark.parametrize("scenario,flags", sorted(GOLDEN_MID))
+def test_bytes_in_mid_group(scenario, flags, tmp_path):
+    result = run_scenario(ScenarioSpec(scenario=scenario, group_name="mid",
+                                       n=4, k=6, flags=FLAGS[flags], seed=7))
+    emit_report(result, tmp_path)
+    digest = hashlib.sha256((tmp_path / "report.json").read_bytes())
+    transcript = tmp_path / "transcript.json"
+    if transcript.exists():
+        digest.update(transcript.read_bytes())
+    assert digest.hexdigest() == GOLDEN_MID[scenario, flags]
