@@ -29,9 +29,11 @@ from .errors import (
 )
 from .groups import GroupParams
 
-# Attack code reads the run's shared base grid (AuctionRun.outcome_bases).
-# compute_outcome_bases stays importable from here: the perfbench tracer
-# rebinds every protocol name this module holds, and its tests look it up.
+# Attack code reads what the run kept when each round closed (the base grid
+# AuctionRun.bases, the masking shares AuctionRun.gammas and .deltas), and
+# reads the board only while a round is still open.  compute_outcome_bases
+# stays importable from here: the perfbench tracer rebinds every protocol
+# name this module holds, and its tests look it up.
 from .protocol import (  # noqa: F401
     ROUND_BID,
     AuctionConfig,
@@ -39,7 +41,6 @@ from .protocol import (  # noqa: F401
     BidderAgent,
     bidder_name,
     cell_products,
-    collect_outcome,
     compute_outcome_bases,
     encode_bid,
     expected_winner,
@@ -182,7 +183,7 @@ def noise_removal_shares(run: AuctionRun, mallory_index: int,
         gammas.append(post.payload["gamma"])
         deltas.append(post.payload["delta"])
     others_g, others_d = cell_products(params, gammas), cell_products(params, deltas)
-    bases = run.outcome_bases()
+    bases = run.bases
     gamma = [[params.exp(ba, exponent) * params.inv(og) % params.p
               for (ba, _), og in zip(base_row, og_row)]
              for base_row, og_row in zip(bases, others_g)]
@@ -206,12 +207,10 @@ def forge_outcome_eqdl(run: AuctionRun, mallory_name: str, i: int, j: int,
     if not run.config.interactive:
         raise ModeMismatch("forging needs a forwardable verifier challenge")
     params = run.config.params
-    n = run.config.n
-    gens = run.outcome_bases()[i][j]
-    gammas, deltas = collect_outcome(run.board, n)
     mine = int(mallory_name.split("-")[1]) - 1
-    stmt = sigma.EQDLStatement(gens=gens,
-                               targets=(gammas[mine][i][j], deltas[mine][i][j]))
+    stmt = sigma.EQDLStatement(
+        gens=run.bases[i][j],
+        targets=(run.gammas[mine][i][j], run.deltas[mine][i][j]))
 
     others = [agent for name, agent in run.agents.items() if name != mallory_name]
     if not others:
@@ -384,7 +383,7 @@ class CopycatBidder(BidderAgent):
         if self.rerandomize:
             self.shift = self.rng.randrange(1, self.params.q)
             copies = [reencrypt_bid_copy(self.params, elgamal.Ciphertext(a, b),
-                                         self.joint_y, self.shift)
+                                         self.run.joint_y, self.shift)
                       for a, b in zip(alphas, betas)]
             alphas = [ct.alpha for ct in copies]
             betas = [ct.beta for ct in copies]

@@ -10,8 +10,8 @@ Rounds, all driven through the bulletin board:
 3. outcome  - every bidder raises the published cell bases to its private
               outcome exponents and posts the resulting masking shares with
               equality proofs.  The n x k grid of cell bases is built from
-              the posted bids in O(nk) products, once per bid state, and
-              every reader of the run shares it (``AuctionRun.outcome_bases``).
+              the posted bids in O(nk) products, once, when the bid round
+              closes (``AuctionRun.bases``).
 4. decrypt  - every bidder sends its decryption share for every cell to the
               seller with a proof; the seller withholds publication until
               all have arrived, then posts each bidder's shares for all rows
@@ -19,13 +19,14 @@ Rounds, all driven through the bulletin board:
 5. result   - the seller divides masked products by decryption products; a
               cell that lands on 1 names the winner and the price.
 
-Honest agents verify every proof they see.  In hashed-proof mode they check
-static transcripts; in interactive mode they engage the poster in a fresh
-commit/challenge/respond session.  A hashed transcript's verdict depends on
-its statement and transcript alone, so each distinct one is checked once per
-round and every verifier shares the verdict; interactive sessions are run
-once per verifier.  Attack code must get past these checks, never around
-them.
+Each round is read off the board once, when it closes: its verify step
+parses the posts, builds each statement once, and keeps what it read on the
+run for every later reader, so a post added to a closed round changes
+nothing.  Honest agents verify every proof they see (``check_round``).  In
+hashed-proof mode they check static transcripts, each once, and every
+verifier shares the verdict; in interactive mode each verifier engages the
+poster in a fresh commit/challenge/respond session.  Attack code must get
+past these checks, never around them.
 """
 
 from __future__ import annotations
@@ -227,7 +228,7 @@ def _canonical_scalars(tr, q: int) -> bool:
 
 def check_proof(config: AuctionConfig, rng: random.Random, author: str,
                 round_name: str, stmt, payload, prove, failure: str,
-                where: str = "", accepted: set | None = None) -> None:
+                where: str = "") -> None:
     """Check ``author``'s proof of ``stmt`` in the run's proof mode, or
     raise ProofRejected naming the author, the round and ``where``.
 
@@ -238,20 +239,13 @@ def check_proof(config: AuctionConfig, rng: random.Random, author: str,
     response (OR branches included) must lie in 0 <= v < q, so that no
     statement has a second accepting transcript made by adding q and no
     verifier raises a base to an oversized response.  The proof is missing
-    when the one the mode needs is None.
-
-    A hashed transcript's verdict depends on the statement and transcript
-    alone, so it is checked once per round and shared by every verifier:
-    ``accepted`` holds the ``(statement, transcript)`` pairs already
-    accepted, a pair found there passes, and a pair joins it only once
-    verified.  Rejections are never kept, and interactive sessions never
-    use it, since each verifier draws its own challenges."""
+    when the one the mode needs is None.  ``check_round`` decides which
+    verifier checks which proof."""
     params, interactive = config.params, config.interactive
     if (prove if interactive else payload) is None:
         raise ProofRejected(author, round_name, f"missing proof{where}")
     if interactive:
         tr = prove(sigma.verifier_source(params, rng))
-        accepted = None
     else:
         try:
             tr = sigma.transcript_from_payload(payload)
@@ -264,71 +258,102 @@ def check_proof(config: AuctionConfig, rng: random.Random, author: str,
                 raise ProofRejected(author, round_name,
                                     f"malformed proof{where}: commitment "
                                     "outside 0 < z < p")
-        if accepted is not None and (stmt, tr) in accepted:
-            return
     if not _canonical_scalars(tr, params.q):
         raise ProofRejected(author, round_name,
                             f"malformed proof{where}: response or "
                             "challenge outside 0 <= v < q")
     if not sigma.verify_transcript(params, stmt, tr, require_hashed=not interactive):
         raise ProofRejected(author, round_name, failure + where)
-    if accepted is not None:
-        accepted.add((stmt, tr))
+
+
+def check_round(config: AuctionConfig, round_name: str, verifiers,
+                entries) -> None:
+    """Have each verifier (a party with a ``name`` and an ``rng``) check
+    every entry another author posted, verifier by verifier, in entry order.
+    An entry is ``(author, statement, posted proof, prover, failure, where)``
+    as ``check_proof`` takes them.  Interactive sessions run once per
+    verifier.  A hashed proof's verdict depends on its statement and
+    transcript alone, so the first verifier that reaches it checks it and
+    every later one shares that verdict."""
+    pending = entries
+    for verifier in verifiers:
+        left = []
+        for entry in pending:
+            author, stmt, payload, prove, failure, where = entry
+            if author == verifier.name:
+                left.append(entry)            # nobody checks their own proof
+                continue
+            check_proof(config, verifier.rng, author, round_name, stmt, payload,
+                        prove, failure, where)
+            if config.interactive:
+                left.append(entry)            # every verifier runs a session
+        pending = left
 
 
 # --------------------------------------------------------------------------
 # Board readers
 # --------------------------------------------------------------------------
 
-def collect_keyshares(board: BulletinBoard, n: int) -> list[int]:
-    posts = board.latest_by_author(ROUND_KEYGEN, "keyshare")
-    out = []
+def _latest_payloads(board: BulletinBoard, round_name: str, kind: str, n: int,
+                     what: str, fields: tuple[str, ...]) -> dict[str, dict]:
+    """Every author's latest ``kind`` payload in the round, by author, after
+    refusing one that lacks any of ``fields``.  Every bidder must have one."""
+    out = {}
+    for name, post in board.latest_by_author(round_name, kind).items():
+        payload = post.payload
+        for field_name in fields:
+            if type(payload) is not dict or field_name not in payload:
+                raise ProofRejected(name, round_name,
+                                    f"malformed {what}: no {field_name}")
+        out[name] = payload
     for i in range(1, n + 1):
-        post = posts.get(bidder_name(i))
-        if post is None:
-            raise MissingShares(f"no key share from {bidder_name(i)}")
-        out.append(post.payload["y"])
+        if bidder_name(i) not in out:
+            raise MissingShares(f"no {what} from {bidder_name(i)}")
     return out
 
 
-def collect_bids(board: BulletinBoard, n: int):
-    posts = board.latest_by_author(ROUND_BID, "bid")
-    alphas, betas = [], []
-    for i in range(1, n + 1):
-        post = posts.get(bidder_name(i))
-        if post is None:
-            raise MissingShares(f"no bid from {bidder_name(i)}")
-        alphas.append(list(post.payload["alphas"]))
-        betas.append(list(post.payload["betas"]))
-    return alphas, betas
+def collect_keyshares(board: BulletinBoard, n: int) -> dict[str, dict]:
+    """Every author's latest key share payload, with ``y`` and ``proof``."""
+    return _latest_payloads(board, ROUND_KEYGEN, "keyshare", n, "key share",
+                            ("y", "proof"))
+
+
+def collect_bids(board: BulletinBoard, n: int) -> dict[str, dict]:
+    """Every author's latest bid payload, with all of its fields."""
+    return _latest_payloads(board, ROUND_BID, "bid", n, "bid",
+                            ("bidder", "alphas", "betas", "proofs", "sum_proof"))
 
 
 def collect_outcome(board: BulletinBoard, n: int):
-    """Masking share matrices per bidder, with later fix posts merged in."""
-    gammas: dict[str, list[list[int]]] = {}
-    deltas: dict[str, list[list[int]]] = {}
+    """Masking share matrices γ and δ per bidder, and the grid of hashed
+    proofs behind them (None where none was posted), with later fix posts
+    merged in."""
+    grids: dict[str, tuple] = {}
     for post in board.select(round=ROUND_OUTCOME):
+        payload = post.payload
         if post.kind == "outcome":
-            gammas[post.author] = [list(row) for row in post.payload["gamma"]]
-            deltas[post.author] = [list(row) for row in post.payload["delta"]]
+            gamma = [list(row) for row in payload["gamma"]]
+            proofs = payload.get("proofs")
+            grids[post.author] = (
+                gamma, [list(row) for row in payload["delta"]],
+                [list(row) for row in proofs] if proofs is not None
+                else [[None] * len(row) for row in gamma])
         elif post.kind == "outcome-fix":
-            g = gammas.get(post.author)
-            d = deltas.get(post.author)
-            if g is None or d is None:
+            if post.author not in grids:
                 raise MissingShares(f"fix before outcome from {post.author}")
-            for (ci, cj), gv, dv in zip(post.payload["cells"],
-                                        post.payload["gamma"],
-                                        post.payload["delta"]):
+            g, d, pr = grids[post.author]
+            cells = payload["cells"]
+            for (ci, cj), gv, dv, proof in zip(
+                    cells, payload["gamma"], payload["delta"],
+                    payload.get("proofs") or [None] * len(cells)):
                 g[ci - 1][cj - 1] = gv
                 d[ci - 1][cj - 1] = dv
-    out_g, out_d = [], []
+                pr[ci - 1][cj - 1] = proof
     for i in range(1, n + 1):
-        name = bidder_name(i)
-        if name not in gammas:
-            raise MissingShares(f"no outcome shares from {name}")
-        out_g.append(gammas[name])
-        out_d.append(deltas[name])
-    return out_g, out_d
+        if bidder_name(i) not in grids:
+            raise MissingShares(f"no outcome shares from {bidder_name(i)}")
+    gammas, deltas, proofs = zip(*(grids[bidder_name(i)] for i in range(1, n + 1)))
+    return list(gammas), list(deltas), list(proofs)
 
 
 # --------------------------------------------------------------------------
@@ -365,7 +390,6 @@ class BidderAgent(Party):
         self.m: list[list[int]] | None = None  # outcome exponents, n x k
         self.r: list[int] | None = None        # bid randomisers, length k
         self.price: int | None = None
-        self.joint_y: int | None = None
         self.phi: list[list[int]] | None = None
         self.auth_key: bytes | None = None
         # The statements behind this bidder's posts, as posted.
@@ -405,13 +429,9 @@ class BidderAgent(Party):
                    "proof": self._posted_proof(self.key_stmt, self.share.x)}
         return self._post(ROUND_KEYGEN, "keyshare", payload)
 
-    def learn_joint_key(self) -> None:
-        shares = collect_keyshares(self.run.board, self.config.n)
-        self.joint_y = elgamal.aggregate_keys(self.params, shares).y
-
     def submit_bid(self, price: int) -> Post:
         self.price = price
-        params, y = self.params, self.joint_y
+        params, y = self.params, self.run.joint_y
         marker = self.config.marker_for(self.index)
         bits = encode_bid(price, self.config.k)
         cts = [elgamal.encrypt(params, marker if bit else 1, y, r)
@@ -444,7 +464,7 @@ class BidderAgent(Party):
             gens=(ba, bb), targets=(self.params.exp(ba, m), self.params.exp(bb, m)))
 
     def post_outcome(self) -> Post:
-        bases = self.run.outcome_bases()
+        bases = self.run.bases
         stmts = self.outcome_stmts = [
             [self._outcome_statement(bases, i, j) for j in range(self.config.k)]
             for i in range(self.config.n)]
@@ -459,7 +479,7 @@ class BidderAgent(Party):
     def redraw_exponents(self, cells) -> Post:
         """Replace the outcome exponents at the flagged cells (1-based) and
         post corrected shares."""
-        bases = self.run.outcome_bases()
+        bases = self.run.bases
         stmts, proofs = [], []
         for ci, cj in cells:
             i, j = ci - 1, cj - 1
@@ -483,9 +503,7 @@ class BidderAgent(Party):
     def send_decrypt_shares(self) -> None:
         """Raise every cell's Δ-product to ``decrypt_exponent`` and send the
         shares to the seller, with a hashed proof in hashed mode."""
-        params = self.params
-        _, deltas = collect_outcome(self.run.board, self.config.n)
-        delta_products = cell_products(params, deltas)
+        params, delta_products = self.params, self.run.delta_products
         x = self.decrypt_exponent()
         self.phi = [[params.exp(d, x) for d in row] for row in delta_products]
         y = self.share.y if self.config.flags.key_consistency else None
@@ -528,7 +546,6 @@ class BidderAgent(Party):
         """v values for this bidder's row, from published shares plus the
         bidder's own decryption share."""
         params, mine = self.params, self.index - 1
-        gammas, _ = collect_outcome(self.run.board, self.config.n)
         # All publications are authored by the seller; the subject bidder
         # is named in the payload.
         published = {
@@ -546,7 +563,7 @@ class BidderAgent(Party):
             raise MissingShares("own row withheld in publication")
         phi_row = cell_products(params, [[row] for row in rows])[0]
         return [pg * params.inv(pphi) % params.p
-                for pg, pphi in zip(cell_products(params, gammas)[mine], phi_row)]
+                for pg, pphi in zip(self.run.gamma_products[mine], phi_row)]
 
 
 class SellerAgent(Party):
@@ -568,24 +585,21 @@ class SellerAgent(Party):
         self.proofs[author] = proof_payload
 
     def verify_decrypt_shares(self) -> None:
-        n = self.config.n
+        run, n = self.run, self.config.n
+        keys = run.keys if self.config.flags.key_consistency else [None] * n
+        entries = []
         for i in range(1, n + 1):
             name = bidder_name(i)
             if name not in self.shares:
                 raise MissingShares(f"no decryption shares from {name}")
             check_elements(self.params, name, ROUND_DECRYPT, "decrypt shares",
                            *self.shares[name])
-        _, deltas = collect_outcome(self.run.board, n)
-        delta_products = cell_products(self.params, deltas)
-        keys = (collect_keyshares(self.run.board, n)
-                if self.config.flags.key_consistency else [None] * n)
-        for i in range(1, n + 1):
-            name = bidder_name(i)
-            stmt = decrypt_statement(self.params, delta_products,
+            stmt = decrypt_statement(self.params, run.delta_products,
                                      self.shares[name], keys[i - 1])
-            check_proof(self.config, self.rng, name, ROUND_DECRYPT, stmt,
-                        self.proofs[name], self.run.agents[name].prove_decrypt,
-                        "decrypt share proof failed")
+            entries.append((name, stmt, self.proofs[name],
+                            run.agents[name].prove_decrypt,
+                            "decrypt share proof failed", ""))
+        check_round(self.config, ROUND_DECRYPT, [self], entries)
 
     def publish_shares(self) -> None:
         """Post every bidder's shares for all rows except the bidder's own."""
@@ -602,8 +616,7 @@ class SellerAgent(Party):
     def compute_result(self) -> "AuctionOutcome":
         params = self.params
         n, k = self.config.n, self.config.k
-        gammas, _ = collect_outcome(self.run.board, n)
-        gamma_products = cell_products(params, gammas)
+        gamma_products = self.run.gamma_products
         phi_products = cell_products(
             params, [self.shares[bidder_name(a)] for a in range(1, n + 1)])
         v = [[pg * params.inv(pphi) % params.p
@@ -643,6 +656,8 @@ class AuctionRun:
     ``agent_factory(run, index, rng)`` lets scenarios slot in misbehaving
     agents at chosen indices; everyone else is honest.  ``outcome_order`` and
     ``bid_order`` override the default 1..n posting order by 1-based index.
+    Each round's verify step keeps what it read: ``keys`` and ``joint_y``,
+    the base grid ``bases``, and the masking shares with their products.
     """
 
     def __init__(self, config: AuctionConfig, bids: list[int], seed: int,
@@ -658,8 +673,11 @@ class AuctionRun:
         self.board = BulletinBoard()
         self.outcome_order = outcome_order or list(range(1, config.n + 1))
         self.bid_order = bid_order or list(range(1, config.n + 1))
-        self._bases_key = None               # bid vectors behind _bases
-        self._bases = None
+        self.keys: list[int] | None = None
+        self.joint_y: int | None = None
+        self.bases = None                    # see compute_outcome_bases
+        self.gammas = self.deltas = None
+        self.gamma_products = self.delta_products = None
 
         master = random.Random(seed)
         self.agents: dict[str, BidderAgent] = {}
@@ -693,21 +711,12 @@ class AuctionRun:
     def honest_agents(self) -> list[BidderAgent]:
         return [a for a in self.agents.values() if a.honest]
 
-    def outcome_bases(self):
-        """The outcome-base grid (see ``compute_outcome_bases``) for the bids
-        now on the board.  It is built once per bid state and shared by
-        every reader; a late or re-posted bid gets a fresh grid."""
-        bids = collect_bids(self.board, self.config.n)
-        if bids != self._bases_key:
-            self._bases = compute_outcome_bases(self.config.params, *bids)
-            self._bases_key = bids
-        return self._bases
-
-    def _check_auth(self, round_name: str) -> None:
+    def _check_auth(self, round_name: str, since: int = 0) -> None:
+        """Check the tags of the round's posts from board position ``since``."""
         if not self.config.flags.authenticate:
             return
-        for post in self.board.select(round=round_name):
-            if not defenses.verify_post(self.registry, post):
+        for post in self.board.posts[since:]:
+            if post.round == round_name and not defenses.verify_post(self.registry, post):
                 raise AuthRejected(post.author, round_name)
 
     # -- rounds ------------------------------------------------------------
@@ -717,26 +726,24 @@ class AuctionRun:
             self.bidder(index).keygen()
         self._check_auth(ROUND_KEYGEN)
         self._verify_keygen()
-        for agent in self.agents.values():
-            agent.learn_joint_key()
 
     def _verify_keygen(self) -> None:
-        params = self.config.params
-        shares = self.board.latest_by_author(ROUND_KEYGEN, "keyshare")
-        for name, post in shares.items():
-            if not params.is_element(post.payload["y"]):
+        """Read the key shares, check them, and keep them with the joint key."""
+        params, n = self.config.params, self.config.n
+        shares = collect_keyshares(self.board, n)
+        entries = []
+        for name, payload in shares.items():
+            y = payload["y"]
+            if type(y) is not int or not params.is_element(y):
                 raise ProofRejected(name, ROUND_KEYGEN,
                                     "key share is outside the order-q subgroup")
-        accepted = set()
-        for verifier in self.honest_agents():
-            for name, post in shares.items():
-                if name == verifier.name:
-                    continue
-                author = self.agents.get(name)    # None: not in this auction
-                stmt = sigma.PDLStatement(g=params.g, v=post.payload["y"])
-                check_proof(self.config, verifier.rng, name, ROUND_KEYGEN, stmt,
-                            post.payload["proof"], author and author.prove_keyshare,
-                            "key share proof failed", accepted=accepted)
+            author = self.agents.get(name)        # None: not in this auction
+            entries.append((name, sigma.PDLStatement(g=params.g, v=y),
+                            payload["proof"], author and author.prove_keyshare,
+                            "key share proof failed", ""))
+        check_round(self.config, ROUND_KEYGEN, self.honest_agents(), entries)
+        self.keys = [shares[bidder_name(i)]["y"] for i in range(1, n + 1)]
+        self.joint_y = elgamal.aggregate_keys(params, self.keys).y
 
     def step_bid(self) -> None:
         for index in self.bid_order:
@@ -745,59 +752,59 @@ class AuctionRun:
         self._verify_bids()
 
     def _verify_bids(self) -> None:
-        params = self.config.params
-        posts = self.board.latest_by_author(ROUND_BID, "bid")
-        joint = elgamal.aggregate_keys(
-            params, collect_keyshares(self.board, self.config.n)).y
-        k = self.config.k
-        for name, post in posts.items():
+        """Read the bids, check them, and keep the outcome-base grid."""
+        params, n, k = self.config.params, self.config.n, self.config.k
+        bids = collect_bids(self.board, n)
+        y, g = self.joint_y, params.g
+        entries = []
+        for name, payload in bids.items():
             for field_name in ("alphas", "betas", "proofs"):
-                entries = post.payload[field_name]
-                if field_name == "proofs" and not entries:
+                values = payload[field_name]
+                if field_name == "proofs" and not values:
                     continue                      # missing: reported per price
-                if type(entries) not in (list, tuple):
+                if type(values) not in (list, tuple):
                     raise ProofRejected(name, ROUND_BID,
                                         f"malformed bid: {field_name} is not a list")
-                if len(entries) != k:
+                if len(values) != k:
                     raise ProofRejected(name, ROUND_BID,
-                                        f"malformed bid: {len(entries)} "
+                                        f"malformed bid: {len(values)} "
                                         f"{field_name} for {k} prices")
-            check_elements(params, name, ROUND_BID, "bid",
-                           post.payload["alphas"], post.payload["betas"])
-        accepted = set()
-        for verifier in self.honest_agents():
-            for name, post in posts.items():
-                if name == verifier.name:
-                    continue
-                author = self.agents.get(name)    # None: not in this auction
-                marker = self.config.marker_for(post.payload["bidder"])
-                alphas = post.payload["alphas"]
-                betas = post.payload["betas"]
-                proofs = post.payload["proofs"] or [None] * k
-                for j in range(k):
-                    stmt = sigma.BidValidityStatement(
-                        y=joint, g=params.g, marker=marker,
-                        alpha=alphas[j], beta=betas[j])
-                    check_proof(self.config, verifier.rng, name, ROUND_BID, stmt,
-                                proofs[j], author and partial(author.prove_bid_cell, j),
-                                "validity proof failed", f" at price {j + 1}", accepted)
-                sum_stmt = sigma.SumValidityStatement(
-                    y=joint, g=params.g, marker=marker,
-                    alphas=tuple(alphas), betas=tuple(betas))
-                check_proof(self.config, verifier.rng, name, ROUND_BID, sum_stmt,
-                            post.payload["sum_proof"], author and author.prove_bid_sum,
-                            "sum proof failed", accepted=accepted)
+            alphas, betas = payload["alphas"], payload["betas"]
+            check_elements(params, name, ROUND_BID, "bid", alphas, betas)
+            bidder = payload["bidder"]
+            if type(bidder) is not int or not 1 <= bidder <= n:
+                raise ProofRejected(name, ROUND_BID,
+                                    f"malformed bid: bidder {bidder!r} outside 1..{n}")
+            marker = self.config.marker_for(bidder)
+            author = self.agents.get(name)        # None: not in this auction
+            proofs = payload["proofs"] or [None] * k
+            for j in range(k):
+                stmt = sigma.BidValidityStatement(y=y, g=g, marker=marker,
+                                                  alpha=alphas[j], beta=betas[j])
+                entries.append((name, stmt, proofs[j],
+                                author and partial(author.prove_bid_cell, j),
+                                "validity proof failed", f" at price {j + 1}"))
+            stmt = sigma.SumValidityStatement(y=y, g=g, marker=marker,
+                                              alphas=tuple(alphas), betas=tuple(betas))
+            entries.append((name, stmt, payload["sum_proof"],
+                            author and author.prove_bid_sum, "sum proof failed", ""))
+        check_round(self.config, ROUND_BID, self.honest_agents(), entries)
+        rows = [bids[bidder_name(i)] for i in range(1, n + 1)]
+        self.bases = compute_outcome_bases(params, [row["alphas"] for row in rows],
+                                           [row["betas"] for row in rows])
 
     def step_outcome(self) -> None:
         if self.config.flags.noise_product_check:
-            cells = defenses.scan_exceptional_bases(self.outcome_bases())
+            cells = defenses.scan_exceptional_bases(self.bases)
             if cells:
                 raise RestartRequired("exceptional base product", cells)
         for index in self.outcome_order:
             self.bidder(index).post_outcome()
         self._check_auth(ROUND_OUTCOME)
         if self.config.flags.noise_product_check:
+            fixes_from = len(self.board.posts)
             self._noise_product_pass()
+            self._check_auth(ROUND_OUTCOME, since=fixes_from)
         self._verify_outcome()
 
     def _outcome_shares(self):
@@ -814,8 +821,7 @@ class AuctionRun:
     def _noise_product_pass(self, max_rounds: int = 10) -> None:
         params, n = self.config.params, self.config.n
         products = cell_products(params, self._outcome_shares()[0])
-        cancelled = defenses.check_noise_cancellation(self.outcome_bases(),
-                                                      products)
+        cancelled = defenses.check_noise_cancellation(self.bases, products)
         if cancelled:
             raise RestartRequired("noise cancellation detected", cancelled)
         for _ in range(max_rounds):
@@ -828,45 +834,28 @@ class AuctionRun:
         raise RestartRequired("noise products kept collapsing", [])
 
     def _verify_outcome(self) -> None:
-        n, k = self.config.n, self.config.k
-        bases = self.outcome_bases()
-        gammas, deltas = self._outcome_shares()
+        """Read the masking shares and keep them with their cell products
+        before checking them: a relaying prover reads them in its sessions."""
+        params, n, k = self.config.params, self.config.n, self.config.k
+        gammas, deltas, proofs = self._outcome_shares()
         for a in range(n):
-            check_elements(self.config.params, bidder_name(a + 1), ROUND_OUTCOME,
+            check_elements(params, bidder_name(a + 1), ROUND_OUTCOME,
                            "outcome", *gammas[a], *deltas[a])
-        proofs = self._outcome_proofs()
-        # Cell labels are made once: the loop runs about n^3 k checks.
-        cells = [(i, j, f" at cell ({i + 1},{j + 1})")
-                 for i in range(n) for j in range(k)]
-        accepted = set()
-        for verifier in self.honest_agents():
-            for a in range(n):
-                name = bidder_name(a + 1)
-                if name == verifier.name:
-                    continue
-                prove = self.agents[name].prove_outcome_cell
-                for i, j, where in cells:
+        self.gammas, self.deltas = gammas, deltas
+        self.gamma_products = cell_products(params, gammas)
+        self.delta_products = cell_products(params, deltas)
+        bases = self.bases
+        entries = []
+        for a in range(n):
+            name = bidder_name(a + 1)
+            prove = self.agents[name].prove_outcome_cell
+            for i in range(n):
+                for j in range(k):
                     stmt = sigma.EQDLStatement(
                         gens=bases[i][j], targets=(gammas[a][i][j], deltas[a][i][j]))
-                    check_proof(self.config, verifier.rng, name, ROUND_OUTCOME,
-                                stmt, proofs[name][i][j], partial(prove, i, j),
-                                "masking proof failed", where, accepted)
-
-    def _outcome_proofs(self):
-        """Each author's latest hashed proof payload per cell, as an n x k
-        grid (0-based): its outcome post's proofs with its fix posts'
-        proofs laid over them, None where it posted none."""
-        n, k = self.config.n, self.config.k
-        out = {}
-        for name, post in self.board.latest_by_author(ROUND_OUTCOME, "outcome").items():
-            proofs = post.payload.get("proofs")
-            out[name] = ([list(row) for row in proofs] if proofs is not None
-                         else [[None] * k for _ in range(n)])
-        for fix in self.board.select(round=ROUND_OUTCOME, kind="outcome-fix"):
-            for (ci, cj), proof in zip(fix.payload["cells"],
-                                       fix.payload.get("proofs") or []):
-                out[fix.author][ci - 1][cj - 1] = proof
-        return out
+                    entries.append((name, stmt, proofs[a][i][j], partial(prove, i, j),
+                                    "masking proof failed", f" at cell ({i + 1},{j + 1})"))
+        check_round(self.config, ROUND_OUTCOME, self.honest_agents(), entries)
 
     def step_decrypt(self) -> None:
         for index in range(1, self.config.n + 1):

@@ -28,7 +28,6 @@ from .protocol import (
     AuctionConfig,
     AuctionRun,
     bidder_name,
-    collect_outcome,
     encode_bid,
     expected_winner,
     run_with_restarts,
@@ -301,10 +300,9 @@ def scenario_forged_eqdl(spec: ScenarioSpec) -> ScenarioResult:
                                     spec.exponent,
                                     sigma.verifier_source(config.params,
                                                           verifier_rng))
-    gammas, deltas = collect_outcome(run.board, config.n)
     stmt = sigma.EQDLStatement(
-        gens=run.outcome_bases()[0][0],
-        targets=(gammas[mallory - 1][0][0], deltas[mallory - 1][0][0]))
+        gens=run.bases[0][0],
+        targets=(run.gammas[mallory - 1][0][0], run.deltas[mallory - 1][0][0]))
     accepted = sigma.verify_eqdl(config.params, stmt, tr)
     report["success"] = accepted
     report["expectation_met"] = accepted

@@ -16,9 +16,7 @@ from auctionlab.protocol import (
     AuctionRun,
     BidderAgent,
     bidder_name,
-    collect_bids,
     collect_outcome,
-    compute_outcome_bases,
 )
 
 from conftest import FixedNonce, fixed_challenge
@@ -116,12 +114,10 @@ class TestNoiseRemoval:
         cell is exactly base^exponent: the other bidders' noise is gone."""
         g = SMALL_GROUP
         run = _attack_run_through_outcome(2, exponent)
-        alphas, betas = collect_bids(run.board, 3)
-        bases = compute_outcome_bases(g, alphas, betas)
-        gammas, deltas = collect_outcome(run.board, 3)
+        gammas, deltas, _ = collect_outcome(run.board, 3)
         for i in range(3):
             for j in range(2):
-                ba, bb = bases[i][j]
+                ba, bb = run.bases[i][j]
                 pg = pd = 1
                 for a in range(3):
                     pg = pg * gammas[a][i][j] % g.p
@@ -131,13 +127,11 @@ class TestNoiseRemoval:
 
     def test_forged_proof_accepted_by_honest_verifier(self, small):
         run = _attack_run_through_outcome(2, exponent=1)
+        run._verify_outcome()        # closes the round the forger reads
         verifier = sigma.verifier_source(small, random.Random(99))
         tr = attacks.forge_outcome_eqdl(run, bidder_name(3), 0, 0, 1, verifier)
-        alphas, betas = collect_bids(run.board, 3)
-        ba, bb = compute_outcome_bases(small, alphas, betas)[0][0]
-        gammas, deltas = collect_outcome(run.board, 3)
-        stmt = sigma.EQDLStatement(gens=(ba, bb),
-                                   targets=(gammas[2][0][0], deltas[2][0][0]))
+        stmt = sigma.EQDLStatement(gens=run.bases[0][0],
+                                   targets=(run.gammas[2][0][0], run.deltas[2][0][0]))
         assert sigma.verify_eqdl(small, stmt, tr)
 
     def test_forging_needs_interactive_mode(self, small):

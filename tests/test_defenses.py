@@ -104,7 +104,7 @@ def _run_through_outcome(seed, n=2, k=2, bids=(1, 2), flags=None):
 
 
 def _masking_products(run):
-    gammas, _ = collect_outcome(run.board, run.config.n)
+    gammas = collect_outcome(run.board, run.config.n)[0]
     return cell_products(SMALL_GROUP, gammas)
 
 
@@ -131,14 +131,12 @@ class TestProductChecks:
         """Seed 7: the honest joint exponent happens to be exactly 1, the
         same signature a unit-exponent stripping attacker leaves."""
         run = _run_through_outcome(7)
-        assert check_noise_cancellation(run.outcome_bases(),
-                                        _masking_products(run))
+        assert check_noise_cancellation(run.bases, _masking_products(run))
 
     def test_clean_seed_passes_both_checks(self):
         run = _run_through_outcome(0)
         assert check_noise_products(_masking_products(run)) == []
-        assert check_noise_cancellation(run.outcome_bases(),
-                                        _masking_products(run)) == []
+        assert check_noise_cancellation(run.bases, _masking_products(run)) == []
 
     def test_base_collapse_scan(self):
         """Seed 3's bid round lands a base product on 1."""
@@ -146,7 +144,7 @@ class TestProductChecks:
         run = AuctionRun(cfg, [1, 2], 3)
         run.step_keygen()
         run.step_bid()
-        assert scan_exceptional_bases(run.outcome_bases())
+        assert scan_exceptional_bases(run.bases)
 
     def test_stripping_attacker_always_flagged(self):
         """Whatever the seed, unit-exponent stripping trips the
@@ -167,8 +165,7 @@ class TestProductChecks:
             run.step_bid()
             for index in run.outcome_order:
                 run.bidder(index).post_outcome()
-            assert check_noise_cancellation(run.outcome_bases(),
-                                            _masking_products(run))
+            assert check_noise_cancellation(run.bases, _masking_products(run))
 
 
 class TestKeyConsistency:

@@ -1,5 +1,6 @@
 """Five-round auction runs: keygen, bid, outcome, decrypt, result."""
 
+import collections
 import copy
 import dataclasses
 import random
@@ -9,8 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from auctionlab import protocol, sigma
+from auctionlab.attacks import ZeroNoiseColluder, dishonest_bidder
 from auctionlab.defenses import DefenseFlags, base_is_structurally_empty
 from auctionlab.errors import (
+    AuthRejected,
     MissingShares,
     ModeMismatch,
     PriceOutOfRange,
@@ -27,7 +30,6 @@ from auctionlab.protocol import (
     AuctionRun,
     BidderAgent,
     bidder_name,
-    collect_bids,
     compute_outcome_bases,
     encode_bid,
     expected_winner,
@@ -115,28 +117,24 @@ class TestOutcomeBases:
                     for i in range(n)
                 ], (g.p, n, k)
 
-    def test_run_memo_follows_reposted_bids(self):
-        """The run's grid is built once per bid state: asking again returns
-        the same grid, and a bid re-posted mid-run gets a fresh one."""
+    def test_bid_reposted_after_the_round_closes(self):
+        """The run's grid is built once, from the bids the bid round
+        checked; a bid re-posted after that changes nothing."""
         cfg = AuctionConfig(n=2, k=2, flags=DefenseFlags(ni_proofs=True))
         run = AuctionRun(cfg, [1, 2], 5)
         run.step_keygen()
-        for index in range(1, 3):
-            run.bidder(index).submit_bid(run.bids[index - 1])
-        first = run.outcome_bases()
-        assert run.outcome_bases() is first
-        assert first == compute_outcome_bases(cfg.params,
-                                              *collect_bids(run.board, 2))
-        victim = run.board.latest_by_author("bid", "bid")[bidder_name(1)]
-        bad_payload = dict(victim.payload)
-        bad_payload["alphas"] = list(bad_payload["alphas"])
-        bad_payload["alphas"][0] = bad_payload["alphas"][0] * 2 % cfg.params.p
-        run.board.append("bid", bidder_name(1), "bid", bad_payload)
-        second = run.outcome_bases()
-        assert second != first
-        assert second == compute_outcome_bases(cfg.params,
-                                               *collect_bids(run.board, 2))
-        assert run.outcome_bases() is second
+        run.step_bid()
+        first = run.bases
+        posts = run.board.latest_by_author(ROUND_BID, "bid")
+        assert first == compute_outcome_bases(
+            cfg.params, *([posts[bidder_name(i)].payload[name] for i in (1, 2)]
+                          for name in ("alphas", "betas")))
+        _repost_bid(run, 1, alphas=[a * 2 % cfg.params.p
+                                    for a in posts[bidder_name(1)].payload["alphas"]])
+        run.step_outcome()
+        run.step_decrypt()
+        assert run.bases is first
+        assert run.determine_winner().status == "winner"
 
     def test_structurally_empty_cells(self):
         """Only the first bidder's single-price cell has no product terms:
@@ -528,6 +526,122 @@ class TestMalformedBids:
         assert (exc.author, exc.round_name, exc.detail) == (bidder_name(1), ROUND_BID, detail)
 
 
+def _drop(name):
+    return lambda payload: payload.pop(name)
+
+
+class TestMissingFields:
+    """A key share or bid post that lacks a field, or names a bidder
+    outside the auction, is refused with the author and round named, never
+    a bare KeyError or IndexError."""
+
+    @pytest.mark.parametrize("round_name,tamper,detail", [
+        (ROUND_KEYGEN, _drop("y"), "malformed key share: no y"),
+        (ROUND_KEYGEN, _drop("proof"), "malformed key share: no proof"),
+        (ROUND_BID, _drop("alphas"), "malformed bid: no alphas"),
+        (ROUND_BID, _drop("sum_proof"), "malformed bid: no sum_proof"),
+        (ROUND_BID, _drop("bidder"), "malformed bid: no bidder"),
+        (ROUND_BID, lambda payload: payload.update(bidder=7),
+         "malformed bid: bidder 7 outside 1..2"),
+    ], ids=["keyshare-y", "keyshare-proof", "bid-alphas", "bid-sum_proof",
+            "bid-bidder", "bid-bidder-7"])
+    @pytest.mark.parametrize("ni_proofs", [False, True], ids=["interactive", "hashed"])
+    def test_refused_with_author_and_round(self, ni_proofs, round_name, tamper, detail):
+        class TamperingBidder(BidderAgent):
+            def _post(self, posted_round, kind, payload):
+                if posted_round == round_name:
+                    tamper(payload)
+                return super()._post(posted_round, kind, payload)
+
+        cfg = AuctionConfig(n=2, k=3, markers_per_bidder=(4, 9),
+                            flags=DefenseFlags(ni_proofs=ni_proofs))
+        run = AuctionRun(cfg, [1, 2], 5,
+                         agent_factory=dishonest_bidder(2, TamperingBidder))
+        with pytest.raises(ProofRejected) as caught:
+            run.run()
+        exc = caught.value
+        assert (exc.author, exc.round_name, exc.detail) == (
+            bidder_name(2), round_name, detail)
+
+
+class LateKeyShareBidder(BidderAgent):
+    """After bidding, posts a key share g^5 under bidder 1's name, in the
+    keygen round that has already closed."""
+
+    honest = False
+
+    def submit_bid(self, price):
+        post = super().submit_bid(price)
+        self.run.board.append(ROUND_KEYGEN, bidder_name(1), "keyshare",
+                              {"bidder": 1, "y": self.params.exp(self.params.g, 5),
+                               "proof": None})
+        return post
+
+
+class FixForgingColluder(ZeroNoiseColluder):
+    """Forces a redraw at its chosen cell, and with its own fix posts an
+    untagged fix under bidder 1's name: bidder 1's share at cell (2,3)
+    replaced by one of an exponent it chose, with a valid hashed proof."""
+
+    def redraw_exponents(self, cells):
+        post = super().redraw_exponents(cells)
+        params = self.params
+        ba, bb = self.outcome_stmts[1][2].gens
+        m = 5
+        stmt = sigma.EQDLStatement(gens=(ba, bb),
+                                   targets=(params.exp(ba, m), params.exp(bb, m)))
+        proof = sigma.prove(params, stmt, m, self.rng, sigma.fiat_shamir_source(params))
+        self.run.board.append(ROUND_OUTCOME, bidder_name(1), "outcome-fix",
+                              {"bidder": 1, "cells": [[2, 3]],
+                               "gamma": [stmt.targets[0]], "delta": [stmt.targets[1]],
+                               "proofs": [sigma.transcript_to_payload(proof)]})
+        return post
+
+
+class TestClosedRounds:
+    """Each round is read once, when it closes; posts added to it later are
+    either refused before it closes or never read."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("flags", [DefenseFlags(), DefenseFlags.all_on()],
+                             ids=["none", "all"])
+    def test_key_share_posted_after_keygen_is_not_read(self, flags, seed):
+        cfg = AuctionConfig(n=3, k=4, params=MID_GROUP, marker=9, flags=flags)
+        run, out = run_auction(cfg, [3, 1, 2], seed,
+                               agent_factory=dishonest_bidder(3, LateKeyShareBidder))
+        assert len(list(run.board.select(round=ROUND_KEYGEN))) == 4
+        assert (out.status, out.winner_bidder, out.winner_price) == ("winner", 1, 3)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_untagged_fix_post_refused(self, seed):
+        cfg = AuctionConfig(n=3, k=4, params=MID_GROUP, marker=9,
+                            flags=DefenseFlags.all_on())
+        run = AuctionRun(cfg, [3, 1, 2], seed,
+                         agent_factory=dishonest_bidder(3, FixForgingColluder, (2, 1)))
+        with pytest.raises(AuthRejected) as caught:
+            run.run()
+        assert (caught.value.author, caught.value.round_name) == (
+            bidder_name(1), ROUND_OUTCOME)
+
+    def test_no_redraw_checks_no_tag_twice(self, monkeypatch):
+        """Without a redraw the pass adds no post, so no tag is checked
+        again: one check per post on the board."""
+        checked = []
+        verify = protocol.defenses.verify_post
+
+        def counting(registry, post):
+            checked.append(post.seq)
+            return verify(registry, post)
+
+        monkeypatch.setattr(protocol.defenses, "verify_post", counting)
+        cfg = AuctionConfig(n=4, k=6, params=MID_GROUP, marker=9,
+                            flags=DefenseFlags.all_on())
+        run, _ = run_auction(cfg, [1, 2, 3, 4], 3)
+        assert not list(run.board.select(kind="outcome-fix"))
+        assert sorted(checked) == [post.seq for post in run.board.posts
+                                   if post.round != "result"]
+
+
 def _count_verifications(monkeypatch):
     """A list that gains the statement of every ``verify_transcript`` call."""
     calls = []
@@ -639,33 +753,37 @@ class TestElementRange:
         assert "element outside 0 < v < p" in exc.detail
 
 
-def _count_bid_reads(monkeypatch):
-    calls = []
-    collect = protocol.collect_bids
+def _count_reads(monkeypatch):
+    """A Counter of calls to each of the protocol's board readers."""
+    calls = collections.Counter()
+    for name in ("collect_keyshares", "collect_bids", "collect_outcome"):
+        def counting(*args, _name=name, _read=getattr(protocol, name), **kwargs):
+            calls[_name] += 1
+            return _read(*args, **kwargs)
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return collect(*args, **kwargs)
-
-    monkeypatch.setattr(protocol, "collect_bids", counting)
+        monkeypatch.setattr(protocol, name, counting)
     return calls
 
 
 class TestProverKeepsItsStatements:
-    """Bidders prove the statements they posted, so an interactive session
-    rereads nothing from the board."""
+    """Bidders prove the statements they posted, and every reader uses what
+    the round's verify step read, so the board is read once per round: the
+    outcome round once more before the noise-product pass and after each of
+    its redraws."""
 
     def test_bid_reads_per_run(self, monkeypatch):
-        calls = _count_bid_reads(monkeypatch)
-        reads = []
-        for flags in (DefenseFlags(), DefenseFlags.all_on()):
-            cfg = AuctionConfig(n=4, k=6, params=MID_GROUP, marker=9, flags=flags)
-            run_auction(cfg, [1, 2, 3, 4], 3)
-            reads.append(len(calls))
+        calls = _count_reads(monkeypatch)
+        for group, marker, n, k, flags, seed, outcome_reads in (
+                (MID_GROUP, 9, 4, 6, DefenseFlags(), 3, 1),
+                (MID_GROUP, 9, 4, 6, DefenseFlags.all_on(), 3, 2),
+                (SMALL_GROUP, 4, 2, 2, DefenseFlags(noise_product_check=True), 1, 3)):
+            cfg = AuctionConfig(n=n, k=k, params=group, marker=marker, flags=flags)
+            run, _ = run_auction(cfg, list(range(1, n + 1)), seed)
+            redraws = len(list(run.board.select(kind="outcome-fix"))) // n
+            assert outcome_reads == 1 + flags.noise_product_check + redraws
+            assert calls == {"collect_keyshares": 1, "collect_bids": 1,
+                             "collect_outcome": outcome_reads}
             calls.clear()
-        interactive, defended = reads
-        assert interactive <= 10     # 305 when sessions reread the board
-        assert defended == 7
 
 
 def _outcome_verified(flags=DefenseFlags()):
