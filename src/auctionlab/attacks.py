@@ -97,22 +97,6 @@ def one_minus_x_claim() -> AffineClaim:
     return AffineClaim(h=1, a=1, b=-1)
 
 
-class InteractiveProver:
-    """A genuine prover as seen on the wire: commit once, respond once."""
-
-    def __init__(self, params: GroupParams, stmt, witness: int,
-                 rng: random.Random):
-        self.session = sigma.ProverSession(params, stmt, witness)
-        self.stmt = stmt
-        self.rng = rng
-
-    def commit(self) -> tuple[int, ...]:
-        return self.session.commit(self.rng)
-
-    def respond(self, challenge: int) -> int:
-        return self.session.respond(challenge)
-
-
 @dataclass(frozen=True)
 class MitmResult:
     claim: AffineClaim
@@ -122,12 +106,13 @@ class MitmResult:
 
 
 def mitm_affine_pdl(params: GroupParams, claim: AffineClaim,
-                    peggy: InteractiveProver,
+                    peggy: sigma.ProverSession,
                     victor_source: sigma.ChallengeSource,
                     flags: defenses.DefenseFlags | None = None) -> MitmResult:
-    """Relay Peggy's knowledge proof into an accepting proof of the affine
-    claim.  Peggy's own run completes normally; she never learns that her
-    messages served a second, transformed conversation."""
+    """Relay Peggy's knowledge proof, a live session as seen on the wire,
+    into an accepting proof of the affine claim.  Peggy's own run completes
+    normally; she never learns that her messages served a second,
+    transformed conversation."""
     if flags is not None and flags.ni_proofs:
         raise ModeMismatch("hashed challenges leave no verifier to relay")
     v = peggy.stmt.v
@@ -219,8 +204,9 @@ def forge_outcome_eqdl(run: AuctionRun, mallory_name: str, i: int, j: int,
         return sigma.prove(params, stmt, exponent,
                            run.agents[mallory_name].rng, victor_source)
 
-    sessions = [o.open_outcome_session(i, j) for o in others]
-    commitments = [s.commit(o.rng) for s, o in zip(sessions, others)]
+    sessions = [sigma.ProverSession(params, o.outcome_stmts[i][j], o.m[i][j], o.rng)
+                for o in others]
+    commitments = [s.commit() for s in sessions]
     lam = mu = 1
     for cl, cm in commitments:
         lam = lam * params.inv(cl) % params.p
@@ -293,12 +279,11 @@ def recovered_bids_by_enumeration(params: GroupParams, config: AuctionConfig,
 
 
 def full_privacy_attack(config: AuctionConfig, bids: list[int], seed: int,
-                        exponent: int = 1,
-                        mallory_index: int | None = None) -> AttackReport:
-    """End-to-end bid disclosure: one bidder strips all outcome masking,
-    forges the proofs, and the colluding seller reads every bid off the
-    decrypted table."""
-    mallory = mallory_index if mallory_index is not None else config.n
+                        exponent: int = 1) -> AttackReport:
+    """End-to-end bid disclosure: the last bidder strips all outcome
+    masking, forges the proofs, and the colluding seller reads every bid off
+    the decrypted table."""
+    mallory = config.n
     order = [i for i in range(1, config.n + 1) if i != mallory] + [mallory]
     factory = dishonest_bidder(mallory, NoiseRemovalBidder, exponent)
 
@@ -580,33 +565,29 @@ def force_zero_noise(config: AuctionConfig, bids: list[int],
 
 
 class WrongKeyBidder(BidderAgent):
-    """Decrypts every cell with a consistently shifted exponent.  The
+    """Decrypts every cell with its key share shifted by ``offset``.  The
     same-exponent proof still verifies; only a proof that also binds the
     keygen share exposes the switch."""
 
     honest = False
-
-    def __init__(self, run: AuctionRun, index: int, rng: random.Random,
-                 offset: int = 1):
-        super().__init__(run, index, rng)
-        self.offset = offset
+    offset = 1
 
     def decrypt_exponent(self) -> int:
         return (self.share.x + self.offset) % self.params.q
 
 
-def wrong_key_decrypt(config: AuctionConfig, bids: list[int], seed: int,
-                      offset: int = 1,
-                      cheater_index: int | None = None) -> AttackReport:
-    """One bidder decrypts with the wrong key.  Every cell comes out
+def wrong_key_decrypt(config: AuctionConfig, bids: list[int],
+                      seed: int) -> AttackReport:
+    """The last bidder decrypts with the wrong key.  Every cell comes out
     garbage, nobody sees a 1, and the auction dies with no winner, with
     no proof pointing at anyone unless key consistency is on."""
-    cheater = cheater_index if cheater_index is not None else config.n
-    factory = dishonest_bidder(cheater, WrongKeyBidder, offset)
+    cheater = config.n
+    factory = dishonest_bidder(cheater, WrongKeyBidder)
 
     report = AttackReport(scenario="wrong-key", success=False, detail="",
                           true_bids=list(bids),
-                          extras={"cheater_index": cheater, "offset": offset})
+                          extras={"cheater_index": cheater,
+                                  "offset": WrongKeyBidder.offset})
     run = AuctionRun(config, bids, seed, agent_factory=factory)
     report.board = run.board
     try:

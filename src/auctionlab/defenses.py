@@ -36,14 +36,6 @@ class DefenseFlags:
     def all_on(cls) -> "DefenseFlags":
         return cls(True, True, True, True)
 
-    def as_dict(self) -> dict:
-        return {
-            "ni_proofs": self.ni_proofs,
-            "authenticate": self.authenticate,
-            "noise_product_check": self.noise_product_check,
-            "key_consistency": self.key_consistency,
-        }
-
 
 # --------------------------------------------------------------------------
 # Authentication registry

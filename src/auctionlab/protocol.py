@@ -32,6 +32,7 @@ past these checks, never around them.
 from __future__ import annotations
 
 import random
+import weakref
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -54,6 +55,7 @@ ROUND_DECRYPT = "decrypt"
 ROUND_RESULT = "result"
 
 SELLER = "seller"
+MAX_ATTEMPTS = 200            # cap on auctions per run_with_restarts call
 
 
 def bidder_name(index: int) -> str:
@@ -362,7 +364,16 @@ def collect_outcome(board: BulletinBoard, n: int):
 
 class Party:
     """A bidder or the seller: posts to the run's board under its name, with
-    a tag from its key when the authentication defense is on."""
+    a tag from its key when the authentication defense is on.  It holds its
+    run weakly, so a finished run is freed without the cyclic collector."""
+
+    def __init__(self, run: "AuctionRun", name: str, rng: random.Random):
+        self.run = weakref.proxy(run)
+        self.name = name
+        self.rng = rng
+        self.config = run.config
+        self.params = run.config.params
+        self.auth_key: bytes | None = None
 
     def _post(self, round_name: str, kind: str, payload: dict) -> Post:
         auth = None
@@ -380,18 +391,13 @@ class BidderAgent(Party):
     honest = True
 
     def __init__(self, run: "AuctionRun", index: int, rng: random.Random):
-        self.run = run
+        super().__init__(run, bidder_name(index), rng)
         self.index = index                     # 1-based
-        self.name = bidder_name(index)
-        self.rng = rng
-        self.config = run.config
-        self.params = run.config.params
         self.share: elgamal.KeyShare | None = None
         self.m: list[list[int]] | None = None  # outcome exponents, n x k
         self.r: list[int] | None = None        # bid randomisers, length k
         self.price: int | None = None
         self.phi: list[list[int]] | None = None
-        self.auth_key: bytes | None = None
         # The statements behind this bidder's posts, as posted.
         self.key_stmt: sigma.PDLStatement | None = None
         self.cell_stmts: list[sigma.BidValidityStatement] | None = None
@@ -526,12 +532,6 @@ class BidderAgent(Party):
         return self._session(self.sum_stmt, sum(self.r) % self.params.q,
                              challenge_source)
 
-    def open_outcome_session(self, i: int, j: int) -> sigma.ProverSession:
-        """Fresh session proving own masking share at cell (i, j), 0-based."""
-        if not self.config.interactive:
-            raise ModeMismatch("no interactive sessions under hashed proofs")
-        return sigma.ProverSession(self.params, self.outcome_stmts[i][j], self.m[i][j])
-
     def prove_outcome_cell(self, i: int, j: int,
                            challenge_source: sigma.ChallengeSource) -> sigma.Transcript:
         return self._session(self.outcome_stmts[i][j], self.m[i][j], challenge_source)
@@ -571,31 +571,28 @@ class SellerAgent(Party):
     redacted table, and computes the result.  Never bids."""
 
     def __init__(self, run: "AuctionRun", rng: random.Random):
-        self.run = run
-        self.name = SELLER
-        self.rng = rng
-        self.config = run.config
-        self.params = run.config.params
+        super().__init__(run, SELLER, rng)
         self.shares: dict[str, list[list[int]]] = {}
         self.proofs: dict[str, dict | None] = {}
-        self.auth_key: bytes | None = None
 
     def receive_shares(self, author: str, phi, proof_payload) -> None:
         self.shares[author] = phi
         self.proofs[author] = proof_payload
 
     def verify_decrypt_shares(self) -> None:
-        run, n = self.run, self.config.n
+        run, n, k = self.run, self.config.n, self.config.k
         keys = run.keys if self.config.flags.key_consistency else [None] * n
         entries = []
         for i in range(1, n + 1):
             name = bidder_name(i)
             if name not in self.shares:
                 raise MissingShares(f"no decryption shares from {name}")
-            check_elements(self.params, name, ROUND_DECRYPT, "decrypt shares",
-                           *self.shares[name])
-            stmt = decrypt_statement(self.params, run.delta_products,
-                                     self.shares[name], keys[i - 1])
+            phi = self.shares[name]
+            if not (_is_list(phi, n) and all(_is_list(row, k) for row in phi)):
+                raise ProofRejected(name, ROUND_DECRYPT, "malformed decrypt shares: "
+                                    f"phi is not a {n} x {k} grid")
+            check_elements(self.params, name, ROUND_DECRYPT, "decrypt shares", *phi)
+            stmt = decrypt_statement(self.params, run.delta_products, phi, keys[i - 1])
             entries.append((name, stmt, self.proofs[name],
                             run.agents[name].prove_decrypt,
                             "decrypt share proof failed", ""))
@@ -654,16 +651,14 @@ class AuctionRun:
     """One complete auction over a fresh board.
 
     ``agent_factory(run, index, rng)`` lets scenarios slot in misbehaving
-    agents at chosen indices; everyone else is honest.  ``outcome_order`` and
-    ``bid_order`` override the default 1..n posting order by 1-based index.
+    agents at chosen indices; everyone else is honest.  ``outcome_order``
+    overrides the default 1..n outcome posting order by 1-based index.
     Each round's verify step keeps what it read: ``keys`` and ``joint_y``,
     the base grid ``bases``, and the masking shares with their products.
     """
 
     def __init__(self, config: AuctionConfig, bids: list[int], seed: int,
-                 agent_factory=None, outcome_order: list[int] | None = None,
-                 bid_order: list[int] | None = None,
-                 registry: "defenses.AuthRegistry | None" = None):
+                 agent_factory=None, outcome_order: list[int] | None = None):
         config.validate()
         if len(bids) != config.n:
             raise ValueError(f"need {config.n} bids, got {len(bids)}")
@@ -672,7 +667,6 @@ class AuctionRun:
         self.seed = seed
         self.board = BulletinBoard()
         self.outcome_order = outcome_order or list(range(1, config.n + 1))
-        self.bid_order = bid_order or list(range(1, config.n + 1))
         self.keys: list[int] | None = None
         self.joint_y: int | None = None
         self.bases = None                    # see compute_outcome_bases
@@ -690,18 +684,12 @@ class AuctionRun:
             self.agents[agent.name] = agent
         self.seller = SellerAgent(self, random.Random(master.randrange(1 << 63)))
 
-        self.registry = registry
+        self.registry = None
         if config.flags.authenticate:
-            if self.registry is None:
-                self.registry = defenses.AuthRegistry()
+            self.registry = defenses.AuthRegistry()
             reg_rng = random.Random(master.randrange(1 << 63))
-            for name, agent in self.agents.items():
-                if name not in self.registry.keys:
-                    self.registry.register(name, reg_rng)
-                agent.auth_key = self.registry.keys[name]
-            if SELLER not in self.registry.keys:
-                self.registry.register(SELLER, reg_rng)
-            self.seller.auth_key = self.registry.keys[SELLER]
+            for party in (*self.agents.values(), self.seller):
+                party.auth_key = self.registry.register(party.name, reg_rng)
 
     # -- helpers -----------------------------------------------------------
 
@@ -746,7 +734,7 @@ class AuctionRun:
         self.joint_y = elgamal.aggregate_keys(params, self.keys).y
 
     def step_bid(self) -> None:
-        for index in self.bid_order:
+        for index in range(1, self.config.n + 1):
             self.bidder(index).submit_bid(self.bids[index - 1])
         self._check_auth(ROUND_BID)
         self._verify_bids()
@@ -897,22 +885,22 @@ def with_restarts(attempt, seed: int, max_attempts: int):
 
 
 def run_with_restarts(config: AuctionConfig, bids: list[int], seed: int,
-                      max_attempts: int = 200, **kwargs):
+                      **kwargs):
     """Re-run with derived seeds until the auction lands on a decisive
     outcome.  Chance exponent collisions in a small group routinely produce
     stray 1 cells; an operator restarts such an undecidable auction, which
     is also what the pre-publication checks demand via RestartRequired.
 
-    Returns (run, outcome, attempts_used).
+    Returns (run, outcome, attempts_used), after at most MAX_ATTEMPTS.
     """
     def attempt(attempt_seed):
         run, outcome = run_auction(config, bids, attempt_seed, **kwargs)
         if outcome.status == "multiple-ones":
             raise RestartRequired(
-                f"no decisive outcome in {max_attempts} attempts", [])
+                f"no decisive outcome in {MAX_ATTEMPTS} attempts", [])
         return run, outcome
 
-    run, outcome = with_restarts(attempt, seed, max_attempts)
+    run, outcome = with_restarts(attempt, seed, MAX_ATTEMPTS)
     return run, outcome, run.seed - seed + 1
 
 

@@ -16,7 +16,7 @@ import json
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import attacks, recovery, sigma
@@ -129,7 +129,7 @@ def _base_report(spec: ScenarioSpec, expectation: str) -> dict:
         "marker": spec.resolved_marker(),
         "n": spec.n,
         "k": spec.k,
-        "flags": spec.flags.as_dict(),
+        "flags": asdict(spec.flags),
         "expectation": expectation,
         "expectation_met": None,
         "success": None,
@@ -226,16 +226,15 @@ def scenario_mitm_demo(spec: ScenarioSpec) -> ScenarioResult:
     rng = random.Random(spec.seed)
     x = params.random_scalar(rng, nonzero=True)
     v = params.exp(params.g, x)
-    peggy = attacks.InteractiveProver(
-        params, sigma.PDLStatement(g=params.g, v=v), x, rng)
+    peggy = sigma.ProverSession(params, sigma.PDLStatement(g=params.g, v=v), x, rng)
     victor_rng = random.Random(spec.seed + 1)
     result = attacks.mitm_affine_pdl(
         params, claim, peggy, sigma.verifier_source(params, victor_rng))
-    victor_ok = sigma.verify_pdl(
+    victor_ok = sigma.verify_transcript(
         params, sigma.PDLStatement(g=params.g, v=result.claimed_value),
-        result.victor_transcript)
-    peggy_ok = sigma.verify_pdl(
-        params, sigma.PDLStatement(g=params.g, v=v), result.peggy_transcript)
+        result.victor_transcript, require_hashed=False)
+    peggy_ok = sigma.verify_transcript(
+        params, peggy.stmt, result.peggy_transcript, require_hashed=False)
     met = victor_ok and peggy_ok
     report["success"] = met
     report["expectation_met"] = met
@@ -303,7 +302,7 @@ def scenario_forged_eqdl(spec: ScenarioSpec) -> ScenarioResult:
     stmt = sigma.EQDLStatement(
         gens=run.bases[0][0],
         targets=(run.gammas[mallory - 1][0][0], run.deltas[mallory - 1][0][0]))
-    accepted = sigma.verify_eqdl(config.params, stmt, tr)
+    accepted = sigma.verify_transcript(config.params, stmt, tr, require_hashed=False)
     report["success"] = accepted
     report["expectation_met"] = accepted
     report["outcome"].update({

@@ -9,8 +9,11 @@ Supported statements:
   statements, composed by simulating the false branch);
 * a ciphertext vector encrypts exactly one marker (equality on aggregates).
 
-Every statement is proven by one call, ``prove(params, stmt, witness, rng,
-challenge_source)``, and the challenge source decides the mode.
+One map, ``_core``, turns a knowledge, equality or sum statement into its
+exponent equations gens[i]^x = targets[i]; a bid cell is the OR of two such
+cores.  One prover, ``prove``, proves every statement, and its challenge
+source decides the mode.  One verifier, ``verify_transcript``, checks every
+statement through the cores' equations (``verify_eqdl``).
 
 Interactive runs are deliberately unhardened: the verifier's challenge is
 whatever the caller's challenge source supplies, and an honest prover will
@@ -84,7 +87,7 @@ class SumValidityStatement:
 
 
 def branch_statements(params: GroupParams, stmt: BidValidityStatement):
-    """The two equality statements underneath the OR: plaintext 1 / marker."""
+    """The two cores underneath the OR: plaintext 1 / marker."""
     plain = EQDLStatement(gens=(stmt.g, stmt.y), targets=(stmt.beta, stmt.alpha))
     marked = EQDLStatement(
         gens=(stmt.g, stmt.y),
@@ -93,11 +96,18 @@ def branch_statements(params: GroupParams, stmt: BidValidityStatement):
     return plain, marked
 
 
-def sum_statement_core(params: GroupParams, stmt: SumValidityStatement) -> EQDLStatement:
-    """Aggregate form: prod(alpha)/marker = y^R and prod(beta) = g^R."""
-    v = params.mul(*stmt.alphas) * params.inv(stmt.marker) % params.p
-    w = params.mul(*stmt.betas)
-    return EQDLStatement(gens=(stmt.y, stmt.g), targets=(v, w))
+def _core(params: GroupParams, stmt) -> EQDLStatement:
+    """The exponent equations a knowledge, equality or sum statement stands
+    for.  A sum statement's are its aggregates: prod(alpha)/marker = y^R and
+    prod(beta) = g^R."""
+    if isinstance(stmt, EQDLStatement):
+        return stmt
+    if isinstance(stmt, PDLStatement):
+        return EQDLStatement(gens=(stmt.g,), targets=(stmt.v,))
+    if isinstance(stmt, SumValidityStatement):
+        v = params.mul(*stmt.alphas) * params.inv(stmt.marker) % params.p
+        return EQDLStatement(gens=(stmt.y, stmt.g), targets=(v, params.mul(*stmt.betas)))
+    raise TypeError(f"no single-exponent core for {type(stmt).__name__}")
 
 
 # --------------------------------------------------------------------------
@@ -194,23 +204,23 @@ def verifier_source(params: GroupParams, rng: random.Random) -> ChallengeSource:
 # --------------------------------------------------------------------------
 
 class ProverSession:
-    """One-shot commit/respond state machine for a knowledge or equality
-    statement.  Reuse is refused; open a new session to prove again."""
+    """One-shot commit/respond state machine for a knowledge, equality or
+    sum statement, drawing its nonce from ``rng``.  Reuse is refused; open
+    a new session to prove again."""
 
-    def __init__(self, params: GroupParams, stmt, witness: int):
-        if not isinstance(stmt, (PDLStatement, EQDLStatement)):
-            raise TypeError("sessions cover single-exponent statements only")
+    def __init__(self, params: GroupParams, stmt, witness: int, rng: random.Random):
         self.params = params
         self.stmt = stmt
-        self.gens = (stmt.g,) if isinstance(stmt, PDLStatement) else stmt.gens
+        self.gens = _core(params, stmt).gens
         self.witness = witness % params.q
+        self.rng = rng
         self.nonce: int | None = None
         self.phase = "created"
 
-    def commit(self, rng: random.Random) -> tuple[int, ...]:
+    def commit(self) -> tuple[int, ...]:
         if self.phase != "created":
             raise AlreadyCommitted("session already produced its commitment")
-        self.nonce = rng.randrange(self.params.q)
+        self.nonce = self.rng.randrange(self.params.q)
         self.phase = "committed"
         return tuple(self.params.exp(gen, self.nonce) for gen in self.gens)
 
@@ -224,43 +234,19 @@ class ProverSession:
 def prove(params: GroupParams, stmt, witness, rng: random.Random,
           challenge_source: ChallengeSource):
     """Full three-move run proving ``stmt``; the challenge source always
-    sees ``stmt`` itself.  A knowledge or equality statement takes its
-    exponent; a sum statement takes the randomiser sum and is proven over
-    its aggregate form; a bid cell takes ``(r, is_marker)`` and gets an OR
-    transcript."""
+    sees ``stmt`` itself.  A knowledge, equality or sum statement takes the
+    exponent of its core (for a sum, the randomiser sum); a bid cell takes
+    ``(r, is_marker)`` and gets an OR transcript."""
     if isinstance(stmt, BidValidityStatement):
         return _prove_bid_cell(params, stmt, *witness, rng, challenge_source)
-    if isinstance(stmt, SumValidityStatement):
-        session = ProverSession(params, sum_statement_core(params, stmt), witness)
-    else:
-        session = ProverSession(params, stmt, witness)
-    com = session.commit(rng)
+    session = ProverSession(params, stmt, witness, rng)
+    com = session.commit()
     c = challenge_source(stmt, com) % params.q
     return Transcript(commitment=com, challenge=c, response=session.respond(c))
 
 
-def verify_pdl(params: GroupParams, stmt: PDLStatement, tr: Transcript) -> bool:
-    if len(tr.commitment) != 1:
-        return False
-    (z,) = tr.commitment
-    lhs = params.exp(stmt.g, tr.response)
-    rhs = z * params.exp(stmt.v, tr.challenge) % params.p
-    return lhs == rhs
-
-
-def verify_eqdl(params: GroupParams, stmt: EQDLStatement, tr: Transcript) -> bool:
-    if len(tr.commitment) != len(stmt.gens):
-        return False
-    for gen, target, com in zip(stmt.gens, stmt.targets, tr.commitment):
-        lhs = params.exp(gen, tr.response)
-        rhs = com * params.exp(target, tr.challenge) % params.p
-        if lhs != rhs:
-            return False
-    return True
-
-
 # --------------------------------------------------------------------------
-# Bid cells (OR composition) and bid sums
+# Bid cells (OR composition)
 # --------------------------------------------------------------------------
 
 def _simulate_eqdl(params: GroupParams, stmt: EQDLStatement,
@@ -295,8 +281,8 @@ def _prove_bid_cell(params: GroupParams, stmt: BidValidityStatement,
     sim_stmt = plain_stmt if is_marker else marked_stmt
 
     simulated = _simulate_eqdl(params, sim_stmt, rng)
-    real = ProverSession(params, (plain_stmt, marked_stmt)[real_idx], r)
-    real_com = real.commit(rng)
+    real = ProverSession(params, (plain_stmt, marked_stmt)[real_idx], r, rng)
+    real_com = real.commit()
 
     if real_idx == 0:
         flat = real_com + simulated.commitment
@@ -311,48 +297,42 @@ def _prove_bid_cell(params: GroupParams, stmt: BidValidityStatement,
     return OrTranscript(branches=branches, challenge=c)
 
 
-def bid_validity_verify(params: GroupParams, stmt: BidValidityStatement,
-                        tr: OrTranscript) -> bool:
-    plain_stmt, marked_stmt = branch_statements(params, stmt)
-    b0, b1 = tr.branches
-    if (b0.challenge + b1.challenge) % params.q != tr.challenge % params.q:
+# --------------------------------------------------------------------------
+# The one verifier: every statement as exponent equations
+# --------------------------------------------------------------------------
+
+def verify_eqdl(params: GroupParams, stmt: EQDLStatement, tr: Transcript) -> bool:
+    """gens[i]^s = z[i] * targets[i]^c for every i, stopping at the first
+    equation that fails."""
+    if len(tr.commitment) != len(stmt.gens):
         return False
-    return verify_eqdl(params, plain_stmt, b0) and verify_eqdl(params, marked_stmt, b1)
-
-
-def sum_validity_verify(params: GroupParams, stmt: SumValidityStatement,
-                        tr: Transcript) -> bool:
-    return verify_eqdl(params, sum_statement_core(params, stmt), tr)
-
-
-# --------------------------------------------------------------------------
-# Uniform verification entry point
-# --------------------------------------------------------------------------
-
-def verify_transcript(params: GroupParams, stmt, tr, require_hashed: bool) -> bool:
-    """Check a transcript's algebra; under hashed challenges also check the
-    challenge is exactly the canonical hash of statement and commitment."""
-    if isinstance(stmt, BidValidityStatement):
-        if not isinstance(tr, OrTranscript) or not bid_validity_verify(params, stmt, tr):
-            return False
-    elif isinstance(stmt, SumValidityStatement):
-        if not isinstance(tr, Transcript) or not sum_validity_verify(params, stmt, tr):
-            return False
-    elif isinstance(stmt, PDLStatement):
-        if not isinstance(tr, Transcript) or not verify_pdl(params, stmt, tr):
-            return False
-    elif isinstance(stmt, EQDLStatement):
-        if not isinstance(tr, Transcript) or not verify_eqdl(params, stmt, tr):
-            return False
-    else:
-        raise TypeError(f"unknown statement type: {type(stmt).__name__}")
-    if require_hashed:
-        expect = fiat_shamir_challenge(params, stmt, tr.commitment)
-        if tr.challenge % params.q != expect:
-            return False
-        if tr.hash_name != CHALLENGE_HASH:
+    for gen, target, com in zip(stmt.gens, stmt.targets, tr.commitment):
+        lhs = params.exp(gen, tr.response)
+        rhs = com * params.exp(target, tr.challenge) % params.p
+        if lhs != rhs:
             return False
     return True
+
+
+def verify_transcript(params: GroupParams, stmt, tr, require_hashed: bool) -> bool:
+    """Check a transcript's algebra: a bid cell as the OR of its two branch
+    cores, whose challenges must split the outer one, and every other
+    statement as its core.  Under hashed challenges also check the challenge
+    is exactly the canonical hash of statement and commitment."""
+    if isinstance(stmt, BidValidityStatement):
+        if not isinstance(tr, OrTranscript):
+            return False
+        plain_stmt, marked_stmt = branch_statements(params, stmt)
+        (b0, b1), q = tr.branches, params.q
+        ok = ((b0.challenge + b1.challenge) % q == tr.challenge % q
+              and verify_eqdl(params, plain_stmt, b0)
+              and verify_eqdl(params, marked_stmt, b1))
+    else:
+        ok = isinstance(tr, Transcript) and verify_eqdl(params, _core(params, stmt), tr)
+    if not ok or not require_hashed:
+        return ok
+    return (tr.challenge % params.q == fiat_shamir_challenge(params, stmt, tr.commitment)
+            and tr.hash_name == CHALLENGE_HASH)
 
 
 # --------------------------------------------------------------------------

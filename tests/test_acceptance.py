@@ -156,20 +156,20 @@ def test_criterion_6_affine_relay():
         v = g.exp(g.g, x)
         claim = attacks.AffineClaim(h=rng.randrange(g.q), a=rng.randrange(g.q),
                                     b=rng.randrange(-5, g.q))
-        peggy = attacks.InteractiveProver(g, sigma.PDLStatement(g=g.g, v=v),
-                                          x, rng)
+        peggy = sigma.ProverSession(g, sigma.PDLStatement(g=g.g, v=v), x, rng)
         result = attacks.mitm_affine_pdl(g, claim, peggy,
                                          sigma.verifier_source(g, rng))
         stmt = sigma.PDLStatement(g=g.g, v=result.claimed_value)
-        assert sigma.verify_pdl(g, stmt, result.victor_transcript), seed
-        assert sigma.verify_pdl(g, sigma.PDLStatement(g=g.g, v=v),
-                                result.peggy_transcript), seed
+        assert sigma.verify_transcript(g, stmt, result.victor_transcript,
+                                       require_hashed=False), seed
+        assert sigma.verify_transcript(g, sigma.PDLStatement(g=g.g, v=v),
+                                       result.peggy_transcript,
+                                       require_hashed=False), seed
 
     # Concrete instance: x=3, nonce 4, challenge 2, claim 1-x against w=6.
     from conftest import FixedNonce, fixed_challenge
 
-    peggy = attacks.InteractiveProver(g, sigma.PDLStatement(g=2, v=8), 3,
-                                      FixedNonce(4))
+    peggy = sigma.ProverSession(g, sigma.PDLStatement(g=2, v=8), 3, FixedNonce(4))
     result = attacks.mitm_affine_pdl(g, attacks.one_minus_x_claim(), peggy,
                                      fixed_challenge(2))
     tr = result.victor_transcript

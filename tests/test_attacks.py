@@ -28,7 +28,7 @@ class TestAffineRelayFrozen:
 
     def test_concrete_instance(self, small):
         stmt = sigma.PDLStatement(g=2, v=8)
-        peggy = attacks.InteractiveProver(small, stmt, 3, FixedNonce(4))
+        peggy = sigma.ProverSession(small, stmt, 3, FixedNonce(4))
         result = attacks.mitm_affine_pdl(small, attacks.one_minus_x_claim(),
                                          peggy, fixed_challenge(2))
         assert result.claimed_value == 6
@@ -36,14 +36,16 @@ class TestAffineRelayFrozen:
         assert result.victor_transcript.challenge == 2
         assert result.victor_transcript.response == 3
         claim_stmt = sigma.PDLStatement(g=2, v=6)
-        assert sigma.verify_pdl(small, claim_stmt, result.victor_transcript)
+        assert sigma.verify_transcript(small, claim_stmt, result.victor_transcript,
+                                       require_hashed=False)
 
     def test_peggy_conversation_still_accepts(self, small):
         stmt = sigma.PDLStatement(g=2, v=8)
-        peggy = attacks.InteractiveProver(small, stmt, 3, FixedNonce(4))
+        peggy = sigma.ProverSession(small, stmt, 3, FixedNonce(4))
         result = attacks.mitm_affine_pdl(small, attacks.one_minus_x_claim(),
                                          peggy, fixed_challenge(2))
-        assert sigma.verify_pdl(small, stmt, result.peggy_transcript)
+        assert sigma.verify_transcript(small, stmt, result.peggy_transcript,
+                                       require_hashed=False)
 
     @given(x=st.integers(1, 10), h=st.integers(0, 10), a=st.integers(0, 10),
            b=st.integers(-5, 10), seed=st.integers(0, 5000))
@@ -54,15 +56,15 @@ class TestAffineRelayFrozen:
         g = SMALL_GROUP
         rng = random.Random(seed)
         v = g.exp(g.g, x)
-        peggy = attacks.InteractiveProver(g, sigma.PDLStatement(g=g.g, v=v),
-                                          x, rng)
+        peggy = sigma.ProverSession(g, sigma.PDLStatement(g=g.g, v=v), x, rng)
         claim = attacks.AffineClaim(h=h, a=a, b=b)
         result = attacks.mitm_affine_pdl(
             g, claim, peggy, sigma.verifier_source(g, rng))
         assert result.claimed_value == (
             g.exp(g.g, a * h) * g.exp(v, b) % g.p)
         stmt = sigma.PDLStatement(g=g.g, v=result.claimed_value)
-        assert sigma.verify_pdl(g, stmt, result.victor_transcript)
+        assert sigma.verify_transcript(g, stmt, result.victor_transcript,
+                                       require_hashed=False)
 
     def test_hashed_mode_breaks_the_relay(self, small):
         flags = DefenseFlags(ni_proofs=True)
@@ -132,7 +134,7 @@ class TestNoiseRemoval:
         tr = attacks.forge_outcome_eqdl(run, bidder_name(3), 0, 0, 1, verifier)
         stmt = sigma.EQDLStatement(gens=run.bases[0][0],
                                    targets=(run.gammas[2][0][0], run.deltas[2][0][0]))
-        assert sigma.verify_eqdl(small, stmt, tr)
+        assert sigma.verify_transcript(small, stmt, tr, require_hashed=False)
 
     def test_forging_needs_interactive_mode(self, small):
         cfg = AuctionConfig(n=2, k=2, flags=DefenseFlags(ni_proofs=True))

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -26,7 +27,7 @@ class TestArgumentParsing:
         spec = parse(["run", "--scenario", "honest"])
         assert spec.n == 3 and spec.k == 3 and spec.seed == 7
         assert spec.group_name == "small"
-        assert not any(spec.flags.as_dict().values())
+        assert not any(asdict(spec.flags).values())
 
     def test_bids_and_flags(self):
         spec = parse(["run", "--scenario", "honest", "--n", "2", "--k", "2",

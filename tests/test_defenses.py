@@ -1,6 +1,7 @@
 """Countermeasures: post authentication, product checks, key binding."""
 
 import random
+from dataclasses import asdict
 
 import pytest
 
@@ -29,13 +30,13 @@ from auctionlab.protocol import (
 class TestFlags:
     def test_default_all_off(self):
         flags = DefenseFlags()
-        assert not any(flags.as_dict().values())
+        assert not any(asdict(flags).values())
 
     def test_all_on(self):
-        assert all(DefenseFlags.all_on().as_dict().values())
+        assert all(asdict(DefenseFlags.all_on()).values())
 
     def test_dict_keys(self):
-        assert sorted(DefenseFlags().as_dict()) == [
+        assert sorted(asdict(DefenseFlags())) == [
             "authenticate", "key_consistency", "ni_proofs",
             "noise_product_check"]
 

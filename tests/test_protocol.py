@@ -3,7 +3,9 @@
 import collections
 import copy
 import dataclasses
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -753,6 +755,52 @@ class TestElementRange:
         assert "element outside 0 < v < p" in exc.detail
 
 
+class ShortPhiBidder(BidderAgent):
+    """Sends its decryption shares with one part cut off, proven afresh as
+    the shorter statement: the last row, or the last share of the first
+    row."""
+
+    def __init__(self, run, index, rng, cut):
+        super().__init__(run, index, rng)
+        self.cut = cut
+
+    def send_decrypt_shares(self):
+        super().send_decrypt_shares()
+        if self.cut == "row":
+            self.phi = self.phi[:-1]
+        else:
+            self.phi = [self.phi[0][:-1], *self.phi[1:]]
+        x = self.decrypt_exponent()
+        y = self.share.y if self.config.flags.key_consistency else None
+        deltas = [d_row[:len(row)]
+                  for d_row, row in zip(self.run.delta_products, self.phi)]
+        self.decrypt_stmt = protocol.decrypt_statement(self.params, deltas, self.phi, y)
+        self.run.seller.receive_shares(self.name, self.phi,
+                                       self._posted_proof(self.decrypt_stmt, x))
+
+
+class TestDecryptShareShape:
+    """The seller refuses decryption shares that are not an n x k grid
+    before it builds their statement, so a cut grid proven as the shorter
+    statement neither crashes the publication nor voids the run unseen."""
+
+    @pytest.mark.parametrize("cut", ["row", "entry"])
+    @pytest.mark.parametrize("index", [1, 2, 3])
+    @pytest.mark.parametrize("flags", [DefenseFlags(), DefenseFlags.all_on()],
+                             ids=["no-defenses", "all-defenses"])
+    def test_refused_with_author_and_round(self, flags, index, cut):
+        cfg = AuctionConfig(n=3, k=4, params=MID_GROUP, marker=9, flags=flags)
+        for seed in range(5):
+            run = AuctionRun(cfg, [1, 2, 4], seed,
+                             agent_factory=dishonest_bidder(index, ShortPhiBidder, cut))
+            with pytest.raises(ProofRejected) as caught:
+                run.run()
+            exc = caught.value
+            assert (exc.author, exc.round_name, exc.detail) == (
+                bidder_name(index), ROUND_DECRYPT,
+                "malformed decrypt shares: phi is not a 3 x 4 grid"), seed
+
+
 def _count_reads(monkeypatch):
     """A Counter of calls to each of the protocol's board readers."""
     calls = collections.Counter()
@@ -902,3 +950,24 @@ class TestTableLifetime:
         run_scenario(ScenarioSpec(scenario=scenario, group_name="large",
                                   n=3, k=4, seed=7))
         assert not LARGE_GROUP._tables
+
+
+class TestRunLifetime:
+    """Agents hold their run weakly, so a finished run, its board and its
+    agents are freed by reference counting alone."""
+
+    @pytest.mark.parametrize("flags", [DefenseFlags(), DefenseFlags.all_on()],
+                             ids=["interactive", "all-defenses"])
+    def test_freed_without_the_cyclic_collector(self, flags):
+        cfg = AuctionConfig(n=8, k=16, params=MID_GROUP, marker=9, flags=flags)
+        gc.collect()
+        gc.disable()
+        try:
+            run, outcome = run_auction(cfg, list(range(1, 9)), 3)
+            assert outcome.status == "winner"
+            ref = weakref.ref(run)
+            del run
+            assert ref() is None
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

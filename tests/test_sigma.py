@@ -1,5 +1,6 @@
 """Three-move proofs: knowledge, equality, OR-composition, hashed variant."""
 
+import collections
 import random
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from auctionlab import sigma
 from auctionlab.elgamal import encrypt
 from auctionlab.errors import AlreadyCommitted, NotCommitted, WitnessMismatch
-from auctionlab.groups import SMALL_GROUP
+from auctionlab.groups import LARGE_GROUP, SMALL_GROUP, GroupParams
 
 from conftest import FixedNonce, fixed_challenge
 
@@ -23,7 +24,7 @@ class TestKnowledgeProofFrozen:
         assert tr.commitment == (16,)
         assert tr.challenge == 2
         assert tr.response == 10
-        assert sigma.verify_pdl(small, stmt, tr)
+        assert sigma.verify_transcript(small, stmt, tr, require_hashed=False)
 
     def test_check_equation_sides(self, small):
         # g^s and z * v^c both land on 12
@@ -33,7 +34,7 @@ class TestKnowledgeProofFrozen:
     def test_wrong_witness_fails(self, small):
         stmt = sigma.PDLStatement(g=2, v=8)
         tr = sigma.prove(small, stmt, 4, FixedNonce(4), fixed_challenge(2))
-        assert not sigma.verify_pdl(small, stmt, tr)
+        assert not sigma.verify_transcript(small, stmt, tr, require_hashed=False)
 
 
 class TestEqualityProofFrozen:
@@ -45,13 +46,13 @@ class TestEqualityProofFrozen:
         assert tr.commitment == (9, 12)
         assert tr.challenge == 7
         assert tr.response == 4
-        assert sigma.verify_eqdl(small, stmt, tr)
+        assert sigma.verify_transcript(small, stmt, tr, require_hashed=False)
 
     def test_unequal_exponents_rejected(self, small):
         # targets with different exponents: 2^3=8 but 4^4=3
         stmt = sigma.EQDLStatement(gens=(2, 4), targets=(8, 3))
         tr = sigma.prove(small, stmt, 3, FixedNonce(5), fixed_challenge(7))
-        assert not sigma.verify_eqdl(small, stmt, tr)
+        assert not sigma.verify_transcript(small, stmt, tr, require_hashed=False)
 
     def test_vector_shape_enforced(self):
         with pytest.raises(ValueError):
@@ -62,19 +63,22 @@ class TestEqualityProofFrozen:
 
 class TestSessionDiscipline:
     def test_commit_twice_refused(self, small):
-        s = sigma.ProverSession(small, sigma.PDLStatement(g=2, v=8), 3)
-        s.commit(random.Random(1))
+        s = sigma.ProverSession(small, sigma.PDLStatement(g=2, v=8), 3,
+                                random.Random(1))
+        s.commit()
         with pytest.raises(AlreadyCommitted):
-            s.commit(random.Random(2))
+            s.commit()
 
     def test_respond_before_commit_refused(self, small):
-        s = sigma.ProverSession(small, sigma.PDLStatement(g=2, v=8), 3)
+        s = sigma.ProverSession(small, sigma.PDLStatement(g=2, v=8), 3,
+                                random.Random(1))
         with pytest.raises(NotCommitted):
             s.respond(5)
 
     def test_respond_twice_refused(self, small):
-        s = sigma.ProverSession(small, sigma.PDLStatement(g=2, v=8), 3)
-        s.commit(random.Random(1))
+        s = sigma.ProverSession(small, sigma.PDLStatement(g=2, v=8), 3,
+                                random.Random(1))
+        s.commit()
         s.respond(5)
         with pytest.raises(NotCommitted):
             s.respond(6)
@@ -140,7 +144,7 @@ class TestHashedChallenges:
         is demanded, even though the check equation holds."""
         stmt = sigma.PDLStatement(g=2, v=8)
         tr = sigma.prove(small, stmt, 3, FixedNonce(4), fixed_challenge(2))
-        assert sigma.verify_pdl(small, stmt, tr)
+        assert sigma.verify_transcript(small, stmt, tr, require_hashed=False)
         assert not sigma.verify_transcript(small, stmt, tr, require_hashed=True)
 
     def test_regression_challenge_value(self, small):
@@ -164,7 +168,7 @@ class TestBidValidity:
             stmt = self._stmt(small, r, is_marker)
             tr = sigma.prove(small, stmt, (r, is_marker), rng,
                              sigma.fiat_shamir_source(small))
-            assert sigma.bid_validity_verify(small, stmt, tr)
+            assert sigma.verify_transcript(small, stmt, tr, require_hashed=False)
 
     def test_witness_must_match_ciphertext(self, small):
         stmt = self._stmt(small, 5, True)
@@ -190,7 +194,7 @@ class TestBidValidity:
                          sigma.fiat_shamir_source(small))
         broken = sigma.OrTranscript(branches=tr.branches,
                                     challenge=(tr.challenge + 1) % small.q)
-        assert not sigma.bid_validity_verify(small, stmt, broken)
+        assert not sigma.verify_transcript(small, stmt, broken, require_hashed=False)
 
 
 class TestSumValidity:
@@ -206,7 +210,7 @@ class TestSumValidity:
             betas=tuple(c.beta for c in cts))
         tr = sigma.prove(small, stmt, sum(rs) % small.q, rng,
                          sigma.fiat_shamir_source(small))
-        assert sigma.sum_validity_verify(small, stmt, tr)
+        assert sigma.verify_transcript(small, stmt, tr, require_hashed=False)
 
     def test_two_markers_rejected(self, small):
         y = 3
@@ -220,7 +224,7 @@ class TestSumValidity:
             betas=tuple(c.beta for c in cts))
         tr = sigma.prove(small, stmt, sum(rs) % small.q, rng,
                          sigma.fiat_shamir_source(small))
-        assert not sigma.sum_validity_verify(small, stmt, tr)
+        assert not sigma.verify_transcript(small, stmt, tr, require_hashed=False)
 
 
 class TestSimulator:
@@ -233,7 +237,7 @@ class TestSimulator:
         g = SMALL_GROUP
         stmt = sigma.EQDLStatement(gens=(2, 4), targets=(8, 3))  # false claim!
         tr = sigma._simulate_eqdl(g, stmt, random.Random(seed))
-        assert sigma.verify_eqdl(g, stmt, tr)
+        assert sigma.verify_transcript(g, stmt, tr, require_hashed=False)
 
 
 class TestTamperResistance:
@@ -246,7 +250,7 @@ class TestTamperResistance:
                          sigma.fiat_shamir_source(g))
         bad = sigma.Transcript(commitment=tr.commitment, challenge=tr.challenge,
                                response=(tr.response + bump) % g.q)
-        assert not sigma.verify_pdl(g, stmt, bad)
+        assert not sigma.verify_transcript(g, stmt, bad, require_hashed=False)
 
 
 class TestPayloadRoundTrip:
@@ -266,7 +270,7 @@ class TestPayloadRoundTrip:
                          sigma.fiat_shamir_source(small))
         back = sigma.transcript_from_payload(sigma.transcript_to_payload(tr))
         assert back == tr
-        assert sigma.bid_validity_verify(small, stmt, back)
+        assert sigma.verify_transcript(small, stmt, back, require_hashed=False)
 
 
 class TestCompleteness:
@@ -290,3 +294,99 @@ class TestCompleteness:
                                    targets=tuple(g.exp(b, x) for b in gens))
         tr = sigma.prove(g, stmt, x, rng, sigma.fiat_shamir_source(g))
         assert sigma.verify_transcript(g, stmt, tr, require_hashed=True)
+
+
+def _statement_and_transcript(params, kind, rng):
+    """An honest hashed proof of a ``kind`` statement with a non-zero
+    challenge, so that a changed target always breaks its equation."""
+    g, q, marker = params.g, params.q, params.exp(params.g, 2)
+    y = params.exp(g, rng.randrange(1, q))
+    while True:
+        x = rng.randrange(1, q)
+        if kind == "knowledge":
+            stmt, witness = sigma.PDLStatement(g=g, v=params.exp(g, x)), x
+        elif kind == "equality":
+            gens = tuple(params.exp(g, rng.randrange(1, q)) for _ in range(3))
+            stmt = sigma.EQDLStatement(gens=gens,
+                                       targets=tuple(params.exp(b, x) for b in gens))
+            witness = x
+        elif kind == "bid cell":
+            is_marker = rng.random() < 0.5
+            ct = encrypt(params, marker if is_marker else 1, y, x)
+            stmt = sigma.BidValidityStatement(y=y, g=g, marker=marker,
+                                              alpha=ct.alpha, beta=ct.beta)
+            witness = (x, is_marker)
+        else:
+            rs = [rng.randrange(q) for _ in range(3)]
+            cts = [encrypt(params, marker if j == 1 else 1, y, r)
+                   for j, r in enumerate(rs)]
+            stmt = sigma.SumValidityStatement(
+                y=y, g=g, marker=marker, alphas=tuple(c.alpha for c in cts),
+                betas=tuple(c.beta for c in cts))
+            witness = sum(rs) % q
+        tr = sigma.prove(params, stmt, witness, rng, sigma.fiat_shamir_source(params))
+        if tr.challenge:
+            return stmt, tr
+
+
+def _tampered(params, stmt, tr, tamper):
+    """The statement and transcript with one part changed, or unchanged."""
+    q = params.q
+    if tamper == "response":
+        tr = sigma.Transcript(commitment=tr.commitment, challenge=tr.challenge,
+                              response=(tr.response + 1) % q)
+    elif tamper == "one commitment short":
+        tr = sigma.Transcript(commitment=tr.commitment[:-1], challenge=tr.challenge,
+                              response=tr.response)
+    elif tamper in ("target 2", "target 3"):
+        targets = list(stmt.targets)
+        i = int(tamper[-1]) - 1
+        targets[i] = targets[i] * params.g % params.p
+        stmt = sigma.EQDLStatement(gens=stmt.gens, targets=tuple(targets))
+    elif tamper == "challenge split":
+        tr = sigma.OrTranscript(branches=tr.branches, challenge=(tr.challenge + 1) % q)
+    elif tamper in ("plain branch", "marked branch"):
+        branches = list(tr.branches)
+        i = 1 if tamper == "marked branch" else 0
+        b = branches[i]
+        branches[i] = sigma.Transcript(commitment=b.commitment, challenge=b.challenge,
+                                       response=(b.response + 1) % q)
+        tr = sigma.OrTranscript(branches=tuple(branches), challenge=tr.challenge)
+    return stmt, tr
+
+
+class TestVerifierWork:
+    """What ``verify_transcript`` costs per statement kind, accepting and
+    rejecting: 2 powers per equation, stopping at the first that fails, and
+    one inverse for the marker in a bid cell or a sum."""
+
+    @pytest.mark.parametrize("require_hashed", [False, True], ids=["plain", "hashed"])
+    @pytest.mark.parametrize("group", [SMALL_GROUP, LARGE_GROUP], ids=["small", "large"])
+    @pytest.mark.parametrize("kind,tamper,accepts,exps,invs", [
+        ("knowledge", None, True, 2, 0),
+        ("knowledge", "response", False, 2, 0),
+        ("equality", None, True, 6, 0),
+        ("equality", "response", False, 2, 0),
+        ("equality", "target 2", False, 4, 0),
+        ("equality", "target 3", False, 6, 0),
+        ("equality", "one commitment short", False, 0, 0),
+        ("bid cell", None, True, 8, 1),
+        ("bid cell", "challenge split", False, 0, 1),
+        ("bid cell", "plain branch", False, 2, 1),
+        ("bid cell", "marked branch", False, 6, 1),
+        ("sum", None, True, 4, 1),
+        ("sum", "response", False, 2, 1),
+    ])
+    def test_powers_per_check(self, monkeypatch, group, require_hashed, kind, tamper,
+                              accepts, exps, invs):
+        stmt, tr = _statement_and_transcript(group, kind, random.Random(17))
+        stmt, tr = _tampered(group, stmt, tr, tamper)
+        calls = collections.Counter()
+        for name in ("exp", "inv"):
+            def counting(self, *args, _name=name, _orig=getattr(GroupParams, name)):
+                calls[_name] += 1
+                return _orig(self, *args)
+            monkeypatch.setattr(GroupParams, name, counting)
+        verdict = sigma.verify_transcript(group, stmt, tr, require_hashed)
+        monkeypatch.undo()
+        assert (verdict, calls["exp"], calls["inv"]) == (accepts, exps, invs)
