@@ -68,6 +68,12 @@ class AttackReport:
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "board"}
 
+    def record(self, outcome) -> None:
+        """Keep the run's status and declared winner."""
+        self.status = outcome.status
+        self.winner_bidder = outcome.winner_bidder
+        self.winner_price = outcome.winner_price
+
 
 def dishonest_bidder(index: int, agent_cls, *args):
     """Agent factory for ``AuctionRun``: bidder ``index`` (1-based) is
@@ -284,7 +290,6 @@ def full_privacy_attack(config: AuctionConfig, bids: list[int], seed: int,
     masking, forges the proofs, and the colluding seller reads every bid off
     the decrypted table."""
     mallory = config.n
-    order = [i for i in range(1, config.n + 1) if i != mallory] + [mallory]
     factory = dishonest_bidder(mallory, NoiseRemovalBidder, exponent)
 
     report = AttackReport(scenario="full-privacy-attack", success=False,
@@ -293,8 +298,7 @@ def full_privacy_attack(config: AuctionConfig, bids: list[int], seed: int,
                                   "exponent": exponent})
 
     def attempt(attempt_seed):
-        run = AuctionRun(config, bids, attempt_seed, agent_factory=factory,
-                         outcome_order=order)
+        run = AuctionRun(config, bids, attempt_seed, agent_factory=factory)
         report.board = run.board
         try:
             return run.run()
@@ -319,9 +323,7 @@ def full_privacy_attack(config: AuctionConfig, bids: list[int], seed: int,
     if outcome is None:               # the product check caught the attack
         return report
 
-    report.status = outcome.status
-    report.winner_bidder = outcome.winner_bidder
-    report.winner_price = outcome.winner_price
+    report.record(outcome)
     if config.markers_per_bidder is not None:
         recovered = recovered_bids_by_enumeration(config.params, config,
                                                   outcome.v, exponent)
@@ -344,15 +346,17 @@ def full_privacy_attack(config: AuctionConfig, bids: list[int], seed: int,
 
 class CopycatBidder(BidderAgent):
     """An identity run by the attacker: its own keys, but its bid is a copy
-    of the target's (optionally re-randomised).  Interactive proof requests
-    are relayed to the target, with responses shifted when re-randomised."""
+    of bidder ``target_index``'s, re-randomised when asked.  The copy is
+    posted without a tag: the attacker holds no tag key for the name it
+    copies into.  Interactive proof requests are relayed to the target,
+    with responses shifted when re-randomised."""
 
     honest = False
+    target_index = 1
 
     def __init__(self, run: AuctionRun, index: int, rng: random.Random,
-                 target_index: int, rerandomize: bool = False):
+                 rerandomize: bool):
         super().__init__(run, index, rng)
-        self.target_index = target_index
         self.rerandomize = rerandomize
         self.shift: int | None = None
 
@@ -376,7 +380,7 @@ class CopycatBidder(BidderAgent):
             sum_proof = None
         payload = {"bidder": self.index, "alphas": alphas, "betas": betas,
                    "proofs": proofs, "sum_proof": sum_proof}
-        return self._post(ROUND_BID, "bid", payload)
+        return self.run.board.append(ROUND_BID, self.name, "bid", payload)
 
     def prove_bid_cell(self, j, challenge_source):
         target = self.run.bidder(self.target_index)
@@ -409,44 +413,19 @@ def impersonation_attack(config: AuctionConfig, target_bid: int, seed: int,
     identity, replays the target's encrypted bid as theirs, and completes
     the protocol; the winning price is the target's secret bid.
 
-    With authentication on, the forged bid posts carry no valid tags and
-    the honest side rejects them in the bid round.
+    With authentication on, the copied bid posts carry no tags and the
+    honest side rejects them in the bid round.
     """
+    target = CopycatBidder.target_index
     report = AttackReport(scenario="impersonation", success=False, detail="",
                           true_bids=[target_bid],
-                          extras={"target_index": 1,
+                          extras={"target_index": target,
                                   "rerandomize": rerandomize})
 
-    if config.flags.authenticate:
-        # Keys are anchored, so the fake identities cannot even share a
-        # board with the target: run keygen with everyone genuine, then try
-        # to slip copied bids in under the other names.
-        run = AuctionRun(config, [target_bid] * config.n, seed)
-        report.board = run.board
-        run.step_keygen()
-        run.bidder(1).submit_bid(target_bid)
-        target_post = run.board.latest_by_author(ROUND_BID, "bid")[bidder_name(1)]
-        for index in range(2, config.n + 1):
-            payload = dict(target_post.payload)
-            payload["bidder"] = index
-            run.board.append(ROUND_BID, bidder_name(index), "bid", payload,
-                             auth=None)
-        try:
-            run._check_auth(ROUND_BID)
-        except AuthRejected as exc:
-            report.error = "AuthRejected"
-            report.detail = (f"forged post as {exc.author} rejected in the "
-                             f"{exc.round_name} round")
-            report.extras["rejected_round"] = exc.round_name
-            return report
-        report.detail = "forged posts passed tag checks; defense inert"
-        return report
-
     def factory(run, index, rng):
-        if index == 1:
+        if index == target:
             return BidderAgent(run, index, rng)
-        return CopycatBidder(run, index, rng, target_index=1,
-                             rerandomize=rerandomize)
+        return CopycatBidder(run, index, rng, rerandomize)
 
     def attempt(attempt_seed):
         run = AuctionRun(config, [target_bid] * config.n, attempt_seed,
@@ -462,14 +441,14 @@ def impersonation_attack(config: AuctionConfig, target_bid: int, seed: int,
     except RestartRequired:
         report.detail = "no decisive outcome"
         return report
-    except ProofRejected as exc:
-        report.error = "ProofRejected"
-        report.detail = str(exc)
+    except (AuthRejected, ProofRejected) as exc:
+        report.error = type(exc).__name__
+        report.detail = (str(exc) if isinstance(exc, ProofRejected) else
+                         f"forged post as {exc.author} rejected in the "
+                         f"{exc.round_name} round")
         report.extras["rejected_round"] = exc.round_name
         return report
-    report.status = outcome.status
-    report.winner_bidder = outcome.winner_bidder
-    report.winner_price = outcome.winner_price
+    report.record(outcome)
     report.recovered_bids = ([outcome.winner_price]
                              if outcome.winner_price is not None else None)
     report.success = outcome.winner_price == target_bid
@@ -516,7 +495,6 @@ def force_zero_noise(config: AuctionConfig, bids: list[int],
         raise ValueError(f"cell {cell} is the winning cell; pick a losing one")
 
     colluder = config.n
-    order = [i for i in range(1, config.n + 1) if i != colluder] + [colluder]
     factory = dishonest_bidder(colluder, ZeroNoiseColluder, cell)
 
     report = AttackReport(scenario="exceptional-values", success=False,
@@ -525,8 +503,7 @@ def force_zero_noise(config: AuctionConfig, bids: list[int],
                                   "colluder_index": colluder})
 
     def attempt(attempt_seed):
-        run = AuctionRun(config, bids, attempt_seed, agent_factory=factory,
-                         outcome_order=order)
+        run = AuctionRun(config, bids, attempt_seed, agent_factory=factory)
         report.board = run.board
         return run, run.run()
 
@@ -536,9 +513,7 @@ def force_zero_noise(config: AuctionConfig, bids: list[int],
         report.detail = "no run survived the restart checks"
         return report
 
-    report.status = outcome.status
-    report.winner_bidder = outcome.winner_bidder
-    report.winner_price = outcome.winner_price
+    report.record(outcome)
     report.extras["v_at_cell"] = outcome.v[ci - 1][cj - 1]
     report.extras["ones"] = [list(c) for c in outcome.ones]
     target_agent = run.bidder(ci)
@@ -602,9 +577,7 @@ def wrong_key_decrypt(config: AuctionConfig, bids: list[int],
         report.detail = "stopped before decryption: " + exc.reason
         return report
 
-    report.status = outcome.status
-    report.winner_bidder = outcome.winner_bidder
-    report.winner_price = outcome.winner_price
+    report.record(outcome)
     report.success = outcome.status == "no-winner"
     report.detail = ("no cell decrypted to 1; outcome undecidable"
                      if report.success

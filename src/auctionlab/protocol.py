@@ -195,6 +195,8 @@ def _outcome_shape_problem(post: Post, n: int, k: int) -> str | None:
     ``gamma``, one ``delta`` and, unless its proofs are None, one proof per
     cell."""
     payload = post.payload
+    if post.kind in ("outcome", "outcome-fix") and type(payload) is not dict:
+        return "payload is not a mapping"
     if post.kind == "outcome":
         for name in ("gamma", "delta", "proofs"):
             grid = payload.get(name)
@@ -230,7 +232,7 @@ def _canonical_scalars(tr, q: int) -> bool:
 
 def check_proof(config: AuctionConfig, rng: random.Random, author: str,
                 round_name: str, stmt, payload, prove, failure: str,
-                where: str = "") -> None:
+                where: str) -> None:
     """Check ``author``'s proof of ``stmt`` in the run's proof mode, or
     raise ProofRejected naming the author, the round and ``where``.
 
@@ -546,12 +548,12 @@ class BidderAgent(Party):
         """v values for this bidder's row, from published shares plus the
         bidder's own decryption share."""
         params, mine = self.params, self.index - 1
-        # All publications are authored by the seller; the subject bidder
-        # is named in the payload.
+        # Publications are the seller's; the subject bidder is named in the
+        # payload.
         published = {
             post.payload["bidder"]: post.payload["phi"][mine]
             for post in self.run.board.select(round=ROUND_DECRYPT,
-                                              kind="decrypt-publish")
+                                              kind="decrypt-publish", author=SELLER)
         }
         rows = [self.phi[mine]]
         for h in range(1, self.config.n + 1):
@@ -651,14 +653,15 @@ class AuctionRun:
     """One complete auction over a fresh board.
 
     ``agent_factory(run, index, rng)`` lets scenarios slot in misbehaving
-    agents at chosen indices; everyone else is honest.  ``outcome_order``
-    overrides the default 1..n outcome posting order by 1-based index.
-    Each round's verify step keeps what it read: ``keys`` and ``joint_y``,
-    the base grid ``bases``, and the masking shares with their products.
+    agents at chosen indices; everyone else is honest.  Bidders post in
+    index order 1..n in every round, so a dishonest last bidder sees every
+    other bidder's post before making its own.  Each round's verify step
+    keeps what it read: ``keys`` and ``joint_y``, the base grid ``bases``,
+    and the masking shares with their products.
     """
 
     def __init__(self, config: AuctionConfig, bids: list[int], seed: int,
-                 agent_factory=None, outcome_order: list[int] | None = None):
+                 agent_factory=None):
         config.validate()
         if len(bids) != config.n:
             raise ValueError(f"need {config.n} bids, got {len(bids)}")
@@ -666,7 +669,6 @@ class AuctionRun:
         self.bids = list(bids)
         self.seed = seed
         self.board = BulletinBoard()
-        self.outcome_order = outcome_order or list(range(1, config.n + 1))
         self.keys: list[int] | None = None
         self.joint_y: int | None = None
         self.bases = None                    # see compute_outcome_bases
@@ -786,7 +788,7 @@ class AuctionRun:
             cells = defenses.scan_exceptional_bases(self.bases)
             if cells:
                 raise RestartRequired("exceptional base product", cells)
-        for index in self.outcome_order:
+        for index in range(1, self.config.n + 1):
             self.bidder(index).post_outcome()
         self._check_auth(ROUND_OUTCOME)
         if self.config.flags.noise_product_check:
@@ -806,13 +808,15 @@ class AuctionRun:
                                     f"malformed outcome: {problem}")
         return collect_outcome(self.board, n)
 
-    def _noise_product_pass(self, max_rounds: int = 10) -> None:
+    def _noise_product_pass(self) -> None:
+        """Abort on cancelled masking, then redraw the exponents at cells
+        whose joint product collapsed, at most ten times."""
         params, n = self.config.params, self.config.n
         products = cell_products(params, self._outcome_shares()[0])
         cancelled = defenses.check_noise_cancellation(self.bases, products)
         if cancelled:
             raise RestartRequired("noise cancellation detected", cancelled)
-        for _ in range(max_rounds):
+        for _ in range(10):
             flagged = defenses.check_noise_products(products)
             if not flagged:
                 return

@@ -21,8 +21,7 @@ from pathlib import Path
 
 from . import attacks, recovery, sigma
 from .defenses import DefenseFlags
-from .errors import (AuctionLabError, IoError, ModeMismatch, RestartRequired,
-                     UsageError)
+from .errors import AuctionLabError, IoError, RestartRequired, UsageError
 from .groups import DEFAULT_MARKER, GROUPS_BY_NAME, GroupParams
 from .protocol import (
     AuctionConfig,
@@ -32,17 +31,6 @@ from .protocol import (
     expected_winner,
     run_with_restarts,
     with_restarts,
-)
-
-SCENARIOS = (
-    "honest",
-    "full-privacy-attack",
-    "mitm-demo",
-    "forged-eqdl",
-    "impersonation",
-    "exceptional-values",
-    "wrong-key",
-    "recovery-bench",
 )
 
 
@@ -65,7 +53,6 @@ class ScenarioSpec:
     rerandomize: bool = False
     claim: tuple[int, int, int] = (1, 1, -1)
     out_dir: Path | None = None
-    notes: list[str] = field(default_factory=list)
 
     def resolved_params(self) -> GroupParams:
         if self.params is not None:
@@ -120,9 +107,13 @@ class ScenarioResult:
     timing: dict = field(default_factory=dict)
 
 
-def _base_report(spec: ScenarioSpec, expectation: str) -> dict:
+def _scenario_result(spec: ScenarioSpec, expectation: str, success: bool,
+                     met: bool, outcome: dict, board=None,
+                     notes=()) -> ScenarioResult:
+    """The scenario's report, with the transcript of ``board`` when the
+    scenario ran on one."""
     params = spec.resolved_params()
-    return {
+    report = {
         "scenario": spec.scenario,
         "seed": spec.seed,
         "group": {"p": params.p, "q": params.q, "g": params.g},
@@ -131,11 +122,25 @@ def _base_report(spec: ScenarioSpec, expectation: str) -> dict:
         "k": spec.k,
         "flags": asdict(spec.flags),
         "expectation": expectation,
-        "expectation_met": None,
-        "success": None,
-        "outcome": {},
-        "notes": list(spec.notes),
+        "expectation_met": met,
+        "success": success,
+        "outcome": outcome,
+        "notes": list(notes),
     }
+    return ScenarioResult(report, met, board.to_json() if board is not None else None)
+
+
+def _refusal(spec: ScenarioSpec, expectation: str, attack,
+             board=None) -> ScenarioResult:
+    """Hashed-proof branch of a relay attack: the expectation is met when
+    ``attack()`` is refused with a lab error."""
+    try:
+        attack()
+    except AuctionLabError as exc:
+        return _scenario_result(spec, expectation, False, True,
+                                {"error": type(exc).__name__, "detail": str(exc)},
+                                board)
+    return _scenario_result(spec, expectation, True, False, {}, board)
 
 
 # --------------------------------------------------------------------------
@@ -144,64 +149,43 @@ def _base_report(spec: ScenarioSpec, expectation: str) -> dict:
 
 def scenario_honest(spec: ScenarioSpec) -> ScenarioResult:
     bids = spec.resolved_bids()
-    report = _base_report(spec, "unique correct winner, all proofs verify")
-    report["outcome"]["bids"] = bids
     run, outcome, attempts = run_with_restarts(spec.config(), bids, spec.seed)
     want = expected_winner(bids)
     ok = (outcome.status == "winner"
           and (outcome.winner_bidder, outcome.winner_price) == want)
-    report["success"] = ok
-    report["expectation_met"] = ok
-    report["outcome"].update({
-        "status": outcome.status,
-        "winner_bidder": outcome.winner_bidder,
-        "winner_price": outcome.winner_price,
-        "v": outcome.v,
-        "attempts": attempts,
-        "expected_winner": list(want),
-    })
-    if attempts > 1:
-        report["notes"].append(
-            f"{attempts - 1} restart(s) before a decisive outcome; expected "
-            "at desk scale where chance exponent collisions are common")
-    return ScenarioResult(report, ok, run.board.to_json())
+    notes = [f"{attempts - 1} restart(s) before a decisive outcome; expected "
+             "at desk scale where chance exponent collisions are common"
+             ] if attempts > 1 else []
+    return _scenario_result(
+        spec, "unique correct winner, all proofs verify", ok, ok,
+        {"bids": bids, "status": outcome.status,
+         "winner_bidder": outcome.winner_bidder,
+         "winner_price": outcome.winner_price, "v": outcome.v,
+         "attempts": attempts, "expected_winner": list(want)},
+        run.board, notes)
 
 
 def scenario_full_privacy(spec: ScenarioSpec) -> ScenarioResult:
     bids = spec.resolved_bids()
     flags = spec.flags
-    if flags.ni_proofs:
-        expectation = "attack blocked: no interactive sessions to relay"
-    elif flags.noise_product_check and spec.exponent % spec.resolved_params().q == 1:
-        expectation = "attack detected by the product check (unit exponent)"
-    elif flags.noise_product_check:
-        expectation = ("attack succeeds despite the product check "
-                       "(secret exponent evades it)")
-    else:
-        expectation = "all bids recovered; declared winner unchanged"
-    report = _base_report(spec, expectation)
-    if flags.ni_proofs:
-        report["notes"].append("non-interactive override: the attack needs "
-                               "interactive proofs and is expected to fail")
-    report["outcome"]["bids"] = bids
-
     result = attacks.full_privacy_attack(spec.config(), bids, spec.seed,
                                          exponent=spec.exponent)
-    report["success"] = result.success
-    report["outcome"].update(result.to_dict())
+    notes = []
     if flags.ni_proofs:
+        expectation = "attack blocked: no interactive sessions to relay"
+        notes.append("non-interactive override: the attack needs "
+                     "interactive proofs and is expected to fail")
         met = not result.success and result.error in ("ProofRejected", "RestartRequired")
     elif flags.noise_product_check and spec.exponent % spec.resolved_params().q == 1:
+        expectation = "attack detected by the product check (unit exponent)"
         met = not result.success and bool(result.extras.get("detected"))
     else:
+        expectation = ("attack succeeds despite the product check "
+                       "(secret exponent evades it)" if flags.noise_product_check
+                       else "all bids recovered; declared winner unchanged")
         met = result.success
-    report["expectation_met"] = met
-    return ScenarioResult(report, met, _board_json(result))
-
-
-def _board_json(attack_report) -> list | None:
-    board = attack_report.board
-    return board.to_json() if board is not None else None
+    return _scenario_result(spec, expectation, result.success, met,
+                            {"bids": bids, **result.to_dict()}, result.board, notes)
 
 
 def scenario_mitm_demo(spec: ScenarioSpec) -> ScenarioResult:
@@ -209,20 +193,10 @@ def scenario_mitm_demo(spec: ScenarioSpec) -> ScenarioResult:
     h, a, b = spec.claim
     claim = attacks.AffineClaim(h=h, a=a, b=b)
     if spec.flags.ni_proofs:
-        report = _base_report(spec, "relay refused under hashed challenges")
-        try:
-            attacks.mitm_affine_pdl(params, claim, None, None, flags=spec.flags)
-            report["expectation_met"] = False
-            report["success"] = True
-        except ModeMismatch as exc:
-            report["outcome"]["error"] = "ModeMismatch"
-            report["outcome"]["detail"] = str(exc)
-            report["success"] = False
-            report["expectation_met"] = True
-        return ScenarioResult(report, report["expectation_met"])
+        return _refusal(spec, "relay refused under hashed challenges",
+                        lambda: attacks.mitm_affine_pdl(params, claim, None, None,
+                                                        flags=spec.flags))
 
-    report = _base_report(
-        spec, "both verifiers accept; the relayed claim was never known")
     rng = random.Random(spec.seed)
     x = params.random_scalar(rng, nonzero=True)
     v = params.exp(params.g, x)
@@ -236,62 +210,43 @@ def scenario_mitm_demo(spec: ScenarioSpec) -> ScenarioResult:
     peggy_ok = sigma.verify_transcript(
         params, peggy.stmt, result.peggy_transcript, require_hashed=False)
     met = victor_ok and peggy_ok
-    report["success"] = met
-    report["expectation_met"] = met
-    report["outcome"].update({
-        "claim": {"h": h, "a": a, "b": b},
-        "prover_value": v,
-        "claimed_value": result.claimed_value,
-        "victor_accepts": victor_ok,
-        "peggy_completes": peggy_ok,
-        "victor_transcript": sigma.transcript_to_payload(result.victor_transcript),
-        "peggy_transcript": sigma.transcript_to_payload(result.peggy_transcript),
-    })
-    return ScenarioResult(report, met)
+    return _scenario_result(
+        spec, "both verifiers accept; the relayed claim was never known", met, met,
+        {"claim": {"h": h, "a": a, "b": b},
+         "prover_value": v,
+         "claimed_value": result.claimed_value,
+         "victor_accepts": victor_ok,
+         "peggy_completes": peggy_ok,
+         "victor_transcript": sigma.transcript_to_payload(result.victor_transcript),
+         "peggy_transcript": sigma.transcript_to_payload(result.peggy_transcript)})
 
 
 def scenario_forged_eqdl(spec: ScenarioSpec) -> ScenarioResult:
     bids = spec.resolved_bids()
     config = spec.config()
     mallory = config.n
-    order = [i for i in range(1, config.n + 1) if i != mallory] + [mallory]
     factory = attacks.dishonest_bidder(mallory, attacks.NoiseRemovalBidder,
                                        spec.exponent)
 
-    runs = []
-
-    def attempt(attempt_seed):
-        run = AuctionRun(config, bids, attempt_seed, agent_factory=factory,
-                         outcome_order=order)
-        runs.append(run)
+    def through_outcome(run):
         run.step_keygen()
         run.step_bid()
         run.step_outcome()      # includes per-cell verification by all
         return run
 
     if spec.flags.ni_proofs:
-        report = _base_report(spec, "forgery impossible under hashed challenges")
-        try:
-            attempt(spec.seed)
-            report["expectation_met"] = False
-            report["success"] = True
-        except AuctionLabError as exc:
-            report["outcome"]["error"] = type(exc).__name__
-            report["outcome"]["detail"] = str(exc)
-            report["success"] = False
-            report["expectation_met"] = True
-        return ScenarioResult(report, report["expectation_met"],
-                              runs[0].board.to_json())
+        run = AuctionRun(config, bids, spec.seed, agent_factory=factory)
+        return _refusal(spec, "forgery impossible under hashed challenges",
+                        lambda: through_outcome(run), run.board)
 
-    report = _base_report(
-        spec, "honest verifier accepts a proof nobody holds a witness for")
+    expectation = "honest verifier accepts a proof nobody holds a witness for"
     try:
-        run = with_restarts(attempt, spec.seed, 50)
+        run = with_restarts(lambda attempt_seed: through_outcome(
+            AuctionRun(config, bids, attempt_seed, agent_factory=factory)),
+            spec.seed, 50)
     except RestartRequired:
-        report["expectation_met"] = False
-        report["success"] = False
-        report["notes"].append("no run survived the restart checks")
-        return ScenarioResult(report, False)
+        return _scenario_result(spec, expectation, False, False, {},
+                                notes=["no run survived the restart checks"])
 
     # One explicit forged transcript, challenged by a fresh honest verifier.
     verifier_rng = random.Random(spec.seed + 999)
@@ -303,19 +258,19 @@ def scenario_forged_eqdl(spec: ScenarioSpec) -> ScenarioResult:
         gens=run.bases[0][0],
         targets=(run.gammas[mallory - 1][0][0], run.deltas[mallory - 1][0][0]))
     accepted = sigma.verify_transcript(config.params, stmt, tr, require_hashed=False)
-    report["success"] = accepted
-    report["expectation_met"] = accepted
-    report["outcome"].update({
-        "cell": [1, 1],
-        "round_verification_passed": True,
-        "explicit_forged_transcript": sigma.transcript_to_payload(tr),
-        "accepted": accepted,
-    })
-    return ScenarioResult(report, accepted, run.board.to_json())
+    return _scenario_result(
+        spec, expectation, accepted, accepted,
+        {"cell": [1, 1],
+         "round_verification_passed": True,
+         "explicit_forged_transcript": sigma.transcript_to_payload(tr),
+         "accepted": accepted},
+        run.board)
 
 
 def scenario_impersonation(spec: ScenarioSpec) -> ScenarioResult:
     target_bid = spec.target_bid if spec.target_bid is not None else min(2, spec.k)
+    result = attacks.impersonation_attack(spec.config(), target_bid, spec.seed,
+                                          rerandomize=spec.rerandomize)
     if spec.flags.authenticate:
         blocked_by = "AuthRejected"
         expectation = "forged bid posts rejected in the bid round"
@@ -326,39 +281,26 @@ def scenario_impersonation(spec: ScenarioSpec) -> ScenarioResult:
     else:
         blocked_by = None
         expectation = "winning price reveals the target's secret bid"
-    report = _base_report(spec, expectation)
-    result = attacks.impersonation_attack(spec.config(), target_bid, spec.seed,
-                                          rerandomize=spec.rerandomize)
-    report["success"] = result.success
-    report["outcome"].update(result.to_dict())
-    if blocked_by is not None:
-        met = (not result.success and result.error == blocked_by
-               and result.extras.get("rejected_round") == "bid")
-    else:
-        met = result.success
-    report["expectation_met"] = met
-    return ScenarioResult(report, met, _board_json(result))
+    met = result.success if blocked_by is None else (
+        not result.success and result.error == blocked_by
+        and result.extras.get("rejected_round") == "bid")
+    return _scenario_result(spec, expectation, result.success, met,
+                            result.to_dict(), result.board)
 
 
 def scenario_exceptional_values(spec: ScenarioSpec) -> ScenarioResult:
     bids = spec.resolved_bids()
-    cell = spec.resolved_cell(bids)
+    result = attacks.force_zero_noise(spec.config(), bids,
+                                      spec.resolved_cell(bids), spec.seed)
     if spec.flags.noise_product_check:
         expectation = "collapsed cell redrawn; unique correct winner stands"
+        met = (not result.success and result.status == "winner"
+               and (result.winner_bidder, result.winner_price) == expected_winner(bids))
     else:
         expectation = "forced cell reads 1; seller cannot decide the winner"
-    report = _base_report(spec, expectation)
-    result = attacks.force_zero_noise(spec.config(), bids, cell, spec.seed)
-    report["success"] = result.success
-    report["outcome"].update(result.to_dict())
-    if spec.flags.noise_product_check:
-        want = expected_winner(bids)
-        met = (not result.success and result.status == "winner"
-               and (result.winner_bidder, result.winner_price) == want)
-    else:
         met = result.success
-    report["expectation_met"] = met
-    return ScenarioResult(report, met, _board_json(result))
+    return _scenario_result(spec, expectation, result.success, met,
+                            result.to_dict(), result.board)
 
 
 def wrong_key_pass_threshold(batch: int, bound: float) -> int:
@@ -374,32 +316,20 @@ def wrong_key_pass_threshold(batch: int, bound: float) -> int:
 def scenario_wrong_key(spec: ScenarioSpec) -> ScenarioResult:
     bids = spec.resolved_bids()
     if spec.flags.key_consistency:
-        report = _base_report(
-            spec, "decrypt share rejected: proof must bind the keygen share")
         result = attacks.wrong_key_decrypt(spec.config(), bids, spec.seed)
-        report["success"] = result.success
-        report["outcome"].update(result.to_dict())
-        met = not result.success and result.error == "ProofRejected"
-        report["expectation_met"] = met
-        return ScenarioResult(report, met, _board_json(result))
+        return _scenario_result(
+            spec, "decrypt share rejected: proof must bind the keygen share",
+            result.success, not result.success and result.error == "ProofRejected",
+            result.to_dict(), result.board)
 
     batch = 20
     q = spec.resolved_params().q
     bound = min(1.0, 2 * spec.n * spec.k / q)
-    needed = wrong_key_pass_threshold(batch, bound)
-    if q >= 100:
-        expectation = f"at least {needed} of {batch} runs end with no winner"
-    else:
-        expectation = ("the published result no longer tracks the bids "
-                       "(chance 1 cells at tiny q are documented)")
-    report = _base_report(spec, expectation)
     want = expected_winner(bids)
     results = []
-    last_board = None
     for i in range(batch):
         result = attacks.wrong_key_decrypt(spec.config(), bids,
                                            spec.seed + 1000 * i)
-        last_board = _board_json(result) or last_board
         results.append({
             "status": result.status or result.error,
             "winner_bidder": result.winner_bidder,
@@ -409,32 +339,34 @@ def scenario_wrong_key(spec: ScenarioSpec) -> ScenarioResult:
     correct = sum(r["status"] == "winner"
                   and (r["winner_bidder"], r["winner_price"]) == want
                   for r in results)
-    report["outcome"].update({
+    outcome = {
         "bids": bids,
         "batch": batch,
         "results": results,
         "no_winner_runs": no_winner,
         "runs_matching_honest_outcome": correct,
         "chance_one_bound_per_run": bound,
-    })
+    }
+    notes = []
     if q >= 100:
-        report["outcome"]["no_winner_runs_needed"] = needed
+        needed = wrong_key_pass_threshold(batch, bound)
+        expectation = f"at least {needed} of {batch} runs end with no winner"
+        outcome["no_winner_runs_needed"] = needed
         met = no_winner >= needed
     else:
+        expectation = ("the published result no longer tracks the bids "
+                       "(chance 1 cells at tiny q are documented)")
         met = no_winner >= 1 and (batch - correct) > batch // 2
-        report["notes"].append(
+        notes.append(
             f"at q={q} a garbage cell decrypts to 1 with probability about "
             f"2/q, so chance winners and confusions appear; rerun with "
             f"--group mid for the clean no-winner statistics")
-    report["success"] = met
-    report["expectation_met"] = met
-    return ScenarioResult(report, met, last_board)
+    # The last run's board stands for the batch.
+    return _scenario_result(spec, expectation, met, met, outcome, result.board, notes)
 
 
 def scenario_recovery_bench(spec: ScenarioSpec) -> ScenarioResult:
     n, k = spec.n, spec.k
-    report = _base_report(
-        spec, "round-trip exact; addition count within the quadratic budget")
     start = time.perf_counter()
     matrix = recovery.build_matrix(n, k)
     rng = random.Random(spec.seed)
@@ -445,17 +377,16 @@ def scenario_recovery_bench(spec: ScenarioSpec) -> ScenarioResult:
     elapsed = time.perf_counter() - start
     budget = n * n * k * k
     ok = list(solved.b) == flat and solved.additions <= budget
-    report["success"] = ok
-    report["expectation_met"] = ok
-    report["outcome"].update({
-        "n": n,
-        "k": k,
-        "additions": solved.additions,
-        "budget": budget,
-        "ratio": solved.additions / budget,
-        "round_trip_exact": list(solved.b) == flat,
-    })
-    return ScenarioResult(report, ok, timing={"elapsed_seconds": elapsed})
+    result = _scenario_result(
+        spec, "round-trip exact; addition count within the quadratic budget", ok, ok,
+        {"n": n,
+         "k": k,
+         "additions": solved.additions,
+         "budget": budget,
+         "ratio": solved.additions / budget,
+         "round_trip_exact": list(solved.b) == flat})
+    result.timing["elapsed_seconds"] = elapsed
+    return result
 
 
 _RUNNERS = {
@@ -468,6 +399,7 @@ _RUNNERS = {
     "wrong-key": scenario_wrong_key,
     "recovery-bench": scenario_recovery_bench,
 }
+SCENARIOS = tuple(_RUNNERS)
 
 
 def run_scenario(spec: ScenarioSpec) -> ScenarioResult:

@@ -12,12 +12,14 @@ from auctionlab.elgamal import Ciphertext
 from auctionlab.errors import ModeMismatch
 from auctionlab.groups import SMALL_GROUP
 from auctionlab.protocol import (
+    ROUND_BID,
     AuctionConfig,
     AuctionRun,
     BidderAgent,
     bidder_name,
     collect_outcome,
 )
+from auctionlab.scenarios import ScenarioSpec, run_scenario
 
 from conftest import FixedNonce, fixed_challenge
 
@@ -100,11 +102,10 @@ def _attack_run_through_outcome(seed, exponent=1, n=3, k=2, bids=(1, 2, 1)):
             return attacks.NoiseRemovalBidder(run, index, rng, exponent)
         return BidderAgent(run, index, rng)
 
-    run = AuctionRun(cfg, list(bids), seed, agent_factory=factory,
-                     outcome_order=list(range(1, n)) + [n])
+    run = AuctionRun(cfg, list(bids), seed, agent_factory=factory)
     run.step_keygen()
     run.step_bid()
-    for index in run.outcome_order:
+    for index in range(1, n + 1):
         run.bidder(index).post_outcome()
     return run
 
@@ -213,6 +214,23 @@ class TestImpersonation:
         assert not report.success
         assert report.error == "AuthRejected"
         assert report.extras["rejected_round"] == "bid"
+
+    @pytest.mark.parametrize("group", ["small", "mid"])
+    def test_rerandomised_copies_under_authentication(self, group):
+        """With authentication on, the copies are still re-randomised as
+        asked, and still rejected in the bid round."""
+        spec = ScenarioSpec(scenario="impersonation", n=3, k=4, group_name=group,
+                            flags=DefenseFlags(authenticate=True), rerandomize=True)
+        for seed in range(3):
+            report = attacks.impersonation_attack(spec.config(), 2, seed,
+                                                  rerandomize=True)
+            assert (report.success, report.error) == (False, "AuthRejected"), seed
+            assert report.extras["rejected_round"] == "bid"
+            bids = report.board.latest_by_author(ROUND_BID, "bid")
+            assert (bids[bidder_name(2)].payload["alphas"]
+                    != bids[bidder_name(1)].payload["alphas"]), seed
+            spec.seed = seed
+            assert run_scenario(spec).expectation_met, seed
 
 
 class TestForcedZeroNoise:

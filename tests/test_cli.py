@@ -119,7 +119,6 @@ class TestScenarioExpectations:
             emit_report(run_scenario(spec), tmp_path / str(index))
             reports.append((tmp_path / str(index) / "report.json").read_bytes())
         assert reports[0] == reports[1] == reports[2]
-        assert spec.notes == []
 
     def test_forged_eqdl_crash_is_not_a_block(self, monkeypatch):
         """Under hashed proofs only a lab error counts as the forgery being

@@ -160,11 +160,10 @@ class TestProductChecks:
                     return attacks.NoiseRemovalBidder(run, index, rng, 1)
                 return BidderAgent(run, index, rng)
 
-            run = AuctionRun(cfg, [1, 2], seed, agent_factory=factory,
-                             outcome_order=[1, 2])
+            run = AuctionRun(cfg, [1, 2], seed, agent_factory=factory)
             run.step_keygen()
             run.step_bid()
-            for index in run.outcome_order:
+            for index in (1, 2):
                 run.bidder(index).post_outcome()
             assert check_noise_cancellation(run.bases, _masking_products(run))
 

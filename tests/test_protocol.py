@@ -566,6 +566,64 @@ class TestMissingFields:
             bidder_name(2), round_name, detail)
 
 
+class NonMappingOutcomeBidder(BidderAgent):
+    """After its outcome post, posts ``["not", "a", "mapping"]`` as an
+    outcome or fix post, with its own tag."""
+
+    def __init__(self, run, index, rng, kind):
+        super().__init__(run, index, rng)
+        self.kind = kind
+
+    def post_outcome(self):
+        post = super().post_outcome()
+        self._post(ROUND_OUTCOME, self.kind, ["not", "a", "mapping"])
+        return post
+
+
+class TestNonMappingOutcome:
+    """An outcome or fix post whose payload is not a mapping is refused
+    with the author and round named, never a bare AttributeError."""
+
+    @pytest.mark.parametrize("kind", ["outcome", "outcome-fix"])
+    @pytest.mark.parametrize("flags", [DefenseFlags(), DefenseFlags.all_on()],
+                             ids=["interactive", "all-defenses"])
+    def test_refused_with_author_and_round(self, flags, kind):
+        cfg = AuctionConfig(n=3, k=4, params=MID_GROUP, marker=9, flags=flags)
+        for seed in range(3):
+            run = AuctionRun(cfg, [3, 1, 2], seed, agent_factory=dishonest_bidder(
+                2, NonMappingOutcomeBidder, kind))
+            with pytest.raises(ProofRejected) as caught:
+                run.run()
+            exc = caught.value
+            assert (exc.author, exc.round_name, exc.detail) == (
+                bidder_name(2), ROUND_OUTCOME,
+                "malformed outcome: payload is not a mapping"), seed
+
+
+class JunkPublicationBidder(BidderAgent):
+    """Posts ``["junk"]`` as a decryption publication of its own, with its
+    own tag, after sending its shares to the seller."""
+
+    def send_decrypt_shares(self):
+        super().send_decrypt_shares()
+        self._post(ROUND_DECRYPT, "decrypt-publish", ["junk"])
+
+
+class TestOwnRowReadsTheSeller:
+    """A bidder's own-row view reads the seller's publications only, so a
+    publication posted by anyone else neither crashes it nor enters it."""
+
+    @pytest.mark.parametrize("flags", [DefenseFlags(), DefenseFlags.all_on()],
+                             ids=["no-defenses", "all-defenses"])
+    def test_other_authors_ignored(self, flags):
+        cfg = AuctionConfig(n=3, k=4, params=MID_GROUP, marker=9, flags=flags)
+        run, outcome = run_auction(cfg, [3, 1, 2], 1,
+                                   agent_factory=dishonest_bidder(2, JunkPublicationBidder))
+        assert outcome.status == "winner"
+        for index in range(1, 4):
+            assert run.bidder(index).own_row_values() == outcome.v[index - 1]
+
+
 class LateKeyShareBidder(BidderAgent):
     """After bidding, posts a key share g^5 under bidder 1's name, in the
     keygen round that has already closed."""
