@@ -17,7 +17,7 @@ different ways.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 from . import defenses, elgamal, recovery, sigma
 from .errors import (
@@ -30,8 +30,11 @@ from .errors import (
 from .groups import GroupParams
 
 # Attack code reads what the run kept when each round closed (the base grid
-# AuctionRun.bases, the masking shares AuctionRun.gammas and .deltas), and
-# reads the board only while a round is still open.  compute_outcome_bases
+# AuctionRun.bases, the masking shares through AuctionRun.outcome_statement),
+# and reads the board only while a round is still open.  A dishonest agent
+# answers a verifier through the one BidderAgent.prove it overrides: it
+# relays or forges the statements it posted without a witness, and hands
+# every other statement to the honest prover.  compute_outcome_bases
 # stays importable from here: the perfbench tracer rebinds every protocol
 # name this module holds, and its tests look it up.
 from .protocol import (  # noqa: F401
@@ -39,6 +42,7 @@ from .protocol import (  # noqa: F401
     AuctionConfig,
     AuctionRun,
     BidderAgent,
+    bid_statements,
     bidder_name,
     cell_products,
     compute_outcome_bases,
@@ -198,10 +202,7 @@ def forge_outcome_eqdl(run: AuctionRun, mallory_name: str, i: int, j: int,
     if not run.config.interactive:
         raise ModeMismatch("forging needs a forwardable verifier challenge")
     params = run.config.params
-    mine = int(mallory_name.split("-")[1]) - 1
-    stmt = sigma.EQDLStatement(
-        gens=run.bases[i][j],
-        targets=(run.gammas[mine][i][j], run.deltas[mine][i][j]))
+    stmt = run.outcome_statement(run.agents[mallory_name].index - 1, i, j)
 
     others = [agent for name, agent in run.agents.items() if name != mallory_name]
     if not others:
@@ -210,7 +211,8 @@ def forge_outcome_eqdl(run: AuctionRun, mallory_name: str, i: int, j: int,
         return sigma.prove(params, stmt, exponent,
                            run.agents[mallory_name].rng, victor_source)
 
-    sessions = [sigma.ProverSession(params, o.outcome_stmts[i][j], o.m[i][j], o.rng)
+    sessions = [sigma.ProverSession(params, run.outcome_statement(o.index - 1, i, j),
+                                    o.m[i][j], o.rng)
                 for o in others]
     commitments = [s.commit() for s in sessions]
     lam = mu = 1
@@ -235,16 +237,25 @@ class NoiseRemovalBidder(BidderAgent):
                  exponent: int = 1):
         super().__init__(run, index, rng)
         self.exponent = exponent
+        self.forged: dict = {}               # posted statement -> its cell
 
     def post_outcome(self):
         gamma, delta = noise_removal_shares(self.run, self.index,
                                             self.exponent)
+        bases = self.run.bases
+        self.forged = {
+            sigma.EQDLStatement(gens=bases[i][j], targets=(g, d)): (i, j)
+            for i, (g_row, d_row) in enumerate(zip(gamma, delta))
+            for j, (g, d) in enumerate(zip(g_row, d_row))}
         payload = {"bidder": self.index, "gamma": gamma, "delta": delta,
                    "proofs": None}
         return self._post("outcome", "outcome", payload)
 
-    def prove_outcome_cell(self, i, j, challenge_source):
-        return forge_outcome_eqdl(self.run, self.name, i, j, self.exponent,
+    def prove(self, stmt, challenge_source):
+        cell = self.forged.get(stmt)
+        if cell is None:
+            return super().prove(stmt, challenge_source)
+        return forge_outcome_eqdl(self.run, self.name, *cell, self.exponent,
                                   challenge_source)
 
 
@@ -348,8 +359,9 @@ class CopycatBidder(BidderAgent):
     """An identity run by the attacker: its own keys, but its bid is a copy
     of bidder ``target_index``'s, re-randomised when asked.  The copy is
     posted without a tag: the attacker holds no tag key for the name it
-    copies into.  Interactive proof requests are relayed to the target,
-    with responses shifted when re-randomised."""
+    copies into.  A request to prove a copied statement is relayed to the
+    target as a request for the statement it copies, with responses shifted
+    when re-randomised."""
 
     honest = False
     target_index = 1
@@ -359,52 +371,50 @@ class CopycatBidder(BidderAgent):
         super().__init__(run, index, rng)
         self.rerandomize = rerandomize
         self.shift: int | None = None
+        self.copied: dict = {}               # copy's statement -> target's
 
     def submit_bid(self, price: int):
         post = self.run.board.latest_by_author(ROUND_BID, "bid").get(
             bidder_name(self.target_index))
         if post is None:
             raise MissingShares("target has not posted a bid to copy")
-        alphas = list(post.payload["alphas"])
-        betas = list(post.payload["betas"])
-        proofs = post.payload["proofs"]
-        sum_proof = post.payload["sum_proof"]
+        params, y, bid = self.params, self.run.joint_y, post.payload
+        alphas, betas = list(bid["alphas"]), list(bid["betas"])
+        proofs, sum_proof = bid["proofs"], bid["sum_proof"]
+        cells, total = bid_statements(
+            params, y, self.config.marker_for(self.target_index), alphas, betas)
         if self.rerandomize:
-            self.shift = self.rng.randrange(1, self.params.q)
-            copies = [reencrypt_bid_copy(self.params, elgamal.Ciphertext(a, b),
-                                         self.run.joint_y, self.shift)
+            self.shift = self.rng.randrange(1, params.q)
+            copies = [reencrypt_bid_copy(params, elgamal.Ciphertext(a, b), y, self.shift)
                       for a, b in zip(alphas, betas)]
             alphas = [ct.alpha for ct in copies]
             betas = [ct.beta for ct in copies]
-            proofs = None          # static transcripts cannot be shifted
-            sum_proof = None
+            proofs = sum_proof = None      # static transcripts cannot be shifted
+        copy_cells, copy_total = bid_statements(
+            params, y, self.config.marker_for(self.index), alphas, betas)
+        self.copied = dict(zip((*copy_cells, copy_total), (*cells, total)))
         payload = {"bidder": self.index, "alphas": alphas, "betas": betas,
                    "proofs": proofs, "sum_proof": sum_proof}
         return self.run.board.append(ROUND_BID, self.name, "bid", payload)
 
-    def prove_bid_cell(self, j, challenge_source):
+    def prove(self, stmt, challenge_source):
+        original = self.copied.get(stmt)
+        if original is None:
+            return super().prove(stmt, challenge_source)
         target = self.run.bidder(self.target_index)
-        tr = target.prove_bid_cell(j, lambda stmt, com: challenge_source(None, com))
+        tr = target.prove(original, lambda _, com: challenge_source(None, com))
         if not self.rerandomize:
             return tr
-        e = self.shift
         q = self.params.q
-        shifted = tuple(
-            sigma.Transcript(commitment=b.commitment, challenge=b.challenge,
-                             response=(b.response + b.challenge * e) % q)
-            for b in tr.branches
-        )
-        return sigma.OrTranscript(branches=shifted, challenge=tr.challenge)
+        if isinstance(tr, sigma.OrTranscript):     # a cell: shifted by one copy
+            return replace(tr, branches=tuple(_shifted(b, self.shift, q)
+                                              for b in tr.branches))
+        return _shifted(tr, self.config.k * self.shift, q)   # the sum of k copies
 
-    def prove_bid_sum(self, challenge_source):
-        target = self.run.bidder(self.target_index)
-        tr = target.prove_bid_sum(lambda stmt, com: challenge_source(None, com))
-        if not self.rerandomize:
-            return tr
-        bump = self.config.k * self.shift % self.params.q
-        return sigma.Transcript(
-            commitment=tr.commitment, challenge=tr.challenge,
-            response=(tr.response + tr.challenge * bump) % self.params.q)
+
+def _shifted(tr: sigma.Transcript, e: int, q: int) -> sigma.Transcript:
+    """``tr`` answering for a witness larger by ``e``."""
+    return replace(tr, response=(tr.response + tr.challenge * e) % q)
 
 
 def impersonation_attack(config: AuctionConfig, target_bid: int, seed: int,

@@ -22,11 +22,15 @@ Rounds, all driven through the bulletin board:
 Each round is read off the board once, when it closes: its verify step
 parses the posts, builds each statement once, and keeps what it read on the
 run for every later reader, so a post added to a closed round changes
-nothing.  Honest agents verify every proof they see (``check_round``).  In
-hashed-proof mode they check static transcripts, each once, and every
-verifier shares the verdict; in interactive mode each verifier engages the
-poster in a fresh commit/challenge/respond session.  Attack code must get
-past these checks, never around them.
+nothing.  Each post's statements are built in one place: a bid's by
+``bid_statements``, a masking share's by ``AuctionRun.outcome_statement``, a
+decryption's by ``decrypt_statement``.  Honest agents verify every proof they
+see (``check_round``).  In hashed-proof mode they check static transcripts,
+each once, and every verifier shares the verdict.  In interactive mode each
+verifier builds the statement from the board and asks the poster's agent to
+prove it in a fresh commit/challenge/respond session; an agent proves only
+statements it posted itself.  Attack code must get past these checks, never
+around them.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ from __future__ import annotations
 import random
 import weakref
 from dataclasses import dataclass, field
-from functools import partial
 
 from . import defenses, elgamal, sigma
 from .board import BulletinBoard, Post
@@ -105,6 +108,17 @@ def encode_bid(price: int, k: int) -> list[int]:
     out = [0] * k
     out[price - 1] = 1
     return out
+
+
+def bid_statements(params: GroupParams, y: int, marker: int, alphas, betas):
+    """A bid's statements under joint key ``y``: one per price that its
+    ciphertext encrypts 1 or ``marker``, and one that the vector encrypts
+    exactly one marker."""
+    cells = [sigma.BidValidityStatement(y=y, g=params.g, marker=marker,
+                                        alpha=alpha, beta=beta)
+             for alpha, beta in zip(alphas, betas)]
+    return cells, sigma.SumValidityStatement(y=y, g=params.g, marker=marker,
+                                             alphas=tuple(alphas), betas=tuple(betas))
 
 
 def compute_outcome_bases(params: GroupParams, alphas, betas):
@@ -221,6 +235,23 @@ def _outcome_shape_problem(post: Post, n: int, k: int) -> str | None:
     return None
 
 
+def _publication_problem(payload, n: int, k: int, row: int, p: int) -> str | None:
+    """What makes a decryption publication unfit to read row ``row``
+    (0-based) from, or None.  A publication names its bidder in 1..n and
+    holds an n x k ``phi`` grid; entries of the row are in 0 < v < p, or
+    None where withheld."""
+    if type(payload) is not dict:
+        return "payload is not a mapping"
+    bidder, phi = payload.get("bidder"), payload.get("phi")
+    if type(bidder) is not int or not 1 <= bidder <= n:
+        return f"bidder {bidder!r} outside 1..{n}"
+    if not (_is_list(phi, n) and all(_is_list(r, k) for r in phi)):
+        return f"phi is not a {n} x {k} grid"
+    if not all(v is None or (type(v) is int and 0 < v < p) for v in phi[row]):
+        return "element outside 0 < v < p"
+    return None
+
+
 def _canonical_scalars(tr, q: int) -> bool:
     """Every challenge and response of ``tr``, OR branches included, lies
     in 0 <= v < q."""
@@ -231,25 +262,28 @@ def _canonical_scalars(tr, q: int) -> bool:
 
 
 def check_proof(config: AuctionConfig, rng: random.Random, author: str,
-                round_name: str, stmt, payload, prove, failure: str,
+                round_name: str, stmt, payload, prover, failure: str,
                 where: str) -> None:
     """Check ``author``'s proof of ``stmt`` in the run's proof mode, or
     raise ProofRejected naming the author, the round and ``where``.
 
-    Interactive: ``prove(challenge_source)`` runs a fresh session against a
-    verifier drawing its challenges from ``rng``.  Hashed: the posted
-    ``payload`` is parsed, every commitment must lie in 0 < z < p, and the
-    challenge must be the canonical hash.  In both modes every challenge and
-    response (OR branches included) must lie in 0 <= v < q, so that no
-    statement has a second accepting transcript made by adding q and no
-    verifier raises a base to an oversized response.  The proof is missing
-    when the one the mode needs is None.  ``check_round`` decides which
-    verifier checks which proof."""
+    Interactive: ``prover``, the author's agent, proves ``stmt`` as the
+    verifier built it, in a fresh session against challenges drawn from
+    ``rng``; an agent that never posted ``stmt`` has no proof and fails.
+    Hashed: the posted ``payload`` is parsed, every commitment must lie in
+    0 < z < p, and the challenge must be the canonical hash.  In both modes
+    every challenge and response (OR branches included) must lie in
+    0 <= v < q, so that no statement has a second accepting transcript made
+    by adding q and no verifier raises a base to an oversized response.  The
+    proof is missing when the mode's prover or payload is None.
+    ``check_round`` decides which verifier checks which proof."""
     params, interactive = config.params, config.interactive
-    if (prove if interactive else payload) is None:
+    if (prover if interactive else payload) is None:
         raise ProofRejected(author, round_name, f"missing proof{where}")
     if interactive:
-        tr = prove(sigma.verifier_source(params, rng))
+        tr = prover.prove(stmt, sigma.verifier_source(params, rng))
+        if tr is None:
+            raise ProofRejected(author, round_name, failure + where)
     else:
         try:
             tr = sigma.transcript_from_payload(payload)
@@ -270,25 +304,27 @@ def check_proof(config: AuctionConfig, rng: random.Random, author: str,
         raise ProofRejected(author, round_name, failure + where)
 
 
-def check_round(config: AuctionConfig, round_name: str, verifiers,
-                entries) -> None:
+def check_round(run: "AuctionRun", round_name: str, verifiers, entries) -> None:
     """Have each verifier (a party with a ``name`` and an ``rng``) check
     every entry another author posted, verifier by verifier, in entry order.
-    An entry is ``(author, statement, posted proof, prover, failure, where)``
-    as ``check_proof`` takes them.  Interactive sessions run once per
-    verifier.  A hashed proof's verdict depends on its statement and
-    transcript alone, so the first verifier that reaches it checks it and
-    every later one shares that verdict."""
+    An entry is ``(author, statement, posted proof, failure, where)`` as
+    ``check_proof`` takes them; in interactive mode the author's agent in
+    ``run`` proves the statement, and a name with no agent behind it has no
+    proof.  Interactive sessions run once per verifier.  A hashed proof's
+    verdict depends on its statement and transcript alone, so the first
+    verifier that reaches it checks it and every later one shares that
+    verdict."""
+    config, agents = run.config, run.agents
     pending = entries
     for verifier in verifiers:
         left = []
         for entry in pending:
-            author, stmt, payload, prove, failure, where = entry
+            author, stmt, payload, failure, where = entry
             if author == verifier.name:
                 left.append(entry)            # nobody checks their own proof
                 continue
             check_proof(config, verifier.rng, author, round_name, stmt, payload,
-                        prove, failure, where)
+                        agents.get(author), failure, where)
             if config.interactive:
                 left.append(entry)            # every verifier runs a session
         pending = left
@@ -328,12 +364,17 @@ def collect_bids(board: BulletinBoard, n: int) -> dict[str, dict]:
                             ("bidder", "alphas", "betas", "proofs", "sum_proof"))
 
 
-def collect_outcome(board: BulletinBoard, n: int):
+def collect_outcome(board: BulletinBoard, n: int, k: int):
     """Masking share matrices γ and δ per bidder, and the grid of hashed
     proofs behind them (None where none was posted), with later fix posts
-    merged in."""
+    merged in.  A post that does not fit the n x k grid is refused before
+    it is merged."""
     grids: dict[str, tuple] = {}
     for post in board.select(round=ROUND_OUTCOME):
+        problem = _outcome_shape_problem(post, n, k)
+        if problem is not None:
+            raise ProofRejected(post.author, ROUND_OUTCOME,
+                                f"malformed outcome: {problem}")
         payload = post.payload
         if post.kind == "outcome":
             gamma = [list(row) for row in payload["gamma"]]
@@ -387,8 +428,10 @@ class Party:
 
 class BidderAgent(Party):
     """An honest bidder.  Holds the private key share, the outcome
-    exponents, the bid randomisers and every statement it posts, and proves
-    those statements on request."""
+    exponents and the bid randomisers.  In interactive mode it keeps the
+    witness of every statement it posts (``witnesses``) and proves a
+    statement on request if it posted that statement itself, and no
+    other."""
 
     honest = True
 
@@ -398,28 +441,28 @@ class BidderAgent(Party):
         self.share: elgamal.KeyShare | None = None
         self.m: list[list[int]] | None = None  # outcome exponents, n x k
         self.r: list[int] | None = None        # bid randomisers, length k
-        self.price: int | None = None
         self.phi: list[list[int]] | None = None
-        # The statements behind this bidder's posts, as posted.
-        self.key_stmt: sigma.PDLStatement | None = None
-        self.cell_stmts: list[sigma.BidValidityStatement] | None = None
-        self.sum_stmt: sigma.SumValidityStatement | None = None
-        self.outcome_stmts: list[list[sigma.EQDLStatement]] | None = None
-        self.decrypt_stmt: sigma.EQDLStatement | None = None
+        self.witnesses: dict = {}              # posted statement -> witness
 
     def _posted_proof(self, stmt, witness) -> dict | None:
-        """The hashed transcript posted with ``stmt``; None in interactive
-        mode, where proofs are sessions instead."""
+        """The hashed transcript posted with ``stmt``.  In interactive mode
+        nothing is posted: ``witness`` is kept for the sessions that prove
+        ``stmt`` on request, and the result is None."""
         if self.config.interactive:
+            self.witnesses[stmt] = witness
             return None
         tr = sigma.prove(self.params, stmt, witness, self.rng,
                          sigma.fiat_shamir_source(self.params))
         return sigma.transcript_to_payload(tr)
 
-    def _session(self, stmt, witness, challenge_source: sigma.ChallengeSource):
-        """One interactive proof of a posted statement."""
+    def prove(self, stmt, challenge_source: sigma.ChallengeSource):
+        """One interactive proof of ``stmt``, or None when this bidder never
+        posted it."""
         if not self.config.interactive:
             raise ModeMismatch("no interactive sessions under hashed proofs")
+        witness = self.witnesses.get(stmt)
+        if witness is None:
+            return None
         return sigma.prove(self.params, stmt, witness, self.rng, challenge_source)
 
     # -- posting ----------------------------------------------------------
@@ -432,50 +475,39 @@ class BidderAgent(Party):
         n, k = self.config.n, self.config.k
         self.m = [[self.rng.randrange(1, q) for _ in range(k)] for _ in range(n)]
         self.r = [self.rng.randrange(q) for _ in range(k)]
-        self.key_stmt = sigma.PDLStatement(g=params.g, v=self.share.y)
+        stmt = sigma.PDLStatement(g=params.g, v=self.share.y)
         payload = {"bidder": self.index, "y": self.share.y,
-                   "proof": self._posted_proof(self.key_stmt, self.share.x)}
+                   "proof": self._posted_proof(stmt, self.share.x)}
         return self._post(ROUND_KEYGEN, "keyshare", payload)
 
     def submit_bid(self, price: int) -> Post:
-        self.price = price
         params, y = self.params, self.run.joint_y
         marker = self.config.marker_for(self.index)
         bits = encode_bid(price, self.config.k)
         cts = [elgamal.encrypt(params, marker if bit else 1, y, r)
                for bit, r in zip(bits, self.r)]
-        self.cell_stmts = [
-            sigma.BidValidityStatement(y=y, g=params.g, marker=marker,
-                                       alpha=ct.alpha, beta=ct.beta)
-            for ct in cts]
-        self.sum_stmt = sigma.SumValidityStatement(
-            y=y, g=params.g, marker=marker,
-            alphas=tuple(ct.alpha for ct in cts), betas=tuple(ct.beta for ct in cts))
+        alphas, betas = [ct.alpha for ct in cts], [ct.beta for ct in cts]
+        cells, total = bid_statements(params, y, marker, alphas, betas)
         proofs = [self._posted_proof(stmt, (r, bool(bit)))
-                  for stmt, r, bit in zip(self.cell_stmts, self.r, bits)]
-        payload = {"bidder": self.index,
-                   "alphas": list(self.sum_stmt.alphas),
-                   "betas": list(self.sum_stmt.betas),
+                  for stmt, r, bit in zip(cells, self.r, bits)]
+        payload = {"bidder": self.index, "alphas": alphas, "betas": betas,
                    "proofs": None if self.config.interactive else proofs,
-                   "sum_proof": self._posted_proof(self.sum_stmt,
-                                                   sum(self.r) % params.q)}
+                   "sum_proof": self._posted_proof(total, sum(self.r) % params.q)}
         return self._post(ROUND_BID, "bid", payload)
 
     # -- outcome ----------------------------------------------------------
 
-    def _outcome_statement(self, bases, i: int, j: int) -> sigma.EQDLStatement:
+    def _outcome_statement(self, i: int, j: int) -> sigma.EQDLStatement:
         """Own masking shares at cell (i, j), 0-based: the cell's base pair
         raised to the outcome exponent, as the statement that proves them."""
-        ba, bb = bases[i][j]
+        ba, bb = self.run.bases[i][j]
         m = self.m[i][j]
         return sigma.EQDLStatement(
             gens=(ba, bb), targets=(self.params.exp(ba, m), self.params.exp(bb, m)))
 
     def post_outcome(self) -> Post:
-        bases = self.run.bases
-        stmts = self.outcome_stmts = [
-            [self._outcome_statement(bases, i, j) for j in range(self.config.k)]
-            for i in range(self.config.n)]
+        stmts = [[self._outcome_statement(i, j) for j in range(self.config.k)]
+                 for i in range(self.config.n)]
         proofs = [[self._posted_proof(s, self.m[i][j]) for j, s in enumerate(row)]
                   for i, row in enumerate(stmts)]
         payload = {"bidder": self.index,
@@ -487,13 +519,11 @@ class BidderAgent(Party):
     def redraw_exponents(self, cells) -> Post:
         """Replace the outcome exponents at the flagged cells (1-based) and
         post corrected shares."""
-        bases = self.run.bases
         stmts, proofs = [], []
         for ci, cj in cells:
             i, j = ci - 1, cj - 1
             self.m[i][j] = self.rng.randrange(1, self.params.q)
-            stmts.append(self._outcome_statement(bases, i, j))
-            self.outcome_stmts[i][j] = stmts[-1]
+            stmts.append(self._outcome_statement(i, j))
             proofs.append(self._posted_proof(stmts[-1], self.m[i][j]))
         payload = {"bidder": self.index, "cells": [list(c) for c in cells],
                    "gamma": [s.targets[0] for s in stmts],
@@ -515,48 +545,30 @@ class BidderAgent(Party):
         x = self.decrypt_exponent()
         self.phi = [[params.exp(d, x) for d in row] for row in delta_products]
         y = self.share.y if self.config.flags.key_consistency else None
-        self.decrypt_stmt = decrypt_statement(params, delta_products, self.phi, y)
-        self.run.seller.receive_shares(self.name, self.phi,
-                                       self._posted_proof(self.decrypt_stmt, x))
-
-    # -- interactive proving ----------------------------------------------
-
-    def prove_keyshare(self, challenge_source: sigma.ChallengeSource) -> sigma.Transcript:
-        return self._session(self.key_stmt, self.share.x, challenge_source)
-
-    def prove_bid_cell(self, j: int,
-                       challenge_source: sigma.ChallengeSource) -> sigma.OrTranscript:
-        """OR proof for own price cell j (0-based)."""
-        return self._session(self.cell_stmts[j], (self.r[j], self.price - 1 == j),
-                             challenge_source)
-
-    def prove_bid_sum(self, challenge_source: sigma.ChallengeSource) -> sigma.Transcript:
-        return self._session(self.sum_stmt, sum(self.r) % self.params.q,
-                             challenge_source)
-
-    def prove_outcome_cell(self, i: int, j: int,
-                           challenge_source: sigma.ChallengeSource) -> sigma.Transcript:
-        return self._session(self.outcome_stmts[i][j], self.m[i][j], challenge_source)
-
-    def prove_decrypt(self, challenge_source: sigma.ChallengeSource) -> sigma.Transcript:
-        return self._session(self.decrypt_stmt, self.decrypt_exponent(),
-                             challenge_source)
+        stmt = decrypt_statement(params, delta_products, self.phi, y)
+        self.run.seller.receive_shares(self.name, self.phi, self._posted_proof(stmt, x))
 
     # -- own-row view ------------------------------------------------------
 
     def own_row_values(self) -> list[int]:
-        """v values for this bidder's row, from published shares plus the
-        bidder's own decryption share."""
-        params, mine = self.params, self.index - 1
-        # Publications are the seller's; the subject bidder is named in the
-        # payload.
-        published = {
-            post.payload["bidder"]: post.payload["phi"][mine]
-            for post in self.run.board.select(round=ROUND_DECRYPT,
-                                              kind="decrypt-publish", author=SELLER)
-        }
+        """v values for this bidder's row, from the seller's publications
+        plus the bidder's own decryption share.  Under the authentication
+        defense a publication must carry the seller's tag; a publication
+        that does not hold this bidder's row of an n x k grid is refused."""
+        params, n, k, mine = self.params, self.config.n, self.config.k, self.index - 1
+        published = {}
+        for post in self.run.board.select(round=ROUND_DECRYPT, kind="decrypt-publish",
+                                          author=SELLER):
+            if (self.config.flags.authenticate
+                    and not defenses.verify_post(self.run.registry, post)):
+                raise AuthRejected(SELLER, ROUND_DECRYPT)
+            problem = _publication_problem(post.payload, n, k, mine, params.p)
+            if problem is not None:
+                raise ProofRejected(SELLER, ROUND_DECRYPT,
+                                    f"malformed publication: {problem}")
+            published[post.payload["bidder"]] = post.payload["phi"][mine]
         rows = [self.phi[mine]]
-        for h in range(1, self.config.n + 1):
+        for h in range(1, n + 1):
             if h != self.index:
                 if h not in published:
                     raise MissingShares(f"no published shares from {bidder_name(h)}")
@@ -596,9 +608,8 @@ class SellerAgent(Party):
             check_elements(self.params, name, ROUND_DECRYPT, "decrypt shares", *phi)
             stmt = decrypt_statement(self.params, run.delta_products, phi, keys[i - 1])
             entries.append((name, stmt, self.proofs[name],
-                            run.agents[name].prove_decrypt,
                             "decrypt share proof failed", ""))
-        check_round(self.config, ROUND_DECRYPT, [self], entries)
+        check_round(run, ROUND_DECRYPT, [self], entries)
 
     def publish_shares(self) -> None:
         """Post every bidder's shares for all rows except the bidder's own."""
@@ -727,11 +738,9 @@ class AuctionRun:
             if type(y) is not int or not params.is_element(y):
                 raise ProofRejected(name, ROUND_KEYGEN,
                                     "key share is outside the order-q subgroup")
-            author = self.agents.get(name)        # None: not in this auction
             entries.append((name, sigma.PDLStatement(g=params.g, v=y),
-                            payload["proof"], author and author.prove_keyshare,
-                            "key share proof failed", ""))
-        check_round(self.config, ROUND_KEYGEN, self.honest_agents(), entries)
+                            payload["proof"], "key share proof failed", ""))
+        check_round(self, ROUND_KEYGEN, self.honest_agents(), entries)
         self.keys = [shares[bidder_name(i)]["y"] for i in range(1, n + 1)]
         self.joint_y = elgamal.aggregate_keys(params, self.keys).y
 
@@ -745,7 +754,6 @@ class AuctionRun:
         """Read the bids, check them, and keep the outcome-base grid."""
         params, n, k = self.config.params, self.config.n, self.config.k
         bids = collect_bids(self.board, n)
-        y, g = self.joint_y, params.g
         entries = []
         for name, payload in bids.items():
             for field_name in ("alphas", "betas", "proofs"):
@@ -765,20 +773,14 @@ class AuctionRun:
             if type(bidder) is not int or not 1 <= bidder <= n:
                 raise ProofRejected(name, ROUND_BID,
                                     f"malformed bid: bidder {bidder!r} outside 1..{n}")
-            marker = self.config.marker_for(bidder)
-            author = self.agents.get(name)        # None: not in this auction
+            cells, total = bid_statements(params, self.joint_y,
+                                          self.config.marker_for(bidder), alphas, betas)
             proofs = payload["proofs"] or [None] * k
-            for j in range(k):
-                stmt = sigma.BidValidityStatement(y=y, g=g, marker=marker,
-                                                  alpha=alphas[j], beta=betas[j])
-                entries.append((name, stmt, proofs[j],
-                                author and partial(author.prove_bid_cell, j),
+            for j, (stmt, proof) in enumerate(zip(cells, proofs)):
+                entries.append((name, stmt, proof,
                                 "validity proof failed", f" at price {j + 1}"))
-            stmt = sigma.SumValidityStatement(y=y, g=g, marker=marker,
-                                              alphas=tuple(alphas), betas=tuple(betas))
-            entries.append((name, stmt, payload["sum_proof"],
-                            author and author.prove_bid_sum, "sum proof failed", ""))
-        check_round(self.config, ROUND_BID, self.honest_agents(), entries)
+            entries.append((name, total, payload["sum_proof"], "sum proof failed", ""))
+        check_round(self, ROUND_BID, self.honest_agents(), entries)
         rows = [bids[bidder_name(i)] for i in range(1, n + 1)]
         self.bases = compute_outcome_bases(params, [row["alphas"] for row in rows],
                                            [row["betas"] for row in rows])
@@ -797,22 +799,11 @@ class AuctionRun:
             self._check_auth(ROUND_OUTCOME, since=fixes_from)
         self._verify_outcome()
 
-    def _outcome_shares(self):
-        """``collect_outcome`` for this run, after refusing any outcome or
-        fix post whose shape does not fit the n x k grid."""
-        n, k = self.config.n, self.config.k
-        for post in self.board.select(round=ROUND_OUTCOME):
-            problem = _outcome_shape_problem(post, n, k)
-            if problem is not None:
-                raise ProofRejected(post.author, ROUND_OUTCOME,
-                                    f"malformed outcome: {problem}")
-        return collect_outcome(self.board, n)
-
     def _noise_product_pass(self) -> None:
         """Abort on cancelled masking, then redraw the exponents at cells
         whose joint product collapsed, at most ten times."""
-        params, n = self.config.params, self.config.n
-        products = cell_products(params, self._outcome_shares()[0])
+        params, n, k = self.config.params, self.config.n, self.config.k
+        products = cell_products(params, collect_outcome(self.board, n, k)[0])
         cancelled = defenses.check_noise_cancellation(self.bases, products)
         if cancelled:
             raise RestartRequired("noise cancellation detected", cancelled)
@@ -822,32 +813,31 @@ class AuctionRun:
                 return
             for index in range(1, n + 1):
                 self.bidder(index).redraw_exponents(flagged)
-            products = cell_products(params, self._outcome_shares()[0])
+            products = cell_products(params, collect_outcome(self.board, n, k)[0])
         raise RestartRequired("noise products kept collapsing", [])
 
     def _verify_outcome(self) -> None:
         """Read the masking shares and keep them with their cell products
         before checking them: a relaying prover reads them in its sessions."""
         params, n, k = self.config.params, self.config.n, self.config.k
-        gammas, deltas, proofs = self._outcome_shares()
+        gammas, deltas, proofs = collect_outcome(self.board, n, k)
         for a in range(n):
             check_elements(params, bidder_name(a + 1), ROUND_OUTCOME,
                            "outcome", *gammas[a], *deltas[a])
         self.gammas, self.deltas = gammas, deltas
         self.gamma_products = cell_products(params, gammas)
         self.delta_products = cell_products(params, deltas)
-        bases = self.bases
-        entries = []
-        for a in range(n):
-            name = bidder_name(a + 1)
-            prove = self.agents[name].prove_outcome_cell
-            for i in range(n):
-                for j in range(k):
-                    stmt = sigma.EQDLStatement(
-                        gens=bases[i][j], targets=(gammas[a][i][j], deltas[a][i][j]))
-                    entries.append((name, stmt, proofs[a][i][j], partial(prove, i, j),
-                                    "masking proof failed", f" at cell ({i + 1},{j + 1})"))
-        check_round(self.config, ROUND_OUTCOME, self.honest_agents(), entries)
+        entries = [(bidder_name(a + 1), self.outcome_statement(a, i, j), proofs[a][i][j],
+                    "masking proof failed", f" at cell ({i + 1},{j + 1})")
+                   for a in range(n) for i in range(n) for j in range(k)]
+        check_round(self, ROUND_OUTCOME, self.honest_agents(), entries)
+
+    def outcome_statement(self, a: int, i: int, j: int) -> sigma.EQDLStatement:
+        """Bidder a's kept masking shares at cell (i, j), all 0-based, as
+        the statement that proves them: one exponent raises the cell's base
+        pair to both."""
+        return sigma.EQDLStatement(gens=self.bases[i][j],
+                                   targets=(self.gammas[a][i][j], self.deltas[a][i][j]))
 
     def step_decrypt(self) -> None:
         for index in range(1, self.config.n + 1):

@@ -254,9 +254,7 @@ def scenario_forged_eqdl(spec: ScenarioSpec) -> ScenarioResult:
                                     spec.exponent,
                                     sigma.verifier_source(config.params,
                                                           verifier_rng))
-    stmt = sigma.EQDLStatement(
-        gens=run.bases[0][0],
-        targets=(run.gammas[mallory - 1][0][0], run.deltas[mallory - 1][0][0]))
+    stmt = run.outcome_statement(mallory - 1, 0, 0)
     accepted = sigma.verify_transcript(config.params, stmt, tr, require_hashed=False)
     return _scenario_result(
         spec, expectation, accepted, accepted,

@@ -117,7 +117,7 @@ class TestNoiseRemoval:
         cell is exactly base^exponent: the other bidders' noise is gone."""
         g = SMALL_GROUP
         run = _attack_run_through_outcome(2, exponent)
-        gammas, deltas, _ = collect_outcome(run.board, 3)
+        gammas, deltas, _ = collect_outcome(run.board, 3, run.config.k)
         for i in range(3):
             for j in range(2):
                 ba, bb = run.bases[i][j]

@@ -275,3 +275,25 @@ class TestModuleEntryPoint:
             capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert proc.stdout.strip() == "False"
+
+
+def _readme_command_lines() -> list[list[str]]:
+    """The ``auctionlab …`` lines of README's "Command line" block, as
+    argument lists after the program name, with trailing comments cut."""
+    readme = Path(__file__).parents[1] / "README.md"
+    block = readme.read_text().split("## Command line", 1)[1].split("```", 2)[1]
+    return [line.split("#", 1)[0].split()[1:] for line in block.splitlines()
+            if line.startswith("auctionlab ")]
+
+
+class TestReadmeCommands:
+    """Every command line README shows runs and meets its expectation, so a
+    renamed flag or scenario fails here instead of in the docs."""
+
+    def test_block_is_found(self):
+        assert len(_readme_command_lines()) >= 10
+
+    @pytest.mark.parametrize("args", _readme_command_lines(), ids=" ".join)
+    def test_exits_zero(self, args, tmp_path, capsys):
+        out = ["--out", str(tmp_path)] if args[0] == "run" else []
+        assert main(args + out) == 0, capsys.readouterr().err

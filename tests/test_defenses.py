@@ -105,7 +105,7 @@ def _run_through_outcome(seed, n=2, k=2, bids=(1, 2), flags=None):
 
 
 def _masking_products(run):
-    gammas = collect_outcome(run.board, run.config.n)[0]
+    gammas = collect_outcome(run.board, run.config.n, run.config.k)[0]
     return cell_products(SMALL_GROUP, gammas)
 
 

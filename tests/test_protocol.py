@@ -228,13 +228,16 @@ class TestModeDiscipline:
         run.step_keygen()
         run.step_bid()
         agent = run.bidder(1)
+        bid = run.board.latest_by_author(ROUND_BID, "bid")[agent.name].payload
+        cells, total = protocol.bid_statements(cfg.params, run.joint_y, cfg.marker,
+                                               bid["alphas"], bid["betas"])
         source = sigma.verifier_source(cfg.params, random.Random(1))
         with pytest.raises(ModeMismatch):
-            agent.prove_keyshare(source)
+            agent.prove(sigma.PDLStatement(g=cfg.params.g, v=agent.share.y), source)
         with pytest.raises(ModeMismatch):
-            agent.prove_bid_cell(0, source)
+            agent.prove(cells[0], source)
         with pytest.raises(ModeMismatch):
-            agent.prove_bid_sum(source)
+            agent.prove(total, source)
 
     def test_hashed_posts_carry_checkable_proofs(self):
         cfg = AuctionConfig(n=2, k=2, flags=DefenseFlags(ni_proofs=True))
@@ -438,6 +441,41 @@ class TestMalformedProofs:
             "malformed proof: commitment outside 0 < z < p")
 
 
+class TestForeignStatements:
+    """An interactive verifier asks the poster's agent to prove the
+    statement it built from the board.  A post under a bidder's name that
+    the bidder never made is refused as that round's failed proof."""
+
+    CONFIG = AuctionConfig(n=3, k=4, params=MID_GROUP, marker=9)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_key_share(self, seed):
+        run = AuctionRun(self.CONFIG, [3, 1, 2], seed)
+        for index in range(1, 4):
+            run.bidder(index).keygen()
+        run.board.append(ROUND_KEYGEN, bidder_name(2), "keyshare",
+                         {"bidder": 2, "y": MID_GROUP.exp(MID_GROUP.g, 5), "proof": None})
+        with pytest.raises(ProofRejected) as caught:
+            run._verify_keygen()
+        exc = caught.value
+        assert (exc.author, exc.round_name, exc.detail) == (
+            bidder_name(2), ROUND_KEYGEN, "key share proof failed")
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bid(self, seed):
+        run = AuctionRun(self.CONFIG, [3, 1, 2], seed)
+        run.step_keygen()
+        for index in range(1, 4):
+            run.bidder(index).submit_bid(run.bids[index - 1])
+        alphas = run.board.latest_by_author(ROUND_BID, "bid")[bidder_name(2)].payload["alphas"]
+        _repost_bid(run, 2, alphas=[alphas[0] * MID_GROUP.g % MID_GROUP.p, *alphas[1:]])
+        with pytest.raises(ProofRejected) as caught:
+            run._verify_bids()
+        exc = caught.value
+        assert (exc.author, exc.round_name, exc.detail) == (
+            bidder_name(2), ROUND_BID, "validity proof failed at price 1")
+
+
 class TestNonCanonicalScalars:
     """A hashed challenge or response outside 0 <= v < q is a second
     accepting transcript for the same statement (v + q passes every
@@ -463,8 +501,10 @@ class TestNonCanonicalScalars:
         """An interactive response shifted by a multiple of q passes every
         equation too; it is refused before any verifier raises a base to it."""
         class ShiftingBidder(BidderAgent):
-            def prove_keyshare(self, challenge_source):
-                tr = super().prove_keyshare(challenge_source)
+            def prove(self, stmt, challenge_source):
+                tr = super().prove(stmt, challenge_source)
+                if not isinstance(stmt, sigma.PDLStatement):
+                    return tr
                 return dataclasses.replace(tr, response=tr.response + shift)
 
         def factory(run, index, rng):
@@ -624,6 +664,61 @@ class TestOwnRowReadsTheSeller:
             assert run.bidder(index).own_row_values() == outcome.v[index - 1]
 
 
+class TestOwnRowRefusesMalformedPublications:
+    """A seller publication that fails its tag check under authentication,
+    or that does not hold the reader's row of an n x k grid, is refused
+    naming the seller and the decrypt round, never read or crashed on."""
+
+    MALFORMED = {
+        "not-a-mapping": (["junk"], "payload is not a mapping"),
+        "no-phi": ({"bidder": 2}, "phi is not a 3 x 4 grid"),
+        "bidder-not-int": ({"bidder": "2", "phi": []}, "bidder '2' outside 1..3"),
+        "bidder-outside": ({"bidder": 4, "phi": [[1] * 4] * 3}, "bidder 4 outside 1..3"),
+        "one-row": ({"bidder": 2, "phi": [[1, 1, 1, 1]]}, "phi is not a 3 x 4 grid"),
+        "element-p": ({"bidder": 2, "phi": [[MID_GROUP.p] * 4, [None] * 4, [1] * 4]},
+                      "element outside 0 < v < p"),
+    }
+
+    @staticmethod
+    def _finished_run(flags):
+        cfg = AuctionConfig(n=3, k=4, params=MID_GROUP, marker=9, flags=flags)
+        run, outcome = run_auction(cfg, [3, 1, 2], 1)
+        assert outcome.status == "winner"
+        return run
+
+    @pytest.mark.parametrize("case", MALFORMED)
+    @pytest.mark.parametrize("flags", [DefenseFlags(), DefenseFlags.all_on()],
+                             ids=["no-defenses", "all-defenses"])
+    def test_malformed_refused(self, flags, case):
+        payload, detail = self.MALFORMED[case]
+        run = self._finished_run(flags)
+        run.seller._post(ROUND_DECRYPT, "decrypt-publish", payload)
+        with pytest.raises(ProofRejected) as caught:
+            run.bidder(1).own_row_values()
+        exc = caught.value
+        assert (exc.author, exc.round_name, exc.detail) == (
+            protocol.SELLER, ROUND_DECRYPT, f"malformed publication: {detail}")
+
+    @pytest.mark.parametrize("case", MALFORMED)
+    def test_untagged_refused_under_authentication(self, case):
+        run = self._finished_run(DefenseFlags.all_on())
+        run.board.append(ROUND_DECRYPT, protocol.SELLER, "decrypt-publish",
+                         self.MALFORMED[case][0])
+        with pytest.raises(AuthRejected) as caught:
+            run.bidder(1).own_row_values()
+        assert (caught.value.author, caught.value.round_name) == (
+            protocol.SELLER, ROUND_DECRYPT)
+
+    @pytest.mark.parametrize("flags", [DefenseFlags(), DefenseFlags.all_on()],
+                             ids=["no-defenses", "all-defenses"])
+    def test_withheld_row_is_missing(self, flags):
+        run = self._finished_run(flags)
+        run.seller._post(ROUND_DECRYPT, "decrypt-publish",
+                         {"bidder": 2, "phi": [[None] * 4, [None] * 4, [1] * 4]})
+        with pytest.raises(MissingShares):
+            run.bidder(1).own_row_values()
+
+
 class LateKeyShareBidder(BidderAgent):
     """After bidding, posts a key share g^5 under bidder 1's name, in the
     keygen round that has already closed."""
@@ -646,7 +741,7 @@ class FixForgingColluder(ZeroNoiseColluder):
     def redraw_exponents(self, cells):
         post = super().redraw_exponents(cells)
         params = self.params
-        ba, bb = self.outcome_stmts[1][2].gens
+        ba, bb = self.run.bases[1][2]
         m = 5
         stmt = sigma.EQDLStatement(gens=(ba, bb),
                                    targets=(params.exp(ba, m), params.exp(bb, m)))
