@@ -24,6 +24,21 @@ belong to one ``GroupParams`` (the mid and large groups share bases 4 and
 of an n=4, k=8 auction, evicting the least recently used, and
 ``AuctionRun.run`` and ``scenarios.run_scenario`` drop them when they end,
 so they live for one run.
+
+Many bases at once.  ``multi_exp`` raises a list of bases to their own
+exponents and multiplies the powers by the bucket method (Pippenger): one
+pass per window of c exponent bits sorts every base into the bucket of its
+digit, and the buckets fold into the result with two products each.  A
+batch of proof equations (``sigma.EquationBatch``) raises its targets and
+commitments this way.
+
+Membership.  ``is_element`` decides whether v lies in the order-q subgroup.
+A group with p < 2^16 looks v up in a table of its members, built once from
+Euler's criterion (about 0.1 us, against about 1 us for ``pow(v, q, p)`` in
+the mid group).  When p = 2q + 1 the subgroup is the quadratic residues, so
+in a wide group a Jacobi-symbol loop decides it (about 50 us at 256 bits,
+against about 220 us for ``pow``).  Every other group compares
+``pow(v, q, p)`` with 1.
 """
 
 from __future__ import annotations
@@ -42,6 +57,9 @@ _MILLER_RABIN_ROUNDS = 40
 # tables a group keeps.
 _TABLE_MIN_BITS = 128
 _MAX_TABLES = 384
+
+# Groups with p below this keep a table of their members.
+_MEMBER_TABLE_LIMIT = 1 << 16
 
 
 def is_prime(n: int) -> bool:
@@ -89,12 +107,19 @@ class GroupParams:
     g: int
 
     def __post_init__(self):
-        # Tables are not fields: equality, hash and repr stay (p, q, g).
+        # Tables and ``wide`` are not fields: equality, hash and repr stay
+        # (p, q, g).  ``wide``: p has at least 128 bits, so ``exp`` keeps
+        # tables and proof equations are checked in batches.
         wide = self.p.bit_length() >= _TABLE_MIN_BITS
         width = (self.q.bit_length() + 7) // 8     # exponent bytes a table serves
+        object.__setattr__(self, "wide", wide)
         object.__setattr__(self, "_tables", OrderedDict() if wide else None)
         object.__setattr__(self, "_table_bytes", width)
         object.__setattr__(self, "_table_limit", 1 << 8 * width)
+        object.__setattr__(self, "_residues", wide and self.p == 2 * self.q + 1)
+        object.__setattr__(self, "_members", bytes(
+            pow(v, self.q, self.p) == 1 for v in range(self.p))
+            if self.p < _MEMBER_TABLE_LIMIT else None)
 
     def exp(self, x: int, e: int) -> int:
         """x**e mod p.  Negative e works because x is a unit mod p.  In a
@@ -157,8 +182,48 @@ class GroupParams:
         return out
 
     def is_element(self, v: int) -> bool:
-        """True iff v is in the order-q subgroup."""
-        return 0 < v < self.p and pow(v, self.q, self.p) == 1
+        """True iff v is in the order-q subgroup: 0 < v < p and v^q = 1,
+        read from the member table of a group with p < 2^16, or decided by
+        the Jacobi symbol (v/p) in a wide safe-prime group."""
+        if not 0 < v < self.p:
+            return False
+        if self._members is not None:
+            return self._members[v] == 1
+        if self._residues:
+            return _jacobi(v, self.p) == 1
+        return pow(v, self.q, self.p) == 1
+
+    def multi_exp(self, bases, exponents) -> int:
+        """The product of bases[i]^exponents[i] mod p, for exponents >= 0,
+        equal to the product of ``pow`` results.  Each pass takes the next
+        c bits of every exponent from the top: the accumulator is squared c
+        times, bucket d gathers the bases whose digit is d, and the running
+        products of the buckets from the top digit down multiply in, which
+        raises bucket d to d."""
+        p = self.p
+        pairs = [(x, e) for x, e in zip(bases, exponents) if e]
+        if not pairs:
+            return 1
+        bits = max(e for _, e in pairs).bit_length()
+        c = _window(len(pairs), bits)
+        mask = (1 << c) - 1
+        acc = 1
+        for shift in range((bits - 1) // c * c, -1, -c):
+            if acc != 1:
+                for _ in range(c):
+                    acc = acc * acc % p
+            buckets = [1] * (mask + 1)
+            for x, e in pairs:
+                d = e >> shift & mask
+                if d:
+                    buckets[d] = buckets[d] * x % p
+            run = 1
+            for d in range(mask, 0, -1):
+                if buckets[d] != 1:
+                    run = run * buckets[d] % p
+                if run != 1:
+                    acc = acc * run % p
+        return acc
 
     def elements(self) -> list[int]:
         """Every subgroup element, ascending.  Desk-scale groups only."""
@@ -166,6 +231,31 @@ class GroupParams:
 
     def random_scalar(self, rng: random.Random, nonzero: bool = False) -> int:
         return rng.randrange(1 if nonzero else 0, self.q)
+
+
+def _window(count: int, bits: int) -> int:
+    """The digit width c for ``multi_exp`` that needs the fewest products:
+    ceil(bits / c) passes of ``count`` bucket products plus two per bucket."""
+    return min(range(1, 17),
+               key=lambda c: -(-bits // c) * (count + (2 << c)))
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0: 1, -1, or 0 when a and n
+    share a factor.  Strips the factors of 2 from a, applying (2/n), then
+    swaps a and n by quadratic reciprocity and reduces."""
+    a %= n
+    t = 1
+    while a:
+        z = (a & -a).bit_length() - 1
+        if z:
+            a >>= z
+            if z & 1 and n & 7 in (3, 5):
+                t = -t
+        if a & n & 2:
+            t = -t
+        a, n = n % a, a
+    return t if n == 1 else 0
 
 
 def validate_group(p: int, q: int, g: int) -> GroupParams:

@@ -188,13 +188,19 @@ def decrypt_statement(params: GroupParams, delta_products, phi,
 
 def check_elements(params: GroupParams, author: str, round_name: str,
                    what: str, *rows) -> None:
-    """Refuse posted group elements that are not integers in 0 < v < p,
-    before any proof or challenge encoding sees them.  Subgroup membership
-    is not checked here."""
+    """Refuse posted group elements that are not integers in 0 < v < p, or
+    not in the order-q subgroup, before any proof or challenge encoding sees
+    them.  Proof checks are batched over members only (``sigma.EquationBatch``),
+    and a non-member such as p - v can pass a proof about v when the
+    challenge is even."""
     p = params.p
-    if not all(type(v) is int and 0 < v < p for row in rows for v in row):
+    values = [v for row in rows for v in row]
+    if not all(type(v) is int and 0 < v < p for v in values):
         raise ProofRejected(author, round_name,
                             f"malformed {what}: element outside 0 < v < p")
+    if not all(map(params.is_element, values)):
+        raise ProofRejected(author, round_name,
+                            f"malformed {what}: element outside the order-q subgroup")
 
 
 def _is_list(value, length: int) -> bool:
@@ -235,11 +241,12 @@ def _outcome_shape_problem(post: Post, n: int, k: int) -> str | None:
     return None
 
 
-def _publication_problem(payload, n: int, k: int, row: int, p: int) -> str | None:
+def _publication_problem(payload, n: int, k: int, row: int,
+                         params: GroupParams) -> str | None:
     """What makes a decryption publication unfit to read row ``row``
     (0-based) from, or None.  A publication names its bidder in 1..n and
-    holds an n x k ``phi`` grid; entries of the row are in 0 < v < p, or
-    None where withheld."""
+    holds an n x k ``phi`` grid; entries of the row are members of the
+    order-q subgroup, or None where withheld."""
     if type(payload) is not dict:
         return "payload is not a mapping"
     bidder, phi = payload.get("bidder"), payload.get("phi")
@@ -247,8 +254,11 @@ def _publication_problem(payload, n: int, k: int, row: int, p: int) -> str | Non
         return f"bidder {bidder!r} outside 1..{n}"
     if not (_is_list(phi, n) and all(_is_list(r, k) for r in phi)):
         return f"phi is not a {n} x {k} grid"
-    if not all(v is None or (type(v) is int and 0 < v < p) for v in phi[row]):
+    values = [v for v in phi[row] if v is not None]
+    if not all(type(v) is int and 0 < v < params.p for v in values):
         return "element outside 0 < v < p"
+    if not all(map(params.is_element, values)):
+        return "element outside the order-q subgroup"
     return None
 
 
@@ -263,20 +273,23 @@ def _canonical_scalars(tr, q: int) -> bool:
 
 def check_proof(config: AuctionConfig, rng: random.Random, author: str,
                 round_name: str, stmt, payload, prover, failure: str,
-                where: str) -> None:
+                where: str, batch: sigma.EquationBatch) -> None:
     """Check ``author``'s proof of ``stmt`` in the run's proof mode, or
     raise ProofRejected naming the author, the round and ``where``.
 
     Interactive: ``prover``, the author's agent, proves ``stmt`` as the
     verifier built it, in a fresh session against challenges drawn from
     ``rng``; an agent that never posted ``stmt`` has no proof and fails.
-    Hashed: the posted ``payload`` is parsed, every commitment must lie in
-    0 < z < p, and the challenge must be the canonical hash.  In both modes
-    every challenge and response (OR branches included) must lie in
+    Hashed: the posted ``payload`` is parsed, and the challenge must be the
+    canonical hash.  In both modes every commitment must lie in the order-q
+    subgroup, and every challenge and response (OR branches included) in
     0 <= v < q, so that no statement has a second accepting transcript made
-    by adding q and no verifier raises a base to an oversized response.  The
-    proof is missing when the mode's prover or payload is None.
-    ``check_round`` decides which verifier checks which proof."""
+    by adding q, no verifier raises a base to an oversized response, and the
+    batch sees members only.  The proof is missing when the mode's prover
+    or payload is None.  Every failure found here is raised at once; the
+    proof's exponent equations go to ``batch``, which in a wide group checks
+    them when the round's checks are done (``check_round``).  ``check_round``
+    decides which verifier checks which proof."""
     params, interactive = config.params, config.interactive
     if (prover if interactive else payload) is None:
         raise ProofRejected(author, round_name, f"missing proof{where}")
@@ -290,18 +303,19 @@ def check_proof(config: AuctionConfig, rng: random.Random, author: str,
         except ValueError as exc:
             raise ProofRejected(author, round_name,
                                 f"malformed proof{where}: {exc}") from exc
-        p = params.p
-        for z in tr.commitment:
-            if not 0 < z < p:
-                raise ProofRejected(author, round_name,
-                                    f"malformed proof{where}: commitment "
-                                    "outside 0 < z < p")
+    for z in tr.commitment:
+        if not params.is_element(z):
+            outside = "0 < z < p" if not 0 < z < params.p else "the order-q subgroup"
+            raise ProofRejected(author, round_name,
+                                f"malformed proof{where}: commitment outside {outside}")
     if not _canonical_scalars(tr, params.q):
         raise ProofRejected(author, round_name,
                             f"malformed proof{where}: response or "
                             "challenge outside 0 <= v < q")
-    if not sigma.verify_transcript(params, stmt, tr, require_hashed=not interactive):
-        raise ProofRejected(author, round_name, failure + where)
+    detail = failure + where
+    if not sigma.verify_transcript(params, stmt, tr, require_hashed=not interactive,
+                                   batch=batch, key=(author, detail)):
+        raise ProofRejected(author, round_name, detail)
 
 
 def check_round(run: "AuctionRun", round_name: str, verifiers, entries) -> None:
@@ -313,8 +327,15 @@ def check_round(run: "AuctionRun", round_name: str, verifiers, entries) -> None:
     proof.  Interactive sessions run once per verifier.  A hashed proof's
     verdict depends on its statement and transcript alone, so the first
     verifier that reaches it checks it and every later one shares that
-    verdict."""
+    verdict.
+
+    Every proof's exponent equations go to one batch for the round.  The
+    failure raised is the one checking each proof on arrival would raise
+    first: before a failure found during the checks is raised, the
+    equations added before it are checked one at a time, and after the last
+    check the batch is settled, one at a time only if the whole fails."""
     config, agents = run.config, run.agents
+    batch = sigma.EquationBatch(config.params)
     pending = entries
     for verifier in verifiers:
         left = []
@@ -323,11 +344,26 @@ def check_round(run: "AuctionRun", round_name: str, verifiers, entries) -> None:
             if author == verifier.name:
                 left.append(entry)            # nobody checks their own proof
                 continue
-            check_proof(config, verifier.rng, author, round_name, stmt, payload,
-                        agents.get(author), failure, where)
+            try:
+                check_proof(config, verifier.rng, author, round_name, stmt, payload,
+                            agents.get(author), failure, where, batch)
+            except Exception:
+                # An earlier proof's false equation is raised first.
+                _raise_first_failure(batch, round_name, batched=False)
+                raise
             if config.interactive:
                 left.append(entry)            # every verifier runs a session
         pending = left
+    _raise_first_failure(batch, round_name)
+
+
+def _raise_first_failure(batch: sigma.EquationBatch, round_name: str,
+                         batched: bool = True) -> None:
+    """Raise the ProofRejected of the first check in ``batch`` with a false
+    equation, if there is one."""
+    key = batch.first_failure(batched)
+    if key is not None:
+        raise ProofRejected(key[0], round_name, key[1])
 
 
 # --------------------------------------------------------------------------
@@ -562,7 +598,7 @@ class BidderAgent(Party):
             if (self.config.flags.authenticate
                     and not defenses.verify_post(self.run.registry, post)):
                 raise AuthRejected(SELLER, ROUND_DECRYPT)
-            problem = _publication_problem(post.payload, n, k, mine, params.p)
+            problem = _publication_problem(post.payload, n, k, mine, params)
             if problem is not None:
                 raise ProofRejected(SELLER, ROUND_DECRYPT,
                                     f"malformed publication: {problem}")
@@ -802,8 +838,8 @@ class AuctionRun:
     def _noise_product_pass(self) -> None:
         """Abort on cancelled masking, then redraw the exponents at cells
         whose joint product collapsed, at most ten times."""
-        params, n, k = self.config.params, self.config.n, self.config.k
-        products = cell_products(params, collect_outcome(self.board, n, k)[0])
+        params, n = self.config.params, self.config.n
+        products = cell_products(params, self._read_outcome()[0])
         cancelled = defenses.check_noise_cancellation(self.bases, products)
         if cancelled:
             raise RestartRequired("noise cancellation detected", cancelled)
@@ -813,17 +849,24 @@ class AuctionRun:
                 return
             for index in range(1, n + 1):
                 self.bidder(index).redraw_exponents(flagged)
-            products = cell_products(params, collect_outcome(self.board, n, k)[0])
+            products = cell_products(params, self._read_outcome()[0])
         raise RestartRequired("noise products kept collapsing", [])
 
-    def _verify_outcome(self) -> None:
-        """Read the masking shares and keep them with their cell products
-        before checking them: a relaying prover reads them in its sessions."""
+    def _read_outcome(self):
+        """The masking shares and proofs as ``collect_outcome`` merges them,
+        after refusing a share that is not a subgroup element."""
         params, n, k = self.config.params, self.config.n, self.config.k
         gammas, deltas, proofs = collect_outcome(self.board, n, k)
         for a in range(n):
             check_elements(params, bidder_name(a + 1), ROUND_OUTCOME,
                            "outcome", *gammas[a], *deltas[a])
+        return gammas, deltas, proofs
+
+    def _verify_outcome(self) -> None:
+        """Read the masking shares and keep them with their cell products
+        before checking them: a relaying prover reads them in its sessions."""
+        params, n, k = self.config.params, self.config.n, self.config.k
+        gammas, deltas, proofs = self._read_outcome()
         self.gammas, self.deltas = gammas, deltas
         self.gamma_products = cell_products(params, gammas)
         self.delta_products = cell_products(params, deltas)

@@ -13,7 +13,12 @@ One map, ``_core``, turns a knowledge, equality or sum statement into its
 exponent equations gens[i]^x = targets[i]; a bid cell is the OR of two such
 cores.  One prover, ``prove``, proves every statement, and its challenge
 source decides the mode.  One verifier, ``verify_transcript``, checks every
-statement through the cores' equations (``verify_eqdl``).
+statement through the equations gens[i]^s = z[i] * targets[i]^c of its
+transcript (``transcript_equations``): one at a time, or handed to an
+``EquationBatch``, which in a wide group checks a whole round's equations as
+one.  A batch passes a false equation with probability at most 2^-64, and
+only if every element in it is a member of the order-q subgroup; callers
+check membership first.
 
 Interactive runs are deliberately unhardened: the verifier's challenge is
 whatever the caller's challenge source supplies, and an honest prover will
@@ -86,12 +91,18 @@ class SumValidityStatement:
     betas: tuple[int, ...]
 
 
+@functools.lru_cache(maxsize=16)
+def _marker_inverse(params: GroupParams, marker: int) -> int:
+    """marker^-1 mod p, computed once per group and marker."""
+    return params.inv(marker)
+
+
 def branch_statements(params: GroupParams, stmt: BidValidityStatement):
     """The two cores underneath the OR: plaintext 1 / marker."""
     plain = EQDLStatement(gens=(stmt.g, stmt.y), targets=(stmt.beta, stmt.alpha))
     marked = EQDLStatement(
         gens=(stmt.g, stmt.y),
-        targets=(stmt.beta, stmt.alpha * params.inv(stmt.marker) % params.p),
+        targets=(stmt.beta, stmt.alpha * _marker_inverse(params, stmt.marker) % params.p),
     )
     return plain, marked
 
@@ -105,7 +116,7 @@ def _core(params: GroupParams, stmt) -> EQDLStatement:
     if isinstance(stmt, PDLStatement):
         return EQDLStatement(gens=(stmt.g,), targets=(stmt.v,))
     if isinstance(stmt, SumValidityStatement):
-        v = params.mul(*stmt.alphas) * params.inv(stmt.marker) % params.p
+        v = params.mul(*stmt.alphas) * _marker_inverse(params, stmt.marker) % params.p
         return EQDLStatement(gens=(stmt.y, stmt.g), targets=(v, params.mul(*stmt.betas)))
     raise TypeError(f"no single-exponent core for {type(stmt).__name__}")
 
@@ -252,11 +263,12 @@ def prove(params: GroupParams, stmt, witness, rng: random.Random,
 def _simulate_eqdl(params: GroupParams, stmt: EQDLStatement,
                    rng: random.Random) -> Transcript:
     """Accepting transcript with no witness: pick challenge and response first,
-    then solve for the commitment."""
+    then solve for the commitment.  A target is raised to q - c, which is
+    target^-c for a subgroup member, the only kind a verifier accepts."""
     c = rng.randrange(params.q)
     s = rng.randrange(params.q)
     com = tuple(
-        params.exp(gen, s) * params.exp(target, -c) % params.p
+        params.exp(gen, s) * params.exp(target, params.q - c) % params.p
         for gen, target in zip(stmt.gens, stmt.targets)
     )
     return Transcript(commitment=com, challenge=c, response=s)
@@ -301,38 +313,140 @@ def _prove_bid_cell(params: GroupParams, stmt: BidValidityStatement,
 # The one verifier: every statement as exponent equations
 # --------------------------------------------------------------------------
 
-def verify_eqdl(params: GroupParams, stmt: EQDLStatement, tr: Transcript) -> bool:
-    """gens[i]^s = z[i] * targets[i]^c for every i, stopping at the first
-    equation that fails."""
-    if len(tr.commitment) != len(stmt.gens):
-        return False
-    for gen, target, com in zip(stmt.gens, stmt.targets, tr.commitment):
-        lhs = params.exp(gen, tr.response)
-        rhs = com * params.exp(target, tr.challenge) % params.p
-        if lhs != rhs:
-            return False
-    return True
+# An exponent equation gen^s = com * target^c is the tuple
+# (gen, target, com, s, c).  A batch weighs each by this many bytes of hash.
+_WEIGHT_BYTES = 8
 
 
-def verify_transcript(params: GroupParams, stmt, tr, require_hashed: bool) -> bool:
-    """Check a transcript's algebra: a bid cell as the OR of its two branch
-    cores, whose challenges must split the outer one, and every other
-    statement as its core.  Under hashed challenges also check the challenge
-    is exactly the canonical hash of statement and commitment."""
+def _all_hold(params: GroupParams, equations) -> bool:
+    """Whether every equation holds, checked in order, stopping at the
+    first that fails."""
+    exp, p = params.exp, params.p
+    return all(exp(gen, s) == com * exp(target, c) % p
+               for gen, target, com, s, c in equations)
+
+
+def _core_equations(stmt: EQDLStatement, tr) -> list[tuple] | None:
+    """One equation per generator, or None unless ``tr`` is a plain
+    transcript with one commitment per generator."""
+    if not isinstance(tr, Transcript) or len(tr.commitment) != len(stmt.gens):
+        return None
+    s, c = tr.response, tr.challenge
+    return [(gen, target, com, s, c)
+            for gen, target, com in zip(stmt.gens, stmt.targets, tr.commitment)]
+
+
+def transcript_equations(params: GroupParams, stmt, tr) -> list[tuple] | None:
+    """The equations ``tr`` must satisfy to prove ``stmt``: a bid cell's
+    are its two branch cores', every other statement's its core's.  None
+    when the shape of ``tr``, or a bid cell's challenge split, already
+    refutes it."""
     if isinstance(stmt, BidValidityStatement):
         if not isinstance(tr, OrTranscript):
-            return False
+            return None
         plain_stmt, marked_stmt = branch_statements(params, stmt)
         (b0, b1), q = tr.branches, params.q
-        ok = ((b0.challenge + b1.challenge) % q == tr.challenge % q
-              and verify_eqdl(params, plain_stmt, b0)
-              and verify_eqdl(params, marked_stmt, b1))
+        if (b0.challenge + b1.challenge) % q != tr.challenge % q:
+            return None
+        plain, marked = _core_equations(plain_stmt, b0), _core_equations(marked_stmt, b1)
+        return None if plain is None or marked is None else plain + marked
+    return _core_equations(_core(params, stmt), tr)
+
+
+def verify_transcript(params: GroupParams, stmt, tr, require_hashed: bool,
+                      batch: "EquationBatch | None" = None, key=None) -> bool:
+    """Check a transcript: its equations (``transcript_equations``) and then,
+    under hashed challenges, that the challenge is exactly the canonical
+    hash of statement and commitment.  Without a batch every equation is
+    checked now, in order, stopping at the first that fails.  With one the
+    equations go to ``batch.add(key, ...)``, which in a wide group keeps
+    them for later and answers True."""
+    equations = transcript_equations(params, stmt, tr)
+    if equations is None:
+        return False
+    if batch is None:
+        ok = _all_hold(params, equations)
     else:
-        ok = isinstance(tr, Transcript) and verify_eqdl(params, _core(params, stmt), tr)
+        ok = batch.add(key, equations)
     if not ok or not require_hashed:
         return ok
     return (tr.challenge % params.q == fiat_shamir_challenge(params, stmt, tr.commitment)
             and tr.hash_name == CHALLENGE_HASH)
+
+
+class EquationBatch:
+    """The exponent equations of one round's proof checks.
+
+    In a narrow group ``add`` checks each equation as it arrives.  In a wide
+    group (``GroupParams.wide``) it keeps them, and ``first_failure`` checks
+    all of them as one equation by the small-exponent test (Bellare-Garay-
+    Rabin, "Fast Batch Verification for Modular Exponentiation and Digital
+    Signatures", EUROCRYPT '98): with 64-bit weights w taken from a SHA-256
+    hash of the equations,
+
+        prod gen^(sum w*s) = prod com^w * prod target^(sum w*c).
+
+    Each distinct generator is raised once through its fixed-base table;
+    targets and commitments are raised together by ``GroupParams.multi_exp``.
+    When some equation is false the test passes with probability at most
+    2^-64, but only if every generator, target and commitment lies in the
+    order-q subgroup: over non-members it accepts false equations (Boyd-
+    Pavlovski, "Attacking and Repairing Batch Verification Schemes",
+    ASIACRYPT 2000).  Callers check membership, and keep every s and c in
+    0 <= v < q, before they add (``protocol.check_proof`` does).  When the
+    test fails, the equations are checked one at a time, in the order they
+    were added, to find the first false one."""
+
+    def __init__(self, params: GroupParams):
+        self.params = params
+        self.pending: list[tuple[object, list[tuple]]] = []
+
+    def add(self, key, equations: list[tuple]) -> bool:
+        """Take the equations of the check named ``key``.  A narrow group
+        answers whether they all hold; a wide one keeps them and answers
+        True."""
+        if not self.params.wide:
+            return _all_hold(self.params, equations)
+        self.pending.append((key, equations))
+        return True
+
+    def first_failure(self, batched: bool = True):
+        """Check every kept equation and forget them all.  Returns the key
+        of the first check with a false equation, or None.  With
+        ``batched`` they are tried as one equation first, and one at a time
+        only when that fails."""
+        pending, self.pending = self.pending, []
+        if not pending or (batched and self._holds_together(pending)):
+            return None
+        for key, equations in pending:
+            if not _all_hold(self.params, equations):
+                return key
+        return None
+
+    def _holds_together(self, pending) -> bool:
+        """The small-exponent test over every pending equation."""
+        params = self.params
+        p, q = params.p, params.q
+        equations = [eq for _, eqs in pending for eq in eqs]
+        width = (p.bit_length() + 7) // 8
+        seed = hashlib.sha256(b"".join(
+            v.to_bytes(width, "big") for eq in equations for v in eq)).digest()
+        size = _WEIGHT_BYTES
+        stream = b"".join(
+            hashlib.sha256(seed + i.to_bytes(4, "big")).digest()
+            for i in range(-(-len(equations) * size // 32)))
+        gens, targets, coms = {}, {}, {}
+        for i, (gen, target, com, s, c) in enumerate(equations):
+            w = int.from_bytes(stream[i * size:(i + 1) * size], "big")
+            gens[gen] = gens.get(gen, 0) + w * s
+            targets[target] = targets.get(target, 0) + w * c
+            coms[com] = coms.get(com, 0) + w
+        lhs = 1
+        for gen, e in gens.items():
+            lhs = lhs * params.exp(gen, e % q) % p
+        rhs = (params.multi_exp(targets, [e % q for e in targets.values()])
+               * params.multi_exp(coms, coms.values()) % p)
+        return lhs == rhs
 
 
 # --------------------------------------------------------------------------

@@ -241,3 +241,96 @@ class TestFixedBaseTables:
         assert run_auction(cfg, [1, 2], 3)[1].status == "winner"
         assert calls["exp"] > 0 and calls["table"] == calls["exp"]
         assert 0 < calls["build"] < calls["exp"]
+
+
+# Neither is a safe prime.  p = 31 is small enough for a member table;
+# p = 73369 = 72 * 1019 + 1 is not, so its membership goes through pow.
+_ALL_GROUPS = {**GROUPS_BY_NAME, "p31": validate_group(31, 5, 2),
+               "p73369": validate_group(73369, 1019, 62156)}
+
+
+def _membership_probes(params):
+    """Members, their negatives p - v, the ends 0 and p, and random values."""
+    p, q = params.p, params.q
+    rng = random.Random(p)
+    members = [pow(params.g, rng.randrange(q), p) for _ in range(30)]
+    return [*members, *(p - v for v in members), 0, p, 1, p - 1,
+            *(rng.randrange(1, p) for _ in range(30))]
+
+
+class TestMembership:
+    """``is_element`` is Euler's criterion, v^q = 1 for 0 < v < p, whether
+    it reads a member table (p < 2^16), asks the Jacobi symbol (wide
+    safe-prime groups) or ``pow``."""
+
+    @pytest.mark.parametrize("name", _ALL_GROUPS)
+    def test_matches_pow(self, name):
+        params = _ALL_GROUPS[name]
+        p, q = params.p, params.q
+        for v in _membership_probes(params):
+            assert params.is_element(v) == (0 < v < p and pow(v, q, p) == 1), v
+
+    @pytest.mark.parametrize("name", GROUPS_BY_NAME)
+    def test_jacobi_symbol_decides_membership_in_safe_prime_groups(self, name):
+        params = GROUPS_BY_NAME[name]
+        p, q = params.p, params.q
+        assert p == 2 * q + 1
+        for v in _membership_probes(params):
+            assert (groups._jacobi(v, p) == 1) == (0 < v < p and pow(v, q, p) == 1), v
+
+    def test_jacobi_symbol_small_cases(self):
+        """Against the product of Legendre symbols over n's prime factors."""
+        def legendre(a, r):
+            t = pow(a, (r - 1) // 2, r)
+            return -1 if t == r - 1 else t
+
+        def factors(n):
+            out, f = [], 3
+            while n > 1:
+                while n % f == 0:
+                    out.append(f)
+                    n //= f
+                f += 2
+            return out
+
+        for n in range(3, 120, 2):
+            for a in range(-5, 2 * n):
+                want = 1
+                for r in factors(n):
+                    want *= legendre(a % r, r)
+                assert groups._jacobi(a, n) == want, (a, n)
+
+    def test_each_group_takes_its_path(self, monkeypatch):
+        jacobi, powers = [], []
+        monkeypatch.setattr(groups, "_jacobi", lambda a, n: jacobi.append(n) or 1)
+        monkeypatch.setattr(groups, "pow", lambda v, e, m: powers.append(m) or 1,
+                            raising=False)
+        for params in _ALL_GROUPS.values():
+            params.is_element(params.g)
+        assert jacobi == [LARGE_GROUP.p]
+        assert powers == [73369]
+        tabled = [name for name, params in _ALL_GROUPS.items() if params._members]
+        assert tabled == ["small", "mid", "p31"]
+
+
+_MULTI_BASES = st.one_of(st.integers(0, _P - 1), st.sampled_from([0, 1, _P - 1]))
+
+
+class TestMultiExp:
+    """``multi_exp`` equals the product of builtin ``pow`` results, for any
+    base, members or not, and any exponent e >= 0."""
+
+    @given(pairs=st.lists(st.tuples(_MULTI_BASES, st.one_of(
+        st.integers(0, 2**64), st.integers(0, 2**300), st.sampled_from([0, 1, _Q, _Q - 1]))),
+        max_size=40))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_pow_products(self, pairs):
+        for params in (LARGE_GROUP, MID_GROUP):
+            want = 1
+            for x, e in pairs:
+                want = want * pow(x, e, params.p) % params.p
+            assert params.multi_exp([x for x, _ in pairs], [e for _, e in pairs]) == want
+
+    def test_empty_product_is_one(self):
+        assert LARGE_GROUP.multi_exp([], []) == 1
+        assert LARGE_GROUP.multi_exp([5, 7], [0, 0]) == 1
