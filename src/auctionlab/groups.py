@@ -193,6 +193,17 @@ class GroupParams:
             return _jacobi(v, self.p) == 1
         return pow(v, self.q, self.p) == 1
 
+    def are_elements(self, values) -> bool:
+        """True iff every value is in the order-q subgroup (``is_element``).
+        A member table checks them without a method call per value."""
+        members, p = self._members, self.p
+        if members is None:
+            return all(map(self.is_element, values))
+        for v in values:
+            if not 0 < v < p or not members[v]:
+                return False
+        return True
+
     def multi_exp(self, bases, exponents) -> int:
         """The product of bases[i]^exponents[i] mod p, for exponents >= 0,
         equal to the product of ``pow`` results.  Each pass takes the next

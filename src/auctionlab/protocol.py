@@ -198,7 +198,7 @@ def check_elements(params: GroupParams, author: str, round_name: str,
     if not all(type(v) is int and 0 < v < p for v in values):
         raise ProofRejected(author, round_name,
                             f"malformed {what}: element outside 0 < v < p")
-    if not all(map(params.is_element, values)):
+    if not params.are_elements(values):
         raise ProofRejected(author, round_name,
                             f"malformed {what}: element outside the order-q subgroup")
 
@@ -257,7 +257,7 @@ def _publication_problem(payload, n: int, k: int, row: int,
     values = [v for v in phi[row] if v is not None]
     if not all(type(v) is int and 0 < v < params.p for v in values):
         return "element outside 0 < v < p"
-    if not all(map(params.is_element, values)):
+    if not params.are_elements(values):
         return "element outside the order-q subgroup"
     return None
 
@@ -286,10 +286,10 @@ def check_proof(config: AuctionConfig, rng: random.Random, author: str,
     0 <= v < q, so that no statement has a second accepting transcript made
     by adding q, no verifier raises a base to an oversized response, and the
     batch sees members only.  The proof is missing when the mode's prover
-    or payload is None.  Every failure found here is raised at once; the
-    proof's exponent equations go to ``batch``, which in a wide group checks
-    them when the round's checks are done (``check_round``).  ``check_round``
-    decides which verifier checks which proof."""
+    or payload is None.  Every failure found here is raised at once; in a
+    wide group the proof's exponent equations go to ``batch``, checked when
+    the round's checks are done.  ``check_round`` decides which verifier
+    checks which proof."""
     params, interactive = config.params, config.interactive
     if (prover if interactive else payload) is None:
         raise ProofRejected(author, round_name, f"missing proof{where}")
@@ -303,19 +303,19 @@ def check_proof(config: AuctionConfig, rng: random.Random, author: str,
         except ValueError as exc:
             raise ProofRejected(author, round_name,
                                 f"malformed proof{where}: {exc}") from exc
-    for z in tr.commitment:
-        if not params.is_element(z):
-            outside = "0 < z < p" if not 0 < z < params.p else "the order-q subgroup"
-            raise ProofRejected(author, round_name,
-                                f"malformed proof{where}: commitment outside {outside}")
+    if not params.are_elements(tr.commitment):
+        p = params.p
+        outside = ("the order-q subgroup" if all(0 < z < p for z in tr.commitment)
+                   else "0 < z < p")
+        raise ProofRejected(author, round_name,
+                            f"malformed proof{where}: commitment outside {outside}")
     if not _canonical_scalars(tr, params.q):
         raise ProofRejected(author, round_name,
                             f"malformed proof{where}: response or "
                             "challenge outside 0 <= v < q")
-    detail = failure + where
     if not sigma.verify_transcript(params, stmt, tr, require_hashed=not interactive,
-                                   batch=batch, key=(author, detail)):
-        raise ProofRejected(author, round_name, detail)
+                                   batch=batch, key=(author, failure, where)):
+        raise ProofRejected(author, round_name, failure + where)
 
 
 def check_round(run: "AuctionRun", round_name: str, verifiers, entries) -> None:
@@ -329,11 +329,13 @@ def check_round(run: "AuctionRun", round_name: str, verifiers, entries) -> None:
     verifier that reaches it checks it and every later one shares that
     verdict.
 
-    Every proof's exponent equations go to one batch for the round.  The
-    failure raised is the one checking each proof on arrival would raise
-    first: before a failure found during the checks is raised, the
-    equations added before it are checked one at a time, and after the last
-    check the batch is settled, one at a time only if the whole fails."""
+    In a wide group every proof's exponent equations go to one batch for
+    the round (``sigma.EquationBatch``); a narrow group checks them as they
+    arrive.  The failure raised is the one checking each proof on arrival
+    would raise first: before a failure found during the checks is raised,
+    the equations batched before it are checked one at a time, and after
+    the last check the batch is settled, one at a time only if the whole
+    fails."""
     config, agents = run.config, run.agents
     batch = sigma.EquationBatch(config.params)
     pending = entries
@@ -363,7 +365,8 @@ def _raise_first_failure(batch: sigma.EquationBatch, round_name: str,
     equation, if there is one."""
     key = batch.first_failure(batched)
     if key is not None:
-        raise ProofRejected(key[0], round_name, key[1])
+        author, failure, where = key
+        raise ProofRejected(author, round_name, failure + where)
 
 
 # --------------------------------------------------------------------------

@@ -313,63 +313,66 @@ def _prove_bid_cell(params: GroupParams, stmt: BidValidityStatement,
 # The one verifier: every statement as exponent equations
 # --------------------------------------------------------------------------
 
-# An exponent equation gen^s = com * target^c is the tuple
-# (gen, target, com, s, c).  A batch weighs each by this many bytes of hash.
+# A proof's exponent equations come as (core, transcript) pairs: the pair
+# stands for gens[i]^s = z[i] * targets[i]^c for every i of the core, with
+# s, c and z from the transcript.  A batch weighs each equation by this many
+# bytes of hash.
 _WEIGHT_BYTES = 8
 
 
-def _all_hold(params: GroupParams, equations) -> bool:
-    """Whether every equation holds, checked in order, stopping at the
-    first that fails."""
+def _all_hold(params: GroupParams, pairs) -> bool:
+    """Whether every equation of ``pairs`` holds, checked in order,
+    stopping at the first that fails."""
     exp, p = params.exp, params.p
-    return all(exp(gen, s) == com * exp(target, c) % p
-               for gen, target, com, s, c in equations)
+    for core, tr in pairs:
+        s, c = tr.response, tr.challenge
+        for gen, target, com in zip(core.gens, core.targets, tr.commitment):
+            if exp(gen, s) != com * exp(target, c) % p:
+                return False
+    return True
 
 
-def _core_equations(stmt: EQDLStatement, tr) -> list[tuple] | None:
-    """One equation per generator, or None unless ``tr`` is a plain
-    transcript with one commitment per generator."""
-    if not isinstance(tr, Transcript) or len(tr.commitment) != len(stmt.gens):
-        return None
-    s, c = tr.response, tr.challenge
-    return [(gen, target, com, s, c)
-            for gen, target, com in zip(stmt.gens, stmt.targets, tr.commitment)]
-
-
-def transcript_equations(params: GroupParams, stmt, tr) -> list[tuple] | None:
-    """The equations ``tr`` must satisfy to prove ``stmt``: a bid cell's
-    are its two branch cores', every other statement's its core's.  None
-    when the shape of ``tr``, or a bid cell's challenge split, already
-    refutes it."""
+def transcript_equations(params: GroupParams, stmt, tr) -> tuple | None:
+    """The equations ``tr`` must satisfy to prove ``stmt``, as (core,
+    transcript) pairs: a bid cell's two branch cores with their branches,
+    every other statement's core with ``tr``.  None when the shape of
+    ``tr`` (a plain transcript with one commitment per generator for each
+    core), or a bid cell's challenge split, already refutes it."""
     if isinstance(stmt, BidValidityStatement):
         if not isinstance(tr, OrTranscript):
             return None
-        plain_stmt, marked_stmt = branch_statements(params, stmt)
+        plain, marked = branch_statements(params, stmt)
         (b0, b1), q = tr.branches, params.q
-        if (b0.challenge + b1.challenge) % q != tr.challenge % q:
+        if ((b0.challenge + b1.challenge) % q != tr.challenge % q
+                or not _fits(plain, b0) or not _fits(marked, b1)):
             return None
-        plain, marked = _core_equations(plain_stmt, b0), _core_equations(marked_stmt, b1)
-        return None if plain is None or marked is None else plain + marked
-    return _core_equations(_core(params, stmt), tr)
+        return (plain, b0), (marked, b1)
+    core = _core(params, stmt)
+    return ((core, tr),) if _fits(core, tr) else None
+
+
+def _fits(core: EQDLStatement, tr) -> bool:
+    """Whether ``tr`` is a plain transcript with one commitment per
+    generator of ``core``."""
+    return isinstance(tr, Transcript) and len(tr.commitment) == len(core.gens)
 
 
 def verify_transcript(params: GroupParams, stmt, tr, require_hashed: bool,
                       batch: "EquationBatch | None" = None, key=None) -> bool:
     """Check a transcript: its equations (``transcript_equations``) and then,
     under hashed challenges, that the challenge is exactly the canonical
-    hash of statement and commitment.  Without a batch every equation is
-    checked now, in order, stopping at the first that fails.  With one the
-    equations go to ``batch.add(key, ...)``, which in a wide group keeps
-    them for later and answers True."""
+    hash of statement and commitment.  The equations are checked now, in
+    order, stopping at the first that fails, unless a batch is given in a
+    wide group: then they go to ``batch.add(key, ...)`` for later."""
     equations = transcript_equations(params, stmt, tr)
     if equations is None:
         return False
-    if batch is None:
-        ok = _all_hold(params, equations)
-    else:
-        ok = batch.add(key, equations)
-    if not ok or not require_hashed:
-        return ok
+    if batch is not None and params.wide:
+        batch.add(key, equations)
+    elif not _all_hold(params, equations):
+        return False
+    if not require_hashed:
+        return True
     return (tr.challenge % params.q == fiat_shamir_challenge(params, stmt, tr.commitment)
             and tr.hash_name == CHALLENGE_HASH)
 
@@ -377,12 +380,13 @@ def verify_transcript(params: GroupParams, stmt, tr, require_hashed: bool,
 class EquationBatch:
     """The exponent equations of one round's proof checks.
 
-    In a narrow group ``add`` checks each equation as it arrives.  In a wide
-    group (``GroupParams.wide``) it keeps them, and ``first_failure`` checks
-    all of them as one equation by the small-exponent test (Bellare-Garay-
-    Rabin, "Fast Batch Verification for Modular Exponentiation and Digital
-    Signatures", EUROCRYPT '98): with 64-bit weights w taken from a SHA-256
-    hash of the equations,
+    Only a wide group (``GroupParams.wide``) batches: ``verify_transcript``
+    checks a narrow group's equations as they arrive, where builtin ``pow``
+    is cheap and 64-bit weights would be no stronger than q.  ``add`` keeps
+    equations, and ``first_failure`` checks them all as one equation by the
+    small-exponent test (Bellare-Garay-Rabin, "Fast Batch Verification for
+    Modular Exponentiation and Digital Signatures", EUROCRYPT '98): with
+    64-bit weights w taken from a SHA-256 hash of the equations,
 
         prod gen^(sum w*s) = prod com^w * prod target^(sum w*c).
 
@@ -399,16 +403,12 @@ class EquationBatch:
 
     def __init__(self, params: GroupParams):
         self.params = params
-        self.pending: list[tuple[object, list[tuple]]] = []
+        self.pending: list[tuple[object, tuple]] = []
 
-    def add(self, key, equations: list[tuple]) -> bool:
-        """Take the equations of the check named ``key``.  A narrow group
-        answers whether they all hold; a wide one keeps them and answers
-        True."""
-        if not self.params.wide:
-            return _all_hold(self.params, equations)
+    def add(self, key, equations: tuple) -> None:
+        """Keep the equations (``transcript_equations``) of the check named
+        ``key``."""
         self.pending.append((key, equations))
-        return True
 
     def first_failure(self, batched: bool = True):
         """Check every kept equation and forget them all.  Returns the key
@@ -427,7 +427,9 @@ class EquationBatch:
         """The small-exponent test over every pending equation."""
         params = self.params
         p, q = params.p, params.q
-        equations = [eq for _, eqs in pending for eq in eqs]
+        equations = [(gen, target, com, tr.response, tr.challenge)
+                     for _, pairs in pending for core, tr in pairs
+                     for gen, target, com in zip(core.gens, core.targets, tr.commitment)]
         width = (p.bit_length() + 7) // 8
         seed = hashlib.sha256(b"".join(
             v.to_bytes(width, "big") for eq in equations for v in eq)).digest()
