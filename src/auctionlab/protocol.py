@@ -351,7 +351,7 @@ def check_round(run: "AuctionRun", round_name: str, verifiers, entries) -> None:
                             agents.get(author), failure, where, batch)
             except Exception:
                 # An earlier proof's false equation is raised first.
-                _raise_first_failure(batch, round_name, batched=False)
+                _raise_first_failure(batch, round_name)
                 raise
             if config.interactive:
                 left.append(entry)            # every verifier runs a session
@@ -359,11 +359,10 @@ def check_round(run: "AuctionRun", round_name: str, verifiers, entries) -> None:
     _raise_first_failure(batch, round_name)
 
 
-def _raise_first_failure(batch: sigma.EquationBatch, round_name: str,
-                         batched: bool = True) -> None:
+def _raise_first_failure(batch: sigma.EquationBatch, round_name: str) -> None:
     """Raise the ProofRejected of the first check in ``batch`` with a false
     equation, if there is one."""
-    key = batch.first_failure(batched)
+    key = batch.first_failure()
     if key is not None:
         author, failure, where = key
         raise ProofRejected(author, round_name, failure + where)
@@ -724,6 +723,7 @@ class AuctionRun:
         self.bases = None                    # see compute_outcome_bases
         self.gammas = self.deltas = None
         self.gamma_products = self.delta_products = None
+        self._outcome_checked = 0            # board position _read_outcome checked to
 
         master = random.Random(seed)
         self.agents: dict[str, BidderAgent] = {}
@@ -857,12 +857,18 @@ class AuctionRun:
 
     def _read_outcome(self):
         """The masking shares and proofs as ``collect_outcome`` merges them,
-        after refusing a share that is not a subgroup element."""
+        after refusing a posted share that is not a subgroup element.  Each
+        outcome or fix post is checked once, by the first read that sees it."""
         params, n, k = self.config.params, self.config.n, self.config.k
         gammas, deltas, proofs = collect_outcome(self.board, n, k)
-        for a in range(n):
-            check_elements(params, bidder_name(a + 1), ROUND_OUTCOME,
-                           "outcome", *gammas[a], *deltas[a])
+        posts = self.board.posts
+        for post in posts[self._outcome_checked:]:
+            if post.round != ROUND_OUTCOME or post.kind not in ("outcome", "outcome-fix"):
+                continue
+            gamma, delta = post.payload["gamma"], post.payload["delta"]
+            rows = (*gamma, *delta) if post.kind == "outcome" else (gamma, delta)
+            check_elements(params, post.author, ROUND_OUTCOME, "outcome", *rows)
+        self._outcome_checked = len(posts)
         return gammas, deltas, proofs
 
     def _verify_outcome(self) -> None:

@@ -16,9 +16,10 @@ source decides the mode.  One verifier, ``verify_transcript``, checks every
 statement through the equations gens[i]^s = z[i] * targets[i]^c of its
 transcript (``transcript_equations``): one at a time, or handed to an
 ``EquationBatch``, which in a wide group checks a whole round's equations as
-one.  A batch passes a false equation with probability at most 2^-64, and
-only if every element in it is a member of the order-q subgroup; callers
-check membership first.
+one.  A batch's weights are 64 bits hashed from its equations, so a
+prover who can try t sets of equations offline gets a false one through
+with probability about t * 2^-64, and that only if every element in it is a
+member of the order-q subgroup; callers check membership first.
 
 Interactive runs are deliberately unhardened: the verifier's challenge is
 whatever the caller's challenge source supplies, and an honest prover will
@@ -396,10 +397,14 @@ class EquationBatch:
     2^-64, but only if every generator, target and commitment lies in the
     order-q subgroup: over non-members it accepts false equations (Boyd-
     Pavlovski, "Attacking and Repairing Batch Verification Schemes",
-    ASIACRYPT 2000).  Callers check membership, and keep every s and c in
-    0 <= v < q, before they add (``protocol.check_proof`` does).  When the
-    test fails, the equations are checked one at a time, in the order they
-    were added, to find the first false one."""
+    ASIACRYPT 2000).  That bound is per set of equations: the weights are
+    public, so a prover who picks its false equations (a hashed proof, or
+    the last response of an interactive round) can grind, and passes after
+    about 2^64 tries, against about q for a single check.  Callers check
+    membership, and keep every s and c in 0 <= v < q, before they add
+    (``protocol.check_proof`` does).  When the test fails, the equations
+    are checked one at a time, in the order they were added, to find the
+    first false one."""
 
     def __init__(self, params: GroupParams):
         self.params = params
@@ -410,13 +415,12 @@ class EquationBatch:
         ``key``."""
         self.pending.append((key, equations))
 
-    def first_failure(self, batched: bool = True):
+    def first_failure(self):
         """Check every kept equation and forget them all.  Returns the key
-        of the first check with a false equation, or None.  With
-        ``batched`` they are tried as one equation first, and one at a time
-        only when that fails."""
+        of the first check with a false equation, or None.  They are tried
+        as one equation first, and one at a time only when that fails."""
         pending, self.pending = self.pending, []
-        if not pending or (batched and self._holds_together(pending)):
+        if not pending or self._holds_together(pending):
             return None
         for key, equations in pending:
             if not _all_hold(self.params, equations):

@@ -13,10 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from auctionlab import sigma
+from auctionlab import protocol, sigma
 from auctionlab.defenses import DefenseFlags
 from auctionlab.errors import ProofRejected
-from auctionlab.groups import LARGE_GROUP, MID_GROUP, GroupParams
+from auctionlab.groups import LARGE_GROUP, MID_GROUP, SMALL_GROUP, GroupParams
 from auctionlab.protocol import (
     ROUND_BID,
     ROUND_DECRYPT,
@@ -170,6 +170,51 @@ class TestNonMembersRefused:
         assert _rejection(config, [3, 1, 2], 2, factory) == (
             bidder_name(2), round_name,
             f"malformed {what}: element outside the order-q subgroup")
+
+
+class NegatedFixBidder(BidderAgent):
+    """Posts p - γ for the first cell of each of its fix posts."""
+
+    def _post(self, round_name, kind, payload):
+        if kind == "outcome-fix":
+            payload["gamma"][0] = self.params.p - payload["gamma"][0]
+        return super()._post(round_name, kind, payload)
+
+
+class TestOutcomeSharesCheckedOnce:
+    """Small group, noise-product check on, n=2, k=2, seed 1: one redraw,
+    so the outcome round is read three times."""
+
+    CONFIG = AuctionConfig(n=2, k=2, params=SMALL_GROUP, marker=4,
+                           flags=DefenseFlags(noise_product_check=True))
+
+    def test_each_posted_share_once(self, monkeypatch):
+        checked = []
+        check = protocol.check_elements
+
+        def counting(params, author, round_name, what, *rows):
+            if round_name == ROUND_OUTCOME:
+                checked.extend(v for row in rows for v in row)
+            return check(params, author, round_name, what, *rows)
+
+        monkeypatch.setattr(protocol, "check_elements", counting)
+        run, _ = run_auction(self.CONFIG, [1, 2], 1)
+        posted = []
+        for post in run.board.select(round=ROUND_OUTCOME):
+            for name in ("gamma", "delta"):
+                shares = post.payload[name]
+                if post.kind == "outcome":
+                    shares = [v for row in shares for v in row]
+                posted.extend(shares)
+        assert any(run.board.select(kind="outcome-fix"))
+        assert sorted(checked) == sorted(posted)
+
+    def test_non_member_in_a_fix_post_refused(self):
+        factory = lambda run, index, rng: (NegatedFixBidder if index == 2
+                                           else BidderAgent)(run, index, rng)
+        assert _rejection(self.CONFIG, [1, 2], 1, factory) == (
+            bidder_name(2), ROUND_OUTCOME,
+            "malformed outcome: element outside the order-q subgroup")
 
 
 # --------------------------------------------------------------------------

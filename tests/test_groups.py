@@ -270,6 +270,19 @@ class TestMembership:
         for v in _membership_probes(params):
             assert params.is_element(v) == (0 < v < p and pow(v, q, p) == 1), v
 
+    @pytest.mark.parametrize("name", _ALL_GROUPS)
+    def test_many_values_at_once(self, name):
+        """``are_elements`` over a vector is the AND of ``is_element`` over
+        its values, in every order."""
+        params = _ALL_GROUPS[name]
+        probes = list(_membership_probes(params))
+        rng = random.Random(7)
+        for _ in range(40):
+            values = rng.sample(probes, min(len(probes), rng.randrange(0, 6)))
+            assert params.are_elements(values) == all(map(params.is_element, values))
+        members = [v for v in probes if params.is_element(v)]
+        assert params.are_elements(members) and params.are_elements(())
+
     @pytest.mark.parametrize("name", GROUPS_BY_NAME)
     def test_jacobi_symbol_decides_membership_in_safe_prime_groups(self, name):
         params = GROUPS_BY_NAME[name]
