@@ -20,23 +20,25 @@ Rounds, all driven through the bulletin board:
               cell that lands on 1 names the winner and the price.
 
 Each round is read off the board once, when it closes: its verify step
-parses the posts, builds each statement once, and keeps what it read on the
-run for every later reader, so a post added to a closed round changes
-nothing.  Each post's statements are built in one place: a bid's by
+checks each post against its kind's entry in ``SCHEMAS``, the one table of
+post shapes (``check_payload``), builds each statement once, and keeps what
+it read on the run for every later reader, so a post added to a closed round
+changes nothing.  Each post's statements are built in one place: a bid's by
 ``bid_statements``, a masking share's by ``AuctionRun.outcome_statement``, a
-decryption's by ``decrypt_statement``.  Honest agents verify every proof they
-see (``check_round``).  In hashed-proof mode they check static transcripts,
-each once, and every verifier shares the verdict.  In interactive mode each
-verifier builds the statement from the board and asks the poster's agent to
-prove it in a fresh commit/challenge/respond session; an agent proves only
-statements it posted itself.  Attack code must get past these checks, never
-around them.
+decryption's by ``decrypt_statement``.  Honest agents verify every proof
+they see (``check_round``).  In hashed-proof mode they check static
+transcripts, each once, and every verifier shares the verdict.  In
+interactive mode each verifier builds the statement from the board and asks
+the poster's agent to prove it in a fresh commit/challenge/respond session;
+an agent proves only statements it posted itself.  Attack code must get past
+these checks, never around them.
 """
 
 from __future__ import annotations
 
 import random
 import weakref
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 from . import defenses, elgamal, sigma
@@ -203,63 +205,98 @@ def check_elements(params: GroupParams, author: str, round_name: str,
                             f"malformed {what}: element outside the order-q subgroup")
 
 
+# Field shapes, for the run's n bidders and k prices.  An optional field's
+# shape is not checked when it holds what stands for "none posted": None, or
+# for a bid's proofs any value that tests false.
+INDEX, ROW, GRID = "index in 1..n", "row of k", "n x k grid"
+CELLS, PER_CELL, ANY = "fix cells", "one entry per fix cell", "anything"
+MAY_BE_NONE, MAY_BE_EMPTY = "may be None", "may be empty"
+
+# A post kind's fields, in check order, each with its shape, whether it
+# holds group elements and whether it is optional.  Refusals name the post
+# as ``what``.  A ``required`` payload must hold every field ("no y"); any
+# other must be a mapping, and a field it lacks reads as None.
+Field = namedtuple("Field", "name shape elements optional", defaults=(False, None))
+Schema = namedtuple("Schema", "what fields required", defaults=(False,))
+
+# Every kind of payload an honest party posts or sends, apart from the
+# seller's result; a bidder sends its "decrypt-shares" to the seller.
+SCHEMAS = {
+    "keyshare": Schema("key share", (
+        Field("y", ANY, elements=True), Field("proof", ANY)), required=True),
+    "bid": Schema("bid", (
+        Field("bidder", INDEX), Field("alphas", ROW, elements=True),
+        Field("betas", ROW, elements=True), Field("proofs", ROW, optional=MAY_BE_EMPTY),
+        Field("sum_proof", ANY)), required=True),
+    "outcome": Schema("outcome", (
+        Field("gamma", GRID, elements=True), Field("delta", GRID, elements=True),
+        Field("proofs", GRID, optional=MAY_BE_NONE))),
+    "outcome-fix": Schema("outcome", (
+        Field("cells", CELLS), Field("gamma", PER_CELL, elements=True),
+        Field("delta", PER_CELL, elements=True),
+        Field("proofs", PER_CELL, optional=MAY_BE_NONE))),
+    "decrypt-shares": Schema("decrypt shares", (
+        Field("phi", GRID, elements=True), Field("proof", ANY))),
+    "decrypt-publish": Schema("publication", (
+        Field("bidder", INDEX), Field("phi", GRID, elements=True))),
+}
+
+
 def _is_list(value, length: int) -> bool:
     return type(value) in (list, tuple) and len(value) == length
 
 
-def _outcome_shape_problem(post: Post, n: int, k: int) -> str | None:
-    """What makes an outcome or fix post unfit for the n x k grid, or None.
-
-    An outcome post holds n x k ``gamma`` and ``delta`` grids, and a grid of
-    proofs or None.  A fix post names cells in 1..n x 1..k and holds one
-    ``gamma``, one ``delta`` and, unless its proofs are None, one proof per
-    cell."""
-    payload = post.payload
-    if post.kind in ("outcome", "outcome-fix") and type(payload) is not dict:
+def _shape_problem(schema: Schema, payload, n: int, k: int) -> str | None:
+    """What makes ``payload`` unfit for ``schema``, or None."""
+    if schema.required:
+        for f in schema.fields:
+            if type(payload) is not dict or f.name not in payload:
+                return f"no {f.name}"
+    elif type(payload) is not dict:
         return "payload is not a mapping"
-    if post.kind == "outcome":
-        for name in ("gamma", "delta", "proofs"):
-            grid = payload.get(name)
-            if name == "proofs" and grid is None:
-                continue
-            if not (_is_list(grid, n) and all(_is_list(row, k) for row in grid)):
-                return f"{name} is not a {n} x {k} grid"
-    elif post.kind == "outcome-fix":
-        cells = payload.get("cells")
-        if type(cells) not in (list, tuple):
-            return "cells is not a list"
-        for cell in cells:
-            if not (_is_list(cell, 2) and all(type(c) is int for c in cell)
-                    and 1 <= cell[0] <= n and 1 <= cell[1] <= k):
-                return f"fix cell {cell!r} outside 1..{n} x 1..{k}"
-        for name in ("gamma", "delta", "proofs"):
-            entries = payload.get(name)
-            if name == "proofs" and entries is None:
-                continue
-            if not _is_list(entries, len(cells)):
-                return f"fix {name} does not hold one entry per cell"
+    cells = ()
+    for f in schema.fields:
+        value = payload.get(f.name)
+        if (f.optional == MAY_BE_NONE and value is None
+                or f.optional == MAY_BE_EMPTY and not value):
+            continue
+        if f.shape in (ROW, CELLS) and type(value) not in (list, tuple):
+            return f"{f.name} is not a list"
+        if f.shape == INDEX and (type(value) is not int or not 1 <= value <= n):
+            return f"{f.name} {value!r} outside 1..{n}"
+        if f.shape == ROW and len(value) != k:
+            return f"{len(value)} {f.name} for {k} prices"
+        if f.shape == GRID and not (_is_list(value, n)
+                                    and all(_is_list(row, k) for row in value)):
+            return f"{f.name} is not a {n} x {k} grid"
+        if f.shape == CELLS:
+            cells = value
+            for cell in cells:
+                if not (_is_list(cell, 2) and all(type(c) is int for c in cell)
+                        and 1 <= cell[0] <= n and 1 <= cell[1] <= k):
+                    return f"fix cell {cell!r} outside 1..{n} x 1..{k}"
+        if f.shape == PER_CELL and not _is_list(value, len(cells)):
+            return f"fix {f.name} does not hold one entry per cell"
     return None
 
 
-def _publication_problem(payload, n: int, k: int, row: int,
-                         params: GroupParams) -> str | None:
-    """What makes a decryption publication unfit to read row ``row``
-    (0-based) from, or None.  A publication names its bidder in 1..n and
-    holds an n x k ``phi`` grid; entries of the row are members of the
-    order-q subgroup, or None where withheld."""
-    if type(payload) is not dict:
-        return "payload is not a mapping"
-    bidder, phi = payload.get("bidder"), payload.get("phi")
-    if type(bidder) is not int or not 1 <= bidder <= n:
-        return f"bidder {bidder!r} outside 1..{n}"
-    if not (_is_list(phi, n) and all(_is_list(r, k) for r in phi)):
-        return f"phi is not a {n} x {k} grid"
-    values = [v for v in phi[row] if v is not None]
-    if not all(type(v) is int and 0 < v < params.p for v in values):
-        return "element outside 0 < v < p"
-    if not params.are_elements(values):
-        return "element outside the order-q subgroup"
-    return None
+def check_payload(config: AuctionConfig, kind: str, author: str, round_name: str,
+                  payload, row: int | None = None) -> None:
+    """Refuse a ``kind`` payload that does not fit ``SCHEMAS[kind]`` for the
+    run's n and k, then hand its element fields to ``check_elements`` in one
+    call: only grid row ``row`` (0-based, None where withheld) if given."""
+    schema = SCHEMAS[kind]
+    problem = _shape_problem(schema, payload, config.n, config.k)
+    if problem is not None:
+        raise ProofRejected(author, round_name, f"malformed {schema.what}: {problem}")
+    rows = []
+    for f in schema.fields:
+        if f.elements and f.shape == GRID:
+            grid = payload[f.name]
+            rows.extend(grid if row is None else [[v for v in grid[row] if v is not None]])
+        elif f.elements:
+            rows.append((payload[f.name],) if f.shape == ANY else payload[f.name])
+    check_elements(config.params, author, round_name, schema.what, *rows)
 
 
 def _canonical_scalars(tr, q: int) -> bool:
@@ -372,47 +409,34 @@ def _raise_first_failure(batch: sigma.EquationBatch, round_name: str) -> None:
 # Board readers
 # --------------------------------------------------------------------------
 
-def _latest_payloads(board: BulletinBoard, round_name: str, kind: str, n: int,
-                     what: str, fields: tuple[str, ...]) -> dict[str, dict]:
-    """Every author's latest ``kind`` payload in the round, by author, after
-    refusing one that lacks any of ``fields``.  Every bidder must have one."""
-    out = {}
-    for name, post in board.latest_by_author(round_name, kind).items():
-        payload = post.payload
-        for field_name in fields:
-            if type(payload) is not dict or field_name not in payload:
-                raise ProofRejected(name, round_name,
-                                    f"malformed {what}: no {field_name}")
-        out[name] = payload
+def _latest_payloads(board: BulletinBoard, round_name: str, kind: str, n: int) -> dict:
+    """Every author's latest ``kind`` payload in the round, by author, as
+    posted.  Every bidder must have one."""
+    out = {name: post.payload
+           for name, post in board.latest_by_author(round_name, kind).items()}
     for i in range(1, n + 1):
         if bidder_name(i) not in out:
-            raise MissingShares(f"no {what} from {bidder_name(i)}")
+            raise MissingShares(f"no {SCHEMAS[kind].what} from {bidder_name(i)}")
     return out
 
 
-def collect_keyshares(board: BulletinBoard, n: int) -> dict[str, dict]:
-    """Every author's latest key share payload, with ``y`` and ``proof``."""
-    return _latest_payloads(board, ROUND_KEYGEN, "keyshare", n, "key share",
-                            ("y", "proof"))
+def collect_keyshares(board: BulletinBoard, n: int) -> dict:
+    """Every author's latest key share payload."""
+    return _latest_payloads(board, ROUND_KEYGEN, "keyshare", n)
 
 
-def collect_bids(board: BulletinBoard, n: int) -> dict[str, dict]:
-    """Every author's latest bid payload, with all of its fields."""
-    return _latest_payloads(board, ROUND_BID, "bid", n, "bid",
-                            ("bidder", "alphas", "betas", "proofs", "sum_proof"))
+def collect_bids(board: BulletinBoard, n: int) -> dict:
+    """Every author's latest bid payload."""
+    return _latest_payloads(board, ROUND_BID, "bid", n)
 
 
 def collect_outcome(board: BulletinBoard, n: int, k: int):
     """Masking share matrices γ and δ per bidder, and the grid of hashed
     proofs behind them (None where none was posted), with later fix posts
-    merged in.  A post that does not fit the n x k grid is refused before
-    it is merged."""
+    merged in.  The posts must fit their schemas (``AuctionRun._read_outcome``
+    checks each once)."""
     grids: dict[str, tuple] = {}
     for post in board.select(round=ROUND_OUTCOME):
-        problem = _outcome_shape_problem(post, n, k)
-        if problem is not None:
-            raise ProofRejected(post.author, ROUND_OUTCOME,
-                                f"malformed outcome: {problem}")
         payload = post.payload
         if post.kind == "outcome":
             gamma = [list(row) for row in payload["gamma"]]
@@ -593,17 +617,15 @@ class BidderAgent(Party):
         plus the bidder's own decryption share.  Under the authentication
         defense a publication must carry the seller's tag; a publication
         that does not hold this bidder's row of an n x k grid is refused."""
-        params, n, k, mine = self.params, self.config.n, self.config.k, self.index - 1
+        params, n, mine = self.params, self.config.n, self.index - 1
         published = {}
         for post in self.run.board.select(round=ROUND_DECRYPT, kind="decrypt-publish",
                                           author=SELLER):
             if (self.config.flags.authenticate
                     and not defenses.verify_post(self.run.registry, post)):
                 raise AuthRejected(SELLER, ROUND_DECRYPT)
-            problem = _publication_problem(post.payload, n, k, mine, params)
-            if problem is not None:
-                raise ProofRejected(SELLER, ROUND_DECRYPT,
-                                    f"malformed publication: {problem}")
+            check_payload(self.config, "decrypt-publish", SELLER, ROUND_DECRYPT,
+                          post.payload, row=mine)
             published[post.payload["bidder"]] = post.payload["phi"][mine]
         rows = [self.phi[mine]]
         for h in range(1, n + 1):
@@ -632,7 +654,7 @@ class SellerAgent(Party):
         self.proofs[author] = proof_payload
 
     def verify_decrypt_shares(self) -> None:
-        run, n, k = self.run, self.config.n, self.config.k
+        run, n = self.run, self.config.n
         keys = run.keys if self.config.flags.key_consistency else [None] * n
         entries = []
         for i in range(1, n + 1):
@@ -640,10 +662,8 @@ class SellerAgent(Party):
             if name not in self.shares:
                 raise MissingShares(f"no decryption shares from {name}")
             phi = self.shares[name]
-            if not (_is_list(phi, n) and all(_is_list(row, k) for row in phi)):
-                raise ProofRejected(name, ROUND_DECRYPT, "malformed decrypt shares: "
-                                    f"phi is not a {n} x {k} grid")
-            check_elements(self.params, name, ROUND_DECRYPT, "decrypt shares", *phi)
+            check_payload(self.config, "decrypt-shares", name, ROUND_DECRYPT,
+                          {"phi": phi, "proof": self.proofs[name]})
             stmt = decrypt_statement(self.params, run.delta_products, phi, keys[i - 1])
             entries.append((name, stmt, self.proofs[name],
                             "decrypt share proof failed", ""))
@@ -773,11 +793,8 @@ class AuctionRun:
         shares = collect_keyshares(self.board, n)
         entries = []
         for name, payload in shares.items():
-            y = payload["y"]
-            if type(y) is not int or not params.is_element(y):
-                raise ProofRejected(name, ROUND_KEYGEN,
-                                    "key share is outside the order-q subgroup")
-            entries.append((name, sigma.PDLStatement(g=params.g, v=y),
+            check_payload(self.config, "keyshare", name, ROUND_KEYGEN, payload)
+            entries.append((name, sigma.PDLStatement(g=params.g, v=payload["y"]),
                             payload["proof"], "key share proof failed", ""))
         check_round(self, ROUND_KEYGEN, self.honest_agents(), entries)
         self.keys = [shares[bidder_name(i)]["y"] for i in range(1, n + 1)]
@@ -795,26 +812,11 @@ class AuctionRun:
         bids = collect_bids(self.board, n)
         entries = []
         for name, payload in bids.items():
-            for field_name in ("alphas", "betas", "proofs"):
-                values = payload[field_name]
-                if field_name == "proofs" and not values:
-                    continue                      # missing: reported per price
-                if type(values) not in (list, tuple):
-                    raise ProofRejected(name, ROUND_BID,
-                                        f"malformed bid: {field_name} is not a list")
-                if len(values) != k:
-                    raise ProofRejected(name, ROUND_BID,
-                                        f"malformed bid: {len(values)} "
-                                        f"{field_name} for {k} prices")
-            alphas, betas = payload["alphas"], payload["betas"]
-            check_elements(params, name, ROUND_BID, "bid", alphas, betas)
-            bidder = payload["bidder"]
-            if type(bidder) is not int or not 1 <= bidder <= n:
-                raise ProofRejected(name, ROUND_BID,
-                                    f"malformed bid: bidder {bidder!r} outside 1..{n}")
-            cells, total = bid_statements(params, self.joint_y,
-                                          self.config.marker_for(bidder), alphas, betas)
-            proofs = payload["proofs"] or [None] * k
+            check_payload(self.config, "bid", name, ROUND_BID, payload)
+            marker = self.config.marker_for(payload["bidder"])
+            cells, total = bid_statements(params, self.joint_y, marker,
+                                          payload["alphas"], payload["betas"])
+            proofs = payload["proofs"] or [None] * k     # missing: reported per price
             for j, (stmt, proof) in enumerate(zip(cells, proofs)):
                 entries.append((name, stmt, proof,
                                 "validity proof failed", f" at price {j + 1}"))
@@ -857,19 +859,15 @@ class AuctionRun:
 
     def _read_outcome(self):
         """The masking shares and proofs as ``collect_outcome`` merges them,
-        after refusing a posted share that is not a subgroup element.  Each
-        outcome or fix post is checked once, by the first read that sees it."""
-        params, n, k = self.config.params, self.config.n, self.config.k
-        gammas, deltas, proofs = collect_outcome(self.board, n, k)
+        after checking each outcome or fix post against its schema.  Each
+        post is checked once, by the first read that sees it."""
         posts = self.board.posts
         for post in posts[self._outcome_checked:]:
-            if post.round != ROUND_OUTCOME or post.kind not in ("outcome", "outcome-fix"):
-                continue
-            gamma, delta = post.payload["gamma"], post.payload["delta"]
-            rows = (*gamma, *delta) if post.kind == "outcome" else (gamma, delta)
-            check_elements(params, post.author, ROUND_OUTCOME, "outcome", *rows)
+            if post.round == ROUND_OUTCOME and post.kind in ("outcome", "outcome-fix"):
+                check_payload(self.config, post.kind, post.author, ROUND_OUTCOME,
+                              post.payload)
         self._outcome_checked = len(posts)
-        return gammas, deltas, proofs
+        return collect_outcome(self.board, self.config.n, self.config.k)
 
     def _verify_outcome(self) -> None:
         """Read the masking shares and keep them with their cell products

@@ -189,18 +189,25 @@ class TestOutcomeSharesCheckedOnce:
                            flags=DefenseFlags(noise_product_check=True))
 
     def test_each_posted_share_once(self, monkeypatch):
-        checked = []
-        check = protocol.check_elements
+        checked, walked = [], []
+        check, walk = protocol.check_elements, protocol.check_payload
 
         def counting(params, author, round_name, what, *rows):
             if round_name == ROUND_OUTCOME:
                 checked.extend(v for row in rows for v in row)
             return check(params, author, round_name, what, *rows)
 
+        def walking(config, kind, author, round_name, payload, row=None):
+            if kind in ("outcome", "outcome-fix"):
+                walked.append(id(payload))
+            return walk(config, kind, author, round_name, payload, row)
+
         monkeypatch.setattr(protocol, "check_elements", counting)
+        monkeypatch.setattr(protocol, "check_payload", walking)
         run, _ = run_auction(self.CONFIG, [1, 2], 1)
-        posted = []
+        posted, payloads = [], []
         for post in run.board.select(round=ROUND_OUTCOME):
+            payloads.append(id(post.payload))
             for name in ("gamma", "delta"):
                 shares = post.payload[name]
                 if post.kind == "outcome":
@@ -208,6 +215,7 @@ class TestOutcomeSharesCheckedOnce:
                 posted.extend(shares)
         assert any(run.board.select(kind="outcome-fix"))
         assert sorted(checked) == sorted(posted)
+        assert sorted(walked) == sorted(payloads)     # one walk per post
 
     def test_non_member_in_a_fix_post_refused(self):
         factory = lambda run, index, rng: (NegatedFixBidder if index == 2

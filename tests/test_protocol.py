@@ -360,7 +360,8 @@ class TestKeygenVerification:
             run.step_keygen()
         assert caught.value.author == bidder_name(2)
         assert caught.value.round_name == ROUND_KEYGEN
-        assert "subgroup" in caught.value.detail
+        assert caught.value.detail == (
+            "malformed key share: element outside the order-q subgroup")
 
 
 def _tampered_keygen(tamper):
@@ -580,13 +581,15 @@ class TestMissingFields:
     @pytest.mark.parametrize("round_name,tamper,detail", [
         (ROUND_KEYGEN, _drop("y"), "malformed key share: no y"),
         (ROUND_KEYGEN, _drop("proof"), "malformed key share: no proof"),
+        (ROUND_KEYGEN, lambda payload: payload.update(y="7"),
+         "malformed key share: element outside 0 < v < p"),
         (ROUND_BID, _drop("alphas"), "malformed bid: no alphas"),
         (ROUND_BID, _drop("sum_proof"), "malformed bid: no sum_proof"),
         (ROUND_BID, _drop("bidder"), "malformed bid: no bidder"),
         (ROUND_BID, lambda payload: payload.update(bidder=7),
          "malformed bid: bidder 7 outside 1..2"),
-    ], ids=["keyshare-y", "keyshare-proof", "bid-alphas", "bid-sum_proof",
-            "bid-bidder", "bid-bidder-7"])
+    ], ids=["keyshare-y", "keyshare-proof", "keyshare-y-str", "bid-alphas",
+            "bid-sum_proof", "bid-bidder", "bid-bidder-7"])
     @pytest.mark.parametrize("ni_proofs", [False, True], ids=["interactive", "hashed"])
     def test_refused_with_author_and_round(self, ni_proofs, round_name, tamper, detail):
         class TamperingBidder(BidderAgent):
