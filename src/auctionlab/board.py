@@ -1,10 +1,15 @@
 """Append-only bulletin board: the protocol's only broadcast channel.
 
 Posts are never mutated or deleted; corrections are fresh posts that readers
-merge by sequence order.  Payloads are plain dicts of ints, strings and
-lists; a deterministic byte encoding of the payload is what authentication
-tags cover and what the JSON export emits (hex), so two runs with the same
-seeds produce byte-identical transcripts.
+merge by sequence order.  Payloads are dicts of ints, strings and lists.
+``BulletinBoard.append`` posts a deep-frozen copy of the payload, whose
+dicts and lists refuse every change (``FrozenDict``, ``FrozenList``), so
+its author's later edits to their own dict do not reach the board.  A
+tagged post is walked once: the walk that freezes it also makes its
+canonical bytes (``canonical_bytes``), which the post stores.  Those stored
+bytes are what its authentication tag covers (``spliced_bytes``), so no
+post is encoded twice.  The JSON export emits every post's canonical bytes
+(hex), so two runs with the same seeds produce byte-identical transcripts.
 """
 
 from __future__ import annotations
@@ -13,20 +18,73 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 
-def canonical_bytes(obj) -> bytes:
+def _read_only(self, *args, **kwargs):
+    raise TypeError("a posted payload cannot be changed")
+
+
+class FrozenDict(dict):
+    """A posted payload's dict: it refuses every change.  Copies, shallow
+    or deep, and pickles are plain dicts."""
+
+    __slots__ = ()
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):
+        return dict, (dict(self),)
+
+
+class FrozenList(list):
+    """A posted payload's list: it refuses every change.  Copies, shallow
+    or deep, and pickles are plain lists."""
+
+    __slots__ = ()
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = _read_only
+    append = extend = insert = pop = remove = clear = sort = reverse = _read_only
+
+    def __reduce__(self):
+        return list, (list(self),)
+
+
+# The exact types of a payload's mappings and lists, before and after
+# ``append``; readers that refuse subclasses test against these.
+DICT_TYPES = (dict, FrozenDict)
+LIST_TYPES = (list, tuple, FrozenList)
+
+
+def canonical_bytes(obj, freeze: bool = False):
     """Deterministic, self-delimiting encoding for payload trees.
 
     ints are minimal big-endian with a length prefix, strings are UTF-8,
-    lists and dicts are length-prefixed sequences (dict keys sorted).
+    lists and dicts are length-prefixed sequences (dict keys sorted).  With
+    ``freeze``, returns ``(copy, bytes)``: the same walk also makes ``copy``,
+    ``obj`` deep-frozen (``_walk``).
     """
     parts: list[bytes] = []
-    _encode(obj, parts.append)
+    frozen = _walk(obj, parts.append)
+    data = b"".join(parts)
+    return (frozen, data) if freeze else data
+
+
+def spliced_bytes(mapping: dict, key: str, value_bytes: bytes) -> bytes:
+    """``canonical_bytes`` of ``mapping`` with ``key`` added, for a value
+    whose canonical bytes are ``value_bytes``: those bytes are spliced in,
+    not encoded again."""
+    parts = [b"d" + (len(mapping) + 1).to_bytes(4, "big")]
+    put = parts.append
+    for name in sorted([*mapping, key]):
+        _walk(name, put)
+        if name == key:
+            put(value_bytes)
+        else:
+            _walk(mapping[name], put)
     return b"".join(parts)
 
 
-# Types the encoder dispatches on directly; anything else (None, bools,
+# The branch each exact type is encoded by; anything else (None, bools,
 # subclasses, unsupported values) is classified by ``_kind``.
-_EXACT_TYPES = frozenset({int, str, list, tuple, dict})
+_BRANCHES = {int: int, str: str, list: list, tuple: list, FrozenList: list,
+             dict: dict, FrozenDict: dict}
 
 
 def _kind(obj) -> type:
@@ -34,63 +92,119 @@ def _kind(obj) -> type:
     str, list or tuple, dict."""
     if obj is None:
         return type(None)
-    for kind in (bool, int, str, list, tuple, dict):
+    for kind, branch in ((bool, bool), (int, int), (str, str), (list, list),
+                         (tuple, list), (dict, dict)):
         if isinstance(obj, kind):
-            return kind
+            return branch
     raise ValueError(f"unsupported payload type: {type(obj).__name__}")
 
 
-def _encode(obj, put) -> None:
-    """Hand ``obj``'s encoding to ``put`` piece by piece.  The ints in a
-    list and the string keys of a dict, most of a payload's leaves, are
-    encoded in the container's loop rather than by a call each."""
-    kind = type(obj)
-    if kind not in _EXACT_TYPES:
-        kind = _kind(obj)
+# The walk fills its frozen copies past their read-only methods.
+_set_entry = dict.__setitem__
+_set_item = list.__setitem__
+
+
+def _walk(obj, put):
+    """Hand ``obj``'s encoding to ``put`` piece by piece, and return ``obj``
+    deep-frozen: a dict as a ``FrozenDict`` in its own key order, a list as
+    a ``FrozenList``, a tuple as a tuple, each of frozen entries.  Anything
+    else, subclasses of dict, list and tuple included, is returned as it is.
+    The ints in a list, and the string keys and the int and string values
+    of a dict, most of a payload's leaves, are encoded in the container's
+    loop rather than by a call each.  A container is copied whole first,
+    and only its entries that are containers are replaced."""
+    kind = _BRANCHES.get(type(obj)) or _kind(obj)
     if kind is int:
         if obj < 0:
             raise ValueError("payload ints must be non-negative")
         enc = obj.to_bytes((obj.bit_length() + 7) // 8 or 1, "big")
         put(b"i" + len(enc).to_bytes(4, "big") + enc)
-    elif kind is list or kind is tuple:
+    elif kind is list:
         put(b"l" + len(obj).to_bytes(4, "big"))
-        for item in obj:
+        cls = type(obj)
+        copy = FrozenList(obj) if cls is list or cls is FrozenList else list(obj)
+        for i, item in enumerate(obj):
             if type(item) is int and item >= 0:
                 enc = item.to_bytes((item.bit_length() + 7) // 8 or 1, "big")
                 put(b"i" + len(enc).to_bytes(4, "big") + enc)
             else:
-                _encode(item, put)
+                frozen = _walk(item, put)
+                if frozen is not item:
+                    _set_item(copy, i, frozen)
+        if cls is tuple:
+            return tuple(copy)
+        if cls is list or cls is FrozenList:
+            return copy
     elif kind is str:
         enc = obj.encode("utf-8")
         put(b"s" + len(enc).to_bytes(4, "big") + enc)
     elif kind is dict:
         put(b"d" + len(obj).to_bytes(4, "big"))
+        copy = FrozenDict(obj)
         for key in sorted(obj):
             if type(key) is str:
                 enc = key.encode("utf-8")
                 put(b"s" + len(enc).to_bytes(4, "big") + enc)
             elif isinstance(key, str):
-                _encode(key, put)
+                _walk(key, put)
             else:
                 raise ValueError("payload dict keys must be strings")
-            _encode(obj[key], put)
+            value = obj[key]
+            if type(value) is int and value >= 0:
+                enc = value.to_bytes((value.bit_length() + 7) // 8 or 1, "big")
+                put(b"i" + len(enc).to_bytes(4, "big") + enc)
+            elif type(value) is str:
+                enc = value.encode("utf-8")
+                put(b"s" + len(enc).to_bytes(4, "big") + enc)
+            else:
+                frozen = _walk(value, put)
+                if frozen is not value:
+                    _set_entry(copy, key, frozen)
+        if type(obj) in DICT_TYPES:
+            return copy
     elif kind is bool:
         put(b"b1" if obj else b"b0")
     else:
         put(b"n")
+    return obj
+
+
+# The frozen type of each container type ``_walk`` freezes.
+_FROZEN = {dict: FrozenDict, FrozenDict: FrozenDict, list: FrozenList,
+           FrozenList: FrozenList, tuple: tuple}
+
+
+def _freeze(obj):
+    """``obj`` deep-frozen as ``_walk`` freezes it, without encoding it."""
+    frozen = _FROZEN.get(type(obj))
+    if frozen is FrozenDict:
+        return FrozenDict({key: _freeze(value) if type(value) in _FROZEN else value
+                           for key, value in obj.items()})
+    if frozen is None:
+        return obj
+    return frozen([_freeze(item) if type(item) in _FROZEN else item for item in obj])
 
 
 @dataclass(frozen=True)
 class Post:
+    """One post.  ``payload`` is frozen; ``encoded`` holds its canonical
+    bytes for a tagged post, None for an untagged one or when the encoder
+    refused the payload."""
+
     seq: int
     round: str
     author: str
     kind: str
     payload: dict
     auth: str | None = None
+    encoded: bytes | None = field(default=None, repr=False)
 
     def payload_bytes(self) -> bytes:
-        return canonical_bytes(self.payload)
+        """The stored bytes; a payload stored without them is encoded here,
+        where one the encoder refuses raises its error."""
+        if self.encoded is None:
+            return canonical_bytes(self.payload)
+        return self.encoded
 
 
 @dataclass
@@ -98,9 +212,28 @@ class BulletinBoard:
     posts: list[Post] = field(default_factory=list)
 
     def append(self, round: str, author: str, kind: str, payload: dict,
-               auth: str | None = None) -> Post:
+               auth: str | None = None, sign=None) -> Post:
+        """Post a deep-frozen copy of ``payload``.  A tagged post, one with
+        ``auth`` or ``sign``, also keeps the payload's canonical bytes, made
+        in the same walk; ``sign`` is called with them and its tag replaces
+        ``auth``.  A payload to be signed must encode, or the encoder's
+        error is raised; a tagged payload the encoder refuses is posted
+        without bytes, and fails its tag check.  An untagged post is only
+        frozen: nothing reads its bytes but the JSON export."""
+        encoded = None
+        if auth is None and sign is None:
+            payload = _freeze(payload)
+        else:
+            try:
+                payload, encoded = canonical_bytes(payload, freeze=True)
+            except (ValueError, TypeError):
+                if sign is not None:
+                    raise
+                payload = _freeze(payload)
+            if sign is not None:
+                auth = sign(encoded)
         post = Post(seq=len(self.posts), round=round, author=author,
-                    kind=kind, payload=payload, auth=auth)
+                    kind=kind, payload=payload, auth=auth, encoded=encoded)
         self.posts.append(post)
         return post
 

@@ -21,7 +21,7 @@ import hmac
 import random
 from dataclasses import dataclass
 
-from .board import Post, canonical_bytes
+from .board import Post, canonical_bytes, spliced_bytes
 from .errors import UnknownAuthor
 
 
@@ -55,22 +55,30 @@ class AuthRegistry:
 
 
 def authenticate_post(key: bytes | None, round_name: str, author: str,
-                      kind: str, payload: dict) -> str:
-    """Keyed tag over the canonical bytes of (round, author, kind, payload)."""
+                      kind: str, payload) -> str:
+    """Keyed tag over the canonical bytes of (round, author, kind, payload).
+    ``payload`` is the payload's canonical bytes, as a post stores them, or
+    the payload itself, encoded here.  Stored bytes are spliced in as they
+    are (``board.spliced_bytes``), so the tag costs no second encoding."""
     if key is None:
         raise UnknownAuthor(f"no tag key available for {author!r}")
-    msg = canonical_bytes({"round": round_name, "author": author,
-                           "kind": kind, "payload": payload})
+    if type(payload) is not bytes:
+        payload = canonical_bytes(payload)
+    msg = spliced_bytes({"round": round_name, "author": author, "kind": kind},
+                        "payload", payload)
     return hmac.new(key, msg, hashlib.sha256).hexdigest()
 
 
 def verify_post(registry: AuthRegistry, post: Post) -> bool:
+    """Whether ``post`` carries its author's tag over its stored bytes.  A
+    post without a tag, or without bytes because the encoder refused its
+    payload, fails."""
     if post.author not in registry.keys:
         raise UnknownAuthor(f"author {post.author!r} is not registered")
-    if post.auth is None:
+    if post.auth is None or post.encoded is None:
         return False
     expect = authenticate_post(registry.keys[post.author], post.round,
-                               post.author, post.kind, post.payload)
+                               post.author, post.kind, post.encoded)
     return hmac.compare_digest(expect, post.auth)
 
 

@@ -36,13 +36,14 @@ these checks, never around them.
 
 from __future__ import annotations
 
+import functools
 import random
 import weakref
 from collections import namedtuple
 from dataclasses import dataclass, field
 
 from . import defenses, elgamal, sigma
-from .board import BulletinBoard, Post
+from .board import DICT_TYPES, LIST_TYPES, BulletinBoard, Post
 from .errors import (
     AuthRejected,
     MissingShares,
@@ -206,17 +207,15 @@ def check_elements(params: GroupParams, author: str, round_name: str,
 
 
 # Field shapes, for the run's n bidders and k prices.  An optional field's
-# shape is not checked when it holds what stands for "none posted": None, or
-# for a bid's proofs any value that tests false.
+# shape is not checked when it holds None, which stands for "none posted".
 INDEX, ROW, GRID = "index in 1..n", "row of k", "n x k grid"
 CELLS, PER_CELL, ANY = "fix cells", "one entry per fix cell", "anything"
-MAY_BE_NONE, MAY_BE_EMPTY = "may be None", "may be empty"
 
 # A post kind's fields, in check order, each with its shape, whether it
 # holds group elements and whether it is optional.  Refusals name the post
 # as ``what``.  A ``required`` payload must hold every field ("no y"); any
 # other must be a mapping, and a field it lacks reads as None.
-Field = namedtuple("Field", "name shape elements optional", defaults=(False, None))
+Field = namedtuple("Field", "name shape elements optional", defaults=(False, False))
 Schema = namedtuple("Schema", "what fields required", defaults=(False,))
 
 # Every kind of payload an honest party posts or sends, apart from the
@@ -226,15 +225,15 @@ SCHEMAS = {
         Field("y", ANY, elements=True), Field("proof", ANY)), required=True),
     "bid": Schema("bid", (
         Field("bidder", INDEX), Field("alphas", ROW, elements=True),
-        Field("betas", ROW, elements=True), Field("proofs", ROW, optional=MAY_BE_EMPTY),
+        Field("betas", ROW, elements=True), Field("proofs", ROW, optional=True),
         Field("sum_proof", ANY)), required=True),
     "outcome": Schema("outcome", (
         Field("gamma", GRID, elements=True), Field("delta", GRID, elements=True),
-        Field("proofs", GRID, optional=MAY_BE_NONE))),
+        Field("proofs", GRID, optional=True))),
     "outcome-fix": Schema("outcome", (
         Field("cells", CELLS), Field("gamma", PER_CELL, elements=True),
         Field("delta", PER_CELL, elements=True),
-        Field("proofs", PER_CELL, optional=MAY_BE_NONE))),
+        Field("proofs", PER_CELL, optional=True))),
     "decrypt-shares": Schema("decrypt shares", (
         Field("phi", GRID, elements=True), Field("proof", ANY))),
     "decrypt-publish": Schema("publication", (
@@ -243,24 +242,23 @@ SCHEMAS = {
 
 
 def _is_list(value, length: int) -> bool:
-    return type(value) in (list, tuple) and len(value) == length
+    return type(value) in LIST_TYPES and len(value) == length
 
 
 def _shape_problem(schema: Schema, payload, n: int, k: int) -> str | None:
     """What makes ``payload`` unfit for ``schema``, or None."""
     if schema.required:
         for f in schema.fields:
-            if type(payload) is not dict or f.name not in payload:
+            if type(payload) not in DICT_TYPES or f.name not in payload:
                 return f"no {f.name}"
-    elif type(payload) is not dict:
+    elif type(payload) not in DICT_TYPES:
         return "payload is not a mapping"
     cells = ()
     for f in schema.fields:
         value = payload.get(f.name)
-        if (f.optional == MAY_BE_NONE and value is None
-                or f.optional == MAY_BE_EMPTY and not value):
+        if f.optional and value is None:
             continue
-        if f.shape in (ROW, CELLS) and type(value) not in (list, tuple):
+        if f.shape in (ROW, CELLS) and type(value) not in LIST_TYPES:
             return f"{f.name} is not a list"
         if f.shape == INDEX and (type(value) is not int or not 1 <= value <= n):
             return f"{f.name} {value!r} outside 1..{n}"
@@ -481,11 +479,11 @@ class Party:
         self.auth_key: bytes | None = None
 
     def _post(self, round_name: str, kind: str, payload: dict) -> Post:
-        auth = None
+        sign = None
         if self.config.flags.authenticate:
-            auth = defenses.authenticate_post(
-                self.auth_key, round_name, self.name, kind, payload)
-        return self.run.board.append(round_name, self.name, kind, payload, auth)
+            sign = functools.partial(defenses.authenticate_post, self.auth_key,
+                                     round_name, self.name, kind)
+        return self.run.board.append(round_name, self.name, kind, payload, sign=sign)
 
 
 class BidderAgent(Party):
@@ -816,7 +814,9 @@ class AuctionRun:
             marker = self.config.marker_for(payload["bidder"])
             cells, total = bid_statements(params, self.joint_y, marker,
                                           payload["alphas"], payload["betas"])
-            proofs = payload["proofs"] or [None] * k     # missing: reported per price
+            proofs = payload["proofs"]
+            if proofs is None:
+                proofs = [None] * k                 # missing: reported per price
             for j, (stmt, proof) in enumerate(zip(cells, proofs)):
                 entries.append((name, stmt, proof,
                                 "validity proof failed", f" at price {j + 1}"))

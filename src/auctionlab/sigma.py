@@ -37,10 +37,12 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
+from .board import DICT_TYPES, LIST_TYPES
 from .errors import AlreadyCommitted, NotCommitted, WitnessMismatch
 from .groups import GroupParams
 
 CHALLENGE_HASH = "sha256"
+_challenge_hash = getattr(hashlib, CHALLENGE_HASH)
 
 # A challenge source maps (statement, flat commitment tuple) to a scalar.
 ChallengeSource = Callable[[object, tuple[int, ...]], int]
@@ -173,32 +175,48 @@ def _statement_elements(stmt) -> list[int]:
     raise TypeError(f"unknown statement type: {type(stmt).__name__}")
 
 
+# Groups with p below this keep a table of every element's encoding.
+_ENCODING_TABLE_LIMIT = 1 << 16
+
+
 @functools.lru_cache(maxsize=8)
-def _group_header(params: GroupParams) -> tuple[bytes, bytes, int]:
+def _group_header(params: GroupParams) -> tuple[bytes, bytes, int, dict | None]:
     """The group's encoded p, q and g, the length prefix every element
-    carries, and the element width."""
+    carries, the element width, and for a group with p < 2^16 the table of
+    every element's encoding: v -> prefix + v as width bytes, 0 <= v < p."""
     width = (params.p.bit_length() + 7) // 8
     prefix = width.to_bytes(4, "big")
     header = b"".join(prefix + int(v).to_bytes(width, "big")
                       for v in (params.p, params.q, params.g))
-    return header, prefix, width
+    table = ({v: prefix + v.to_bytes(width, "big") for v in range(params.p)}
+             if params.p < _ENCODING_TABLE_LIMIT else None)
+    return header, prefix, width, table
 
 
 def serialize_statement(params: GroupParams, stmt, commitments: Iterable[int]) -> bytes:
     """Domain tag, then p, q, g, statement elements and commitments, each as
     fixed-width big-endian bytes with a length prefix.  The p, q, g part is
-    encoded once per group."""
+    encoded once per group.  In a group with p < 2^16 each value is read
+    from the group's table of encodings.  The table is a dict: -1 misses it
+    where a list would wrap round to p - 1, and True or 1.0 read the entry
+    of the int they equal, which is what ``int(v)`` encodes.  If any value
+    misses, every value is encoded as ``int(v)``, as in a wider group, with
+    the same bytes or error as there."""
     tag = _DOMAIN_TAGS[type(stmt)]
     values = (*_statement_elements(stmt), *commitments)
-    header, prefix, width = _group_header(params)
-    parts = [tag, header]
-    parts.extend([prefix + int(v).to_bytes(width, "big") for v in values])
-    return b"".join(parts)
+    header, prefix, width, table = _group_header(params)
+    if table is not None:
+        try:
+            return b"".join((tag, header, *map(table.__getitem__, values)))
+        except (KeyError, TypeError):
+            pass
+    return b"".join([tag, header,
+                     *[prefix + int(v).to_bytes(width, "big") for v in values]])
 
 
 def fiat_shamir_challenge(params: GroupParams, stmt, commitments: Iterable[int]) -> int:
     data = serialize_statement(params, stmt, commitments)
-    digest = hashlib.new(CHALLENGE_HASH, data).digest()
+    digest = _challenge_hash(data).digest()
     return int.from_bytes(digest, "big") % params.q
 
 
@@ -479,14 +497,14 @@ def transcript_from_payload(payload: dict):
     have a transcript's shape: a mapping with an integer challenge, a hash
     name, and either an integer response with a list of integer commitments
     or two such transcripts under ``or``."""
-    if type(payload) is not dict:
+    if type(payload) not in DICT_TYPES:
         raise ValueError("proof is not a mapping")
     chal, hash_name = payload.get("chal"), payload.get("hash")
     if type(chal) is not int or type(hash_name) is not str:
         raise ValueError("challenge or hash name missing or of the wrong type")
     if "or" in payload:
         branches = payload["or"]
-        if type(branches) not in (list, tuple) or len(branches) != 2:
+        if type(branches) not in LIST_TYPES or len(branches) != 2:
             raise ValueError("an OR proof needs two branches")
         return OrTranscript(branches=(transcript_from_payload(branches[0]),
                                       transcript_from_payload(branches[1])),
@@ -494,7 +512,7 @@ def transcript_from_payload(payload: dict):
     com, resp = payload.get("com"), payload.get("resp")
     if type(resp) is not int:
         raise ValueError("response missing or of the wrong type")
-    if type(com) not in (list, tuple) or not set(map(type, com)) <= {int}:
+    if type(com) not in LIST_TYPES or not set(map(type, com)) <= {int}:
         raise ValueError("commitments must be a list of integers")
     return Transcript(commitment=tuple(com), challenge=chal, response=resp,
                       hash_name=hash_name)

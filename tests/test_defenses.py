@@ -1,12 +1,16 @@
 """Countermeasures: post authentication, product checks, key binding."""
 
+import hashlib
+import hmac
 import random
 from dataclasses import asdict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from auctionlab import attacks, sigma
-from auctionlab.board import BulletinBoard
+from auctionlab.board import BulletinBoard, canonical_bytes, spliced_bytes
 from auctionlab.defenses import (
     AuthRegistry,
     DefenseFlags,
@@ -191,6 +195,57 @@ class TestKeyConsistency:
         tr = sigma.prove(small, stmt, x + 1, rng,
                          sigma.fiat_shamir_source(small))
         assert not sigma.verify_transcript(small, stmt, tr, require_hashed=True)
+
+
+TEXT = st.text(max_size=6)
+TREES = st.recursive(st.none() | st.integers(0, 2**70) | TEXT,
+                     lambda inner: st.lists(inner, max_size=3)
+                     | st.dictionaries(TEXT, inner, max_size=3), max_leaves=10)
+
+
+class TestTagsCoverStoredBytes:
+    @given(st.dictionaries(TEXT, TREES, max_size=4), TEXT, TREES)
+    @settings(max_examples=120)
+    def test_spliced_bytes_match_the_whole_encoding(self, mapping, key, value):
+        whole = {**mapping, key: value}
+        assert (spliced_bytes({k: v for k, v in whole.items() if k != key}, key,
+                              canonical_bytes(value)) == canonical_bytes(whole))
+
+    @pytest.mark.parametrize("payload", [{"y": 8}, {"b": [1, {"c": "x"}], "a": None}])
+    def test_tag_is_unchanged(self, payload):
+        """The tag is still the HMAC of the whole canonical dict, whether
+        given the payload or its stored bytes."""
+        key = bytes(range(32))
+        whole = canonical_bytes({"round": "bid", "author": "bidder-1", "kind": "bid",
+                                 "payload": payload})
+        expect = hmac.new(key, whole, hashlib.sha256).hexdigest()
+        assert authenticate_post(key, "bid", "bidder-1", "bid", payload) == expect
+        assert authenticate_post(key, "bid", "bidder-1", "bid",
+                                 canonical_bytes(payload)) == expect
+
+    def test_a_post_without_bytes_never_verifies(self):
+        """Not even with the author's tag over the bytes of a None payload,
+        which a refused payload's missing bytes must not stand in for."""
+        registry = AuthRegistry()
+        key = registry.register("bidder-1", random.Random(1))
+        tag = authenticate_post(key, "keygen", "bidder-1", "key", None)
+        post = BulletinBoard().append("keygen", "bidder-1", "key", {"y": -1}, auth=tag)
+        assert post.encoded is None and not verify_post(registry, post)
+
+    def test_made_up_tag_on_a_payload_the_encoder_refuses(self):
+        """Such a post has no stored bytes, so it fails its tag check: it is
+        refused as AuthRejected, not with the encoder's ValueError."""
+        from auctionlab.errors import AuthRejected
+        from auctionlab.protocol import ROUND_KEYGEN, bidder_name
+
+        run = AuctionRun(AuctionConfig(n=2, k=2, flags=DefenseFlags(authenticate=True)),
+                         [1, 2], 0)
+        run.bidder(1).keygen()
+        run.board.append(ROUND_KEYGEN, bidder_name(2), "keyshare",
+                         {"bidder": 2, "y": -1, "proof": None}, auth="00")
+        with pytest.raises(AuthRejected) as caught:
+            run._check_auth(ROUND_KEYGEN)
+        assert (caught.value.author, caught.value.round_name) == (bidder_name(2), ROUND_KEYGEN)
 
 
 class TestAuthenticatedRun:

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from auctionlab import sigma
-from auctionlab.board import canonical_bytes
-from auctionlab.groups import LARGE_GROUP, MID_GROUP, SMALL_GROUP
+from auctionlab.board import BulletinBoard, FrozenDict, FrozenList, canonical_bytes
+from auctionlab.groups import LARGE_GROUP, MID_GROUP, SMALL_GROUP, validate_group
 
 
 def reference_canonical_bytes(obj) -> bytes:
@@ -105,7 +105,66 @@ class TestCanonicalBytesMatchesReference:
         assert outcome(canonical_bytes, obj) == outcome(reference_canonical_bytes, obj)
 
 
-GROUPS = (SMALL_GROUP, MID_GROUP, LARGE_GROUP)
+def frozen_and_bytes(obj):
+    """The board's one walk: a deep-frozen copy of ``obj`` and its bytes."""
+    return canonical_bytes(obj, freeze=True)
+
+
+def frozen_form(obj, frozen=False):
+    """The types of ``obj``'s containers and the identities of its other
+    values.  With ``frozen``, as the walk must freeze ``obj``: dicts as
+    FrozenDict, lists as FrozenList and tuples as tuples; everything else,
+    subclasses included, stays the very same object."""
+    kind = type(obj)
+    if kind in (dict, FrozenDict):
+        return (FrozenDict if frozen else kind,
+                [(key, frozen_form(value, frozen)) for key, value in obj.items()])
+    if kind in (list, FrozenList, tuple):
+        return (FrozenList if frozen and kind is list else kind,
+                [frozen_form(item, frozen) for item in obj])
+    return id(obj)
+
+
+class TestFreezeAndEncodeMatchesReference:
+    """The walk that freezes a tagged post's payload also encodes it, with
+    the encoder's bytes or error."""
+
+    @given(PAYLOADS)
+    @settings(max_examples=250)
+    def test_same_bytes_or_same_error(self, obj):
+        want = outcome(reference_canonical_bytes, obj)
+        try:
+            frozen, data = frozen_and_bytes(obj)
+        except Exception as exc:   # noqa: BLE001 - the error itself is compared
+            assert (type(exc), str(exc)) == want
+            return
+        assert data == want
+        assert frozen == obj and repr(frozen) == repr(obj)
+        assert frozen_form(frozen) == frozen_form(obj, frozen=True)
+
+    @given(PAYLOADS)
+    @settings(max_examples=150)
+    def test_untagged_posts_are_frozen_alike(self, obj):
+        """An untagged post, or one the encoder refuses, is frozen without
+        being encoded, the same way."""
+        for auth in (None, "00"):
+            post = BulletinBoard().append("bid", "bidder-1", "bid", obj, auth=auth)
+            assert frozen_form(post.payload) == frozen_form(obj, frozen=True)
+
+    @pytest.mark.parametrize("obj", [
+        {"b": [1, (2, [3])], "a": {"c": "x"}}, [Row([1]), Table(a=[2])],
+        (1, [2]), {"y": Count(3), "z": Label("k")}, [], {},
+    ])
+    def test_edge_values(self, obj):
+        frozen, data = frozen_and_bytes(obj)
+        assert data == reference_canonical_bytes(obj)
+        assert frozen_form(frozen) == frozen_form(obj, frozen=True)
+
+
+# The widest kind of group that keeps a table of element encodings:
+# p < 2^16.
+NEAR_TABLE_LIMIT = validate_group(65267, 32633, 4)
+GROUPS = (SMALL_GROUP, MID_GROUP, NEAR_TABLE_LIMIT, LARGE_GROUP)
 
 
 @st.composite
@@ -144,6 +203,27 @@ class TestSerializeStatementMatchesReference:
         for params in GROUPS + GROUPS:
             assert (sigma.serialize_statement(params, stmt, (4,))
                     == reference_serialize_statement(params, stmt, (4,)))
+
+    @pytest.mark.parametrize("params", [SMALL_GROUP, MID_GROUP, NEAR_TABLE_LIMIT],
+                             ids=["small", "mid", "p=65267"])
+    @pytest.mark.parametrize("value", ["True", "1.0", "1.5", "-1", "p", "p+1", "p-1", "0"])
+    def test_values_outside_the_table(self, params, value):
+        """A value the table does not hold is encoded as before; -1 must not
+        read p - 1's entry, and True and 1.0 encode as 1."""
+        v = {"True": True, "1.0": 1.0, "1.5": 1.5, "-1": -1, "p": params.p,
+             "p+1": params.p + 1, "p-1": params.p - 1, "0": 0}[value]
+        stmt = sigma.PDLStatement(g=params.g, v=v)
+        for commitments in ((v,), (3, v), ()):
+            assert (outcome(sigma.serialize_statement, params, stmt, commitments)
+                    == outcome(reference_serialize_statement, params, stmt, commitments))
+        if value == "-1":
+            with pytest.raises(OverflowError):
+                sigma.serialize_statement(params, stmt, ())
+
+    def test_unhashable_value(self):
+        stmt = sigma.PDLStatement(g=MID_GROUP.g, v=[5])
+        assert (outcome(sigma.serialize_statement, MID_GROUP, stmt, ())
+                == outcome(reference_serialize_statement, MID_GROUP, stmt, ()))
 
     def test_unknown_statement_type(self):
         assert (outcome(sigma.serialize_statement, SMALL_GROUP, object(), ())
