@@ -256,14 +256,16 @@ class BulletinBoard:
         return out
 
     def to_json(self) -> list[dict]:
-        return [
-            {
-                "seq": post.seq,
-                "round": post.round,
-                "author": post.author,
-                "kind": post.kind,
-                "payload": post.payload_bytes().hex(),
-                "auth": post.auth,
-            }
-            for post in self.posts
-        ]
+        """One entry per post, its payload as the hex of its canonical
+        bytes.  A payload the encoder refuses is exported as null, with the
+        encoder's message under ``payload_error``."""
+        entries = []
+        for post in self.posts:
+            entry = {"seq": post.seq, "round": post.round, "author": post.author,
+                     "kind": post.kind, "payload": None, "auth": post.auth}
+            try:
+                entry["payload"] = post.payload_bytes().hex()
+            except (ValueError, TypeError) as exc:
+                entry["payload_error"] = str(exc)
+            entries.append(entry)
+        return entries

@@ -71,15 +71,18 @@ def authenticate_post(key: bytes | None, round_name: str, author: str,
 
 def verify_post(registry: AuthRegistry, post: Post) -> bool:
     """Whether ``post`` carries its author's tag over its stored bytes.  A
-    post without a tag, or without bytes because the encoder refused its
-    payload, fails."""
+    post without bytes because the encoder refused its payload fails, and
+    so does one whose tag is not an ASCII str (None, bytes, an int, a str
+    with other characters), which ``hmac.compare_digest`` would refuse with
+    a TypeError."""
     if post.author not in registry.keys:
         raise UnknownAuthor(f"author {post.author!r} is not registered")
-    if post.auth is None or post.encoded is None:
+    auth = post.auth
+    if type(auth) is not str or not auth.isascii() or post.encoded is None:
         return False
     expect = authenticate_post(registry.keys[post.author], post.round,
                                post.author, post.kind, post.encoded)
-    return hmac.compare_digest(expect, post.auth)
+    return hmac.compare_digest(expect, auth)
 
 
 # --------------------------------------------------------------------------

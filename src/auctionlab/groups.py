@@ -5,6 +5,23 @@ and q | p - 1.  Elements are plain Python ints; scalars (exponents) are ints
 reduced mod q.  The default desk group (p=23, q=11, g=2) is small enough to
 enumerate, which the test suite leans on heavily.
 
+Narrow groups: one table of logarithms.  A group with p < 2^16 builds two
+lists the first time it raises, inverts or tests a value: ``powers[i] =
+g^i mod p`` for i < q, and ``logs``, p entries long, where ``logs[v]`` is
+log_g v for a member v of the order-q subgroup and None for every other
+value.  That costs q products, fewer than the ``pow`` calls of one
+mid-group auction, and about 75 KB in the mid group; a group never used
+(the mid group, in a large-group run) pays neither.  ``exp(x, e)`` for an
+int member x and an int e reads ``powers[logs[x] * e % q]`` (about 0.2 us
+in the mid group, against about 0.7 us for a call that ends in ``pow``),
+and ``inv`` reads ``powers[-logs[x] % q]``.  Every other input, such as 0,
+a non-member, x < 0, x >= p, a bool or a float, goes to ``pow``, so values
+and exceptions are builtin ``pow``'s.  An unvalidated ``GroupParams``
+whose p is not prime, or whose g does not have order exactly q, builds no
+tables and keeps ``pow``.  The tables are plain attributes that the hot
+paths read and test against None: ``functools.cached_property`` made each
+``exp`` about 0.1 us slower under CPython 3.11.
+
 Fixed-base tables.  In a group whose p has at least 128 bits,
 ``GroupParams.exp`` builds a table of the powers x^(16^i) mod p the first
 time it raises a base x, and raises x through it from then on by Yao's
@@ -12,10 +29,10 @@ bucket method (Brickell-Gordon-McCurley-Wilson, "Fast Exponentiation with
 Precomputation", EUROCRYPT '92).  Under CPython 3.11 a 256-bit power from a
 table costs about a third of builtin ``pow``, and a table about 0.8 of one
 ``pow`` to build, so a base raised twice has already paid for its table.
-Narrower groups keep no table: ``pow`` is cheaper there.  A negative
-exponent e raises the inverse x^-1 to -e: the inverse costs about a tenth
-of a negative ``pow``, gets its own table, and a base that is not a unit
-raises the same ValueError as ``pow``.  The result always equals
+Groups between 2^16 and 2^128 keep no table: ``pow`` is cheaper there.  A
+negative exponent e raises the inverse x^-1 to -e: the inverse costs about
+a tenth of a negative ``pow``, gets its own table, and a base that is not a
+unit raises the same ValueError as ``pow``.  The result always equals
 ``pow(x, e, p)``.  A table serves only an int exponent 0 <= e < 2^(8w), w
 the byte width of q, and never reduces e mod q, so bases outside the
 subgroup come out exact too; every other exponent goes to ``pow``.  Tables
@@ -36,12 +53,10 @@ Membership.  ``are_elements`` decides whether values lie in the order-q
 subgroup, and ``is_element`` asks it about one value.  One call for a whole
 posted vector at least halves the mid group's cost per value (about 0.5
 against 0.9 us for two values, 2.5 against 6.3 us for 32).  A group with
-p < 2^16 looks v up in a table of its members, built once from Euler's
-criterion (about 0.1 us, against about 1 us for ``pow(v, q, p)`` in the mid
-group).  When p = 2q + 1 the subgroup is the quadratic residues, so in a
-wide group a Jacobi-symbol loop decides it (about 50 us at 256 bits, against
-about 220 us for ``pow``).  Every other group compares ``pow(v, q, p)``
-with 1.
+p < 2^16 reads ``logs``: v is a member when its entry is not None.  When
+p = 2q + 1 the subgroup is the quadratic residues, so in a wide group a
+Jacobi-symbol loop decides it (about 50 us at 256 bits, against about
+220 us for ``pow``).  Every other group compares ``pow(v, q, p)`` with 1.
 """
 
 from __future__ import annotations
@@ -61,8 +76,8 @@ _MILLER_RABIN_ROUNDS = 40
 _TABLE_MIN_BITS = 128
 _MAX_TABLES = 384
 
-# Groups with p below this keep a table of their members.
-_MEMBER_TABLE_LIMIT = 1 << 16
+# Groups with p below this keep a table of powers and logarithms.
+_LOG_TABLE_LIMIT = 1 << 16
 
 
 def is_prime(n: int) -> bool:
@@ -120,15 +135,58 @@ class GroupParams:
         object.__setattr__(self, "_table_bytes", width)
         object.__setattr__(self, "_table_limit", 1 << 8 * width)
         object.__setattr__(self, "_residues", wide and self.p == 2 * self.q + 1)
-        object.__setattr__(self, "_members", bytes(
-            pow(v, self.q, self.p) == 1 for v in range(self.p))
-            if self.p < _MEMBER_TABLE_LIMIT else None)
+        # ``powers`` and ``logs``: a narrow group's tables, None until
+        # ``_log_table`` builds them.
+        object.__setattr__(self, "powers", None)
+        object.__setattr__(self, "logs", None)
+        object.__setattr__(self, "_logs_pending", self.p < _LOG_TABLE_LIMIT)
+
+    def _log_table(self) -> list | None:
+        """``logs``, built with ``powers`` the first time a group with
+        p < 2^16 asks for it.  A group whose p is not prime, or whose g does
+        not have order exactly q, gets no tables: a power read from them
+        would not be ``pow``'s, nor membership Euler's criterion."""
+        if self._logs_pending:
+            object.__setattr__(self, "_logs_pending", False)
+            p, q, g = self.p, self.q, self.g
+            if not (0 < q < p and is_prime(p)):
+                return None
+            powers = [1] * q
+            for i in range(1, q):
+                powers[i] = powers[i - 1] * g % p
+            logs = [None] * p
+            for i, v in enumerate(powers):
+                if logs[v] is not None:        # g^i = g^j: order below q
+                    return None
+                logs[v] = i
+            if powers[-1] * g % p != 1:
+                return None
+            object.__setattr__(self, "powers", powers)
+            object.__setattr__(self, "logs", logs)
+        return self.logs
+
+    @property
+    def _members(self):
+        """The member table of a group with p < 2^16: ``logs``, whose entry
+        for v is None exactly when v is not a member."""
+        return self._log_table()
 
     def exp(self, x: int, e: int) -> int:
         """x**e mod p.  Negative e works because x is a unit mod p.  In a
-        wide group x, or x^-1 for negative e, is raised through its table."""
+        narrow group a member x is raised by reading ``powers`` at
+        log(x) * e mod q; in a wide group x, or x^-1 for negative e, is
+        raised through its table."""
+        logs = self.logs
+        if logs is not None:
+            if type(x) is int and type(e) is int and 0 <= x < self.p:
+                log = logs[x]
+                if log is not None:
+                    return self.powers[log * e % self.q]
+            return pow(x, e, self.p)
         tables = self._tables
         if tables is None or type(e) is not int or type(x) is not int:
+            if self._logs_pending and self._log_table() is not None:
+                return self.exp(x, e)
             return pow(x, e, self.p)
         if e < 0:
             x, e = pow(x, -1, self.p), -e
@@ -175,7 +233,15 @@ class GroupParams:
             self._tables.clear()
 
     def inv(self, x: int) -> int:
-        """Multiplicative inverse of x mod p."""
+        """Multiplicative inverse of x mod p, read from ``powers`` for a
+        member of a narrow group."""
+        logs = self.logs
+        if logs is None and self._logs_pending:
+            logs = self._log_table()
+        if logs is not None and type(x) is int and 0 <= x < self.p:
+            log = logs[x]
+            if log is not None:
+                return self.powers[-log % self.q]
         return pow(x, -1, self.p)
 
     def mul(self, *xs: int) -> int:
@@ -190,16 +256,17 @@ class GroupParams:
 
     def are_elements(self, values) -> bool:
         """True iff every value is in the order-q subgroup: 0 < v < p and
-        v^q = 1, read from the member table of a group with p < 2^16, or
-        decided by the Jacobi symbol (v/p) in a wide safe-prime group.  One
-        call for many values costs about half as much per value as a call
-        each."""
-        members, p = self._members, self.p
+        v^q = 1, read from ``logs`` in a group with p < 2^16, or decided by
+        the Jacobi symbol (v/p) in a wide safe-prime group.  One call for
+        many values costs about half as much per value as a call each."""
+        logs, p = self.logs, self.p
+        if logs is None and self._logs_pending:
+            logs = self._log_table()
         for v in values:
             if not 0 < v < p:
                 return False
-            if members is not None:
-                if not members[v]:
+            if logs is not None:
+                if logs[v] is None:
                     return False
             elif self._residues:
                 if _jacobi(v, p) != 1:

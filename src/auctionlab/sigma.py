@@ -19,7 +19,9 @@ transcript (``transcript_equations``): one at a time, or handed to an
 one.  A batch's weights are 64 bits hashed from its equations, so a
 prover who can try t sets of equations offline gets a false one through
 with probability about t * 2^-64, and that only if every element in it is a
-member of the order-q subgroup; callers check membership first.
+member of the order-q subgroup; callers check membership first.  Narrower
+groups check each equation as it arrives; below p = 2^16 each of its
+powers is read from the group's tables (``GroupParams.logs``).
 
 Interactive runs are deliberately unhardened: the verifier's challenge is
 whatever the caller's challenge source supplies, and an honest prover will
@@ -400,10 +402,10 @@ class EquationBatch:
     """The exponent equations of one round's proof checks.
 
     Only a wide group (``GroupParams.wide``) batches: ``verify_transcript``
-    checks a narrow group's equations as they arrive, where builtin ``pow``
-    is cheap and 64-bit weights would be no stronger than q.  ``add`` keeps
-    equations, and ``first_failure`` checks them all as one equation by the
-    small-exponent test (Bellare-Garay-Rabin, "Fast Batch Verification for
+    checks a narrow group's equations as they arrive, where a power is cheap
+    (below p = 2^16 a table read) and 64-bit weights would be no stronger
+    than q.  ``add`` keeps equations, and ``first_failure`` checks them all
+    as one equation by the small-exponent test (Bellare-Garay-Rabin, "Fast Batch Verification for
     Modular Exponentiation and Digital Signatures", EUROCRYPT '98): with
     64-bit weights w taken from a SHA-256 hash of the equations,
 

@@ -13,7 +13,7 @@ from auctionlab import defenses
 from auctionlab.board import BulletinBoard, FrozenDict, FrozenList, canonical_bytes
 from auctionlab.defenses import DefenseFlags
 from auctionlab.groups import DEFAULT_MARKER, MID_GROUP
-from auctionlab.protocol import AuctionConfig, run_with_restarts
+from auctionlab.protocol import AuctionConfig, AuctionRun, run_with_restarts
 
 
 class TestCanonicalBytes:
@@ -86,6 +86,26 @@ class TestBoard:
         assert len(loaded) == 4
         assert loaded[0]["author"] == "bidder-1"
         assert all(isinstance(entry["payload"], str) for entry in loaded)
+
+    def test_to_json_exports_a_payload_the_encoder_refuses(self):
+        """A key share with y = -1 is refused by the keygen check; the
+        board still exports, with that payload null and the encoder's
+        message beside it, and every other entry as before."""
+        from auctionlab.errors import ProofRejected
+
+        run = AuctionRun(AuctionConfig(n=2, k=2), [1, 2], 0)
+        run.bidder(1).keygen()
+        run.board.append("keygen", "bidder-2", "keyshare",
+                         {"bidder": 2, "y": -1, "proof": None})
+        with pytest.raises(ProofRejected):
+            run._verify_keygen()
+        first, refused = json.loads(json.dumps(run.board.to_json()))
+        assert first == {"seq": 0, "round": "keygen", "author": "bidder-1",
+                         "kind": "keyshare", "auth": None,
+                         "payload": run.board.posts[0].payload_bytes().hex()}
+        assert refused == {"seq": 1, "round": "keygen", "author": "bidder-2",
+                           "kind": "keyshare", "payload": None, "auth": None,
+                           "payload_error": "payload ints must be non-negative"}
 
     def test_payload_bytes_match_canonical(self):
         board = self._filled()

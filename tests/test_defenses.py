@@ -247,6 +247,23 @@ class TestTagsCoverStoredBytes:
             run._check_auth(ROUND_KEYGEN)
         assert (caught.value.author, caught.value.round_name) == (bidder_name(2), ROUND_KEYGEN)
 
+    @pytest.mark.parametrize("tag", ["\u00e9", 5, b"00"], ids=["non-ascii", "int", "bytes"])
+    def test_tag_of_the_wrong_type_is_refused(self, tag):
+        """A tag that is not an ASCII str fails its check, refused as
+        AuthRejected rather than with ``hmac.compare_digest``'s TypeError."""
+        from auctionlab.errors import AuthRejected
+        from auctionlab.protocol import ROUND_KEYGEN, bidder_name
+
+        run = AuctionRun(AuctionConfig(n=2, k=2, flags=DefenseFlags(authenticate=True)),
+                         [1, 2], 0)
+        run.bidder(1).keygen()
+        post = run.board.append(ROUND_KEYGEN, bidder_name(2), "keyshare",
+                                {"bidder": 2, "y": 4, "proof": None}, auth=tag)
+        assert post.encoded is not None and not verify_post(run.registry, post)
+        with pytest.raises(AuthRejected) as caught:
+            run._check_auth(ROUND_KEYGEN)
+        assert (caught.value.author, caught.value.round_name) == (bidder_name(2), ROUND_KEYGEN)
+
 
 class TestAuthenticatedRun:
     def test_honest_run_passes_auth_checks(self):

@@ -326,6 +326,105 @@ class TestMembership:
         assert tabled == ["small", "mid", "p31"]
 
 
+# The narrow groups whose every base is probed, and one near the table's
+# limit, p < 2^16, which is probed on a sample.
+_NARROW_GROUPS = {"small": SMALL_GROUP, "p31": _ALL_GROUPS["p31"],
+                  "p227": validate_group(227, 113, 4), "mid": MID_GROUP}
+_NEAR_LIMIT = validate_group(65267, 32633, 4)
+
+
+def _outcome(f, *args):
+    """``f(*args)``, or the type of the exception it raises."""
+    try:
+        return f(*args)
+    except Exception as exc:        # noqa: BLE001 - the type is the answer
+        return type(exc)
+
+
+class TestLogTables:
+    """A group with p < 2^16 raises members by reading its tables of
+    powers and logarithms; every value, and every exception type, is
+    builtin ``pow``'s, for members, non-members, 0, x >= p and x < 0."""
+
+    @staticmethod
+    def _exponents(q, rng):
+        return [0, 1, q - 1, q, q + 1, -1, -q, 2**70,
+                *(rng.randrange(-3 * q, 3 * q) for _ in range(4))]
+
+    @pytest.mark.parametrize("name", _NARROW_GROUPS)
+    def test_exp_matches_pow_for_every_base(self, name):
+        params = _NARROW_GROUPS[name]
+        p, q = params.p, params.q
+        rng = random.Random(p)
+        exponents = self._exponents(q, rng)
+        for x in [-1, *range(p + 2)]:
+            for e in exponents:
+                assert _outcome(params.exp, x, e) == _outcome(pow, x, e, p), (x, e)
+
+    def test_exp_matches_pow_near_the_table_limit(self):
+        params, rng = _NEAR_LIMIT, random.Random(1)
+        p, q = params.p, params.q
+        members = [pow(params.g, rng.randrange(q), p) for _ in range(100)]
+        bases = [-1, 0, 1, p - 1, p, p + 1, *members, *(p - v for v in members),
+                 *(rng.randrange(p) for _ in range(100))]
+        for x in bases:
+            for e in self._exponents(q, rng):
+                assert _outcome(params.exp, x, e) == _outcome(pow, x, e, p), (x, e)
+
+    @pytest.mark.parametrize("name", _NARROW_GROUPS)
+    def test_bools_and_floats_go_to_pow(self, name):
+        params = _NARROW_GROUPS[name]
+        for x, e in ((True, 3), (False, 2), (True, -1), (params.g, True),
+                     (1.0, 2), (params.g, 2.0), (params.g, -1.0)):
+            assert _outcome(params.exp, x, e) == _outcome(pow, x, e, params.p), (x, e)
+
+    @pytest.mark.parametrize("params", [*_NARROW_GROUPS.values(), _NEAR_LIMIT],
+                             ids=[*_NARROW_GROUPS, "p65267"])
+    def test_inv_matches_pow(self, params):
+        p = params.p
+        bases = range(-1, p + 2) if params is not _NEAR_LIMIT else [
+            -1, 0, 1, p - 1, p, p + 1, *random.Random(2).sample(range(p), 200)]
+        for x in bases:
+            assert _outcome(params.inv, x) == _outcome(pow, x, -1, p), x
+        with pytest.raises(ValueError):
+            params.inv(0)
+
+    @pytest.mark.parametrize("name", _NARROW_GROUPS)
+    def test_tables_hold_powers_and_logarithms(self, name):
+        params = _NARROW_GROUPS[name]
+        p, q, g = params.p, params.q, params.g
+        assert params._log_table() is params.logs
+        assert params.powers == [pow(g, i, p) for i in range(q)]
+        assert len(params.logs) == p
+        for v, log in enumerate(params.logs):
+            assert (log is not None) == (0 < v < p and pow(v, q, p) == 1), v
+            assert log is None or params.powers[log] == v
+
+    def test_wider_groups_keep_no_log_table(self):
+        for params in (LARGE_GROUP, _ALL_GROUPS["p73369"]):
+            assert params._log_table() is None
+            assert params.powers is None and params.logs is None
+
+    def test_tables_are_built_on_first_use(self):
+        params = GroupParams(p=MID_GROUP.p, q=MID_GROUP.q, g=MID_GROUP.g)
+        assert params.logs is None and params.powers is None
+        assert params.exp(params.g, 5) == pow(params.g, 5, params.p)
+        assert params.logs is not None and params.powers is not None
+
+    # Unvalidated groups: g of order 22, 1 and 2 mod 23; p = 91 = 7 * 13 is
+    # not prime, so 9, of order 3, does not span the nine cube roots of 1.
+    @pytest.mark.parametrize("p, q, g", [(23, 11, 5), (23, 11, 1), (23, 11, 22),
+                                         (91, 3, 9), (23, 0, 2), (23, 30, 5)])
+    def test_groups_with_a_bad_generator_keep_pow(self, p, q, g):
+        params = GroupParams(p=p, q=q, g=g)
+        for x in range(-1, p + 2):
+            for e in (0, 1, 2, q - 1, q, q + 1, -1, 2**70):
+                assert _outcome(params.exp, x, e) == _outcome(pow, x, e, p), (x, e)
+            assert _outcome(params.inv, x) == _outcome(pow, x, -1, p), x
+            assert params.is_element(x) == (0 < x < p and pow(x, q, p) == 1), x
+        assert params.logs is None and params.powers is None
+
+
 _MULTI_BASES = st.one_of(st.integers(0, _P - 1), st.sampled_from([0, 1, _P - 1]))
 
 

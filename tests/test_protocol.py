@@ -712,6 +712,16 @@ class TestOwnRowRefusesMalformedPublications:
         assert (caught.value.author, caught.value.round_name) == (
             protocol.SELLER, ROUND_DECRYPT)
 
+    @pytest.mark.parametrize("tag", ["\u00e9", 5, b"00"], ids=["non-ascii", "int", "bytes"])
+    def test_tag_of_the_wrong_type_refused_under_authentication(self, tag):
+        run = self._finished_run(DefenseFlags.all_on())
+        run.board.append(ROUND_DECRYPT, protocol.SELLER, "decrypt-publish",
+                         {"bidder": 2, "phi": [[1] * 4] * 3}, auth=tag)
+        with pytest.raises(AuthRejected) as caught:
+            run.bidder(1).own_row_values()
+        assert (caught.value.author, caught.value.round_name) == (
+            protocol.SELLER, ROUND_DECRYPT)
+
     @pytest.mark.parametrize("flags", [DefenseFlags(), DefenseFlags.all_on()],
                              ids=["no-defenses", "all-defenses"])
     def test_withheld_row_is_missing(self, flags):
