@@ -17,7 +17,7 @@ different ways.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 from . import defenses, elgamal, recovery, sigma
 from .errors import (
@@ -407,14 +407,14 @@ class CopycatBidder(BidderAgent):
             return tr
         q = self.params.q
         if isinstance(tr, sigma.OrTranscript):     # a cell: shifted by one copy
-            return replace(tr, branches=tuple(_shifted(b, self.shift, q)
+            return tr._replace(branches=tuple(_shifted(b, self.shift, q)
                                               for b in tr.branches))
         return _shifted(tr, self.config.k * self.shift, q)   # the sum of k copies
 
 
 def _shifted(tr: sigma.Transcript, e: int, q: int) -> sigma.Transcript:
     """``tr`` answering for a witness larger by ``e``."""
-    return replace(tr, response=(tr.response + tr.challenge * e) % q)
+    return tr._replace(response=(tr.response + tr.challenge * e) % q)
 
 
 def impersonation_attack(config: AuctionConfig, target_bid: int, seed: int,

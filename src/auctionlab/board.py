@@ -216,10 +216,10 @@ class BulletinBoard:
         """Post a deep-frozen copy of ``payload``.  A tagged post, one with
         ``auth`` or ``sign``, also keeps the payload's canonical bytes, made
         in the same walk; ``sign`` is called with them and its tag replaces
-        ``auth``.  A payload to be signed must encode, or the encoder's
-        error is raised; a tagged payload the encoder refuses is posted
-        without bytes, and fails its tag check.  An untagged post is only
-        frozen: nothing reads its bytes but the JSON export."""
+        ``auth``.  A tagged payload the encoder refuses is posted without
+        bytes, and with ``sign`` without a tag, so it fails its tag check.
+        An untagged post is only frozen: nothing reads its bytes but the
+        JSON export."""
         encoded = None
         if auth is None and sign is None:
             payload = _freeze(payload)
@@ -227,10 +227,8 @@ class BulletinBoard:
             try:
                 payload, encoded = canonical_bytes(payload, freeze=True)
             except (ValueError, TypeError):
-                if sign is not None:
-                    raise
                 payload = _freeze(payload)
-            if sign is not None:
+            if sign is not None and encoded is not None:
                 auth = sign(encoded)
         post = Post(seq=len(self.posts), round=round, author=author,
                     kind=kind, payload=payload, auth=auth, encoded=encoded)
@@ -258,7 +256,8 @@ class BulletinBoard:
     def to_json(self) -> list[dict]:
         """One entry per post, its payload as the hex of its canonical
         bytes.  A payload the encoder refuses is exported as null, with the
-        encoder's message under ``payload_error``."""
+        encoder's message under ``payload_error``; a tag that is neither a
+        str nor None, as null with its type named under ``auth_error``."""
         entries = []
         for post in self.posts:
             entry = {"seq": post.seq, "round": post.round, "author": post.author,
@@ -267,5 +266,8 @@ class BulletinBoard:
                 entry["payload"] = post.payload_bytes().hex()
             except (ValueError, TypeError) as exc:
                 entry["payload_error"] = str(exc)
+            if post.auth is not None and not isinstance(post.auth, str):
+                entry["auth"] = None
+                entry["auth_error"] = f"tag of type {type(post.auth).__name__}"
             entries.append(entry)
         return entries

@@ -165,12 +165,6 @@ class GroupParams:
             object.__setattr__(self, "logs", logs)
         return self.logs
 
-    @property
-    def _members(self):
-        """The member table of a group with p < 2^16: ``logs``, whose entry
-        for v is None exactly when v is not a member."""
-        return self._log_table()
-
     def exp(self, x: int, e: int) -> int:
         """x**e mod p.  Negative e works because x is a unit mod p.  In a
         narrow group a member x is raised by reading ``powers`` at

@@ -306,15 +306,16 @@ def _canonical_scalars(tr, q: int) -> bool:
     return 0 <= tr.challenge < q and 0 <= tr.response < q
 
 
-def check_proof(config: AuctionConfig, rng: random.Random, author: str,
+def check_proof(config: AuctionConfig, source: sigma.ChallengeSource, author: str,
                 round_name: str, stmt, payload, prover, failure: str,
                 where: str, batch: sigma.EquationBatch) -> None:
     """Check ``author``'s proof of ``stmt`` in the run's proof mode, or
     raise ProofRejected naming the author, the round and ``where``.
 
     Interactive: ``prover``, the author's agent, proves ``stmt`` as the
-    verifier built it, in a fresh session against challenges drawn from
-    ``rng``; an agent that never posted ``stmt`` has no proof and fails.
+    verifier built it, in a fresh session against challenges from the
+    verifier's ``source``; an agent that never posted ``stmt`` has no proof
+    and fails.
     Hashed: the posted ``payload`` is parsed, and the challenge must be the
     canonical hash.  In both modes every commitment must lie in the order-q
     subgroup, and every challenge and response (OR branches included) in
@@ -329,7 +330,7 @@ def check_proof(config: AuctionConfig, rng: random.Random, author: str,
     if (prover if interactive else payload) is None:
         raise ProofRejected(author, round_name, f"missing proof{where}")
     if interactive:
-        tr = prover.prove(stmt, sigma.verifier_source(params, rng))
+        tr = prover.prove(stmt, source)
         if tr is None:
             raise ProofRejected(author, round_name, failure + where)
     else:
@@ -348,8 +349,8 @@ def check_proof(config: AuctionConfig, rng: random.Random, author: str,
         raise ProofRejected(author, round_name,
                             f"malformed proof{where}: response or "
                             "challenge outside 0 <= v < q")
-    if not sigma.verify_transcript(params, stmt, tr, require_hashed=not interactive,
-                                   batch=batch, key=(author, failure, where)):
+    if not sigma.verify_transcript(params, stmt, tr, not interactive, batch,
+                                   (author, failure, where)):
         raise ProofRejected(author, round_name, failure + where)
 
 
@@ -359,10 +360,11 @@ def check_round(run: "AuctionRun", round_name: str, verifiers, entries) -> None:
     An entry is ``(author, statement, posted proof, failure, where)`` as
     ``check_proof`` takes them; in interactive mode the author's agent in
     ``run`` proves the statement, and a name with no agent behind it has no
-    proof.  Interactive sessions run once per verifier.  A hashed proof's
-    verdict depends on its statement and transcript alone, so the first
-    verifier that reaches it checks it and every later one shares that
-    verdict.
+    proof.  Interactive sessions run once per verifier, each against the
+    verifier's one challenge source for the round (``sigma.verifier_source``
+    over its ``rng``).  A hashed proof's verdict depends on its statement
+    and transcript alone, so the first verifier that reaches it checks it
+    and every later one shares that verdict.
 
     In a wide group every proof's exponent equations go to one batch for
     the round (``sigma.EquationBatch``); a narrow group checks them as they
@@ -375,6 +377,7 @@ def check_round(run: "AuctionRun", round_name: str, verifiers, entries) -> None:
     batch = sigma.EquationBatch(config.params)
     pending = entries
     for verifier in verifiers:
+        source = sigma.verifier_source(config.params, verifier.rng)
         left = []
         for entry in pending:
             author, stmt, payload, failure, where = entry
@@ -382,7 +385,7 @@ def check_round(run: "AuctionRun", round_name: str, verifiers, entries) -> None:
                 left.append(entry)            # nobody checks their own proof
                 continue
             try:
-                check_proof(config, verifier.rng, author, round_name, stmt, payload,
+                check_proof(config, source, author, round_name, stmt, payload,
                             agents.get(author), failure, where, batch)
             except Exception:
                 # An earlier proof's false equation is raised first.
@@ -517,11 +520,12 @@ class BidderAgent(Party):
 
     def prove(self, stmt, challenge_source: sigma.ChallengeSource):
         """One interactive proof of ``stmt``, or None when this bidder never
-        posted it."""
-        if not self.config.interactive:
-            raise ModeMismatch("no interactive sessions under hashed proofs")
+        posted it.  ``witnesses`` is empty under hashed proofs, so the mode
+        is tested only on a miss."""
         witness = self.witnesses.get(stmt)
         if witness is None:
+            if not self.config.interactive:
+                raise ModeMismatch("no interactive sessions under hashed proofs")
             return None
         return sigma.prove(self.params, stmt, witness, self.rng, challenge_source)
 
@@ -740,6 +744,7 @@ class AuctionRun:
         self.joint_y: int | None = None
         self.bases = None                    # see compute_outcome_bases
         self.gammas = self.deltas = None
+        self.outcome_statements = None       # see outcome_statement
         self.gamma_products = self.delta_products = None
         self._outcome_checked = 0            # board position _read_outcome checked to
 
@@ -870,14 +875,21 @@ class AuctionRun:
         return collect_outcome(self.board, self.config.n, self.config.k)
 
     def _verify_outcome(self) -> None:
-        """Read the masking shares and keep them with their cell products
-        before checking them: a relaying prover reads them in its sessions."""
+        """Read the masking shares and keep them, with their cell products
+        and the grid of their statements, before checking them: a relaying
+        prover reads them in its sessions."""
         params, n, k = self.config.params, self.config.n, self.config.k
         gammas, deltas, proofs = self._read_outcome()
         self.gammas, self.deltas = gammas, deltas
         self.gamma_products = cell_products(params, gammas)
         self.delta_products = cell_products(params, deltas)
-        entries = [(bidder_name(a + 1), self.outcome_statement(a, i, j), proofs[a][i][j],
+        eqdl, bases = sigma.EQDLStatement, self.bases
+        self.outcome_statements = [
+            [[eqdl(base, (gamma, delta))
+              for base, gamma, delta in zip(base_row, gamma_row, delta_row)]
+             for base_row, gamma_row, delta_row in zip(bases, gamma_grid, delta_grid)]
+            for gamma_grid, delta_grid in zip(gammas, deltas)]
+        entries = [(bidder_name(a + 1), self.outcome_statements[a][i][j], proofs[a][i][j],
                     "masking proof failed", f" at cell ({i + 1},{j + 1})")
                    for a in range(n) for i in range(n) for j in range(k)]
         check_round(self, ROUND_OUTCOME, self.honest_agents(), entries)
@@ -885,9 +897,9 @@ class AuctionRun:
     def outcome_statement(self, a: int, i: int, j: int) -> sigma.EQDLStatement:
         """Bidder a's kept masking shares at cell (i, j), all 0-based, as
         the statement that proves them: one exponent raises the cell's base
-        pair to both."""
-        return sigma.EQDLStatement(gens=self.bases[i][j],
-                                   targets=(self.gammas[a][i][j], self.deltas[a][i][j]))
+        pair to both.  The outcome round builds every such statement once,
+        when it closes."""
+        return self.outcome_statements[a][i][j]
 
     def step_decrypt(self) -> None:
         for index in range(1, self.config.n + 1):

@@ -257,11 +257,11 @@ class SessionTamperer(BidderAgent):
 
 
 def _bump_response(tr):
-    return dataclasses.replace(tr, response=(tr.response + 1) % Q)
+    return tr._replace(response=(tr.response + 1) % Q)
 
 
 def _negate_commitment(tr):
-    return dataclasses.replace(tr, commitment=(P - tr.commitment[0], *tr.commitment[1:]))
+    return tr._replace(commitment=(P - tr.commitment[0], *tr.commitment[1:]))
 
 
 def _tamperers(plans, change):
@@ -370,14 +370,14 @@ def _equality_proof(rng, arity):
 def _corrupted(stmt, tr, how):
     """A member-only corruption: every element stays in the subgroup."""
     if how == "response":
-        tr = dataclasses.replace(tr, response=(tr.response + 1) % Q)
+        tr = tr._replace(response=(tr.response + 1) % Q)
     elif how == "commitment":
-        tr = dataclasses.replace(tr, commitment=(tr.commitment[0] * G % P, *tr.commitment[1:]))
+        tr = tr._replace(commitment=(tr.commitment[0] * G % P, *tr.commitment[1:]))
     elif how == "target":
         stmt = sigma.EQDLStatement(gens=stmt.gens,
                                    targets=(*stmt.targets[:-1], stmt.targets[-1] * G % P))
     elif how == "challenge":
-        tr = dataclasses.replace(tr, challenge=(tr.challenge + 1) % Q)
+        tr = tr._replace(challenge=(tr.challenge + 1) % Q)
     return stmt, tr
 
 
@@ -404,7 +404,7 @@ class TestEquationBatch:
         rng = random.Random(3)
         stmt = sigma.PDLStatement(g=MID_GROUP.g, v=MID_GROUP.exp(MID_GROUP.g, 7))
         tr = sigma.prove(MID_GROUP, stmt, 7, rng, sigma.verifier_source(MID_GROUP, rng))
-        bad = dataclasses.replace(tr, response=(tr.response + 1) % MID_GROUP.q)
+        bad = tr._replace(response=(tr.response + 1) % MID_GROUP.q)
         batch = sigma.EquationBatch(MID_GROUP)
         assert sigma.verify_transcript(MID_GROUP, stmt, tr, False, batch=batch, key=0)
         assert not sigma.verify_transcript(MID_GROUP, stmt, bad, False, batch=batch, key=1)

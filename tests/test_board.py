@@ -107,6 +107,26 @@ class TestBoard:
                            "kind": "keyshare", "payload": None, "auth": None,
                            "payload_error": "payload ints must be non-negative"}
 
+    @pytest.mark.parametrize("auth", [b"00", 5])
+    def test_to_json_exports_a_tag_that_is_not_a_str(self, auth):
+        """A key share tagged with bytes or an int is refused by the keygen
+        check; the board still exports, with that tag null and its type
+        named beside it."""
+        from auctionlab.errors import ProofRejected
+
+        run = AuctionRun(AuctionConfig(n=2, k=2), [1, 2], 0)
+        run.bidder(1).keygen()
+        run.board.append("keygen", "bidder-2", "keyshare",
+                         {"bidder": 2, "y": 4, "proof": None}, auth=auth)
+        with pytest.raises(ProofRejected):
+            run._verify_keygen()
+        first, refused = json.loads(json.dumps(run.board.to_json()))
+        assert first["auth"] is None and "auth_error" not in first
+        assert refused == {"seq": 1, "round": "keygen", "author": "bidder-2",
+                           "kind": "keyshare", "auth": None,
+                           "auth_error": f"tag of type {type(auth).__name__}",
+                           "payload": run.board.posts[1].payload_bytes().hex()}
+
     def test_payload_bytes_match_canonical(self):
         board = self._filled()
         post = next(iter(board.select(round="keygen", author="bidder-1")))
@@ -193,10 +213,12 @@ class TestFrozenPayloads:
             with pytest.raises(ValueError, match="non-negative"):
                 post.payload_bytes()
 
-    def test_a_payload_to_be_signed_must_encode(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            BulletinBoard().append("bid", "bidder-1", "bid", {"y": -1},
-                                   sign=lambda data: "00")
+    def test_a_signed_payload_the_encoder_refuses_is_posted_untagged(self):
+        signed = []
+        post = BulletinBoard().append("bid", "bidder-1", "bid", {"y": -1},
+                                      sign=lambda data: signed.append(data) or "00")
+        assert signed == [] and post.auth is None and post.encoded is None
+        assert post.payload == {"y": -1}
 
     def test_sign_tags_the_stored_bytes(self):
         signed = []

@@ -506,7 +506,7 @@ class TestNonCanonicalScalars:
                 tr = super().prove(stmt, challenge_source)
                 if not isinstance(stmt, sigma.PDLStatement):
                     return tr
-                return dataclasses.replace(tr, response=tr.response + shift)
+                return tr._replace(response=tr.response + shift)
 
         def factory(run, index, rng):
             return (ShiftingBidder if index == 2 else BidderAgent)(run, index, rng)
@@ -998,6 +998,101 @@ class TestProverKeepsItsStatements:
             assert calls == {"collect_keyshares": 1, "collect_bids": 1,
                              "collect_outcome": outcome_reads}
             calls.clear()
+
+
+def _distinct_by_kind(records) -> int:
+    """How many distinct records ``records`` holds, asserting that no two
+    of different kinds compare equal."""
+    seen = {}
+    for record in records:
+        assert type(seen.setdefault(record, record)) is type(record), record
+    return len(seen)
+
+
+class TestProofRecords:
+    """Statements and transcripts are named tuples, and a named tuple equals
+    any tuple with the same items; no two records of different kinds built
+    from one run's values are equal, so none stands in for another as a
+    witness key."""
+
+    CONFIG = AuctionConfig(n=3, k=3, params=MID_GROUP, marker=9)
+
+    def _run(self):
+        run, outcome = run_auction(self.CONFIG, [1, 3, 2], 5)
+        assert outcome.status == "winner"
+        return run
+
+    def test_statements_of_different_kinds_never_compare_equal(self):
+        run, g = self._run(), self.CONFIG.params.g
+        records = []
+        for agent in run.agents.values():
+            records.extend(agent.witnesses)
+            records.append(sigma.EQDLStatement((g,), (agent.share.y,)))
+            for stmt in agent.witnesses:
+                if isinstance(stmt, sigma.BidValidityStatement):
+                    records.extend(sigma.branch_statements(run.config.params, stmt))
+        kinds = {type(r) for r in records}
+        assert kinds == {sigma.PDLStatement, sigma.EQDLStatement,
+                         sigma.BidValidityStatement, sigma.SumValidityStatement}
+        _distinct_by_kind(records)
+        y = run.bidder(1).share.y
+        assert sigma.PDLStatement(g, y) != sigma.EQDLStatement((g,), (y,))
+
+    def test_transcripts_of_different_kinds_never_compare_equal(self):
+        cfg = dataclasses.replace(self.CONFIG, flags=DefenseFlags(ni_proofs=True))
+        run, _ = run_auction(cfg, [1, 3, 2], 5)
+        payloads = [post.payload["proof"] for post in run.board.select(kind="keyshare")]
+        for post in run.board.select(kind="bid"):
+            payloads.extend([*post.payload["proofs"], post.payload["sum_proof"]])
+        for post in run.board.select(kind="outcome"):
+            payloads.extend(proof for row in post.payload["proofs"] for proof in row)
+        transcripts = [sigma.transcript_from_payload(p) for p in payloads]
+        assert {type(tr) for tr in transcripts} == {sigma.Transcript, sigma.OrTranscript}
+        for tr in list(transcripts):
+            if isinstance(tr, sigma.OrTranscript):
+                transcripts.extend(tr.branches)
+                flat = sigma.Transcript(tr.commitment, tr.challenge, tr.branches[0].response)
+                assert flat != tr
+                transcripts.append(flat)
+        assert _distinct_by_kind(transcripts) == len(transcripts)
+
+    def test_records_stay_distinct_witness_keys(self):
+        run, (n, k), g = self._run(), (self.CONFIG.n, self.CONFIG.k), self.CONFIG.params.g
+        source = sigma.verifier_source(self.CONFIG.params, random.Random(1))
+        for agent in run.agents.values():
+            # key share, k cells, the sum, n x k masking shares, decryption
+            assert len(agent.witnesses) == 1 + k + 1 + n * k + 1
+            pdl = sigma.PDLStatement(g, agent.share.y)
+            eqdl = sigma.EQDLStatement((g,), (agent.share.y,))
+            assert agent.witnesses[pdl] == agent.share.x
+            assert eqdl not in agent.witnesses
+            assert agent.prove(eqdl, source) is None
+            assert agent.prove(pdl, source) is not None
+
+    def test_one_outcome_statement_grid_per_round(self):
+        run = self._run()
+        n, k = self.CONFIG.n, self.CONFIG.k
+        for agent in run.agents.values():
+            a = agent.index - 1
+            for i in range(n):
+                for j in range(k):
+                    stmt = run.outcome_statement(a, i, j)
+                    assert stmt is run.outcome_statements[a][i][j]
+                    assert agent.witnesses[stmt] == agent.m[i][j]
+
+    def test_one_challenge_source_per_verifier_per_round(self, monkeypatch):
+        built = []
+        source = sigma.verifier_source
+
+        def counting(params, rng):
+            built.append(rng)
+            return source(params, rng)
+
+        monkeypatch.setattr(sigma, "verifier_source", counting)
+        run = self._run()
+        honest = [agent.rng for agent in run.agents.values()]
+        # keygen, bid and outcome: every bidder; decrypt: the seller
+        assert built == honest * 3 + [run.seller.rng]
 
 
 def _outcome_verified(flags=DefenseFlags()):

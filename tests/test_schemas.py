@@ -1,6 +1,7 @@
 """Post shapes: every field of every kind in ``protocol.SCHEMAS``, edited.
 
-Small group, n=2, k=3, bids (1, 2), seed 4, in both proof modes.  Bidder 2
+Small group, n=2, k=3, bids (1, 2), seed 4, in three modes: interactive
+proofs, hashed proofs, and interactive proofs with tagged posts.  Bidder 2
 edits one field of one of its payloads (for ``outcome-fix``, of a fix post
 that restates its shares at cell (1,1)); the seller edits its publication of
 bidder 1's shares.  Each field takes every value in ``WRONG`` in turn, and
@@ -12,16 +13,18 @@ No edit may raise a bare Python exception.
 
 After a deliberate change of verdicts, ``PYTHONPATH=src python
 tests/test_schemas.py`` rewrites the table, and its diff shows which rows
-moved.  Seed 4 is one whose unedited run has a winner in both modes.
+moved.  Seed 4 is one whose unedited run has a winner in every mode.
 """
 
 import copy
+import dataclasses
 import functools
 import json
 import pathlib
 
 import pytest
 
+from auctionlab import sigma
 from auctionlab.attacks import dishonest_bidder
 from auctionlab.defenses import DefenseFlags
 from auctionlab.errors import AuctionLabError
@@ -37,7 +40,8 @@ from auctionlab.protocol import (
 )
 
 TABLE = pathlib.Path(__file__).with_name("schema_walk.json")
-MODES = {"interactive": DefenseFlags(), "hashed": DefenseFlags(ni_proofs=True)}
+MODES = {"interactive": DefenseFlags(), "hashed": DefenseFlags(ni_proofs=True),
+         "authenticate": DefenseFlags(authenticate=True)}
 WRONG = {
     "str": "x", "None": None, "True": True, "-1": -1, "0": 0, "[]": [],
     "[[]]": [[]], "dict": {"x": 1}, "10**40": 10**40, "[1.5]": [1.5],
@@ -163,6 +167,36 @@ def test_unedited_posts_are_accepted():
     for kind in SCHEMAS:
         for mode in MODES:
             assert table[f"{kind}.unedited.{mode}"] == ["accepted", "winner", 2, 2, True]
+
+
+# Proof records, and twins of them in the frozen-dataclass form records
+# had before they were named tuples, with the same name, fields and repr.
+RECORDS = {
+    "PDLStatement": (sigma.PDLStatement(2, 8), dataclasses.make_dataclass(
+        "PDLStatement", [("g", int), ("v", int)], frozen=True)(2, 8)),
+    "Transcript": (sigma.Transcript((16,), 1, 2), dataclasses.make_dataclass(
+        "Transcript", [("commitment", tuple), ("challenge", int), ("response", int),
+                       ("hash_name", str)], frozen=True)((16,), 1, 2, "sha256")),
+}
+
+
+@pytest.mark.parametrize("record", RECORDS)
+@pytest.mark.parametrize("kind,field", [(kind, f.name) for kind, schema in SCHEMAS.items()
+                                        for f in schema.fields])
+def test_a_record_in_a_payload_gets_the_verdict_of_a_dataclass(monkeypatch, kind,
+                                                               field, record):
+    """A named-tuple record placed in a payload is refused or accepted as
+    its frozen-dataclass twin is, field by field.  Under authentication a
+    record encodes as a list, so its post keeps its tag and the record gets
+    the interactive verdict."""
+    named, twin = RECORDS[record]
+    monkeypatch.setitem(WRONG, "named", named)
+    monkeypatch.setitem(WRONG, "twin", twin)
+    for mode in ("interactive", "hashed"):
+        assert _verdict(kind, field, "named", mode) == _verdict(kind, field, "twin", mode)
+    assert (_verdict(kind, field, "named", "authenticate")
+            == _verdict(kind, field, "named", "interactive"))
+    assert repr(named) == repr(twin)
 
 
 def test_every_kind_has_a_schema(monkeypatch):
