@@ -34,10 +34,8 @@ from .groups import GroupParams
 # and reads the board only while a round is still open.  A dishonest agent
 # answers a verifier through the one BidderAgent.prove it overrides: it
 # relays or forges the statements it posted without a witness, and hands
-# every other statement to the honest prover.  compute_outcome_bases
-# stays importable from here: the perfbench tracer rebinds every protocol
-# name this module holds, and its tests look it up.
-from .protocol import (  # noqa: F401
+# every other statement to the honest prover.
+from .protocol import (
     ROUND_BID,
     AuctionConfig,
     AuctionRun,
@@ -148,10 +146,7 @@ def reencrypt_bid_copy(params: GroupParams, ct: elgamal.Ciphertext, y: int,
                        x: int) -> elgamal.Ciphertext:
     """Fresh-looking ciphertext of the same plaintext: multiply in an
     encryption of 1 with randomiser x."""
-    return elgamal.Ciphertext(
-        alpha=ct.alpha * params.exp(y, x) % params.p,
-        beta=ct.beta * params.exp(params.g, x) % params.p,
-    )
+    return elgamal.ct_mul(params, ct, elgamal.encrypt(params, 1, y, x))
 
 
 # --------------------------------------------------------------------------
@@ -215,10 +210,7 @@ def forge_outcome_eqdl(run: AuctionRun, mallory_name: str, i: int, j: int,
                                     o.m[i][j], o.rng)
                 for o in others]
     commitments = [s.commit() for s in sessions]
-    lam = mu = 1
-    for cl, cm in commitments:
-        lam = lam * params.inv(cl) % params.p
-        mu = mu * params.inv(cm) % params.p
+    lam, mu = (params.inv(params.mul(*column)) for column in zip(*commitments))
 
     c = victor_source(stmt, (lam, mu)) % params.q
     total = sum(s.respond(c) for s in sessions)
@@ -273,24 +265,20 @@ def recovered_bids_from_v(params: GroupParams, v, marker: int, exponent: int,
 def recovered_bids_by_enumeration(params: GroupParams, config: AuctionConfig,
                                   v, exponent: int) -> list[int] | None:
     """Fallback for per-bidder markers: match the unmasked table against
-    every possible bid constellation."""
+    every possible bid constellation.  Each candidate's table is the alpha
+    side of the outcome bases of bids that hold marker^exponent at their
+    price and 1 elsewhere."""
     from itertools import product
 
     n, k = config.n, config.k
-    matrix = recovery.build_matrix(n, k)
+    steps = [params.exp(config.marker_for(h), exponent) for h in range(1, n + 1)]
+    ones = [[1] * k] * n
     for candidate in product(range(1, k + 1), repeat=n):
-        flat = [bit for price in candidate for bit in encode_bid(price, k)]
-        predicted = [[1] * k for _ in range(n)]
-        for i in range(n):
-            for j in range(k):
-                for h in range(n):
-                    # Bidder h's bids counted in cell (i, j) by the outcome map.
-                    count = sum(matrix.entry(i * k + j, h * k + d) * flat[h * k + d]
-                                for d in range(k))
-                    predicted[i][j] = (predicted[i][j] *
-                                      params.exp(config.marker_for(h + 1),
-                                                 exponent * count)) % params.p
-        if all(predicted[i][j] == v[i][j] for i in range(n) for j in range(k)):
+        alphas = [[step if bit else 1 for bit in encode_bid(price, k)]
+                  for step, price in zip(steps, candidate)]
+        bases = compute_outcome_bases(params, alphas, ones)
+        if all(a == value for row, v_row in zip(bases, v)
+               for (a, _), value in zip(row, v_row)):
             return list(candidate)
     return None
 
@@ -323,7 +311,7 @@ def full_privacy_attack(config: AuctionConfig, bids: list[int], seed: int,
             return None
 
     try:
-        outcome = with_restarts(attempt, seed, 200)
+        outcome = with_restarts(attempt, seed)
     except RestartRequired:
         report.detail = "no run survived the restart checks"
         return report
@@ -447,7 +435,7 @@ def impersonation_attack(config: AuctionConfig, target_bid: int, seed: int,
         return outcome
 
     try:
-        outcome = with_restarts(attempt, seed, 50)
+        outcome = with_restarts(attempt, seed)
     except RestartRequired:
         report.detail = "no decisive outcome"
         return report
@@ -497,11 +485,8 @@ def force_zero_noise(config: AuctionConfig, bids: list[int],
     """Make a chosen losing cell read as a win.  Without the product check
     the seller faces two 1 cells and cannot decide; with it the collapsed
     cell is redrawn and the true result survives."""
-    matrix = recovery.build_matrix(config.n, config.k)
-    flat = [bit for price in bids for bit in encode_bid(price, config.k)]
-    image = recovery.apply_f(matrix, flat)
     ci, cj = cell
-    if image[(ci - 1) * config.k + (cj - 1)] == 0:
+    if (ci, cj) == expected_winner(bids):
         raise ValueError(f"cell {cell} is the winning cell; pick a losing one")
 
     colluder = config.n
@@ -518,7 +503,7 @@ def force_zero_noise(config: AuctionConfig, bids: list[int],
         return run, run.run()
 
     try:
-        run, outcome = with_restarts(attempt, seed, 200)
+        run, outcome = with_restarts(attempt, seed)
     except RestartRequired:
         report.detail = "no run survived the restart checks"
         return report

@@ -101,14 +101,8 @@ def base_is_structurally_empty(n: int, k: int, i: int, j: int) -> bool:
 def scan_exceptional_bases(bases) -> list[tuple[int, int]]:
     """All cells that need a restart: their alpha base product collapsed to
     1 by chance.  Structurally empty cells (the lone cell of a one-bidder,
-    one-price auction) are exempt."""
-    n, k = len(bases), len(bases[0])
-    return [
-        (i + 1, j + 1)
-        for i in range(n)
-        for j in range(k)
-        if bases[i][j][0] == 1 and not base_is_structurally_empty(n, k, i, j)
-    ]
+    one-price auction) are exempt, as in ``check_noise_products``."""
+    return check_noise_products([[a for a, _ in row] for row in bases])
 
 
 def check_noise_products(gamma_products) -> list[tuple[int, int]]:

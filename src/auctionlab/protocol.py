@@ -61,7 +61,7 @@ ROUND_DECRYPT = "decrypt"
 ROUND_RESULT = "result"
 
 SELLER = "seller"
-MAX_ATTEMPTS = 200            # cap on auctions per run_with_restarts call
+MAX_ATTEMPTS = 200            # cap on auctions per with_restarts call
 
 
 def bidder_name(index: int) -> str:
@@ -165,8 +165,7 @@ def compute_outcome_bases(params: GroupParams, alphas, betas):
 
 def cell_products(params: GroupParams, matrices):
     """Cell-wise product of a list of n x k matrices: the Γ-products of the
-    bidders' masking shares γ, the Δ-products of their shares δ, or the
-    product of their decryption shares φ."""
+    bidders' masking shares γ, or the Δ-products of their shares δ."""
     p = params.p
     out = [[1] * len(row) for row in matrices[0]]
     for matrix in matrices:
@@ -637,9 +636,8 @@ class BidderAgent(Party):
                 rows.append(published[h])
         if any(None in row for row in rows):
             raise MissingShares("own row withheld in publication")
-        phi_row = cell_products(params, [[row] for row in rows])[0]
-        return [pg * params.inv(pphi) % params.p
-                for pg, pphi in zip(self.run.gamma_products[mine], phi_row)]
+        return [elgamal.combine_decrypt(params, pg, partials)
+                for pg, partials in zip(self.run.gamma_products[mine], zip(*rows))]
 
 
 class SellerAgent(Party):
@@ -686,12 +684,10 @@ class SellerAgent(Party):
     def compute_result(self) -> "AuctionOutcome":
         params = self.params
         n, k = self.config.n, self.config.k
-        gamma_products = self.run.gamma_products
-        phi_products = cell_products(
-            params, [self.shares[bidder_name(a)] for a in range(1, n + 1)])
-        v = [[pg * params.inv(pphi) % params.p
-              for pg, pphi in zip(g_row, phi_row)]
-             for g_row, phi_row in zip(gamma_products, phi_products)]
+        shares = [self.shares[bidder_name(a)] for a in range(1, n + 1)]
+        v = [[elgamal.combine_decrypt(params, pg, [phi[i][j] for phi in shares])
+              for j, pg in enumerate(g_row)]
+             for i, g_row in enumerate(self.run.gamma_products)]
         ones = [(i + 1, j + 1) for i in range(n) for j in range(k) if v[i][j] == 1]
         status = "winner" if len(ones) == 1 else "multiple-ones" if ones else "no-winner"
         bidder, price = ones[0] if status == "winner" else (None, None)
@@ -928,16 +924,16 @@ def run_auction(config: AuctionConfig, bids: list[int], seed: int,
     return run, run.run()
 
 
-def with_restarts(attempt, seed: int, max_attempts: int):
+def with_restarts(attempt, seed: int):
     """Call ``attempt(seed)``, ``attempt(seed + 1)``, ... until a call
     returns without RestartRequired, and return what it returned.  The last
-    of ``max_attempts`` calls raises whatever it raises."""
-    for offset in range(max_attempts - 1):
+    of ``MAX_ATTEMPTS`` calls raises whatever it raises."""
+    for offset in range(MAX_ATTEMPTS - 1):
         try:
             return attempt(seed + offset)
         except RestartRequired:
             pass
-    return attempt(seed + max_attempts - 1)
+    return attempt(seed + MAX_ATTEMPTS - 1)
 
 
 def run_with_restarts(config: AuctionConfig, bids: list[int], seed: int,
@@ -956,7 +952,7 @@ def run_with_restarts(config: AuctionConfig, bids: list[int], seed: int,
                 f"no decisive outcome in {MAX_ATTEMPTS} attempts", [])
         return run, outcome
 
-    run, outcome = with_restarts(attempt, seed, MAX_ATTEMPTS)
+    run, outcome = with_restarts(attempt, seed)
     return run, outcome, run.seed - seed + 1
 
 

@@ -243,7 +243,7 @@ def scenario_forged_eqdl(spec: ScenarioSpec) -> ScenarioResult:
     try:
         run = with_restarts(lambda attempt_seed: through_outcome(
             AuctionRun(config, bids, attempt_seed, agent_factory=factory)),
-            spec.seed, 50)
+            spec.seed)
     except RestartRequired:
         return _scenario_result(spec, expectation, False, False, {},
                                 notes=["no run survived the restart checks"])

@@ -109,18 +109,12 @@ class SumValidityStatement(NamedTuple):
     betas: tuple[int, ...]
 
 
-@functools.lru_cache(maxsize=16)
-def _marker_inverse(params: GroupParams, marker: int) -> int:
-    """marker^-1 mod p, computed once per group and marker."""
-    return params.inv(marker)
-
-
 def branch_statements(params: GroupParams, stmt: BidValidityStatement):
     """The two cores underneath the OR: plaintext 1 / marker."""
     plain = EQDLStatement(gens=(stmt.g, stmt.y), targets=(stmt.beta, stmt.alpha))
     marked = EQDLStatement(
         gens=(stmt.g, stmt.y),
-        targets=(stmt.beta, stmt.alpha * _marker_inverse(params, stmt.marker) % params.p),
+        targets=(stmt.beta, stmt.alpha * params.inv(stmt.marker) % params.p),
     )
     return plain, marked
 
@@ -134,7 +128,7 @@ def _core(params: GroupParams, stmt) -> EQDLStatement:
     if isinstance(stmt, PDLStatement):
         return EQDLStatement(gens=(stmt.g,), targets=(stmt.v,))
     if isinstance(stmt, SumValidityStatement):
-        v = params.mul(*stmt.alphas) * _marker_inverse(params, stmt.marker) % params.p
+        v = params.mul(*stmt.alphas) * params.inv(stmt.marker) % params.p
         return EQDLStatement(gens=(stmt.y, stmt.g), targets=(v, params.mul(*stmt.betas)))
     raise TypeError(f"no single-exponent core for {type(stmt).__name__}")
 

@@ -1,16 +1,17 @@
 """The attack playbook, against both the open and the hardened protocol."""
 
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from auctionlab import attacks, sigma
+from auctionlab import attacks, recovery, sigma
 from auctionlab.defenses import DefenseFlags
 from auctionlab.elgamal import Ciphertext
 from auctionlab.errors import ModeMismatch
-from auctionlab.groups import SMALL_GROUP
+from auctionlab.groups import MID_GROUP, SMALL_GROUP
 from auctionlab.protocol import (
     ROUND_BID,
     AuctionConfig,
@@ -18,6 +19,7 @@ from auctionlab.protocol import (
     BidderAgent,
     bidder_name,
     collect_outcome,
+    encode_bid,
 )
 from auctionlab.scenarios import ScenarioSpec, run_scenario
 
@@ -195,6 +197,34 @@ class TestFullPrivacyAttack:
         assert report.recovered_bids == [2, 1]
 
 
+class TestEnumerationRecovery:
+    """``recovered_bids_by_enumeration`` against a seller's view built cell
+    by cell from the outcome map's matrix entries: cell (i, j) is the
+    product of marker_h^exponent over the bidders h whose bid the map
+    counts there."""
+
+    @pytest.mark.parametrize("exponent", [1, 5])
+    @pytest.mark.parametrize("n,k", [(2, 2), (2, 3), (3, 2), (3, 3)])
+    @pytest.mark.parametrize("group", [SMALL_GROUP, MID_GROUP], ids=["small", "mid"])
+    def test_recovers_every_bid_vector(self, group, n, k, exponent):
+        markers = tuple(group.exp(group.g, e) for e in range(2, n + 2))
+        cfg = AuctionConfig(n=n, k=k, params=group, markers_per_bidder=markers)
+        matrix = recovery.build_matrix(n, k)
+        for bids in itertools.product(range(1, k + 1), repeat=n):
+            v = [[group.mul(*(group.exp(markers[h], exponent *
+                                        matrix.entry(i * k + j, h * k + bids[h] - 1))
+                              for h in range(n)))
+                  for j in range(k)]
+                 for i in range(n)]
+            assert attacks.recovered_bids_by_enumeration(
+                group, cfg, v, exponent) == list(bids), bids
+
+    def test_table_of_no_bid_vector_is_not_matched(self):
+        cfg = AuctionConfig(n=2, k=2, markers_per_bidder=(4, 9))
+        assert attacks.recovered_bids_by_enumeration(
+            SMALL_GROUP, cfg, [[2, 2], [2, 2]], 1) is None
+
+
 class TestImpersonation:
     def test_price_disclosure(self):
         cfg = AuctionConfig(n=3, k=3)
@@ -250,6 +280,21 @@ class TestForcedZeroNoise:
         cfg = AuctionConfig(n=2, k=2)
         with pytest.raises(ValueError):
             attacks.force_zero_noise(cfg, [1, 2], (2, 2), 4)
+
+    @pytest.mark.parametrize("bids", [[1, 2, 1], [3, 3, 1], [2, 1, 2], [1, 1, 1]])
+    def test_only_the_winning_cell_is_refused(self, bids):
+        """The refused cell is the one whose outcome-map count is zero."""
+        n, k = 3, 3
+        cfg = AuctionConfig(n=n, k=k)
+        flat = [bit for price in bids for bit in encode_bid(price, k)]
+        image = recovery.apply_f(recovery.build_matrix(n, k), flat)
+        for i, j in itertools.product(range(1, n + 1), range(1, k + 1)):
+            if image[(i - 1) * k + (j - 1)] == 0:
+                with pytest.raises(ValueError, match="winning cell"):
+                    attacks.force_zero_noise(cfg, bids, (i, j), 4)
+            else:
+                report = attacks.force_zero_noise(cfg, bids, (i, j), 4)
+                assert report.extras["cell"] == [i, j]
 
     def test_product_check_neutralises_it(self):
         flags = DefenseFlags(noise_product_check=True)

@@ -294,6 +294,32 @@ class TestRestartMachinery:
             assert (out.winner_bidder, out.winner_price) == (2, 2)
         assert completed >= 10
 
+    def test_with_restarts_gives_up_after_max_attempts(self):
+        """An attempt that always asks for a restart is called
+        ``MAX_ATTEMPTS`` times, on consecutive seeds, and the last call's
+        RestartRequired escapes."""
+        seeds = []
+
+        def attempt(seed):
+            seeds.append(seed)
+            raise RestartRequired(f"attempt {len(seeds)}", [])
+
+        with pytest.raises(RestartRequired, match=f"attempt {protocol.MAX_ATTEMPTS}$"):
+            protocol.with_restarts(attempt, 40)
+        assert seeds == list(range(40, 40 + protocol.MAX_ATTEMPTS))
+
+    def test_with_restarts_returns_the_first_completion(self):
+        seeds = []
+
+        def attempt(seed):
+            seeds.append(seed)
+            if seed < 12:
+                raise RestartRequired("not yet", [])
+            return seed * 2
+
+        assert protocol.with_restarts(attempt, 10) == 24
+        assert seeds == [10, 11, 12]
+
 
 class TestExpectedWinner:
     def test_highest_price_wins(self):

@@ -358,8 +358,7 @@ def _tampered(params, stmt, tr, tamper):
 class TestVerifierWork:
     """What ``verify_transcript`` costs per statement kind, accepting and
     rejecting: 2 powers per equation, stopping at the first that fails, and
-    one inverse for the marker in a bid cell or a sum the first time a
-    group's marker is seen."""
+    one inverse for the marker in a bid cell or a sum."""
 
     @pytest.mark.parametrize("require_hashed", [False, True], ids=["plain", "hashed"])
     @pytest.mark.parametrize("group", [SMALL_GROUP, LARGE_GROUP], ids=["small", "large"])
@@ -382,7 +381,6 @@ class TestVerifierWork:
                               accepts, exps, invs):
         stmt, tr = _statement_and_transcript(group, kind, random.Random(17))
         stmt, tr = _tampered(group, stmt, tr, tamper)
-        sigma._marker_inverse.cache_clear()
         calls = collections.Counter()
         for name in ("exp", "inv"):
             def counting(self, *args, _name=name, _orig=getattr(GroupParams, name)):
@@ -392,17 +390,3 @@ class TestVerifierWork:
         verdict = sigma.verify_transcript(group, stmt, tr, require_hashed)
         monkeypatch.undo()
         assert (verdict, calls["exp"], calls["inv"]) == (accepts, exps, invs)
-
-    @pytest.mark.parametrize("kind", ["bid cell", "sum"])
-    def test_marker_inverse_is_computed_once(self, monkeypatch, kind):
-        """A second check of a statement with the same marker takes its
-        inverse from the first."""
-        stmt, tr = _statement_and_transcript(LARGE_GROUP, kind, random.Random(17))
-        sigma._marker_inverse.cache_clear()
-        calls = []
-        inv = GroupParams.inv
-        monkeypatch.setattr(GroupParams, "inv",
-                            lambda self, x: calls.append(x) or inv(self, x))
-        for _ in range(3):
-            assert sigma.verify_transcript(LARGE_GROUP, stmt, tr, require_hashed=True)
-        assert calls == [stmt.marker]
