@@ -36,6 +36,7 @@ from .groups import GroupParams
 # relays or forges the statements it posted without a witness, and hands
 # every other statement to the honest prover.
 from .protocol import (
+    NOISE_CANCELLED,
     ROUND_BID,
     AuctionConfig,
     AuctionRun,
@@ -302,7 +303,7 @@ def full_privacy_attack(config: AuctionConfig, bids: list[int], seed: int,
         try:
             return run.run()
         except RestartRequired as exc:
-            if "cancellation" not in exc.reason:
+            if exc.reason != NOISE_CANCELLED:
                 raise         # chance base collapse: restart like anyone would
             report.detail = "product check caught the stripped masking"
             report.error = "RestartRequired"

@@ -62,6 +62,7 @@ ROUND_RESULT = "result"
 
 SELLER = "seller"
 MAX_ATTEMPTS = 200            # cap on auctions per with_restarts call
+NOISE_CANCELLED = "noise cancellation detected"   # a detection, not a chance collapse
 
 
 def bidder_name(index: int) -> str:
@@ -848,7 +849,7 @@ class AuctionRun:
         products = cell_products(params, self._read_outcome()[0])
         cancelled = defenses.check_noise_cancellation(self.bases, products)
         if cancelled:
-            raise RestartRequired("noise cancellation detected", cancelled)
+            raise RestartRequired(NOISE_CANCELLED, cancelled)
         for _ in range(10):
             flagged = defenses.check_noise_products(products)
             if not flagged:

@@ -24,6 +24,7 @@ from .defenses import DefenseFlags
 from .errors import AuctionLabError, IoError, RestartRequired, UsageError
 from .groups import DEFAULT_MARKER, GROUPS_BY_NAME, GroupParams
 from .protocol import (
+    NOISE_CANCELLED,
     AuctionConfig,
     AuctionRun,
     bidder_name,
@@ -232,21 +233,40 @@ def scenario_forged_eqdl(spec: ScenarioSpec) -> ScenarioResult:
         run.step_keygen()
         run.step_bid()
         run.step_outcome()      # includes per-cell verification by all
-        return run
 
     if spec.flags.ni_proofs:
         run = AuctionRun(config, bids, spec.seed, agent_factory=factory)
         return _refusal(spec, "forgery impossible under hashed challenges",
                         lambda: through_outcome(run), run.board)
 
-    expectation = "honest verifier accepts a proof nobody holds a witness for"
+    unit = spec.flags.noise_product_check and spec.exponent % config.params.q == 1
+    expectation = ("forgery detected by the product check (unit exponent)" if unit
+                   else "honest verifier accepts a proof nobody holds a witness for")
+
+    def attempt(attempt_seed):
+        """The run through its outcome round, and the product check's
+        detection or None."""
+        run = AuctionRun(config, bids, attempt_seed, agent_factory=factory)
+        try:
+            through_outcome(run)
+        except RestartRequired as exc:
+            if exc.reason != NOISE_CANCELLED:
+                raise         # chance base collapse: restart like anyone would
+            return run, exc
+        return run, None
+
     try:
-        run = with_restarts(lambda attempt_seed: through_outcome(
-            AuctionRun(config, bids, attempt_seed, agent_factory=factory)),
-            spec.seed)
+        run, detected = with_restarts(attempt, spec.seed)
     except RestartRequired:
         return _scenario_result(spec, expectation, False, False, {},
                                 notes=["no run survived the restart checks"])
+    if detected is not None:
+        return _scenario_result(
+            spec, expectation, False, unit,
+            {"cell": [1, 1], "error": "RestartRequired",
+             "detail": "product check caught the stripped masking", "detected": True,
+             "flagged_cells": [list(c) for c in detected.cells]},
+            run.board)
 
     # One explicit forged transcript, challenged by a fresh honest verifier.
     verifier_rng = random.Random(spec.seed + 999)
@@ -257,7 +277,7 @@ def scenario_forged_eqdl(spec: ScenarioSpec) -> ScenarioResult:
     stmt = run.outcome_statement(mallory - 1, 0, 0)
     accepted = sigma.verify_transcript(config.params, stmt, tr, require_hashed=False)
     return _scenario_result(
-        spec, expectation, accepted, accepted,
+        spec, expectation, accepted, accepted and not unit,
         {"cell": [1, 1],
          "round_verification_passed": True,
          "explicit_forged_transcript": sigma.transcript_to_payload(tr),

@@ -37,7 +37,8 @@ mismatched vectors when it is built (``_make`` and ``_replace`` do not
 check).
 
 Interactive runs are deliberately unhardened: the verifier's challenge is
-whatever the caller's challenge source supplies, and an honest prover will
+whatever the caller's challenge source supplies (an honest verifier's,
+``verifier_source``, is uniform in 1..q-1), and an honest prover will
 happily open fresh sessions for the same statement.  That is the behaviour
 the relay attacks in :mod:`auctionlab.attacks` exploit.  The hashed variant
 derives the challenge from a canonical serialization of the statement and
@@ -232,10 +233,17 @@ def fiat_shamir_source(params: GroupParams) -> ChallengeSource:
 
 
 def verifier_source(params: GroupParams, rng: random.Random) -> ChallengeSource:
-    """An interactive verifier: uniformly random challenge, statement
-    ignored.  One source serves every session its verifier runs."""
+    """An interactive verifier: a uniformly random challenge in 1..q-1,
+    statement ignored.  One source serves every session its verifier runs.
+    A challenge of 0 accepts any response, so a 0 is drawn again."""
     randrange, q = rng.randrange, params.q
-    return lambda stmt, com: randrange(q)
+
+    def challenge(stmt, com):
+        c = randrange(q)
+        while not c:
+            c = randrange(q)
+        return c
+    return challenge
 
 
 # --------------------------------------------------------------------------

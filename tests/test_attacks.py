@@ -331,3 +331,15 @@ class TestWrongKeyDecryption:
         assert not report.success
         assert report.error == "ProofRejected"
         assert "bidder-2" in report.detail
+
+    def test_key_consistency_refuses_where_a_zero_challenge_was_drawn(self):
+        """At this seed the seller's first challenge to the cheater's
+        key-bound decrypt proof is 0, which accepts any response.  The
+        seller draws again, and the cheat is refused."""
+        spec = ScenarioSpec(scenario="wrong-key", n=8, k=16, group_name="mid",
+                            bids=[15, 9, 2, 8, 16, 14, 15, 9], seed=776796388,
+                            flags=DefenseFlags(key_consistency=True))
+        result = run_scenario(spec)
+        assert result.expectation_met
+        assert result.report["outcome"]["error"] == "ProofRejected"
+        assert "bidder-8" in result.report["outcome"]["detail"]

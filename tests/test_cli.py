@@ -184,6 +184,24 @@ class TestExitCodes:
         assert code == 0
         assert "expectation MET" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("group", ["small", "mid"])
+    def test_forged_eqdl_detected_by_the_product_check(self, group, tmp_path):
+        """The product check stops every unit-exponent forgery: the report
+        names the detection and keeps the detecting run's transcript.  A
+        secret exponent still gets through."""
+        argv = ["run", "--scenario", "forged-eqdl", "--group", group,
+                "--noise-product-check"]
+        assert main(argv + ["--out", str(tmp_path / "unit")]) == 0
+        report = json.loads((tmp_path / "unit" / "report.json").read_text())
+        assert report["expectation"] == ("forgery detected by the product check "
+                                         "(unit exponent)")
+        assert (report["success"], report["outcome"]["detected"]) == (False, True)
+        assert report["outcome"]["flagged_cells"]
+        assert (tmp_path / "unit" / "transcript.json").exists()
+        assert main(argv + ["--exponent", "5", "--out", str(tmp_path / "secret")]) == 0
+        report = json.loads((tmp_path / "secret" / "report.json").read_text())
+        assert report["success"] is True and "detected" not in report["outcome"]
+
     def test_usage_error_exits_two(self, capsys):
         assert main(["run", "--scenario", "nope"]) == 2
         assert main(["run", "--scenario", "honest", "--bids", "1,2,3,4"]) == 2

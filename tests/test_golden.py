@@ -20,6 +20,16 @@ tables of powers, which only wide groups use.
 Every scenario is pinned in the mid group as well, at n=4, k=6, with no
 defenses and with all four: recorded before each round's posts were read
 once, when the round closes, and kept on the run for every later reader.
+
+Eight small-group forged-eqdl digests were re-pinned later, on purpose.
+With no defenses, ``authenticate`` and ``key_consistency`` (seeds 7 and 11):
+interactive verifiers stopped using the challenge 0 and draw again, which
+moves the other bidders' session nonces, so the ``com`` and ``resp`` of the
+report's explicit forged transcript changed; its ``chal`` and the board did
+not.  Under ``noise_product_check`` alone (seeds 7 and 11): the scenario
+reports the product check's detection of the unit-exponent forgery, with
+the detecting run's transcript, where it used to restart every detecting
+run until none was left.
 """
 
 import hashlib
@@ -59,11 +69,11 @@ GOLDEN = {
     ("mitm-demo", "noise_product_check", 7): "d54aad5aa3ab05317a07053b1992a2965c77b01c6c09617993125efc1b802707",
     ("mitm-demo", "key_consistency", 7): "b17cac5292bd95623068d4f408a95e83d11e9d292c3d8340e6def706fe2e2830",
     ("mitm-demo", "all", 7): "6a6aed42761ea0c1f441e19b88c4f2a8fa1b141aad6cb62edff91438539cd03b",
-    ("forged-eqdl", "none", 7): "af89f1c3127b5d0150a97a735fced2b9294a3514817195dcb763b4b267b96c1a",
+    ("forged-eqdl", "none", 7): "81acbe005e187a1f46b2814b43482f106e490eb6259f613f0531e4abb9b657fa",
     ("forged-eqdl", "ni_proofs", 7): "4d339287426dab146a5c73b97cbe27bbbd0cb87cc64510cb9bf4593145b62bdd",
-    ("forged-eqdl", "authenticate", 7): "fc791e889f613e8d1a6ebb5f3ff620b42784a29a9daf9e5b6e9eada38743695b",
-    ("forged-eqdl", "noise_product_check", 7): "cde7a17599f2470107766ec02b1bba05d46872c2c89cdc62541e553868faf84b",
-    ("forged-eqdl", "key_consistency", 7): "3e3033259ba0bef14fd3e2b492657fcb365c95e16acab95e0f3e7494048e4eea",
+    ("forged-eqdl", "authenticate", 7): "44b27a01b94bf3b065bfaba56c20d93c0a3fd07d1b01846dde3e869f864ea56e",
+    ("forged-eqdl", "noise_product_check", 7): "b8f3ae5ef0dad53fdd680d1a99fb5f40dd929163858ab6c197c039eebfebe15e",
+    ("forged-eqdl", "key_consistency", 7): "c7f55a31376588c2ebae3df4b3952d8adeeb00766ecf7756402cde344944c84b",
     ("forged-eqdl", "all", 7): "2f68e7f5241680824bf3446eaea9d2dae0d65182d79fd9fd4f1d1626a5df1451",
     ("impersonation", "none", 7): "9cca37e654dd6f5c08a29fe34c2faa6dc8da4bd039e4508620d90e9545eb97ac",
     ("impersonation", "ni_proofs", 7): "9256baca9ce1df9b01e18175c4175d9cf7b4126a0af04eed92dea4cf70b73cec",
@@ -106,11 +116,11 @@ GOLDEN = {
     ("mitm-demo", "noise_product_check", 11): "232dcefdc246a7e0c8cb2fb09e2b63b40ad574bb53ab49d6caf8cf69694c9e2c",
     ("mitm-demo", "key_consistency", 11): "5b523d3154c792175eefa0181fb59b7959f990b4be0167c37f819c3fa6514d08",
     ("mitm-demo", "all", 11): "00998d09544223c48fbb16ca1148e0600973226e3033cbdb16370bb0829e1771",
-    ("forged-eqdl", "none", 11): "b59e36091946a5a5003465d4cdb74b08858565a7a00b7ad1c1db58e497d8604c",
+    ("forged-eqdl", "none", 11): "8988bc6fdf344714eb59f8fe45c9895b3a36e0f96592037b61cd4d8c3fddbfec",
     ("forged-eqdl", "ni_proofs", 11): "527f823cf0db62875b64d1aa5d254b3f9832c862460bce524171b762c7c1a535",
-    ("forged-eqdl", "authenticate", 11): "f44856722e3878ac4a2dd4cea4e15097eee10900982bc6cda9b10cedcd66c277",
-    ("forged-eqdl", "noise_product_check", 11): "aedbc13c9ff79f2deaa57ec85140f1bc767d3f636c60ade08660ec00d32ddfb8",
-    ("forged-eqdl", "key_consistency", 11): "02a3f9cd23f09d0daaaf965423e9fb5a600a144586b8bad716741d88882174cf",
+    ("forged-eqdl", "authenticate", 11): "a744f7fc25c0751163cc16c6c395313131afbeb1789f34841b34e2b5447e71d6",
+    ("forged-eqdl", "noise_product_check", 11): "19a226d032d0f0c00a2393c9ec02ba30e2c6346b9e79c901777f9b2cc6cea327",
+    ("forged-eqdl", "key_consistency", 11): "04bc75df1580cb8a057f7a7d71962d6d113275e80674c47adedaa8e5cde1bde0",
     ("forged-eqdl", "all", 11): "55c2e1d8a129f5a3339f4a421058b95fedfa53cd59ef2bccc75ed7b4aaa7f02d",
     ("impersonation", "none", 11): "012cc907042e19c7583a9069a974953b184e40ed252aa8cec4aff217f01a96b9",
     ("impersonation", "ni_proofs", 11): "c0f759a452acd3e28b008d8e831d1141cf8f0603499c62769a662a7dd1ee4e1f",

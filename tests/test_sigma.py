@@ -154,6 +154,27 @@ class TestHashedChallenges:
         assert c == 0
 
 
+class TestInteractiveChallenges:
+    """An honest verifier's challenge lies in 1..q-1: a challenge of 0
+    accepts any response to a commitment g^t, namely s = t."""
+
+    def test_zero_is_drawn_again(self, small):
+        assert sigma.verifier_source(small, FixedNonce(0, 5))(None, ()) == 5
+
+    def test_draws_are_randrange_without_the_zeros(self, small):
+        source = sigma.verifier_source(small, random.Random(3))
+        plain = random.Random(3)
+        expected = [c for c in (plain.randrange(small.q) for _ in range(400)) if c]
+        assert 0 < len(expected) < 400
+        assert [source(None, ()) for _ in expected] == expected
+
+    def test_zero_challenge_would_pass_a_false_witness(self, small):
+        """Why 0 is refused: with it, the nonce alone answers."""
+        stmt = sigma.PDLStatement(g=2, v=8)
+        tr = sigma.prove(small, stmt, 5, FixedNonce(4), fixed_challenge(0))
+        assert sigma.verify_transcript(small, stmt, tr, require_hashed=False)
+
+
 class TestBidValidity:
     def _stmt(self, small, r, is_marker):
         y = 3
