@@ -308,18 +308,6 @@ class TestRestartMachinery:
             protocol.with_restarts(attempt, 40)
         assert seeds == list(range(40, 40 + protocol.MAX_ATTEMPTS))
 
-    def test_with_restarts_returns_the_first_completion(self):
-        seeds = []
-
-        def attempt(seed):
-            seeds.append(seed)
-            if seed < 12:
-                raise RestartRequired("not yet", [])
-            return seed * 2
-
-        assert protocol.with_restarts(attempt, 10) == 24
-        assert seeds == [10, 11, 12]
-
 
 class TestExpectedWinner:
     def test_highest_price_wins(self):

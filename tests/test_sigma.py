@@ -168,12 +168,6 @@ class TestInteractiveChallenges:
         assert 0 < len(expected) < 400
         assert [source(None, ()) for _ in expected] == expected
 
-    def test_zero_challenge_would_pass_a_false_witness(self, small):
-        """Why 0 is refused: with it, the nonce alone answers."""
-        stmt = sigma.PDLStatement(g=2, v=8)
-        tr = sigma.prove(small, stmt, 5, FixedNonce(4), fixed_challenge(0))
-        assert sigma.verify_transcript(small, stmt, tr, require_hashed=False)
-
 
 class TestBidValidity:
     def _stmt(self, small, r, is_marker):
