@@ -333,7 +333,7 @@ class TestWrongKeyDecryption:
         assert "bidder-2" in report.detail
 
     def test_key_consistency_refuses_where_a_zero_challenge_was_drawn(self):
-        """At this seed the seller's first challenge to the cheater's
+        """At this seed the challenge the seller draws for the cheater's
         key-bound decrypt proof is 0, which accepts any response.  The
         seller draws again, and the cheat is refused."""
         spec = ScenarioSpec(scenario="wrong-key", n=8, k=16, group_name="mid",
