@@ -30,7 +30,7 @@ from .errors import (
 from .groups import GroupParams
 
 # Attack code reads what the run kept when each round closed (the base grid
-# AuctionRun.bases, the masking shares through AuctionRun.outcome_statement),
+# AuctionRun.bases and the masking statements AuctionRun.outcome_statements),
 # and reads the board only while a round is still open.  A dishonest agent
 # answers a verifier through the one BidderAgent.prove it overrides: it
 # relays or forges the statements it posted without a witness, and hands
@@ -198,7 +198,7 @@ def forge_outcome_eqdl(run: AuctionRun, mallory_name: str, i: int, j: int,
     if not run.config.interactive:
         raise ModeMismatch("forging needs a forwardable verifier challenge")
     params = run.config.params
-    stmt = run.outcome_statement(run.agents[mallory_name].index - 1, i, j)
+    stmt = run.outcome_statements[run.agents[mallory_name].index - 1][i][j]
 
     others = [agent for name, agent in run.agents.items() if name != mallory_name]
     if not others:
@@ -207,7 +207,7 @@ def forge_outcome_eqdl(run: AuctionRun, mallory_name: str, i: int, j: int,
         return sigma.prove(params, stmt, exponent,
                            run.agents[mallory_name].rng, victor_source)
 
-    sessions = [sigma.ProverSession(params, run.outcome_statement(o.index - 1, i, j),
+    sessions = [sigma.ProverSession(params, run.outcome_statements[o.index - 1][i][j],
                                     o.m[i][j], o.rng)
                 for o in others]
     commitments = [s.commit() for s in sessions]

@@ -24,14 +24,6 @@ class KeyShare:
 
 
 @dataclass(frozen=True)
-class PublicKeyAggregate:
-    """Joint public key y = prod(y_a) plus the shares it was built from."""
-
-    y: int
-    parts: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class Ciphertext:
     alpha: int
     beta: int
@@ -39,15 +31,15 @@ class Ciphertext:
 
 def gen_keyshare(params: GroupParams, rng: random.Random) -> KeyShare:
     """Draw x uniformly from 1..q-1 and derive y = g^x."""
-    x = params.random_scalar(rng, nonzero=True)
+    x = rng.randrange(1, params.q)
     return KeyShare(x=x, y=params.exp(params.g, x))
 
 
-def aggregate_keys(params: GroupParams, shares: list[int]) -> PublicKeyAggregate:
+def aggregate_keys(params: GroupParams, shares: list[int]) -> int:
     """Multiply the public shares into the joint key.  Order-insensitive."""
     if not shares:
         raise EmptyShareList("no public key shares to aggregate")
-    return PublicKeyAggregate(y=params.mul(*shares), parts=tuple(shares))
+    return params.mul(*shares)
 
 
 def encrypt(params: GroupParams, m: int, y: int, r: int) -> Ciphertext:

@@ -305,9 +305,6 @@ class GroupParams:
         """Every subgroup element, ascending.  Desk-scale groups only."""
         return sorted({pow(self.g, i, self.p) for i in range(self.q)})
 
-    def random_scalar(self, rng: random.Random, nonzero: bool = False) -> int:
-        return rng.randrange(1 if nonzero else 0, self.q)
-
 
 def _window(count: int, bits: int) -> int:
     """The digit width c for ``multi_exp`` that needs the fewest products:

@@ -24,14 +24,14 @@ checks each post against its kind's entry in ``SCHEMAS``, the one table of
 post shapes (``check_payload``), builds each statement once, and keeps what
 it read on the run for every later reader, so a post added to a closed round
 changes nothing.  Each post's statements are built in one place: a bid's by
-``bid_statements``, a masking share's by ``AuctionRun.outcome_statement``, a
-decryption's by ``decrypt_statement``.  Honest agents verify every proof
-they see (``check_round``).  In hashed-proof mode they check static
-transcripts, each once, and every verifier shares the verdict.  In
-interactive mode each verifier builds the statement from the board and asks
-the poster's agent to prove it in a fresh commit/challenge/respond session;
-an agent proves only statements it posted itself.  Attack code must get past
-these checks, never around them.
+``bid_statements``, a masking share's when its round closes (kept in
+``AuctionRun.outcome_statements``), a decryption's by ``decrypt_statement``.
+Honest agents verify every proof they see (``check_round``).  In
+hashed-proof mode they check static transcripts, each once, and every
+verifier shares the verdict.  In interactive mode each verifier builds the
+statement from the board and asks the poster's agent to prove it in a fresh
+commit/challenge/respond session; an agent proves only statements it posted
+itself.  Attack code must get past these checks, never around them.
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ from .errors import (
     RestartRequired,
 )
 from .groups import SMALL_GROUP, GroupParams
+from .recovery import outcome_map
 
 ROUND_KEYGEN = "keygen"
 ROUND_BID = "bid"
@@ -131,37 +132,15 @@ def compute_outcome_bases(params: GroupParams, alphas, betas):
 
     Cell (i, j) takes the product of all bids at higher prices, bidder i's
     bids at lower prices, and earlier bidders' bids at price j, over the
-    alpha and beta components separately.  The grid comes from one suffix
-    product over the column totals, one running prefix along each bidder's
-    row and one running prefix down each price column: O(nk) products for
-    all n*k cells, the multiplicative twin of ``recovery.apply_f``'s
-    ``above``, ``own_below`` and ``ranked_before``."""
+    alpha and beta components separately: ``recovery.outcome_map`` under
+    the product mod p, O(nk) products for all n*k cells."""
     p = params.p
-    n, k = len(alphas), len(alphas[0])
-    # above[j]: every bid at prices j+1..k-1, alpha and beta.
-    above_a, above_b = [1] * k, [1] * k
-    for j in range(k - 1, 0, -1):
-        ca, cb = above_a[j], above_b[j]
-        for h in range(n):
-            ca = ca * alphas[h][j] % p
-            cb = cb * betas[h][j] % p
-        above_a[j - 1], above_b[j - 1] = ca, cb
-    # ranked_before[j]: bidders 0..i-1 at price j, grown row by row.
-    before_a, before_b = [1] * k, [1] * k
-    grid = []
-    for i in range(n):
-        row_a, row_b = alphas[i], betas[i]
-        own_a = own_b = 1                  # bidder i at prices 0..j-1
-        row = []
-        for j in range(k):
-            row.append((above_a[j] * own_a % p * before_a[j] % p,
-                        above_b[j] * own_b % p * before_b[j] % p))
-            own_a = own_a * row_a[j] % p
-            own_b = own_b * row_b[j] % p
-            before_a[j] = before_a[j] * row_a[j] % p
-            before_b[j] = before_b[j] * row_b[j] % p
-        grid.append(row)
-    return grid
+
+    def product(a, b):
+        return a * b % p
+
+    return [list(zip(row_a, row_b)) for row_a, row_b in
+            zip(outcome_map(alphas, product, 1), outcome_map(betas, product, 1))]
 
 
 def cell_products(params: GroupParams, matrices):
@@ -741,7 +720,7 @@ class AuctionRun:
         self.joint_y: int | None = None
         self.bases = None                    # see compute_outcome_bases
         self.gammas = self.deltas = None
-        self.outcome_statements = None       # see outcome_statement
+        self.outcome_statements = None       # [a][i][j]: bidder a's at cell (i, j)
         self.gamma_products = self.delta_products = None
         self._outcome_checked = 0            # board position _read_outcome checked to
 
@@ -798,7 +777,7 @@ class AuctionRun:
                             payload["proof"], "key share proof failed", ""))
         check_round(self, ROUND_KEYGEN, self.honest_agents(), entries)
         self.keys = [shares[bidder_name(i)]["y"] for i in range(1, n + 1)]
-        self.joint_y = elgamal.aggregate_keys(params, self.keys).y
+        self.joint_y = elgamal.aggregate_keys(params, self.keys)
 
     def step_bid(self) -> None:
         for index in range(1, self.config.n + 1):
@@ -890,13 +869,6 @@ class AuctionRun:
                     "masking proof failed", f" at cell ({i + 1},{j + 1})")
                    for a in range(n) for i in range(n) for j in range(k)]
         check_round(self, ROUND_OUTCOME, self.honest_agents(), entries)
-
-    def outcome_statement(self, a: int, i: int, j: int) -> sigma.EQDLStatement:
-        """Bidder a's kept masking shares at cell (i, j), all 0-based, as
-        the statement that proves them: one exponent raises the cell's base
-        pair to both.  The outcome round builds every such statement once,
-        when it closes."""
-        return self.outcome_statements[a][i][j]
 
     def step_decrypt(self) -> None:
         for index in range(1, self.config.n + 1):

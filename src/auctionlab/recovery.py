@@ -12,6 +12,12 @@ Equivalently, entry l[i][j] of the image counts: all bids at prices above j,
 bidder i's own bid at prices below j, and bids exactly at j by bidders
 ranked before i.  A cell with count zero is the winning cell.
 
+``outcome_map`` evaluates the map in O(nk) steps of any commutative
+operation: integer addition over the bid bits gives the seller's counts
+(``apply_f``), the product mod p over the posted ciphertexts gives the
+protocol's cell bases (``protocol.compute_outcome_bases``).
+``StructuredMatrix`` is the entry-by-entry reference the tests check against.
+
 That structure makes the map injective on valid bid vectors and invertible
 by a single backward sweep over price levels (highest first) with running
 prefix sums.  The sweep is instrumented: every scalar addition on vector
@@ -21,6 +27,7 @@ quadratic budget the naive cell-by-cell summation would spend.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .errors import InconsistentExponents, InvalidBidVector, NotAPower
@@ -75,25 +82,41 @@ def validate_bid_vector(b, n: int, k: int) -> None:
             raise InvalidBidVector(f"bidder {i + 1} block sums to {sum(block)}, not 1")
 
 
+def outcome_map(grid, op, unit) -> list[list]:
+    """The outcome map over an n x k grid (0-based), under ``op`` with
+    identity ``unit``.
+
+    Cell (i, j) folds every entry at higher prices, row i's entries at lower
+    prices and earlier rows' entries at price j.  One suffix over the column
+    totals, one prefix along each row and one prefix down each column:
+    O(nk) applications of ``op`` for all n*k cells."""
+    k = len(grid[0])
+    above = [unit] * k                       # every row at prices j+1..k-1
+    for j in range(k - 1, 0, -1):
+        total = above[j]
+        for row in grid:
+            total = op(total, row[j])
+        above[j - 1] = total
+    before = [unit] * k                      # rows 0..i-1 at price j
+    image = []
+    for row in grid:
+        own = unit                           # row i at prices 0..j-1
+        cells = []
+        for j, entry in enumerate(row):
+            cells.append(op(op(above[j], own), before[j]))
+            own = op(own, entry)
+            before[j] = op(before[j], entry)
+        image.append(cells)
+    return image
+
+
 def apply_f(matrix: StructuredMatrix, b) -> list[int]:
-    """Image of a valid bid vector under the outcome map, via the counting
-    form with running sums (no dense materialization): the additive twin of
-    ``protocol.compute_outcome_bases``."""
+    """Image of a valid bid vector under the outcome map: each cell's count,
+    flattened row by row (no dense materialization)."""
     n, k = matrix.n, matrix.k
     validate_bid_vector(b, n, k)
     grid = [b[i * k:(i + 1) * k] for i in range(n)]
-    above = [0] * k                          # bids at prices j+1..k-1
-    for j in range(k - 1, 0, -1):
-        above[j - 1] = above[j] + sum(row[j] for row in grid)
-    ranked_before = [0] * k                  # bidders 0..i-1 at price j
-    image = []
-    for row in grid:
-        own_below = 0                        # bidder i at prices 0..j-1
-        for j, bit in enumerate(row):
-            image.append(above[j] + own_below + ranked_before[j])
-            own_below += bit
-            ranked_before[j] += bit
-    return image
+    return [count for row in outcome_map(grid, operator.add, 0) for count in row]
 
 
 @dataclass(frozen=True)

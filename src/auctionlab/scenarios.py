@@ -55,21 +55,19 @@ class ScenarioSpec:
     claim: tuple[int, int, int] = (1, 1, -1)
     out_dir: Path | None = None
 
-    def resolved_params(self) -> GroupParams:
-        if self.params is not None:
-            return self.params
-        return GROUPS_BY_NAME[self.group_name]
-
-    def resolved_marker(self) -> int:
-        if self.marker is not None:
-            return self.marker
-        if self.params is not None:
-            return self.params.exp(self.params.g, 2)
-        return DEFAULT_MARKER[self.group_name]
+    def __post_init__(self):
+        """Resolve the group and marker once: an explicit marker wins, a
+        named group brings its default, and custom params take g^2."""
+        if self.params is None:
+            self.params = GROUPS_BY_NAME[self.group_name]
+            if self.marker is None:
+                self.marker = DEFAULT_MARKER[self.group_name]
+        elif self.marker is None:
+            self.marker = self.params.exp(self.params.g, 2)
 
     def config(self) -> AuctionConfig:
-        config = AuctionConfig(n=self.n, k=self.k, params=self.resolved_params(),
-                               marker=self.resolved_marker(), flags=self.flags)
+        config = AuctionConfig(n=self.n, k=self.k, params=self.params,
+                               marker=self.marker, flags=self.flags)
         try:
             config.validate()
         except ValueError as exc:
@@ -113,12 +111,12 @@ def _scenario_result(spec: ScenarioSpec, expectation: str, success: bool,
                      notes=()) -> ScenarioResult:
     """The scenario's report, with the transcript of ``board`` when the
     scenario ran on one."""
-    params = spec.resolved_params()
+    params = spec.params
     report = {
         "scenario": spec.scenario,
         "seed": spec.seed,
         "group": {"p": params.p, "q": params.q, "g": params.g},
-        "marker": spec.resolved_marker(),
+        "marker": spec.marker,
         "n": spec.n,
         "k": spec.k,
         "flags": asdict(spec.flags),
@@ -177,7 +175,7 @@ def scenario_full_privacy(spec: ScenarioSpec) -> ScenarioResult:
         notes.append("non-interactive override: the attack needs "
                      "interactive proofs and is expected to fail")
         met = not result.success and result.error in ("ProofRejected", "RestartRequired")
-    elif flags.noise_product_check and spec.exponent % spec.resolved_params().q == 1:
+    elif flags.noise_product_check and spec.exponent % spec.params.q == 1:
         expectation = "attack detected by the product check (unit exponent)"
         met = not result.success and bool(result.extras.get("detected"))
     else:
@@ -190,7 +188,7 @@ def scenario_full_privacy(spec: ScenarioSpec) -> ScenarioResult:
 
 
 def scenario_mitm_demo(spec: ScenarioSpec) -> ScenarioResult:
-    params = spec.resolved_params()
+    params = spec.params
     h, a, b = spec.claim
     claim = attacks.AffineClaim(h=h, a=a, b=b)
     if spec.flags.ni_proofs:
@@ -199,7 +197,7 @@ def scenario_mitm_demo(spec: ScenarioSpec) -> ScenarioResult:
                                                         flags=spec.flags))
 
     rng = random.Random(spec.seed)
-    x = params.random_scalar(rng, nonzero=True)
+    x = rng.randrange(1, params.q)
     v = params.exp(params.g, x)
     peggy = sigma.ProverSession(params, sigma.PDLStatement(g=params.g, v=v), x, rng)
     victor_rng = random.Random(spec.seed + 1)
@@ -274,7 +272,7 @@ def scenario_forged_eqdl(spec: ScenarioSpec) -> ScenarioResult:
                                     spec.exponent,
                                     sigma.verifier_source(config.params,
                                                           verifier_rng))
-    stmt = run.outcome_statement(mallory - 1, 0, 0)
+    stmt = run.outcome_statements[mallory - 1][0][0]
     accepted = sigma.verify_transcript(config.params, stmt, tr, require_hashed=False)
     return _scenario_result(
         spec, expectation, accepted, accepted and not unit,
@@ -341,7 +339,7 @@ def scenario_wrong_key(spec: ScenarioSpec) -> ScenarioResult:
             result.to_dict(), result.board)
 
     batch = 20
-    q = spec.resolved_params().q
+    q = spec.params.q
     bound = min(1.0, 2 * spec.n * spec.k / q)
     want = expected_winner(bids)
     results = []
@@ -426,7 +424,7 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
     try:
         return _RUNNERS[spec.scenario](spec)
     finally:
-        spec.resolved_params()._drop_tables()   # not every runner reaches AuctionRun.run
+        spec.params._drop_tables()   # not every runner reaches AuctionRun.run
 
 
 def emit_report(result: ScenarioResult, out_dir: Path) -> list[Path]:

@@ -244,7 +244,7 @@ class SessionTamperer(BidderAgent):
     def is_share(self, stmt, cell):
         """Whether ``stmt`` proves this bidder's masking share at ``cell``."""
         return (self.run.gammas is not None
-                and stmt == self.run.outcome_statement(self.index - 1, *cell))
+                and stmt == self.run.outcome_statements[self.index - 1][cell[0]][cell[1]])
 
     def prove(self, stmt, challenge_source):
         tr = super().prove(stmt, challenge_source)

@@ -92,13 +92,6 @@ class TestArithmetic:
         assert small.mul(8, 9) == 3
         assert small.mul() == 1
 
-    def test_random_scalar_bounds(self, small):
-        rng = random.Random(1)
-        draws = [small.random_scalar(rng) for _ in range(200)]
-        assert all(0 <= d < small.q for d in draws)
-        nonzero = [small.random_scalar(rng, nonzero=True) for _ in range(200)]
-        assert all(1 <= d < small.q for d in nonzero)
-
 
 class TestProperties:
     @given(x=st.integers(1, 10), y=st.integers(1, 10))

@@ -1090,8 +1090,7 @@ class TestProofRecords:
             a = agent.index - 1
             for i in range(n):
                 for j in range(k):
-                    stmt = run.outcome_statement(a, i, j)
-                    assert stmt is run.outcome_statements[a][i][j]
+                    stmt = run.outcome_statements[a][i][j]
                     assert agent.witnesses[stmt] == agent.m[i][j]
 
     def test_one_challenge_source_per_verifier_per_round(self, monkeypatch):
