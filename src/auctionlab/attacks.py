@@ -487,6 +487,8 @@ def force_zero_noise(config: AuctionConfig, bids: list[int],
     the seller faces two 1 cells and cannot decide; with it the collapsed
     cell is redrawn and the true result survives."""
     ci, cj = cell
+    if not (1 <= ci <= config.n and 1 <= cj <= config.k):
+        raise ValueError(f"cell {cell} outside 1..{config.n} x 1..{config.k}")
     if (ci, cj) == expected_winner(bids):
         raise ValueError(f"cell {cell} is the winning cell; pick a losing one")
 

@@ -59,6 +59,9 @@ class ScenarioSpec:
         """Resolve the group and marker once: an explicit marker wins, a
         named group brings its default, and custom params take g^2."""
         if self.params is None:
+            if self.group_name not in GROUPS_BY_NAME:
+                raise UsageError(f"unknown group {self.group_name!r}; known groups: "
+                                 f"{', '.join(GROUPS_BY_NAME)}")
             self.params = GROUPS_BY_NAME[self.group_name]
             if self.marker is None:
                 self.marker = DEFAULT_MARKER[self.group_name]

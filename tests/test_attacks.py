@@ -296,6 +296,14 @@ class TestForcedZeroNoise:
                 report = attacks.force_zero_noise(cfg, bids, (i, j), 4)
                 assert report.extras["cell"] == [i, j]
 
+    @pytest.mark.parametrize("cell", [(0, 0), (3, 1), (1, 3), (1, 0)])
+    def test_cells_outside_the_grid_are_refused(self, cell):
+        """Refused before any run: (1, 0) would wrap to (1, 2) through
+        index -1, and (0, 0) would crash after a whole auction."""
+        cfg = AuctionConfig(n=2, k=2)
+        with pytest.raises(ValueError, match=r"outside 1\.\.2 x 1\.\.2"):
+            attacks.force_zero_noise(cfg, [1, 2], cell, 4)
+
     def test_product_check_neutralises_it(self):
         flags = DefenseFlags(noise_product_check=True)
         cfg = AuctionConfig(n=2, k=2, flags=flags)

@@ -84,6 +84,10 @@ class TestScenarioExpectations:
         with pytest.raises(UsageError):
             run_scenario(ScenarioSpec(scenario="nope"))
 
+    def test_unknown_group(self):
+        with pytest.raises(UsageError, match="'huge'.*small, mid, large"):
+            run_scenario(ScenarioSpec(scenario="honest", group_name="huge"))
+
     def test_honest_meets_expectation(self):
         result = run_scenario(ScenarioSpec(scenario="honest", n=2, k=2,
                                            bids=[1, 2], seed=3))

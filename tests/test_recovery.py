@@ -7,6 +7,7 @@ marks the winning cell, and the whole image determines the bids uniquely —
 which is exactly what the noise-stripping attack exploits.
 """
 
+import operator
 import random
 
 import numpy as np
@@ -15,12 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from auctionlab.errors import InconsistentExponents, InvalidBidVector, NotAPower
-from auctionlab.groups import SMALL_GROUP
+from auctionlab.groups import DEFAULT_MARKER, GROUPS_BY_NAME, SMALL_GROUP
+from auctionlab.protocol import compute_outcome_bases
 from auctionlab.recovery import (
     apply_f,
     build_matrix,
     count_operations,
     exponent_from_power,
+    outcome_map,
     recover_bids,
     validate_bid_vector,
 )
@@ -107,6 +110,37 @@ class TestFrozenImages:
             b = one_hot(bids, k)
             expected = (matrix.dense() @ np.array(b)).tolist()
             assert apply_f(matrix, b) == expected
+
+
+class TestOneMapTwoFaces:
+    """The protocol's cell bases and the seller's counts come from one
+    ``outcome_map``: under the product mod p, a bid table holding
+    marker^e at each bid price gives marker^(e * count) in every cell, the
+    relation the seller's recovery inverts."""
+
+    @given(data=st.data(), n=st.integers(1, 4), k=st.integers(1, 4),
+           group=st.sampled_from(sorted(GROUPS_BY_NAME)),
+           exponent=st.sampled_from([1, 5]))
+    @settings(max_examples=60, deadline=None)
+    def test_bases_are_marker_powers_of_the_counts(self, data, n, k, group,
+                                                    exponent):
+        params, marker = GROUPS_BY_NAME[group], DEFAULT_MARKER[group]
+        bids = data.draw(st.lists(st.integers(1, k), min_size=n, max_size=n))
+        flat = one_hot(bids, k)
+        step = pow(marker, exponent, params.p)
+        alphas = [[step if bit else 1 for bit in flat[i * k:(i + 1) * k]]
+                  for i in range(n)]
+        bases = compute_outcome_bases(params, alphas, [[1] * k] * n)
+        counts = apply_f(build_matrix(n, k), flat)
+        assert [a for row in bases for a, _ in row] == [
+            pow(marker, exponent * count, params.p) for count in counts]
+        assert all(b == 1 for row in bases for _, b in row)
+
+        matrix = build_matrix(n, k)
+        reference = [sum(matrix.entry(r, c) for c in range(n * k) if flat[c])
+                     for r in range(n * k)]
+        grid = [flat[i * k:(i + 1) * k] for i in range(n)]
+        assert [c for row in outcome_map(grid, operator.add, 0) for c in row] == reference
 
 
 class TestValidation:
