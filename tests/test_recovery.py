@@ -130,13 +130,13 @@ class TestOneMapTwoFaces:
         step = pow(marker, exponent, params.p)
         alphas = [[step if bit else 1 for bit in flat[i * k:(i + 1) * k]]
                   for i in range(n)]
+        matrix = build_matrix(n, k)
         bases = compute_outcome_bases(params, alphas, [[1] * k] * n)
-        counts = apply_f(build_matrix(n, k), flat)
+        counts = apply_f(matrix, flat)
         assert [a for row in bases for a, _ in row] == [
             pow(marker, exponent * count, params.p) for count in counts]
         assert all(b == 1 for row in bases for _, b in row)
 
-        matrix = build_matrix(n, k)
         reference = [sum(matrix.entry(r, c) for c in range(n * k) if flat[c])
                      for r in range(n * k)]
         grid = [flat[i * k:(i + 1) * k] for i in range(n)]
