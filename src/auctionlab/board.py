@@ -8,8 +8,12 @@ its author's later edits to their own dict do not reach the board.  A
 tagged post is walked once: the walk that freezes it also makes its
 canonical bytes (``canonical_bytes``), which the post stores.  Those stored
 bytes are what its authentication tag covers (``spliced_bytes``), so no
-post is encoded twice.  The JSON export emits every post's canonical bytes
-(hex), so two runs with the same seeds produce byte-identical transcripts.
+post is encoded twice.  The walk reads the bytes of exact ints below 2^16
+and of up to 256 exact strs of at most 32 characters from memos filled the
+first time each value is encoded; an entry is those very bytes, so a post
+encodes the same with the memos full or empty.  The JSON export emits every
+post's canonical bytes (hex), so two runs with the same seeds produce
+byte-identical transcripts.
 """
 
 from __future__ import annotations
@@ -103,6 +107,41 @@ def _kind(obj) -> type:
 _set_entry = dict.__setitem__
 _set_item = list.__setitem__
 
+# Memos of the leaves payloads repeat most, value -> canonical bytes: every
+# exact int below 2^16 (so at most 2^16 entries) and up to 256 exact strs of
+# at most 32 characters (dict keys, hash names).  An entry is stored the
+# first time its value is encoded, as the bytes that encoding made, so a
+# read gives the bytes encoding it again would give.  Only exact ints and
+# strs are looked up or stored: True, 1.0 and subclasses (which may carry
+# their own methods) equal such a value but are always encoded afresh.
+_INT_MEMO_LIMIT = 1 << 16
+_STR_MEMO_CAP, _STR_MEMO_LENGTH = 256, 32
+_int_memo: dict[int, bytes] = {}
+_str_memo: dict[str, bytes] = {}
+
+
+def _int_bytes(obj) -> bytes:
+    """An int's canonical bytes, encoded afresh; an exact int below
+    ``_INT_MEMO_LIMIT`` is also stored in the int memo."""
+    if obj < 0:
+        raise ValueError("payload ints must be non-negative")
+    enc = obj.to_bytes((obj.bit_length() + 7) // 8 or 1, "big")
+    data = b"i" + len(enc).to_bytes(4, "big") + enc
+    if type(obj) is int and obj < _INT_MEMO_LIMIT:
+        _int_memo[obj] = data
+    return data
+
+
+def _str_bytes(obj) -> bytes:
+    """A str's canonical bytes, encoded afresh; a short exact str is also
+    stored in the str memo while it has room."""
+    enc = obj.encode("utf-8")
+    data = b"s" + len(enc).to_bytes(4, "big") + enc
+    if (type(obj) is str and len(obj) <= _STR_MEMO_LENGTH
+            and len(_str_memo) < _STR_MEMO_CAP):
+        _str_memo[obj] = data
+    return data
+
 
 def _walk(obj, put):
     """Hand ``obj``'s encoding to ``put`` piece by piece, and return ``obj``
@@ -111,22 +150,19 @@ def _walk(obj, put):
     else, subclasses of dict, list and tuple included, is returned as it is.
     The ints in a list, and the string keys and the int and string values
     of a dict, most of a payload's leaves, are encoded in the container's
-    loop rather than by a call each.  A container is copied whole first,
-    and only its entries that are containers are replaced."""
-    kind = _BRANCHES.get(type(obj)) or _kind(obj)
+    loop rather than by a call each, read from the memos when they hold
+    them.  A container is copied whole first, and only its entries that are
+    containers are replaced."""
+    cls = type(obj)
+    kind = _BRANCHES.get(cls) or _kind(obj)
     if kind is int:
-        if obj < 0:
-            raise ValueError("payload ints must be non-negative")
-        enc = obj.to_bytes((obj.bit_length() + 7) // 8 or 1, "big")
-        put(b"i" + len(enc).to_bytes(4, "big") + enc)
+        put((cls is int and _int_memo.get(obj)) or _int_bytes(obj))
     elif kind is list:
         put(b"l" + len(obj).to_bytes(4, "big"))
-        cls = type(obj)
         copy = FrozenList(obj) if cls is list or cls is FrozenList else list(obj)
         for i, item in enumerate(obj):
-            if type(item) is int and item >= 0:
-                enc = item.to_bytes((item.bit_length() + 7) // 8 or 1, "big")
-                put(b"i" + len(enc).to_bytes(4, "big") + enc)
+            if type(item) is int:
+                put(_int_memo.get(item) or _int_bytes(item))
             else:
                 frozen = _walk(item, put)
                 if frozen is not item:
@@ -136,31 +172,27 @@ def _walk(obj, put):
         if cls is list or cls is FrozenList:
             return copy
     elif kind is str:
-        enc = obj.encode("utf-8")
-        put(b"s" + len(enc).to_bytes(4, "big") + enc)
+        put((cls is str and _str_memo.get(obj)) or _str_bytes(obj))
     elif kind is dict:
         put(b"d" + len(obj).to_bytes(4, "big"))
         copy = FrozenDict(obj)
         for key in sorted(obj):
             if type(key) is str:
-                enc = key.encode("utf-8")
-                put(b"s" + len(enc).to_bytes(4, "big") + enc)
+                put(_str_memo.get(key) or _str_bytes(key))
             elif isinstance(key, str):
-                _walk(key, put)
+                put(_str_bytes(key))
             else:
                 raise ValueError("payload dict keys must be strings")
             value = obj[key]
-            if type(value) is int and value >= 0:
-                enc = value.to_bytes((value.bit_length() + 7) // 8 or 1, "big")
-                put(b"i" + len(enc).to_bytes(4, "big") + enc)
+            if type(value) is int:
+                put(_int_memo.get(value) or _int_bytes(value))
             elif type(value) is str:
-                enc = value.encode("utf-8")
-                put(b"s" + len(enc).to_bytes(4, "big") + enc)
+                put(_str_memo.get(value) or _str_bytes(value))
             else:
                 frozen = _walk(value, put)
                 if frozen is not value:
                     _set_entry(copy, key, frozen)
-        if type(obj) in DICT_TYPES:
+        if cls in DICT_TYPES:
             return copy
     elif kind is bool:
         put(b"b1" if obj else b"b0")

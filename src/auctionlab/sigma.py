@@ -16,25 +16,34 @@ source decides the mode.  One verifier, ``verify_transcript``, checks every
 statement through the equations gens[i]^s = z[i] * targets[i]^c of its
 transcript (``transcript_equations``): one at a time, or handed to an
 ``EquationBatch``, which in a wide group checks a whole round's equations as
-one.  A batch's weights are 64 bits hashed from its equations, so a
-prover who can try t sets of equations offline gets a false one through
-with probability about t * 2^-64, and that only if every element in it is a
-member of the order-q subgroup; callers check membership first.  Narrower
-groups check each equation as it arrives; below p = 2^16 each of its
-powers is read from the group's tables (``GroupParams.logs``).
+one.  A plain transcript checked at once is checked in one pass over its
+core's vectors, with no list of equations built.  A batch's weights are 64
+bits hashed from its equations, so a prover who can try t sets of equations
+offline gets a false one through with probability about t * 2^-64, and that
+only if every element in it is a member of the order-q subgroup; callers
+check membership first.  Narrower groups check each equation as it
+arrives; below p = 2^16 each of its powers is read from the group's tables
+(``GroupParams.logs``).
 
 Statements and transcripts are named tuples, so building, comparing and
 hashing one runs in C.  In interactive mode every honest verifier runs its
 own session with every prover, 8 184 sessions in a mid-group n=8, k=16
 auction, and below p = 2^16 a session's powers are table reads.  A masking
-share's session then costs about 9 us on CPython 3.11 (a shared 2-vCPU
-host), about half of it its six powers and two draws; as frozen dataclasses
+share's session, ``prove`` against a verifier's source and then
+``verify_transcript``, costs about 4 us on CPython 3.11.7 (a shared 2-vCPU
+host), over half of it its six powers and two draws; as frozen dataclasses
 its records added about 2 us more.  A named tuple equals any tuple with the
 same items; the records' kinds differ in length or in the types of their
 items, so no two kinds built from one run's values compare equal, and none
 stands in for another as a witness key.  ``EQDLStatement`` refuses
 mismatched vectors when it is built (``_make`` and ``_replace`` do not
 check).
+
+The hashed challenge's encoder (``serialize_statement``) keeps the encoded
+p, q and g of the last eight groups it served, found by the group object's
+identity rather than by hashing it, and, for a group with p < 2^16, a table
+of every element's encoding.  Both hold the bytes encoding afresh gives, so
+neither can change a challenge.
 
 Interactive runs are deliberately unhardened: the verifier's challenge is
 whatever the caller's challenge source supplies (an honest verifier's,
@@ -47,7 +56,6 @@ commitment, which removes the verifier from the loop entirely.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import random
 from typing import Callable, Iterable, NamedTuple
@@ -186,19 +194,29 @@ def _statement_elements(stmt) -> list[int]:
 # Groups with p below this keep a table of every element's encoding.
 _ENCODING_TABLE_LIMIT = 1 << 16
 
+# The headers of the last eight groups seen, by ``id(params)``: finding one
+# is a dict read, not a call of the dataclass hash of p, q and g.  Each
+# entry holds its ``params``, so no other object can take that id while
+# the entry is kept; the oldest entry is dropped first.
+_HEADER_CAP = 8
+_headers: dict[int, tuple] = {}
 
-@functools.lru_cache(maxsize=8)
-def _group_header(params: GroupParams) -> tuple[bytes, bytes, int, dict | None]:
-    """The group's encoded p, q and g, the length prefix every element
-    carries, the element width, and for a group with p < 2^16 the table of
-    every element's encoding: v -> prefix + v as width bytes, 0 <= v < p."""
+
+def _group_header(params: GroupParams) -> tuple:
+    """Build and keep the group's entry: ``params``, its encoded p, q and g,
+    the length prefix every element carries, the element width, and for a
+    group with p < 2^16 the table of every element's encoding: v -> prefix
+    + v as width bytes, 0 <= v < p."""
     width = (params.p.bit_length() + 7) // 8
     prefix = width.to_bytes(4, "big")
     header = b"".join(prefix + int(v).to_bytes(width, "big")
                       for v in (params.p, params.q, params.g))
     table = ({v: prefix + v.to_bytes(width, "big") for v in range(params.p)}
              if params.p < _ENCODING_TABLE_LIMIT else None)
-    return header, prefix, width, table
+    if len(_headers) >= _HEADER_CAP:
+        del _headers[next(iter(_headers))]
+    entry = _headers[id(params)] = (params, header, prefix, width, table)
+    return entry
 
 
 def serialize_statement(params: GroupParams, stmt, commitments: Iterable[int]) -> bytes:
@@ -210,9 +228,14 @@ def serialize_statement(params: GroupParams, stmt, commitments: Iterable[int]) -
     of the int they equal, which is what ``int(v)`` encodes.  If any value
     misses, every value is encoded as ``int(v)``, as in a wider group, with
     the same bytes or error as there."""
-    tag = _DOMAIN_TAGS[type(stmt)]
-    values = (*_statement_elements(stmt), *commitments)
-    header, prefix, width, table = _group_header(params)
+    kind = type(stmt)
+    tag = _DOMAIN_TAGS[kind]
+    if kind is EQDLStatement:
+        gens, targets = stmt
+        values = (len(gens), *gens, *targets, *commitments)
+    else:
+        values = (*_statement_elements(stmt), *commitments)
+    _, header, prefix, width, table = _headers.get(id(params)) or _group_header(params)
     if table is not None:
         try:
             return b"".join((tag, header, *map(table.__getitem__, values)))
@@ -260,7 +283,7 @@ class ProverSession:
     def __init__(self, params: GroupParams, stmt, witness: int, rng: random.Random):
         self.params = params
         self.stmt = stmt
-        self.gens = stmt.gens if type(stmt) is EQDLStatement else _core(params, stmt).gens
+        self.gens = _core(params, stmt).gens
         self.witness = witness % params.q
         self.rng = rng
         self.nonce: int | None = None
@@ -269,9 +292,11 @@ class ProverSession:
     def commit(self) -> tuple[int, ...]:
         if self.phase != "created":
             raise AlreadyCommitted("session already produced its commitment")
-        self.nonce = self.rng.randrange(self.params.q)
+        params = self.params
+        self.nonce = nonce = self.rng.randrange(params.q)
         self.phase = "committed"
-        return tuple(self.params.exp(gen, self.nonce) for gen in self.gens)
+        exp = params.exp
+        return tuple([exp(gen, nonce) for gen in self.gens])
 
     def respond(self, challenge: int) -> int:
         if self.phase != "committed":
@@ -358,16 +383,21 @@ def _prove_bid_cell(params: GroupParams, stmt: BidValidityStatement,
 _WEIGHT_BYTES = 8
 
 
+def _holds(params: GroupParams, gens, targets, tr) -> bool:
+    """Whether gens[i]^s = z[i] * targets[i]^c holds for every i, checked
+    in order, stopping at the first that fails."""
+    exp, p = params.exp, params.p
+    s, c = tr.response, tr.challenge
+    for gen, target, com in zip(gens, targets, tr.commitment):
+        if exp(gen, s) != com * exp(target, c) % p:
+            return False
+    return True
+
+
 def _all_hold(params: GroupParams, pairs) -> bool:
     """Whether every equation of ``pairs`` holds, checked in order,
     stopping at the first that fails."""
-    exp, p = params.exp, params.p
-    for core, tr in pairs:
-        s, c = tr.response, tr.challenge
-        for gen, target, com in zip(core.gens, core.targets, tr.commitment):
-            if exp(gen, s) != com * exp(target, c) % p:
-                return False
-    return True
+    return all(_holds(params, core.gens, core.targets, tr) for core, tr in pairs)
 
 
 def transcript_equations(params: GroupParams, stmt, tr) -> tuple | None:
@@ -401,14 +431,22 @@ def verify_transcript(params: GroupParams, stmt, tr, require_hashed: bool,
     under hashed challenges, that the challenge is exactly the canonical
     hash of statement and commitment.  The equations are checked now, in
     order, stopping at the first that fails, unless a batch is given in a
-    wide group: then they go to ``batch.add(key, ...)`` for later."""
-    equations = transcript_equations(params, stmt, tr)
-    if equations is None:
-        return False
-    if batch is not None and params.wide:
-        batch.add(key, equations)
-    elif not _all_hold(params, equations):
-        return False
+    wide group: then they go to ``batch.add(key, ...)`` for later.  A plain
+    statement's transcript checked now is checked straight off its core,
+    with no equation list built."""
+    batched = batch is not None and params.wide
+    if batched or isinstance(stmt, BidValidityStatement):
+        equations = transcript_equations(params, stmt, tr)
+        if equations is None:
+            return False
+        if batched:
+            batch.add(key, equations)
+        elif not _all_hold(params, equations):
+            return False
+    else:
+        core = _core(params, stmt)
+        if not (_fits(core, tr) and _holds(params, core.gens, core.targets, tr)):
+            return False
     if not require_hashed:
         return True
     return (tr.challenge % params.q == fiat_shamir_challenge(params, stmt, tr.commitment)

@@ -2,11 +2,13 @@
 the same bytes and raise the same errors as their first, plain versions,
 which are kept here verbatim as the reference."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from auctionlab import sigma
+from auctionlab import board, sigma
 from auctionlab.board import BulletinBoard, FrozenDict, FrozenList, canonical_bytes
 from auctionlab.groups import LARGE_GROUP, MID_GROUP, SMALL_GROUP, validate_group
 
@@ -103,6 +105,82 @@ class TestCanonicalBytesMatchesReference:
     ])
     def test_edge_values(self, obj):
         assert outcome(canonical_bytes, obj) == outcome(reference_canonical_bytes, obj)
+
+
+class Padded(int):
+    """An int subclass whose own ``to_bytes`` adds a zero byte: a memo that
+    served it the equal int's entry would show."""
+
+    def to_bytes(self, length, byteorder, **kwargs):
+        return int.to_bytes(self, length + 1, byteorder, **kwargs)
+
+
+class Shouted(str):
+    """A str subclass whose own ``encode`` upper-cases."""
+
+    def encode(self, *args, **kwargs):
+        return str.encode(self.upper(), *args, **kwargs)
+
+
+@pytest.fixture
+def empty_memos():
+    """Start with empty encoder memos, and leave them empty."""
+    board._int_memo.clear()
+    board._str_memo.clear()
+    yield
+    board._int_memo.clear()
+    board._str_memo.clear()
+
+
+def placements(value):
+    """``value`` where the walk reads each kind of leaf: alone, in a list,
+    as a dict value and, for a str, as a dict key."""
+    places = [value, [value], {"v": value}]
+    if isinstance(value, str):
+        places.append({value: 0})
+    return places
+
+
+@pytest.mark.usefixtures("empty_memos")
+class TestEncoderMemos:
+    """The board encoder's memos of leaf bytes: whatever was encoded first,
+    every leaf gets the bytes the reference encoder gives it."""
+
+    @pytest.mark.parametrize("first,second", [
+        (7, Count(7)), (Count(7), 7), (7, Padded(7)), (Padded(7), 7),
+        (1, True), (True, 1), (0, False), (False, 0),
+        ("sha256", Label("sha256")), (Label("sha256"), "sha256"),
+        ("com", Shouted("com")), (Shouted("com"), "com"),
+    ])
+    def test_equal_values_of_other_types(self, first, second):
+        for obj in (*placements(first), *placements(second)):
+            assert canonical_bytes(obj) == reference_canonical_bytes(obj)
+            frozen, data = canonical_bytes(obj, freeze=True)
+            assert data == reference_canonical_bytes(obj)
+            assert frozen_form(frozen) == frozen_form(obj, frozen=True)
+
+    @pytest.mark.parametrize("value", [2**16 - 1, 2**16, 2**16 + 1, 2**2100])
+    def test_ints_around_the_limit(self, value):
+        for _ in range(2):                   # fill, then read
+            for obj in placements(value):
+                assert canonical_bytes(obj) == reference_canonical_bytes(obj)
+        assert (value in board._int_memo) == (value < board._INT_MEMO_LIMIT)
+
+    def test_negative_ints_refused_after_their_absolute_value(self):
+        canonical_bytes([5, {"v": 5}])
+        for obj in placements(-5):
+            assert outcome(canonical_bytes, obj) == outcome(reference_canonical_bytes, obj)
+
+    def test_memos_stay_within_their_caps(self):
+        values = list(range(1 << 17))
+        assert canonical_bytes(values) == reference_canonical_bytes(values)
+        assert len(board._int_memo) == board._INT_MEMO_LIMIT
+        keys = {f"k{i}": i for i in range(4 * board._STR_MEMO_CAP)}
+        keys["x" * (board._STR_MEMO_LENGTH + 1)] = 0
+        assert canonical_bytes(keys) == reference_canonical_bytes(keys)
+        assert len(board._str_memo) == board._STR_MEMO_CAP
+        assert all(len(key) <= board._STR_MEMO_LENGTH for key in board._str_memo)
+        assert canonical_bytes(keys) == reference_canonical_bytes(keys)
 
 
 def frozen_and_bytes(obj):
@@ -203,6 +281,23 @@ class TestSerializeStatementMatchesReference:
         for params in GROUPS + GROUPS:
             assert (sigma.serialize_statement(params, stmt, (4,))
                     == reference_serialize_statement(params, stmt, (4,)))
+
+    def test_switching_groups_in_one_process(self):
+        """Every kind of statement, in the four groups taken in a shuffled
+        order, then in more groups than the header cache keeps, and back."""
+        rng = random.Random(4)
+        order = list(GROUPS) * 4
+        rng.shuffle(order)
+        extra = [validate_group(2 * q + 1, q, 4) for q in (5, 23, 29, 41, 53, 83, 89, 113)]
+        for params in order + extra + order:
+            v = [rng.randrange(1, params.p) for _ in range(6)]
+            for stmt in (sigma.PDLStatement(*v[:2]),
+                         sigma.EQDLStatement(tuple(v[:2]), tuple(v[2:4])),
+                         sigma.BidValidityStatement(*v[:5]),
+                         sigma.SumValidityStatement(*v[:3], tuple(v[3:5]), (v[5], v[0]))):
+                assert (sigma.serialize_statement(params, stmt, v[4:])
+                        == reference_serialize_statement(params, stmt, v[4:]))
+            assert len(sigma._headers) <= sigma._HEADER_CAP
 
     @pytest.mark.parametrize("params", [SMALL_GROUP, MID_GROUP, NEAR_TABLE_LIMIT],
                              ids=["small", "mid", "p=65267"])
