@@ -792,6 +792,9 @@ class AuctionRun:
         entries = []
         for name, payload in bids.items():
             check_payload(self.config, "bid", name, ROUND_BID, payload)
+            if bidder_name(payload["bidder"]) != name:
+                raise ProofRejected(name, ROUND_BID, f"malformed bid: bidder "
+                                    f"{payload['bidder']} is not its author")
             marker = self.config.marker_for(payload["bidder"])
             cells, total = bid_statements(params, self.joint_y, marker,
                                           payload["alphas"], payload["betas"])

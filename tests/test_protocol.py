@@ -623,6 +623,34 @@ class TestMissingFields:
             bidder_name(2), round_name, detail)
 
 
+class MisnamedBidder(BidderAgent):
+    """Encodes its bid under bidder 1's marker and posts it as bidder 1's,
+    under its own name."""
+
+    def submit_bid(self, price: int):
+        own, self.index = self.index, 1
+        try:
+            return super().submit_bid(price)
+        finally:
+            self.index = own
+
+
+class TestBidNamesItsAuthor:
+    """A bid whose ``bidder`` field is another bidder's index is refused:
+    otherwise bidder 2 could bid under bidder 1's marker and win."""
+
+    @pytest.mark.parametrize("ni_proofs", [False, True], ids=["interactive", "hashed"])
+    def test_refused_with_author_and_round(self, ni_proofs):
+        cfg = AuctionConfig(n=2, k=3, markers_per_bidder=(4, 9),
+                            flags=DefenseFlags(ni_proofs=ni_proofs))
+        run = AuctionRun(cfg, [1, 3], 5, agent_factory=dishonest_bidder(2, MisnamedBidder))
+        with pytest.raises(ProofRejected) as caught:
+            run.run()
+        exc = caught.value
+        assert (exc.author, exc.round_name, exc.detail) == (
+            bidder_name(2), ROUND_BID, "malformed bid: bidder 1 is not its author")
+
+
 class NonMappingOutcomeBidder(BidderAgent):
     """After its outcome post, posts ``["not", "a", "mapping"]`` as an
     outcome or fix post, with its own tag."""
@@ -875,15 +903,16 @@ class TestSharedHashedVerdicts:
         assert (exc.author, exc.detail) == (bidder_name(2), "validity proof failed at price 1")
 
     def test_copy_under_another_name_gets_a_fresh_verdict(self, monkeypatch):
-        """Bidder 2's bid posted again under bidder 3's name is the same
-        statement and transcript, so it passes as a fresh check would; the
-        same proofs over bidder 3's own ciphertexts are checked afresh and
-        fail."""
+        """Bidder 2's bid posted again under bidder 3's name, naming bidder
+        3, is the same statement and transcript (one marker for all), so it
+        passes as a fresh check would; the same proofs over bidder 3's own
+        ciphertexts are checked afresh and fail."""
         run = _hashed_bids_posted(n=3)
-        _repost_bid(run, 3, payload_from=2)
+        _repost_bid(run, 3, payload_from=2, bidder=3)
         run._verify_bids()
         own = run.board.latest_by_author(ROUND_BID, "bid")[bidder_name(1)].payload
-        _repost_bid(run, 3, payload_from=2, alphas=own["alphas"], betas=own["betas"])
+        _repost_bid(run, 3, payload_from=2, bidder=3, alphas=own["alphas"],
+                    betas=own["betas"])
         with pytest.raises(ProofRejected) as caught:
             run._verify_bids()
         assert (caught.value.author, caught.value.detail) == (
