@@ -46,8 +46,8 @@ Many bases at once.  ``multi_exp`` raises a list of bases to their own
 exponents and multiplies the powers by the bucket method (Pippenger): one
 pass per window of c exponent bits sorts every base into the bucket of its
 digit, and the buckets fold into the result with two products each.  A
-batch of proof equations (``sigma.EquationBatch``) raises its targets and
-commitments this way.
+batch of proof equations (``sigma.EquationBatch``) raises its targets this
+way.
 
 Membership.  ``are_elements`` decides whether values lie in the order-q
 subgroup, and ``is_element`` asks it about one value.  One call for a whole
@@ -55,8 +55,12 @@ posted vector at least halves the mid group's cost per value (about 0.5
 against 0.9 us for two values, 2.5 against 6.3 us for 32).  A group with
 p < 2^16 reads ``logs``: v is a member when its entry is not None.  When
 p = 2q + 1 the subgroup is the quadratic residues, so in a wide group a
-Jacobi-symbol loop decides it (about 50 us at 256 bits, against about
-220 us for ``pow``).  Every other group compares ``pow(v, q, p)`` with 1.
+Jacobi-symbol loop decides it (about 25 us at 256 bits, against about
+120 us for ``pow``, on CPython 3.11).  Every other group compares
+``pow(v, q, p)`` with 1.  A wide group's proof commitments are screened
+many at a time instead (``sigma.EquationBatch``): the symbol is
+multiplicative, so 64 random-subset products stand for a round's
+commitments.
 """
 
 from __future__ import annotations

@@ -285,6 +285,18 @@ def _canonical_scalars(tr, q: int) -> bool:
     return 0 <= tr.challenge < q and 0 <= tr.response < q
 
 
+def _check_commitments(params: GroupParams, author: str, round_name: str,
+                       where: str, commitment: tuple) -> None:
+    """Refuse a proof with a commitment outside the order-q subgroup,
+    naming 0 < z < p when one lies outside that."""
+    if not params.are_elements(commitment):
+        p = params.p
+        outside = ("the order-q subgroup" if all(0 < z < p for z in commitment)
+                   else "0 < z < p")
+        raise ProofRejected(author, round_name,
+                            f"malformed proof{where}: commitment outside {outside}")
+
+
 def check_proof(config: AuctionConfig, source: sigma.ChallengeSource, author: str,
                 round_name: str, stmt, payload, prover, failure: str,
                 where: str, batch: sigma.EquationBatch) -> None:
@@ -300,10 +312,15 @@ def check_proof(config: AuctionConfig, source: sigma.ChallengeSource, author: st
     subgroup, and every challenge and response (OR branches included) in
     0 <= v < q, so that no statement has a second accepting transcript made
     by adding q, no verifier raises a base to an oversized response, and the
-    batch sees members only.  The proof is missing when the mode's prover
-    or payload is None.  Every failure found here is raised at once; in a
-    wide group the proof's exponent equations go to ``batch``, checked when
-    the round's checks are done.  ``check_round`` decides which verifier
+    batch's small-exponent test sees members only.  The proof is missing
+    when the mode's prover or payload is None.  Every failure found here is
+    raised at once, and in a narrow group commitments are tested as they
+    arrive.  In a wide group only 0 < z < p is tested on arrival: the
+    proof's exponent equations go to ``batch``, which screens the round's
+    commitments for membership and checks the equations when the round's
+    checks are done.  Before any other failure of a proof is raised, its
+    own commitments are tested one by one, so the refusal is the one that
+    testing them on arrival gives.  ``check_round`` decides which verifier
     checks which proof."""
     params, interactive = config.params, config.interactive
     if (prover if interactive else payload) is None:
@@ -318,19 +335,18 @@ def check_proof(config: AuctionConfig, source: sigma.ChallengeSource, author: st
         except ValueError as exc:
             raise ProofRejected(author, round_name,
                                 f"malformed proof{where}: {exc}") from exc
-    if not params.are_elements(tr.commitment):
-        p = params.p
-        outside = ("the order-q subgroup" if all(0 < z < p for z in tr.commitment)
-                   else "0 < z < p")
-        raise ProofRejected(author, round_name,
-                            f"malformed proof{where}: commitment outside {outside}")
+    com, p = tr.commitment, params.p
+    if not (params.wide and all(0 < z < p for z in com)):
+        _check_commitments(params, author, round_name, where, com)
     if not _canonical_scalars(tr, params.q):
-        raise ProofRejected(author, round_name,
-                            f"malformed proof{where}: response or "
-                            "challenge outside 0 <= v < q")
-    if not sigma.verify_transcript(params, stmt, tr, not interactive, batch,
-                                   (author, failure, where)):
-        raise ProofRejected(author, round_name, failure + where)
+        detail = f"malformed proof{where}: response or challenge outside 0 <= v < q"
+    elif sigma.verify_transcript(params, stmt, tr, not interactive, batch,
+                                 (author, failure, where, com)):
+        return
+    else:
+        detail = failure + where
+    _check_commitments(params, author, round_name, where, com)
+    raise ProofRejected(author, round_name, detail)
 
 
 def check_round(run: "AuctionRun", round_name: str, verifiers, entries) -> None:
@@ -346,12 +362,13 @@ def check_round(run: "AuctionRun", round_name: str, verifiers, entries) -> None:
     and every later one shares that verdict.
 
     In a wide group every proof's exponent equations go to one batch for
-    the round (``sigma.EquationBatch``); a narrow group checks them as they
-    arrive.  The failure raised is the one checking each proof on arrival
-    would raise first: before a failure found during the checks is raised,
-    the equations batched before it are checked one at a time, and after
-    the last check the batch is settled, one at a time only if the whole
-    fails."""
+    the round (``sigma.EquationBatch``), which also screens their
+    commitments for membership; a narrow group checks both as they arrive.
+    The failure raised is the one checking each proof on arrival would
+    raise first: before a failure found during the checks is raised, the
+    batch is settled, and after the last check it is settled again.  A
+    batch that fails its screen or its test walks its proofs one at a
+    time, in the order they arrived."""
     config, agents = run.config, run.agents
     batch = sigma.EquationBatch(config.params)
     pending = entries
@@ -367,7 +384,7 @@ def check_round(run: "AuctionRun", round_name: str, verifiers, entries) -> None:
                 check_proof(config, source, author, round_name, stmt, payload,
                             agents.get(author), failure, where, batch)
             except Exception:
-                # An earlier proof's false equation is raised first.
+                # An earlier proof's non-member or false equation is raised first.
                 _raise_first_failure(batch, round_name)
                 raise
             if config.interactive:
@@ -377,11 +394,13 @@ def check_round(run: "AuctionRun", round_name: str, verifiers, entries) -> None:
 
 
 def _raise_first_failure(batch: sigma.EquationBatch, round_name: str) -> None:
-    """Raise the ProofRejected of the first check in ``batch`` with a false
-    equation, if there is one."""
+    """Raise the ProofRejected of the first check in ``batch`` with a
+    commitment outside the order-q subgroup or a false equation, if there
+    is one: its commitments' refusal when they are what fails."""
     key = batch.first_failure()
     if key is not None:
-        author, failure, where = key
+        author, failure, where, commitment = key
+        _check_commitments(batch.params, author, round_name, where, commitment)
         raise ProofRejected(author, round_name, failure + where)
 
 
@@ -488,9 +507,11 @@ class BidderAgent(Party):
 
     def _posted_proof(self, stmt, witness) -> dict | None:
         """The hashed transcript posted with ``stmt``.  In interactive mode
-        nothing is posted: ``witness`` is kept for the sessions that prove
+        nothing is posted: ``witness`` is checked once, here
+        (``sigma.check_witness``), and kept for the sessions that prove
         ``stmt`` on request, and the result is None."""
         if self.config.interactive:
+            sigma.check_witness(self.params, stmt, witness)
             self.witnesses[stmt] = witness
             return None
         tr = sigma.prove(self.params, stmt, witness, self.rng,
@@ -499,14 +520,16 @@ class BidderAgent(Party):
 
     def prove(self, stmt, challenge_source: sigma.ChallengeSource):
         """One interactive proof of ``stmt``, or None when this bidder never
-        posted it.  ``witnesses`` is empty under hashed proofs, so the mode
-        is tested only on a miss."""
+        posted it, from the witness checked when it was posted.
+        ``witnesses`` is empty under hashed proofs, so the mode is tested
+        only on a miss."""
         witness = self.witnesses.get(stmt)
         if witness is None:
             if not self.config.interactive:
                 raise ModeMismatch("no interactive sessions under hashed proofs")
             return None
-        return sigma.prove(self.params, stmt, witness, self.rng, challenge_source)
+        return sigma.prove(self.params, stmt, witness, self.rng, challenge_source,
+                           checked=True)
 
     # -- posting ----------------------------------------------------------
 

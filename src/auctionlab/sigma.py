@@ -18,12 +18,13 @@ transcript (``transcript_equations``): one at a time, or handed to an
 ``EquationBatch``, which in a wide group checks a whole round's equations as
 one.  A plain transcript checked at once is checked in one pass over its
 core's vectors, with no list of equations built.  A batch's weights are 64
-bits hashed from its equations, so a prover who can try t sets of equations
-offline gets a false one through with probability about t * 2^-64, and that
-only if every element in it is a member of the order-q subgroup; callers
-check membership first.  Narrower groups check each equation as it
-arrives; below p = 2^16 each of its powers is read from the group's tables
-(``GroupParams.logs``).
+bits hashed from its equations, and it screens its commitments for
+membership in the order-q subgroup by 64 random-subset products, so a
+prover who can try t sets of equations offline gets a non-member or a false
+equation through with probability about t * 2^-63; callers check every
+other element's membership first.  Narrower groups check each equation as
+it arrives; below p = 2^16 each of its powers is read from the group's
+tables (``GroupParams.logs``).
 
 Statements and transcripts are named tuples, so building, comparing and
 hashing one runs in C.  In interactive mode every honest verifier runs its
@@ -306,12 +307,16 @@ class ProverSession:
 
 
 def prove(params: GroupParams, stmt, witness, rng: random.Random,
-          challenge_source: ChallengeSource):
+          challenge_source: ChallengeSource, checked: bool = False):
     """Full three-move run proving ``stmt``; the challenge source always
     sees ``stmt`` itself.  A knowledge, equality or sum statement takes the
     exponent of its core (for a sum, the randomiser sum); a bid cell takes
-    ``(r, is_marker)`` and gets an OR transcript."""
+    ``(r, is_marker)`` and gets an OR transcript.  A bid cell's witness is
+    checked first (``check_witness``) unless ``checked`` says the caller
+    already has."""
     if isinstance(stmt, BidValidityStatement):
+        if not checked:
+            check_witness(params, stmt, witness)
         return _prove_bid_cell(params, stmt, *witness, rng, challenge_source)
     session = ProverSession(params, stmt, witness, rng)
     com = session.commit()
@@ -337,6 +342,19 @@ def _simulate_eqdl(params: GroupParams, stmt: EQDLStatement,
     return Transcript(commitment=com, challenge=c, response=s)
 
 
+def check_witness(params: GroupParams, stmt, witness) -> None:
+    """Raise WitnessMismatch unless a bid cell's witness ``(r, is_marker)``
+    re-encrypts to the cell's ciphertext.  Other statements' witnesses are
+    not checked: a wrong one gives a transcript that fails."""
+    if isinstance(stmt, BidValidityStatement):
+        r, is_marker = witness
+        plaintext = stmt.marker if is_marker else 1
+        expect_alpha = plaintext * params.exp(stmt.y, r) % params.p
+        expect_beta = params.exp(stmt.g, r)
+        if (expect_alpha, expect_beta) != (stmt.alpha, stmt.beta):
+            raise WitnessMismatch("ciphertext does not open to the claimed plaintext")
+
+
 def _prove_bid_cell(params: GroupParams, stmt: BidValidityStatement,
                     r: int, is_marker: bool, rng: random.Random,
                     challenge_source: ChallengeSource) -> OrTranscript:
@@ -345,12 +363,6 @@ def _prove_bid_cell(params: GroupParams, stmt: BidValidityStatement,
     The branch we do not hold a witness for is simulated with a pre-chosen
     sub-challenge; the outer challenge then pins the real branch's share.
     """
-    plaintext = stmt.marker if is_marker else 1
-    expect_alpha = plaintext * params.exp(stmt.y, r) % params.p
-    expect_beta = params.exp(stmt.g, r)
-    if (expect_alpha, expect_beta) != (stmt.alpha, stmt.beta):
-        raise WitnessMismatch("ciphertext does not open to the claimed plaintext")
-
     plain_stmt, marked_stmt = branch_statements(params, stmt)
     real_idx = 1 if is_marker else 0
     sim_stmt = plain_stmt if is_marker else marked_stmt
@@ -379,8 +391,13 @@ def _prove_bid_cell(params: GroupParams, stmt: BidValidityStatement,
 # A proof's exponent equations come as (core, transcript) pairs: the pair
 # stands for gens[i]^s = z[i] * targets[i]^c for every i of the core, with
 # s, c and z from the transcript.  A batch weighs each equation by this many
-# bytes of hash.
+# bytes of hash, and screens its commitments with one row per weight bit.
 _WEIGHT_BYTES = 8
+_ROWS = 8 * _WEIGHT_BYTES
+
+# Subtracted from a weight's bit string read as bytes, it leaves one byte
+# per bit, each 0 or 1.
+_ASCII_ZEROS = int.from_bytes(b"0" * _ROWS, "big")
 
 
 def _holds(params: GroupParams, gens, targets, tr) -> bool:
@@ -459,27 +476,36 @@ class EquationBatch:
     Only a wide group (``GroupParams.wide``) batches: ``verify_transcript``
     checks a narrow group's equations as they arrive, where a power is cheap
     (below p = 2^16 a table read) and 64-bit weights would be no stronger
-    than q.  ``add`` keeps equations, and ``first_failure`` checks them all
-    as one equation by the small-exponent test (Bellare-Garay-Rabin, "Fast Batch Verification for
-    Modular Exponentiation and Digital Signatures", EUROCRYPT '98): with
-    64-bit weights w taken from a SHA-256 hash of the equations,
+    than q.  ``add`` keeps equations, and ``first_failure`` settles them
+    all at once.  Each equation gets a 64-bit weight w from a SHA-256 hash
+    of the equations, and S_r is the product of the commitments whose w has
+    bit r set (``_subset_rows``).  The 64 rows do two jobs:
 
-        prod gen^(sum w*s) = prod com^w * prod target^(sum w*c).
+    * the membership screen: every S_r must lie in the order-q subgroup,
+      which a set holding a non-member, posted once or many times, passes
+      with probability 2^-64 (a batch of at most 64 commitments tests each
+      one instead, for no more symbols);
+    * the small-exponent test (Bellare-Garay-Rabin, "Fast Batch
+      Verification for Modular Exponentiation and Digital Signatures",
+      EUROCRYPT '98), prod gen^(sum w*s) = prod com^w * prod
+      target^(sum w*c), whose prod com^w is prod S_r^(2^r) by Horner's
+      rule (``_horner``).  Each distinct generator is raised through its
+      fixed-base table, and the targets together by ``multi_exp``.
 
-    Each distinct generator is raised once through its fixed-base table;
-    targets and commitments are raised together by ``GroupParams.multi_exp``.
-    When some equation is false the test passes with probability at most
-    2^-64, but only if every generator, target and commitment lies in the
-    order-q subgroup: over non-members it accepts false equations (Boyd-
+    Over members a false equation passes the test with probability at most
+    2^-64; over non-members the test accepts false equations (Boyd-
     Pavlovski, "Attacking and Repairing Batch Verification Schemes",
-    ASIACRYPT 2000).  That bound is per set of equations: the weights are
-    public, so a prover who picks its false equations (a hashed proof, or
-    the last response of an interactive round) can grind, and passes after
-    about 2^64 tries, against about q for a single check.  Callers check
-    membership, and keep every s and c in 0 <= v < q, before they add
-    (``protocol.check_proof`` does).  When the test fails, the equations
-    are checked one at a time, in the order they were added, to find the
-    first false one."""
+    ASIACRYPT 2000), hence the screen.  The weights are public, so a prover
+    who picks its commitments and equations (a hashed proof, or the last
+    response of an interactive round) can grind: after t tries a non-member
+    or a false equation gets through with probability about t * 2^-63,
+    against about t / q for checks one at a time.  Callers check the
+    generators' and targets' membership, and keep every commitment in
+    0 < z < p and every s and c in 0 <= v < q, before they add
+    (``protocol.check_proof`` does).  When the screen or the test fails,
+    the checks are walked in the order they were added, each one's
+    commitments tested and then its equations, to find the first that
+    fails."""
 
     def __init__(self, params: GroupParams):
         self.params = params
@@ -492,18 +518,22 @@ class EquationBatch:
 
     def first_failure(self):
         """Check every kept equation and forget them all.  Returns the key
-        of the first check with a false equation, or None.  They are tried
-        as one equation first, and one at a time only when that fails."""
+        of the first check with a commitment outside the order-q subgroup
+        or a false equation, or None.  They are screened and tested as one
+        first, and walked one at a time only when that fails."""
         pending, self.pending = self.pending, []
         if not pending or self._holds_together(pending):
             return None
+        params = self.params
         for key, equations in pending:
-            if not _all_hold(self.params, equations):
+            if not (params.are_elements(z for _, tr in equations for z in tr.commitment)
+                    and _all_hold(params, equations)):
                 return key
         return None
 
     def _holds_together(self, pending) -> bool:
-        """The small-exponent test over every pending equation."""
+        """The membership screen, then the small-exponent test, over every
+        pending equation."""
         params = self.params
         p, q = params.p, params.q
         equations = [(gen, target, com, tr.response, tr.challenge)
@@ -516,18 +546,59 @@ class EquationBatch:
         stream = b"".join(
             hashlib.sha256(seed + i.to_bytes(4, "big")).digest()
             for i in range(-(-len(equations) * size // 32)))
-        gens, targets, coms = {}, {}, {}
-        for i, (gen, target, com, s, c) in enumerate(equations):
-            w = int.from_bytes(stream[i * size:(i + 1) * size], "big")
+        weights = [int.from_bytes(stream[i:i + size], "big")
+                   for i in range(0, len(equations) * size, size)]
+        coms = [com for _, _, com, _, _ in equations]
+        rows = _subset_rows(p, coms, weights)
+        if not self._screened(coms, rows):
+            return False
+        gens, targets = {}, {}
+        for (gen, target, _, s, c), w in zip(equations, weights):
             gens[gen] = gens.get(gen, 0) + w * s
             targets[target] = targets.get(target, 0) + w * c
-            coms[com] = coms.get(com, 0) + w
         lhs = 1
         for gen, e in gens.items():
             lhs = lhs * params.exp(gen, e % q) % p
         rhs = (params.multi_exp(targets, [e % q for e in targets.values()])
-               * params.multi_exp(coms, coms.values()) % p)
+               * _horner(p, rows) % p)
         return lhs == rhs
+
+    def _screened(self, coms: list[int], rows: list[int]) -> bool:
+        """Whether the commitments pass the membership screen: each one when
+        there are at most 64, else the 64 rows."""
+        return self.params.are_elements(coms if len(coms) <= _ROWS else rows)
+
+
+def _subset_rows(p: int, coms: list[int], weights: list[int]) -> list[int]:
+    """The 64 row products, top weight bit first: entry t is the product
+    mod p of the commitments whose weight (below 2^64) has bit 63 - t set.
+    Four commitments at a time: the 16 products of their subsets are formed
+    once, subset d holding commitment j when bit j of d is set, and each
+    row multiplies in the subset its four weight bits name.  Those bits
+    come from the weights' bit strings: read as big-endian bytes, less
+    ASCII zeros, shifted by j and summed, byte t holds the subset of row
+    t."""
+    rows = [1] * _ROWS
+    for i in range(0, len(coms), 4):
+        subsets = [1]
+        for com in coms[i:i + 4]:
+            subsets += [s * com % p for s in subsets]
+        digits = 0
+        for j, w in enumerate(weights[i:i + 4]):
+            bits = int.from_bytes(format(w, "064b").encode(), "big") - _ASCII_ZEROS
+            digits += bits << j
+        rows = [row * subsets[d] % p
+                for row, d in zip(rows, digits.to_bytes(_ROWS, "big"))]
+    return rows
+
+
+def _horner(p: int, rows: list[int]) -> int:
+    """prod S_r^(2^r) mod p for rows given top bit first (``_subset_rows``),
+    which is the product of every commitment raised to its weight."""
+    acc = 1
+    for row in rows:
+        acc = acc * acc * row % p
+    return acc
 
 
 # --------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Subgroup membership and batched proof equations.
 
-Every posted group element and every commitment must lie in the order-q
-subgroup before a proof check sees it.  In wide groups each round's proof
-equations are then checked as one small-exponent batch; the failure raised
-must be the one that checking each proof on arrival raises first.
+Every posted group element must lie in the order-q subgroup before a proof
+check sees it, and so must every commitment.  In wide groups each round's
+commitments are screened and its proof equations checked as one
+small-exponent batch when the round settles; the failure raised must be the
+one that checking each proof on arrival raises first.
 """
 
+import copy
 import dataclasses
 import random
 
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from auctionlab import protocol, sigma
+from auctionlab import groups, protocol, sigma
 from auctionlab.defenses import DefenseFlags
 from auctionlab.errors import ProofRejected
 from auctionlab.groups import LARGE_GROUP, MID_GROUP, SMALL_GROUP, GroupParams
@@ -307,9 +309,10 @@ class TestBatchFallback:
         assert verdicts[-1] is False           # the outcome batch failed
 
     def test_non_member_pair_refused(self):
-        """Two commitments replaced by p - z in one round: a batch over
-        non-members would accept them whenever the two weights have the
-        same parity.  The first is refused before it reaches the batch."""
+        """Two commitments replaced by p - z in one round: the small-exponent
+        test alone would accept them whenever the two weights have the same
+        parity.  The round's membership screen catches them when the round
+        settles, and the first is refused, as checking on arrival does."""
         factory = _tamperers({2: {(0, 1): {0}, (2, 3): {0}}}, _negate_commitment)
         want = (bidder_name(2), ROUND_OUTCOME,
                 "malformed proof at cell (1,2): commitment outside the order-q subgroup")
@@ -351,6 +354,159 @@ class TestBatchFallback:
             run._verify_bids()
         assert (caught.value.author, caught.value.detail) == (
             bidder_name(2), "validity proof failed at price 1")
+
+
+def _negate_first(tr):
+    """``tr`` with its first commitment z replaced by p - z, in its first
+    branch when it is an OR transcript."""
+    if isinstance(tr, sigma.OrTranscript):
+        return tr._replace(branches=(_negate_commitment(tr.branches[0]), tr.branches[1]))
+    return _negate_commitment(tr)
+
+
+class CommitmentNegator(BidderAgent):
+    """Replaces the first commitment z of its proof of the ``ordinal``-th
+    statement it posts in ``round_name`` (0-based) by p - z: in every
+    session under interactive proofs, and under hashed ones in the posted
+    transcript, whose challenge it hashes over p - z so that only the
+    equation and membership fail."""
+
+    def __init__(self, run, index, rng, round_name, ordinal):
+        super().__init__(run, index, rng)
+        self.round_name, self.ordinal = round_name, ordinal
+        self.current, self.posted, self.chosen = None, 0, None
+
+    def submit_bid(self, price):
+        self.current = ROUND_BID
+        return super().submit_bid(price)
+
+    def post_outcome(self):
+        self.current = ROUND_OUTCOME
+        return super().post_outcome()
+
+    def send_decrypt_shares(self):
+        self.current = ROUND_DECRYPT
+        return super().send_decrypt_shares()
+
+    def _posted_proof(self, stmt, witness):
+        if self.current == self.round_name:
+            chosen = self.posted == self.ordinal
+            self.posted += 1
+            if chosen:
+                self.chosen = stmt
+                if not self.config.interactive:
+                    params = self.params
+                    tr = sigma.prove(params, stmt, witness, self.rng,
+                                     lambda st, com: sigma.fiat_shamir_challenge(
+                                         params, st, (params.p - com[0], *com[1:])))
+                    return sigma.transcript_to_payload(_negate_first(tr))
+        return super()._posted_proof(stmt, witness)
+
+    def prove(self, stmt, challenge_source):
+        tr = super().prove(stmt, challenge_source)
+        return _negate_first(tr) if stmt == self.chosen else tr
+
+
+class TestScreenedRounds:
+    """Large group, n=4, k=8, bids (3, 5, 1, 7), seed 2: bidder 3 negates
+    one commitment in the bid, outcome or decrypt round.  Each of those
+    rounds holds more than 64 commitments in either proof mode, so the
+    batch screens them by its rows, and the refusal must be the one that
+    checking each commitment on arrival gives."""
+
+    BIDS = [3, 5, 1, 7]
+
+    @pytest.mark.parametrize("round_name,ordinal,where", [
+        (ROUND_BID, 2, " at price 3"),
+        (ROUND_OUTCOME, 5, " at cell (1,6)"),
+        (ROUND_DECRYPT, 0, ""),
+    ])
+    @pytest.mark.parametrize("flags", [DefenseFlags(), DefenseFlags(ni_proofs=True)],
+                             ids=["interactive", "hashed"])
+    def test_same_refusal_as_checking_on_arrival(self, monkeypatch, flags, round_name,
+                                                 ordinal, where):
+        config = AuctionConfig(n=4, k=8, params=LARGE_GROUP, marker=9, flags=flags)
+
+        def factory(run, index, rng):
+            if index == 3:
+                return CommitmentNegator(run, index, rng, round_name, ordinal)
+            return BidderAgent(run, index, rng)
+
+        per_proof = dataclasses.replace(config, params=_per_proof(LARGE_GROUP))
+        expected = _rejection(per_proof, self.BIDS, 2, factory)
+        assert expected == (bidder_name(3), round_name, f"malformed proof{where}: "
+                            "commitment outside the order-q subgroup")
+        screens = []
+        screened = sigma.EquationBatch._screened
+        monkeypatch.setattr(sigma.EquationBatch, "_screened", lambda self, coms, rows: (
+            screens.append((len(coms), screened(self, coms, rows))) or screens[-1][1]))
+        assert _rejection(config, self.BIDS, 2, factory) == expected
+        assert screens[-1][0] > 64 and screens[-1][1] is False
+
+    @pytest.mark.parametrize("change", ["stale-hash", "response-plus-q"])
+    def test_other_failures_wait_for_the_commitments(self, change):
+        """Hashed proofs, n=3, k=4: bidder 2 re-posts its bid with the first
+        commitment of its first cell negated and its hash left stale, or
+        also with that branch's response raised by q.  Either failure is
+        found as the proof arrives, and the commitment's refusal comes
+        first, as when commitments are tested on arrival."""
+        def refusal(params):
+            config = AuctionConfig(n=3, k=4, params=params, marker=9,
+                                   flags=DefenseFlags(ni_proofs=True))
+            run = AuctionRun(config, [3, 1, 2], 5)
+            run.step_keygen()
+            for index in range(1, 4):
+                run.bidder(index).submit_bid(run.bids[index - 1])
+            payload = copy.deepcopy(
+                run.board.latest_by_author(ROUND_BID, "bid")[bidder_name(2)].payload)
+            branch = payload["proofs"][0]["or"][0]
+            branch["com"][0] = P - branch["com"][0]
+            if change == "response-plus-q":
+                branch["resp"] += Q
+            run.board.append(ROUND_BID, bidder_name(2), "bid", payload)
+            with pytest.raises(ProofRejected) as caught:
+                run._verify_bids()
+            return caught.value.author, caught.value.detail
+
+        want = (bidder_name(2),
+                "malformed proof at price 1: commitment outside the order-q subgroup")
+        assert refusal(_per_proof(LARGE_GROUP)) == want
+        assert refusal(LARGE_GROUP) == want
+
+
+class TestSymbolCounts:
+    """One honest interactive n=4, k=8 auction, bids (3, 5, 1, 7), seed 3:
+    how many Jacobi symbols and powers it computes."""
+
+    @staticmethod
+    def _counted(monkeypatch, params):
+        counts = {"jacobi": 0, "exp": 0}
+        jacobi, exp = groups._jacobi, groups.GroupParams.exp
+
+        def counting_jacobi(a, n):
+            counts["jacobi"] += 1
+            return jacobi(a, n)
+
+        def counting_exp(self, x, e):
+            counts["exp"] += 1
+            return exp(self, x, e)
+
+        monkeypatch.setattr(groups, "_jacobi", counting_jacobi)
+        monkeypatch.setattr(groups.GroupParams, "exp", counting_exp)
+        run_auction(AuctionConfig(n=4, k=8, params=params, marker=9), [3, 5, 1, 7], 3)
+        return counts
+
+    def test_large_group(self, monkeypatch):
+        """453 symbols for the marker and the posted elements, 12 for the key
+        round's commitments one at a time, and 64 rows for each of the bid,
+        outcome and decrypt rounds (408, 768 and 128 commitments).  A bid
+        cell's witness is re-encrypted once, when it is posted, not in each
+        of the three sessions that prove it."""
+        assert self._counted(monkeypatch, LARGE_GROUP) == {"jacobi": 657, "exp": 2123}
+
+    def test_no_symbols_in_the_mid_group(self, monkeypatch):
+        """A narrow group reads membership from its table of logarithms."""
+        assert self._counted(monkeypatch, MID_GROUP)["jacobi"] == 0
 
 
 # --------------------------------------------------------------------------
@@ -410,12 +566,10 @@ class TestEquationBatch:
         assert not sigma.verify_transcript(MID_GROUP, stmt, bad, False, batch=batch, key=1)
         assert batch.pending == [] and batch.first_failure() is None
 
-    def test_non_members_fool_a_bare_batch(self):
-        """Without membership checks the test is unsound (Boyd-Pavlovski):
-        two knowledge proofs whose commitments are replaced by p - z are
-        both false, yet their signs cancel when the two weights have the
-        same parity, about half the time."""
-        accepted = 0
+    @staticmethod
+    def _negated_pair_batches():
+        """32 batches, each of two knowledge proofs whose commitments are
+        replaced by p - z: both false, and both outside the subgroup."""
         for seed in range(32):
             rng = random.Random(seed)
             batch = sigma.EquationBatch(LARGE_GROUP)
@@ -426,8 +580,82 @@ class TestEquationBatch:
                                                     sigma.verifier_source(LARGE_GROUP, rng)))
                 assert not sigma.verify_transcript(LARGE_GROUP, stmt, tr, False)
                 batch.add(key, sigma.transcript_equations(LARGE_GROUP, stmt, tr))
+            yield batch
+
+    def test_non_members_fool_a_bare_batch(self, monkeypatch):
+        """Without membership checks the small-exponent test is unsound
+        (Boyd-Pavlovski): with the screen passed by, the product step alone
+        accepts two negated commitments whenever their signs cancel, when
+        the two weights have the same parity, about half the time."""
+        monkeypatch.setattr(sigma.EquationBatch, "_screened", lambda self, coms, rows: True)
+        accepted = 0
+        for batch in self._negated_pair_batches():
             accepted += batch.first_failure() is None
         assert 4 <= accepted <= 28
+
+    def test_non_member_commitment_refused_when_its_equation_holds(self):
+        """Target and commitment both negated, under an odd challenge: the
+        equation holds, but the commitment lies outside the subgroup, so
+        the walk after the failed screen still names the check."""
+        x, r, c = 5, 7, 3
+        stmt = sigma.PDLStatement(g=G, v=P - LARGE_GROUP.exp(G, x))
+        tr = sigma.Transcript((P - LARGE_GROUP.exp(G, r),), c, r + c * x)
+        assert sigma.verify_transcript(LARGE_GROUP, stmt, tr, False)
+        batch = sigma.EquationBatch(LARGE_GROUP)
+        batch.add("negated", sigma.transcript_equations(LARGE_GROUP, stmt, tr))
+        assert batch.first_failure() == "negated"
+
+    def test_screened_batch_refuses_every_negated_pair(self):
+        """The same 32 batches, screened: each fails at its first proof."""
+        assert [batch.first_failure() for batch in self._negated_pair_batches()] == [0] * 32
+
+
+# Four fixed keys: their statements' targets keep fixed-base tables across
+# examples, so a batch of 200 proofs costs about 200 powers.
+_KEYS = [(x, sigma.PDLStatement(g=G, v=LARGE_GROUP.exp(G, x))) for x in (5, 7, 11, 13)]
+_PER_PROOF = _per_proof(LARGE_GROUP)
+
+
+class TestScreenedBatch:
+    @given(seed=st.integers(0, 2**32), size=st.integers(1, 200),
+           negated=st.lists(st.integers(0, 199), max_size=3),
+           twice=st.booleans(), bumped=st.one_of(st.none(), st.integers(0, 199)))
+    @settings(max_examples=30, deadline=None)
+    def test_first_failure_matches_checking_on_arrival(self, seed, size, negated,
+                                                        twice, bumped):
+        """Knowledge proofs with up to three commitments replaced by p - z,
+        the first of them posted a second time when ``twice``, and maybe one
+        member-only false equation: the batch names the proof that checking
+        each on arrival, membership and then equations, fails first."""
+        rng = random.Random(seed)
+        proofs = []
+        for _ in range(size):
+            x, stmt = rng.choice(_KEYS)
+            proofs.append((stmt, sigma.prove(LARGE_GROUP, stmt, x, rng,
+                                             sigma.verifier_source(LARGE_GROUP, rng))))
+        negated = list(dict.fromkeys(i % size for i in negated))
+        for i in negated:
+            stmt, tr = proofs[i]
+            proofs[i] = stmt, _negate_commitment(tr)
+        if bumped is not None:
+            stmt, tr = proofs[bumped % size]
+            proofs[bumped % size] = stmt, _bump_response(tr)
+        if twice and negated:
+            proofs.insert(rng.randrange(len(proofs) + 1), proofs[negated[0]])
+        batch = sigma.EquationBatch(LARGE_GROUP)
+        for key, (stmt, tr) in enumerate(proofs):
+            batch.add(key, sigma.transcript_equations(LARGE_GROUP, stmt, tr))
+        first = next((key for key, (stmt, tr) in enumerate(proofs)
+                      if not (_PER_PROOF.are_elements(tr.commitment)
+                              and sigma.verify_transcript(_PER_PROOF, stmt, tr, False))), None)
+        assert batch.first_failure() == first
+        assert (first is None) == (not negated and bumped is None)
+
+        coms = [tr.commitment[0] for _, tr in proofs]
+        weights = [rng.getrandbits(64) for _ in coms]
+        weights[0], weights[-1] = 2**64 - 1, 0
+        rows = sigma._subset_rows(P, coms, weights)
+        assert sigma._horner(P, rows) == LARGE_GROUP.multi_exp(coms, weights)
 
 
 class TestTranscriptShape:

@@ -21,6 +21,7 @@ from auctionlab.errors import (
     PriceOutOfRange,
     ProofRejected,
     RestartRequired,
+    WitnessMismatch,
 )
 from auctionlab.groups import LARGE_GROUP, MID_GROUP, SMALL_GROUP
 from auctionlab.protocol import (
@@ -1050,6 +1051,41 @@ def _distinct_by_kind(records) -> int:
     for record in records:
         assert type(seen.setdefault(record, record)) is type(record), record
     return len(seen)
+
+
+class TestBidWitnessCheckedOnce:
+    """A bid cell's witness is re-encrypted once, when the cell is posted,
+    in either proof mode: interactive sessions prove from the checked
+    witness, and a wrong witness is refused before anything is kept."""
+
+    CONFIG = AuctionConfig(n=3, k=4, params=MID_GROUP, marker=9)
+
+    @pytest.mark.parametrize("flags", [DefenseFlags(), DefenseFlags(ni_proofs=True)],
+                             ids=["interactive", "hashed"])
+    def test_once_per_posted_cell(self, monkeypatch, flags):
+        checked = []
+        check = sigma.check_witness
+        monkeypatch.setattr(sigma, "check_witness", lambda params, stmt, witness: (
+            checked.append(stmt), check(params, stmt, witness)))
+        config = dataclasses.replace(self.CONFIG, flags=flags)
+        run, outcome = run_auction(config, [3, 1, 2], 2)
+        assert outcome.status == "winner"
+        cells = [stmt for stmt in checked if isinstance(stmt, sigma.BidValidityStatement)]
+        assert len(cells) == len(set(cells)) == config.n * config.k
+
+    def test_wrong_witness_refused_when_posted(self):
+        run = AuctionRun(self.CONFIG, [3, 1, 2], 2)
+        run.step_keygen()
+        bidder, params = run.bidder(1), self.CONFIG.params
+        r = bidder.r[0]
+        alpha, beta = params.exp(run.joint_y, r), params.exp(params.g, r)
+        stmt = sigma.BidValidityStatement(y=run.joint_y, g=params.g, marker=9,
+                                          alpha=alpha, beta=beta)
+        with pytest.raises(WitnessMismatch):
+            bidder._posted_proof(stmt, (r, True))
+        assert stmt not in bidder.witnesses
+        assert bidder._posted_proof(stmt, (r, False)) is None
+        assert bidder.witnesses[stmt] == (r, False)
 
 
 class TestProofRecords:
