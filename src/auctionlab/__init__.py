@@ -21,7 +21,6 @@ from .errors import (
     AuctionLabError,
     AuthRejected,
     ModeMismatch,
-    NotAPower,
     ProofRejected,
     RestartRequired,
     UsageError,
@@ -51,7 +50,7 @@ from .recovery import (
     apply_f,
     build_matrix,
     count_operations,
-    exponent_from_power,
+    invert_outcome_map,
     recover_bids,
 )
 from .scenarios import SCENARIOS, ScenarioSpec, run_scenario
@@ -76,7 +75,6 @@ __all__ = [
     "LARGE_GROUP",
     "MID_GROUP",
     "ModeMismatch",
-    "NotAPower",
     "Post",
     "ProofRejected",
     "RestartRequired",
@@ -95,8 +93,8 @@ __all__ = [
     "encode_bid",
     "encrypt",
     "expected_winner",
-    "exponent_from_power",
     "gen_keyshare",
+    "invert_outcome_map",
     "partial_decrypt",
     "recover_bids",
     "run_auction",

@@ -34,7 +34,9 @@ from .groups import GroupParams
 # and reads the board only while a round is still open.  A dishonest agent
 # answers a verifier through the one BidderAgent.prove it overrides: it
 # relays or forges the statements it posted without a witness, and hands
-# every other statement to the honest prover.
+# every other statement to the honest prover.  compute_outcome_bases is not
+# called here; the benchmark harness's tracer tests rebind and restore it
+# under this module's name.
 from .protocol import (
     NOISE_CANCELLED,
     ROUND_BID,
@@ -45,7 +47,6 @@ from .protocol import (
     bidder_name,
     cell_products,
     compute_outcome_bases,
-    encode_bid,
     expected_winner,
     with_restarts,
 )
@@ -252,43 +253,12 @@ class NoiseRemovalBidder(BidderAgent):
                                   challenge_source)
 
 
-def recovered_bids_from_v(params: GroupParams, v, marker: int, exponent: int,
-                          n: int, k: int) -> list[int]:
-    """Seller-side recovery: each unmasked cell is marker^(exponent * count);
-    read the counts off a power table of marker^exponent, then invert the
-    outcome map."""
-    step = params.exp(marker, exponent)
-    image = [recovery.exponent_from_power(params, value, step, n)
-             for row in v for value in row]
-    return recovery.recover_bids(image, n, k).prices()
-
-
-def recovered_bids_by_enumeration(params: GroupParams, config: AuctionConfig,
-                                  v, exponent: int) -> list[int] | None:
-    """Fallback for per-bidder markers: match the unmasked table against
-    every possible bid constellation.  Each candidate's table is the alpha
-    side of the outcome bases of bids that hold marker^exponent at their
-    price and 1 elsewhere."""
-    from itertools import product
-
-    n, k = config.n, config.k
-    steps = [params.exp(config.marker_for(h), exponent) for h in range(1, n + 1)]
-    ones = [[1] * k] * n
-    for candidate in product(range(1, k + 1), repeat=n):
-        alphas = [[step if bit else 1 for bit in encode_bid(price, k)]
-                  for step, price in zip(steps, candidate)]
-        bases = compute_outcome_bases(params, alphas, ones)
-        if all(a == value for row, v_row in zip(bases, v)
-               for (a, _), value in zip(row, v_row)):
-            return list(candidate)
-    return None
-
-
 def full_privacy_attack(config: AuctionConfig, bids: list[int], seed: int,
                         exponent: int = 1) -> AttackReport:
     """End-to-end bid disclosure: the last bidder strips all outcome
     masking, forges the proofs, and the colluding seller reads every bid off
-    the decrypted table."""
+    the decrypted table, whether the bidders share one marker or each has
+    their own."""
     mallory = config.n
     factory = dishonest_bidder(mallory, NoiseRemovalBidder, exponent)
 
@@ -324,13 +294,10 @@ def full_privacy_attack(config: AuctionConfig, bids: list[int], seed: int,
         return report
 
     report.record(outcome)
-    if config.markers_per_bidder is not None:
-        recovered = recovered_bids_by_enumeration(config.params, config,
-                                                  outcome.v, exponent)
-    else:
-        recovered = recovered_bids_from_v(config.params, outcome.v,
-                                          config.marker, exponent,
-                                          config.n, config.k)
+    params = config.params
+    steps = [params.exp(config.marker_for(h), exponent)
+             for h in range(1, config.n + 1)]
+    recovered = recovery.invert_outcome_map(outcome.v, steps, params.mul, 1)
     report.recovered_bids = recovered
     want_winner = expected_winner(bids)
     report.success = (recovered == list(bids)

@@ -19,10 +19,15 @@ protocol's cell bases (``protocol.compute_outcome_bases``).
 ``StructuredMatrix`` is the entry-by-entry reference the tests check against.
 
 That structure makes the map injective on valid bid vectors and invertible
-by a single backward sweep over price levels (highest first) with running
-prefix sums.  The sweep is instrumented: every scalar addition on vector
-entries is counted, and the count grows linearly in nk, far inside the
-quadratic budget the naive cell-by-cell summation would spend.
+by a single backward sweep over price levels, highest first.
+``invert_outcome_map`` is that sweep over any operation, given each
+bidder's step (the entry at their price): under addition with steps of 1
+it undoes ``apply_f``; under the product mod p with steps marker_h^e it
+reads every bid off the seller's unmasked table, with one shared marker or
+one per bidder.  ``recover_bids`` is the integer sweep with running prefix
+sums, instrumented: every scalar addition on vector entries is counted, and
+the count grows linearly in nk, far inside the quadratic budget the naive
+cell-by-cell summation would spend.
 """
 
 from __future__ import annotations
@@ -30,8 +35,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
-from .errors import InconsistentExponents, InvalidBidVector, NotAPower
-from .groups import GroupParams
+from .errors import InconsistentExponents, InvalidBidVector
 
 
 @dataclass(frozen=True)
@@ -108,6 +112,36 @@ def outcome_map(grid, op, unit) -> list[list]:
             before[j] = op(before[j], entry)
         image.append(cells)
     return image
+
+
+def invert_outcome_map(image, steps, op, unit) -> list[int] | None:
+    """The 1-based prices whose outcome map is ``image`` (an n x k grid),
+    where bidder h's grid entry is ``steps[h]`` at their price and ``unit``
+    elsewhere; None when no bid vector fits.
+
+    Price levels are swept highest first.  ``base`` folds every bid placed
+    above price t with the earlier rows' bids at t.  Cell (r, t) must equal
+    ``base`` when bidder r bids at t or was placed higher, and
+    ``op(base, steps[r])`` when r bids below t.  Every cell is compared, so
+    a returned vector maps exactly onto ``image``.  A step equal to
+    ``unit`` cannot tell those two cases apart, so it also gives None.
+    O(nk) applications of ``op``, and no inverse."""
+    if unit in steps:
+        return None
+    prices = [None] * len(steps)
+    above = unit                             # every bid placed above price t
+    for t in range(len(image[0]) - 1, -1, -1):
+        before = unit                        # rows 0..r-1 bidding at t
+        for r, step in enumerate(steps):
+            base = op(above, before)
+            if image[r][t] == base:
+                if prices[r] is None:        # r bids at t
+                    prices[r] = t + 1
+                    before = op(before, step)
+            elif prices[r] is not None or image[r][t] != op(base, step):
+                return None
+        above = op(above, before)
+    return None if None in prices else prices
 
 
 def apply_f(matrix: StructuredMatrix, b) -> list[int]:
@@ -195,14 +229,3 @@ def count_operations(n: int, k: int) -> int:
     if list(result.b) != b:
         raise InconsistentExponents("round-trip mismatch while counting")
     return result.additions
-
-
-def exponent_from_power(params: GroupParams, value: int, marker: int,
-                        limit: int) -> int:
-    """Find e in 0..limit with marker^e = value, else raise NotAPower."""
-    acc = 1
-    for e in range(limit + 1):
-        if acc == value:
-            return e
-        acc = acc * marker % params.p
-    raise NotAPower(f"{value} is not marker^e for e in 0..{limit}")

@@ -11,7 +11,7 @@ from auctionlab import attacks, recovery, sigma
 from auctionlab.defenses import DefenseFlags
 from auctionlab.elgamal import Ciphertext
 from auctionlab.errors import ModeMismatch
-from auctionlab.groups import MID_GROUP, SMALL_GROUP
+from auctionlab.groups import LARGE_GROUP, MID_GROUP, SMALL_GROUP
 from auctionlab.protocol import (
     ROUND_BID,
     AuctionConfig,
@@ -188,41 +188,62 @@ class TestFullPrivacyAttack:
         report = attacks.full_privacy_attack(cfg, [1, 2, 1], 7)
         assert not report.success
 
-    def test_per_bidder_markers_fall_by_enumeration(self):
-        """Distinct markers per bidder only shrink the anonymity set; the
-        seller enumerates candidate bid tables instead."""
+    def test_per_bidder_markers_fall_to_the_same_sweep(self):
+        """Distinct markers per bidder do not hide the bids: the seller
+        inverts the outcome map with one step per bidder, exactly as with a
+        shared marker."""
         cfg = AuctionConfig(n=2, k=2, markers_per_bidder=(4, 9))
         report = attacks.full_privacy_attack(cfg, [2, 1], 3)
         assert report.success
         assert report.recovered_bids == [2, 1]
 
+    @pytest.mark.parametrize("group,exponent", [
+        (MID_GROUP, 1), (MID_GROUP, 5), (LARGE_GROUP, 5)],
+        ids=["mid-1", "mid-5", "large-5"])
+    def test_per_bidder_markers_at_realism_scale(self, group, exponent):
+        """n=8, k=16 with a marker per bidder: every bid is recovered."""
+        n, k = 8, 16
+        markers = tuple(group.exp(group.g, e) for e in range(2, n + 2))
+        cfg = AuctionConfig(n=n, k=k, params=group, markers_per_bidder=markers)
+        bids = [13, 5, 2, 8, 8, 9, 3, 16]
+        report = attacks.full_privacy_attack(cfg, bids, 3, exponent=exponent)
+        assert report.success
+        assert report.recovered_bids == bids
+
 
 class TestEnumerationRecovery:
-    """``recovered_bids_by_enumeration`` against a seller's view built cell
-    by cell from the outcome map's matrix entries: cell (i, j) is the
-    product of marker_h^exponent over the bidders h whose bid the map
-    counts there."""
+    """``recovery.invert_outcome_map`` against every bid vector, enumerated,
+    with the seller's view built cell by cell from the outcome map's matrix
+    entries: cell (i, j) is the product of marker_h^exponent over the
+    bidders h whose bid the map counts there.  Both layouts: one marker per
+    bidder and one shared marker."""
 
     @pytest.mark.parametrize("exponent", [1, 5])
     @pytest.mark.parametrize("n,k", [(2, 2), (2, 3), (3, 2), (3, 3)])
-    @pytest.mark.parametrize("group", [SMALL_GROUP, MID_GROUP], ids=["small", "mid"])
+    @pytest.mark.parametrize("group", [SMALL_GROUP, MID_GROUP, LARGE_GROUP],
+                             ids=["small", "mid", "large"])
     def test_recovers_every_bid_vector(self, group, n, k, exponent):
-        markers = tuple(group.exp(group.g, e) for e in range(2, n + 2))
-        cfg = AuctionConfig(n=n, k=k, params=group, markers_per_bidder=markers)
+        distinct = tuple(group.exp(group.g, e) for e in range(2, n + 2))
         matrix = recovery.build_matrix(n, k)
-        for bids in itertools.product(range(1, k + 1), repeat=n):
-            v = [[group.mul(*(group.exp(markers[h], exponent *
-                                        matrix.entry(i * k + j, h * k + bids[h] - 1))
-                              for h in range(n)))
-                  for j in range(k)]
-                 for i in range(n)]
-            assert attacks.recovered_bids_by_enumeration(
-                group, cfg, v, exponent) == list(bids), bids
+        for markers in (distinct, distinct[:1] * n):
+            steps = [group.exp(m, exponent) for m in markers]
+            for bids in itertools.product(range(1, k + 1), repeat=n):
+                v = [[group.mul(*(group.exp(steps[h],
+                                            matrix.entry(i * k + j, h * k + bids[h] - 1))
+                                  for h in range(n)))
+                      for j in range(k)]
+                     for i in range(n)]
+                assert recovery.invert_outcome_map(
+                    v, steps, group.mul, 1) == list(bids), (markers, bids)
 
     def test_table_of_no_bid_vector_is_not_matched(self):
-        cfg = AuctionConfig(n=2, k=2, markers_per_bidder=(4, 9))
-        assert attacks.recovered_bids_by_enumeration(
-            SMALL_GROUP, cfg, [[2, 2], [2, 2]], 1) is None
+        assert recovery.invert_outcome_map(
+            [[2, 2], [2, 2]], [4, 9], SMALL_GROUP.mul, 1) is None
+
+    def test_unit_step_is_refused(self):
+        """With a step of 1 'at t' and 'below t' look alike: no answer."""
+        v = [[1, 1], [1, 1]]
+        assert recovery.invert_outcome_map(v, [4, 1], SMALL_GROUP.mul, 1) is None
 
 
 class TestImpersonation:

@@ -206,6 +206,19 @@ class TestExitCodes:
         report = json.loads((tmp_path / "secret" / "report.json").read_text())
         assert report["success"] is True and "detected" not in report["outcome"]
 
+    @pytest.mark.parametrize("exponent", ["0", "11"])
+    def test_masking_exponent_of_zero_mod_q_still_reports(self, exponent, tmp_path, capsys):
+        """An exponent that is 0 mod q (q = 11 in the small group) sends every
+        marker to 1, so no cell tells 'below t' from 'at t'.  The seller
+        recovers nothing, and the run says so in its report."""
+        code = main(["run", "--scenario", "full-privacy-attack",
+                     "--exponent", exponent, "--out", str(tmp_path)])
+        assert code == 1
+        assert "expectation NOT MET" in capsys.readouterr().out
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert (report["success"], report["outcome"]["recovered_bids"]) == (False, None)
+        assert report["outcome"]["detail"] == "recovery incomplete"
+
     def test_usage_error_exits_two(self, capsys):
         assert main(["run", "--scenario", "nope"]) == 2
         assert main(["run", "--scenario", "honest", "--bids", "1,2,3,4"]) == 2

@@ -7,6 +7,7 @@ marks the winning cell, and the whole image determines the bids uniquely —
 which is exactly what the noise-stripping attack exploits.
 """
 
+import itertools
 import operator
 import random
 
@@ -15,14 +16,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from auctionlab.errors import InconsistentExponents, InvalidBidVector, NotAPower
-from auctionlab.groups import DEFAULT_MARKER, GROUPS_BY_NAME, SMALL_GROUP
+from auctionlab.errors import InconsistentExponents, InvalidBidVector
+from auctionlab.groups import DEFAULT_MARKER, GROUPS_BY_NAME
 from auctionlab.protocol import compute_outcome_bases
 from auctionlab.recovery import (
     apply_f,
     build_matrix,
     count_operations,
-    exponent_from_power,
+    invert_outcome_map,
     outcome_map,
     recover_bids,
     validate_bid_vector,
@@ -205,6 +206,68 @@ class TestRecovery:
             assert len(seen) == k ** n
 
 
+class TestInvertOutcomeMap:
+    """The backward sweep over any operation.  Its integer face (addition,
+    unit 0, a step of 1 per bidder) undoes ``apply_f`` like ``recover_bids``
+    and the exhaustive oracle; on any image it returns None or bids that
+    map exactly onto it."""
+
+    @staticmethod
+    def grid(flat, n, k):
+        return [list(flat[i * k:(i + 1) * k]) for i in range(n)]
+
+    def test_integer_face_matches_recover_bids(self):
+        for n, k in ((1, 2), (2, 2), (2, 3), (3, 2), (3, 3), (4, 5)):
+            matrix = build_matrix(n, k)
+            for bids in itertools.product(range(1, k + 1), repeat=n):
+                image = apply_f(matrix, one_hot(bids, k))
+                prices = invert_outcome_map(self.grid(image, n, k), [1] * n,
+                                            operator.add, 0)
+                assert prices == recover_bids(image, n, k).prices() == list(bids)
+
+    def test_integer_face_matches_brute_force_on_edited_images(self):
+        """Every single-cell edit of every image, for n, k <= 3: the sweep
+        finds exactly the oracle's bids, or None when the oracle finds none."""
+        for n, k in ((2, 2), (2, 3), (3, 2), (3, 3)):
+            matrix = build_matrix(n, k)
+            for bids in itertools.product(range(1, k + 1), repeat=n):
+                image = apply_f(matrix, one_hot(bids, k))
+                for cell, value in itertools.product(range(n * k), range(-1, n + 2)):
+                    edited = image[:cell] + [value] + image[cell + 1:]
+                    hits = brute_force_invert(edited, n, k)
+                    prices = invert_outcome_map(self.grid(edited, n, k), [1] * n,
+                                                operator.add, 0)
+                    assert hits == ([prices] if prices else []), (bids, cell, value)
+
+    @given(data=st.data(), n=st.integers(1, 5), k=st.integers(1, 5),
+           face=st.sampled_from(["integers", *sorted(GROUPS_BY_NAME)]),
+           distinct=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_single_cell_edit_is_refused_or_exact(self, data, n, k, face, distinct):
+        if face == "integers":
+            steps, op, unit = [1] * n, operator.add, 0
+            values = st.integers(-1, n + 1)
+        else:
+            params = GROUPS_BY_NAME[face]
+            markers = ([params.exp(params.g, e) for e in range(2, n + 2)]
+                       if distinct else [DEFAULT_MARKER[face]] * n)
+            steps, op, unit = [params.exp(m, 5) for m in markers], params.mul, 1
+            values = st.integers(1, params.p - 1)
+        bids = data.draw(st.lists(st.integers(1, k), min_size=n, max_size=n))
+
+        def table(prices):
+            return [[step if j + 1 == price else unit for j in range(k)]
+                    for step, price in zip(steps, prices)]
+
+        image = outcome_map(table(bids), op, unit)
+        assert invert_outcome_map(image, steps, op, unit) == bids
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, k - 1))
+        near = [op(image[i][j], step) for step in steps]
+        image[i][j] = data.draw(st.one_of(values, st.sampled_from(near)))
+        prices = invert_outcome_map(image, steps, op, unit)
+        assert prices is None or outcome_map(table(prices), op, unit) == image
+
+
 class TestOperationCount:
     def test_within_quadratic_budget(self):
         for n, k in ((5, 5), (10, 10), (20, 20)):
@@ -221,19 +284,3 @@ class TestOperationCount:
         solved = recover_bids(image, 3, 3)
         assert solved.additions == count_operations(3, 3)
         assert solved.additions <= 9 * 9
-
-
-class TestPowerTable:
-    def test_frozen_lookup(self, small):
-        assert exponent_from_power(small, 16, 4, small.q) == 2
-        assert exponent_from_power(small, 1, 4, small.q) == 0
-
-    def test_not_a_power_rejected(self, small):
-        with pytest.raises(NotAPower):
-            exponent_from_power(small, 7, 4, small.q)
-
-    @given(e=st.integers(0, 10))
-    @settings(max_examples=30)
-    def test_round_trip(self, e):
-        g = SMALL_GROUP
-        assert exponent_from_power(g, g.exp(4, e), 4, g.q) == e
