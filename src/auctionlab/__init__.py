@@ -21,6 +21,7 @@ from .errors import (
     AuctionLabError,
     AuthRejected,
     ModeMismatch,
+    NotAPower,
     ProofRejected,
     RestartRequired,
     UsageError,
@@ -50,6 +51,7 @@ from .recovery import (
     apply_f,
     build_matrix,
     count_operations,
+    exponent_from_power,
     invert_outcome_map,
     recover_bids,
 )
@@ -75,6 +77,7 @@ __all__ = [
     "LARGE_GROUP",
     "MID_GROUP",
     "ModeMismatch",
+    "NotAPower",
     "Post",
     "ProofRejected",
     "RestartRequired",
@@ -93,6 +96,7 @@ __all__ = [
     "encode_bid",
     "encrypt",
     "expected_winner",
+    "exponent_from_power",
     "gen_keyshare",
     "invert_outcome_map",
     "partial_decrypt",

@@ -22,8 +22,10 @@ from dataclasses import dataclass, field, fields
 from . import defenses, elgamal, recovery, sigma
 from .errors import (
     AuthRejected,
+    InconsistentExponents,
     MissingShares,
     ModeMismatch,
+    NotAPower,
     ProofRejected,
     RestartRequired,
 )
@@ -253,6 +255,21 @@ class NoiseRemovalBidder(BidderAgent):
                                   challenge_source)
 
 
+def recovered_bids_from_v(params: GroupParams, v, marker: int, exponent: int,
+                          n: int, k: int) -> list[int] | None:
+    """Seller-side recovery with one shared marker: each unmasked cell is
+    marker^(exponent * count); read the counts off a power table of
+    marker^exponent, then invert the outcome map over the integers.  None
+    when the table is the image of no bid vector."""
+    step = params.exp(marker, exponent)
+    try:
+        image = [recovery.exponent_from_power(params, value, step, n)
+                 for row in v for value in row]
+        return recovery.recover_bids(image, n, k).prices()
+    except (NotAPower, InconsistentExponents):
+        return None
+
+
 def full_privacy_attack(config: AuctionConfig, bids: list[int], seed: int,
                         exponent: int = 1) -> AttackReport:
     """End-to-end bid disclosure: the last bidder strips all outcome
@@ -295,9 +312,12 @@ def full_privacy_attack(config: AuctionConfig, bids: list[int], seed: int,
 
     report.record(outcome)
     params = config.params
-    steps = [params.exp(config.marker_for(h), exponent)
-             for h in range(1, config.n + 1)]
-    recovered = recovery.invert_outcome_map(outcome.v, steps, params.mul, 1)
+    if config.markers_per_bidder is not None:
+        steps = [params.exp(marker, exponent) for marker in config.markers_per_bidder]
+        recovered = recovery.invert_outcome_map(outcome.v, steps, params.mul, 1)
+    else:
+        recovered = recovered_bids_from_v(params, outcome.v, config.marker,
+                                          exponent, config.n, config.k)
     report.recovered_bids = recovered
     want_winner = expected_winner(bids)
     report.success = (recovered == list(bids)

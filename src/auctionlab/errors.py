@@ -93,6 +93,10 @@ class InconsistentExponents(AuctionLabError):
     """Recovered bid entries are not 0/1 one-hot rows; input was not a true image."""
 
 
+class NotAPower(AuctionLabError):
+    """A group element is not among the tabulated powers of the marker."""
+
+
 # ------------------------------------------------------------- authentication
 
 class AuthRejected(AuctionLabError):

@@ -23,11 +23,13 @@ by a single backward sweep over price levels, highest first.
 ``invert_outcome_map`` is that sweep over any operation, given each
 bidder's step (the entry at their price): under addition with steps of 1
 it undoes ``apply_f``; under the product mod p with steps marker_h^e it
-reads every bid off the seller's unmasked table, with one shared marker or
-one per bidder.  ``recover_bids`` is the integer sweep with running prefix
-sums, instrumented: every scalar addition on vector entries is counted, and
-the count grows linearly in nk, far inside the quadratic budget the naive
-cell-by-cell summation would spend.
+reads every bid off the seller's unmasked table, one marker per bidder
+included.  ``recover_bids`` is the integer sweep with running prefix sums,
+instrumented: every scalar addition on vector entries is counted, and the
+count grows linearly in nk, far inside the quadratic budget the naive
+cell-by-cell summation would spend.  With one shared marker the seller
+reads each cell's count off a power table (``exponent_from_power``) and
+hands the counts to ``recover_bids``.
 """
 
 from __future__ import annotations
@@ -35,7 +37,8 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
-from .errors import InconsistentExponents, InvalidBidVector
+from .errors import InconsistentExponents, InvalidBidVector, NotAPower
+from .groups import GroupParams
 
 
 @dataclass(frozen=True)
@@ -229,3 +232,14 @@ def count_operations(n: int, k: int) -> int:
     if list(result.b) != b:
         raise InconsistentExponents("round-trip mismatch while counting")
     return result.additions
+
+
+def exponent_from_power(params: GroupParams, value: int, marker: int,
+                        limit: int) -> int:
+    """Find e in 0..limit with marker^e = value, else raise NotAPower."""
+    acc = 1
+    for e in range(limit + 1):
+        if acc == value:
+            return e
+        acc = acc * marker % params.p
+    raise NotAPower(f"{value} is not marker^e for e in 0..{limit}")

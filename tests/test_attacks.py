@@ -188,10 +188,9 @@ class TestFullPrivacyAttack:
         report = attacks.full_privacy_attack(cfg, [1, 2, 1], 7)
         assert not report.success
 
-    def test_per_bidder_markers_fall_to_the_same_sweep(self):
+    def test_per_bidder_markers_fall_to_the_sweep(self):
         """Distinct markers per bidder do not hide the bids: the seller
-        inverts the outcome map with one step per bidder, exactly as with a
-        shared marker."""
+        inverts the outcome map in the group with one step per bidder."""
         cfg = AuctionConfig(n=2, k=2, markers_per_bidder=(4, 9))
         report = attacks.full_privacy_attack(cfg, [2, 1], 3)
         assert report.success
@@ -216,7 +215,8 @@ class TestEnumerationRecovery:
     with the seller's view built cell by cell from the outcome map's matrix
     entries: cell (i, j) is the product of marker_h^exponent over the
     bidders h whose bid the map counts there.  Both layouts: one marker per
-    bidder and one shared marker."""
+    bidder and one shared marker, where the seller's power table and
+    integer sweep (``attacks.recovered_bids_from_v``) agree with it."""
 
     @pytest.mark.parametrize("exponent", [1, 5])
     @pytest.mark.parametrize("n,k", [(2, 2), (2, 3), (3, 2), (3, 3)])
@@ -235,10 +235,17 @@ class TestEnumerationRecovery:
                      for i in range(n)]
                 assert recovery.invert_outcome_map(
                     v, steps, group.mul, 1) == list(bids), (markers, bids)
+                if len(set(markers)) == 1:
+                    assert attacks.recovered_bids_from_v(
+                        group, v, markers[0], exponent, n, k) == list(bids), bids
 
     def test_table_of_no_bid_vector_is_not_matched(self):
         assert recovery.invert_outcome_map(
             [[2, 2], [2, 2]], [4, 9], SMALL_GROUP.mul, 1) is None
+        # 2 is no power of the marker 4; [[4, 4], [4, 4]] has counts 1 that
+        # the integer sweep cannot solve.
+        for v in ([[2, 2], [2, 2]], [[4, 4], [4, 4]]):
+            assert attacks.recovered_bids_from_v(SMALL_GROUP, v, 4, 1, 2, 2) is None
 
     def test_unit_step_is_refused(self):
         """With a step of 1 'at t' and 'below t' look alike: no answer."""

@@ -16,13 +16,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from auctionlab.errors import InconsistentExponents, InvalidBidVector
-from auctionlab.groups import DEFAULT_MARKER, GROUPS_BY_NAME
+from auctionlab.errors import InconsistentExponents, InvalidBidVector, NotAPower
+from auctionlab.groups import DEFAULT_MARKER, GROUPS_BY_NAME, SMALL_GROUP
 from auctionlab.protocol import compute_outcome_bases
 from auctionlab.recovery import (
     apply_f,
     build_matrix,
     count_operations,
+    exponent_from_power,
     invert_outcome_map,
     outcome_map,
     recover_bids,
@@ -284,3 +285,19 @@ class TestOperationCount:
         solved = recover_bids(image, 3, 3)
         assert solved.additions == count_operations(3, 3)
         assert solved.additions <= 9 * 9
+
+
+class TestPowerTable:
+    def test_frozen_lookup(self, small):
+        assert exponent_from_power(small, 16, 4, small.q) == 2
+        assert exponent_from_power(small, 1, 4, small.q) == 0
+
+    def test_not_a_power_rejected(self, small):
+        with pytest.raises(NotAPower):
+            exponent_from_power(small, 7, 4, small.q)
+
+    @given(e=st.integers(0, 10))
+    @settings(max_examples=30)
+    def test_round_trip(self, e):
+        g = SMALL_GROUP
+        assert exponent_from_power(g, g.exp(4, e), 4, g.q) == e
