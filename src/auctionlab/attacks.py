@@ -12,12 +12,16 @@ convinces a verifier for the claim a*h + b*x.  Stripping everyone else's
 outcome masking, forging the matching equality proofs, and letting the
 seller read bids off the unmasked cells is that one trick applied three
 different ways.
+
+``attack_runs`` is the one restart loop of the attack runs, and the one
+place that tells a chance restart from the product check's detection.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, fields
+from operator import methodcaller
 
 from . import defenses, elgamal, recovery, sigma
 from .errors import (
@@ -49,6 +53,7 @@ from .protocol import (
     bidder_name,
     cell_products,
     compute_outcome_bases,
+    decisive,
     expected_winner,
     with_restarts,
 )
@@ -56,11 +61,12 @@ from .protocol import (
 
 @dataclass
 class AttackReport:
-    """What an attack run did and whether it achieved its goal."""
+    """What an attack run did and whether it achieved its goal; a report
+    starts unsuccessful, with no detail."""
 
     scenario: str
-    success: bool
-    detail: str
+    success: bool = False
+    detail: str = ""
     true_bids: list[int] | None = None
     recovered_bids: list[int] | None = None
     winner_bidder: int | None = None
@@ -89,6 +95,33 @@ def dishonest_bidder(index: int, agent_cls, *args):
             return agent_cls(run, i, rng, *args)
         return BidderAgent(run, i, rng)
     return factory
+
+
+def attack_runs(report: AttackReport, config: AuctionConfig, bids: list[int],
+                seed: int, factory, steps=methodcaller("run")):
+    """``(run, steps(run))`` for a fresh ``AuctionRun`` per seed under
+    ``with_restarts``, each attempt's board kept on ``report.board``;
+    ``steps`` defaults to ``run.run()``.  A NOISE_CANCELLED restart of a
+    run with a NoiseRemovalBidder is the product check's detection: it is
+    recorded on the report and the run comes back with None.  Any other
+    restart is chance."""
+    def fresh_run(attempt_seed):
+        run = AuctionRun(config, bids, attempt_seed, agent_factory=factory)
+        report.board = run.board
+        try:
+            return run, steps(run)
+        except RestartRequired as exc:
+            stripped = any(isinstance(agent, NoiseRemovalBidder)
+                           for agent in run.agents.values())
+            if exc.reason != NOISE_CANCELLED or not stripped:
+                raise
+            report.detail = "product check caught the stripped masking"
+            report.error = "RestartRequired"
+            report.extras["detected"] = True
+            report.extras["flagged_cells"] = [list(c) for c in exc.cells]
+            return run, None
+
+    return with_restarts(fresh_run, seed)
 
 
 # --------------------------------------------------------------------------
@@ -167,24 +200,22 @@ def noise_removal_shares(run: AuctionRun, mallory_index: int,
     posts = run.board.latest_by_author("outcome", "outcome")
     # A matrix of ones leads each product, so with n = 1 nothing is cancelled.
     ones = [[1] * k for _ in range(n)]
-    gammas, deltas = [ones], [ones]
+    others = [{"gamma": ones, "delta": ones}]
     for h in range(1, n + 1):
         if h == mallory_index:
             continue
         post = posts.get(bidder_name(h))
         if post is None:
             raise MissingShares(f"no outcome shares from {bidder_name(h)} yet")
-        gammas.append(post.payload["gamma"])
-        deltas.append(post.payload["delta"])
-    others_g, others_d = cell_products(params, gammas), cell_products(params, deltas)
-    bases = run.bases
-    gamma = [[params.exp(ba, exponent) * params.inv(og) % params.p
-              for (ba, _), og in zip(base_row, og_row)]
-             for base_row, og_row in zip(bases, others_g)]
-    delta = [[params.exp(bb, exponent) * params.inv(od) % params.p
-              for (_, bb), od in zip(base_row, od_row)]
-             for base_row, od_row in zip(bases, others_d)]
-    return gamma, delta
+        others.append(post.payload)
+
+    def stripped(side, key):
+        products = cell_products(params, [payload[key] for payload in others])
+        return [[params.exp(base[side], exponent) * params.inv(o) % params.p
+                 for base, o in zip(base_row, o_row)]
+                for base_row, o_row in zip(run.bases, products)]
+
+    return stripped(0, "gamma"), stripped(1, "delta")
 
 
 def forge_outcome_eqdl(run: AuctionRun, mallory_name: str, i: int, j: int,
@@ -279,27 +310,12 @@ def full_privacy_attack(config: AuctionConfig, bids: list[int], seed: int,
     mallory = config.n
     factory = dishonest_bidder(mallory, NoiseRemovalBidder, exponent)
 
-    report = AttackReport(scenario="full-privacy-attack", success=False,
-                          detail="", true_bids=list(bids),
+    report = AttackReport(scenario="full-privacy-attack", true_bids=list(bids),
                           extras={"mallory_index": mallory,
                                   "exponent": exponent})
 
-    def attempt(attempt_seed):
-        run = AuctionRun(config, bids, attempt_seed, agent_factory=factory)
-        report.board = run.board
-        try:
-            return run.run()
-        except RestartRequired as exc:
-            if exc.reason != NOISE_CANCELLED:
-                raise         # chance base collapse: restart like anyone would
-            report.detail = "product check caught the stripped masking"
-            report.error = "RestartRequired"
-            report.extras["detected"] = True
-            report.extras["flagged_cells"] = [list(c) for c in exc.cells]
-            return None
-
     try:
-        outcome = with_restarts(attempt, seed)
+        _, outcome = attack_runs(report, config, bids, seed, factory)
     except RestartRequired:
         report.detail = "no run survived the restart checks"
         return report
@@ -403,8 +419,7 @@ def impersonation_attack(config: AuctionConfig, target_bid: int, seed: int,
     honest side rejects them in the bid round.
     """
     target = CopycatBidder.target_index
-    report = AttackReport(scenario="impersonation", success=False, detail="",
-                          true_bids=[target_bid],
+    report = AttackReport(scenario="impersonation", true_bids=[target_bid],
                           extras={"target_index": target,
                                   "rerandomize": rerandomize})
 
@@ -413,17 +428,9 @@ def impersonation_attack(config: AuctionConfig, target_bid: int, seed: int,
             return BidderAgent(run, index, rng)
         return CopycatBidder(run, index, rng, rerandomize)
 
-    def attempt(attempt_seed):
-        run = AuctionRun(config, [target_bid] * config.n, attempt_seed,
-                         agent_factory=factory)
-        report.board = run.board
-        outcome = run.run()
-        if outcome.status == "multiple-ones":
-            raise RestartRequired("no decisive outcome", outcome.ones)
-        return outcome
-
     try:
-        outcome = with_restarts(attempt, seed)
+        _, outcome = attack_runs(report, config, [target_bid] * config.n, seed,
+                                 factory, steps=decisive)
     except RestartRequired:
         report.detail = "no decisive outcome"
         return report
@@ -482,18 +489,12 @@ def force_zero_noise(config: AuctionConfig, bids: list[int],
     colluder = config.n
     factory = dishonest_bidder(colluder, ZeroNoiseColluder, cell)
 
-    report = AttackReport(scenario="exceptional-values", success=False,
-                          detail="", true_bids=list(bids),
+    report = AttackReport(scenario="exceptional-values", true_bids=list(bids),
                           extras={"cell": list(cell),
                                   "colluder_index": colluder})
 
-    def attempt(attempt_seed):
-        run = AuctionRun(config, bids, attempt_seed, agent_factory=factory)
-        report.board = run.board
-        return run, run.run()
-
     try:
-        run, outcome = with_restarts(attempt, seed)
+        run, outcome = attack_runs(report, config, bids, seed, factory)
     except RestartRequired:
         report.detail = "no run survived the restart checks"
         return report
@@ -544,8 +545,7 @@ def wrong_key_decrypt(config: AuctionConfig, bids: list[int],
     cheater = config.n
     factory = dishonest_bidder(cheater, WrongKeyBidder)
 
-    report = AttackReport(scenario="wrong-key", success=False, detail="",
-                          true_bids=list(bids),
+    report = AttackReport(scenario="wrong-key", true_bids=list(bids),
                           extras={"cheater_index": cheater,
                                   "offset": WrongKeyBidder.offset})
     run = AuctionRun(config, bids, seed, agent_factory=factory)

@@ -935,21 +935,24 @@ def with_restarts(attempt, seed: int):
     return attempt(seed + MAX_ATTEMPTS - 1)
 
 
+def decisive(run: AuctionRun) -> AuctionOutcome:
+    """``run.run()``, or RestartRequired when no cell decides the auction.
+    Chance exponent collisions in a small group routinely produce stray 1
+    cells; an operator restarts such an undecidable auction, which is also
+    what the pre-publication checks demand via RestartRequired."""
+    outcome = run.run()
+    if outcome.status == "multiple-ones":
+        raise RestartRequired("no decisive outcome", outcome.ones)
+    return outcome
+
+
 def run_with_restarts(config: AuctionConfig, bids: list[int], seed: int,
                       **kwargs):
-    """Re-run with derived seeds until the auction lands on a decisive
-    outcome.  Chance exponent collisions in a small group routinely produce
-    stray 1 cells; an operator restarts such an undecidable auction, which
-    is also what the pre-publication checks demand via RestartRequired.
-
-    Returns (run, outcome, attempts_used), after at most MAX_ATTEMPTS.
-    """
+    """Re-run with derived seeds until ``decisive`` accepts the outcome.
+    Returns (run, outcome, attempts_used), after at most MAX_ATTEMPTS."""
     def attempt(attempt_seed):
-        run, outcome = run_auction(config, bids, attempt_seed, **kwargs)
-        if outcome.status == "multiple-ones":
-            raise RestartRequired(
-                f"no decisive outcome in {MAX_ATTEMPTS} attempts", [])
-        return run, outcome
+        run = AuctionRun(config, bids, attempt_seed, **kwargs)
+        return run, decisive(run)
 
     run, outcome = with_restarts(attempt, seed)
     return run, outcome, run.seed - seed + 1

@@ -24,14 +24,12 @@ from .defenses import DefenseFlags
 from .errors import AuctionLabError, IoError, RestartRequired, UsageError
 from .groups import DEFAULT_MARKER, GROUPS_BY_NAME, GroupParams
 from .protocol import (
-    NOISE_CANCELLED,
     AuctionConfig,
     AuctionRun,
     bidder_name,
     encode_bid,
     expected_winner,
     run_with_restarts,
-    with_restarts,
 )
 
 
@@ -86,6 +84,13 @@ class ScenarioSpec:
                     raise UsageError(f"--bids value {b} outside 1..{self.k}")
             return list(self.bids)
         return [(i % self.k) + 1 for i in range(self.n)]
+
+    def resolved_target_bid(self) -> int:
+        """The impersonation target's secret bid: 2 by default, 1 when k = 1."""
+        target = self.target_bid if self.target_bid is not None else min(2, self.k)
+        if not 1 <= target <= self.k:
+            raise UsageError(f"--target-bid value {target} outside 1..{self.k}")
+        return target
 
     def resolved_cell(self, bids: list[int]) -> tuple[int, int]:
         """The exceptional-values target: a losing cell inside the grid."""
@@ -234,6 +239,7 @@ def scenario_forged_eqdl(spec: ScenarioSpec) -> ScenarioResult:
         run.step_keygen()
         run.step_bid()
         run.step_outcome()      # includes per-cell verification by all
+        return run.outcome_statements[mallory - 1][0][0]    # forged at (1,1)
 
     if spec.flags.ni_proofs:
         run = AuctionRun(config, bids, spec.seed, agent_factory=factory)
@@ -244,29 +250,18 @@ def scenario_forged_eqdl(spec: ScenarioSpec) -> ScenarioResult:
     expectation = ("forgery detected by the product check (unit exponent)" if unit
                    else "honest verifier accepts a proof nobody holds a witness for")
 
-    def attempt(attempt_seed):
-        """The run through its outcome round, and the product check's
-        detection or None."""
-        run = AuctionRun(config, bids, attempt_seed, agent_factory=factory)
-        try:
-            through_outcome(run)
-        except RestartRequired as exc:
-            if exc.reason != NOISE_CANCELLED:
-                raise         # chance base collapse: restart like anyone would
-            return run, exc
-        return run, None
-
+    report = attacks.AttackReport(scenario=spec.scenario)
     try:
-        run, detected = with_restarts(attempt, spec.seed)
+        run, stmt = attacks.attack_runs(report, config, bids, spec.seed, factory,
+                                        steps=through_outcome)
     except RestartRequired:
         return _scenario_result(spec, expectation, False, False, {},
                                 notes=["no run survived the restart checks"])
-    if detected is not None:
+    if stmt is None:            # the product check caught the attack
         return _scenario_result(
             spec, expectation, False, unit,
-            {"cell": [1, 1], "error": "RestartRequired",
-             "detail": "product check caught the stripped masking", "detected": True,
-             "flagged_cells": [list(c) for c in detected.cells]},
+            {"cell": [1, 1], "error": report.error, "detail": report.detail,
+             **report.extras},
             run.board)
 
     # One explicit forged transcript, challenged by a fresh honest verifier.
@@ -275,7 +270,6 @@ def scenario_forged_eqdl(spec: ScenarioSpec) -> ScenarioResult:
                                     spec.exponent,
                                     sigma.verifier_source(config.params,
                                                           verifier_rng))
-    stmt = run.outcome_statements[mallory - 1][0][0]
     accepted = sigma.verify_transcript(config.params, stmt, tr, require_hashed=False)
     return _scenario_result(
         spec, expectation, accepted, accepted and not unit,
@@ -287,9 +281,8 @@ def scenario_forged_eqdl(spec: ScenarioSpec) -> ScenarioResult:
 
 
 def scenario_impersonation(spec: ScenarioSpec) -> ScenarioResult:
-    target_bid = spec.target_bid if spec.target_bid is not None else min(2, spec.k)
-    result = attacks.impersonation_attack(spec.config(), target_bid, spec.seed,
-                                          rerandomize=spec.rerandomize)
+    result = attacks.impersonation_attack(spec.config(), spec.resolved_target_bid(),
+                                          spec.seed, rerandomize=spec.rerandomize)
     if spec.flags.authenticate:
         blocked_by = "AuthRejected"
         expectation = "forged bid posts rejected in the bid round"
@@ -431,16 +424,18 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
 
 
 def emit_report(result: ScenarioResult, out_dir: Path) -> list[Path]:
-    """Write report.json (and transcript.json when a board exists).
-    Identical seeds produce identical bytes."""
+    """Write report.json, and transcript.json when a board exists; without
+    one, remove a transcript.json an earlier run left.  Identical seeds
+    produce identical bytes."""
     paths = []
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         report_path = out_dir / "report.json"
         report_path.write_text(json.dumps(result.report, indent=2) + "\n")
         paths.append(report_path)
+        transcript_path = out_dir / "transcript.json"
+        transcript_path.unlink(missing_ok=True)
         if result.board_json is not None:
-            transcript_path = out_dir / "transcript.json"
             transcript_path.write_text(
                 json.dumps(result.board_json, indent=2) + "\n")
             paths.append(transcript_path)

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from auctionlab import attacks, recovery, sigma
+from auctionlab import attacks, protocol, recovery, sigma
 from auctionlab.defenses import DefenseFlags
 from auctionlab.elgamal import Ciphertext
-from auctionlab.errors import ModeMismatch
+from auctionlab.errors import ModeMismatch, RestartRequired
 from auctionlab.groups import LARGE_GROUP, MID_GROUP, SMALL_GROUP
 from auctionlab.protocol import (
+    NOISE_CANCELLED,
     ROUND_BID,
     AuctionConfig,
     AuctionRun,
@@ -208,6 +209,81 @@ class TestFullPrivacyAttack:
         report = attacks.full_privacy_attack(cfg, bids, 3, exponent=exponent)
         assert report.success
         assert report.recovered_bids == bids
+
+
+class TestAttackRuns:
+    """``attacks.attack_runs``, the one restart loop of the attack runs, and
+    its three exits: a detection, a success after chance restarts, and
+    exhaustion.  In the small group with the product check, the first
+    attempts of seeds 0 and 1 restart by chance."""
+
+    CHECKED = AuctionConfig(n=3, k=3, flags=DefenseFlags(noise_product_check=True))
+
+    def report(self):
+        return attacks.AttackReport(scenario="test")
+
+    def test_cancelled_stripped_masking_is_a_detection(self):
+        report = self.report()
+        factory = attacks.dishonest_bidder(3, attacks.NoiseRemovalBidder)
+        run, outcome = attacks.attack_runs(report, self.CHECKED, [1, 2, 1], 7, factory)
+        assert outcome is None
+        assert report.board is run.board
+        assert (report.error, report.detail) == (
+            "RestartRequired", "product check caught the stripped masking")
+        assert report.extras["detected"] is True
+        assert report.extras["flagged_cells"]
+
+    def test_chance_restart_then_success_keeps_the_last_board(self):
+        report = self.report()
+        factory = attacks.dishonest_bidder(3, attacks.NoiseRemovalBidder, 5)
+        run, outcome = attacks.attack_runs(report, self.CHECKED, [1, 2, 1], 1, factory)
+        assert run.seed > 1 and outcome.status == "winner"
+        assert report.board is run.board
+        assert report.extras == {} and report.error is None
+
+    def test_cancellation_nobody_stripped_is_chance(self):
+        """Seed 0's first honest attempt ends in NOISE_CANCELLED; with no
+        NoiseRemovalBidder in the run, that is a restart, not a detection."""
+        with pytest.raises(RestartRequired, match=NOISE_CANCELLED):
+            AuctionRun(self.CHECKED, [1, 2, 1], 0).run()
+        report = self.report()
+        run, outcome = attacks.attack_runs(report, self.CHECKED, [1, 2, 1], 0, None)
+        assert run.seed > 0 and outcome is not None
+        assert "detected" not in report.extras
+
+    def test_exhaustion_raises_and_keeps_the_refused_board(self, monkeypatch):
+        monkeypatch.setattr(protocol, "MAX_ATTEMPTS", 2)
+        boards = []
+
+        def steps(run):
+            boards.append(run.board)
+            raise RestartRequired("exceptional base product", [])
+
+        report = self.report()
+        with pytest.raises(RestartRequired):
+            attacks.attack_runs(report, self.CHECKED, [1, 2, 1], 0, None, steps)
+        assert len(boards) == 2 and report.board is boards[-1]
+
+    @pytest.mark.parametrize("attack, detail", [
+        (lambda cfg: attacks.full_privacy_attack(cfg, [1, 2, 1], 1, exponent=5),
+         "no run survived the restart checks"),
+        (lambda cfg: attacks.force_zero_noise(cfg, [1, 2, 1], (1, 1), 1),
+         "no run survived the restart checks"),
+        (lambda cfg: attacks.impersonation_attack(
+            AuctionConfig(n=3, k=3), 2, 0), "no decisive outcome"),
+    ], ids=["full-privacy", "exceptional-values", "impersonation"])
+    def test_exhausted_attack_reports_it(self, monkeypatch, attack, detail):
+        monkeypatch.setattr(protocol, "MAX_ATTEMPTS", 1)
+        report = attack(self.CHECKED)
+        assert not report.success and report.detail == detail
+        assert report.board is not None
+
+    def test_exhausted_forged_eqdl_reports_it(self, monkeypatch):
+        monkeypatch.setattr(protocol, "MAX_ATTEMPTS", 1)
+        result = run_scenario(ScenarioSpec(scenario="forged-eqdl", seed=1, exponent=5,
+                                           flags=DefenseFlags(noise_product_check=True)))
+        assert not result.expectation_met and result.board_json is None
+        assert result.report["notes"] == ["no run survived the restart checks"]
 
 
 class TestEnumerationRecovery:

@@ -232,7 +232,12 @@ class TestExitCodes:
         (["--scenario", "exceptional-values", "--cell", "9,9"], "--cell 9,9 outside"),
         (["--scenario", "exceptional-values", "--bids", "1,2,1", "--cell", "2,2"],
          "winning cell"),
-    ], ids=["marker-1", "n-above-q", "cell-outside", "winning-cell"])
+        (["--scenario", "impersonation", "--target-bid", "0"],
+         "--target-bid value 0 outside 1..3"),
+        (["--scenario", "impersonation", "--target-bid", "9"],
+         "--target-bid value 9 outside 1..3"),
+    ], ids=["marker-1", "n-above-q", "cell-outside", "winning-cell",
+            "target-bid-0", "target-bid-above-k"])
     def test_bad_configuration_exits_two(self, tmp_path, capsys, argv, words):
         assert main(["run", *argv, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
@@ -261,6 +266,16 @@ class TestReports:
         assert report["expectation_met"] is True
         transcript = json.loads((tmp_path / "transcript.json").read_text())
         assert transcript and all("payload" in post for post in transcript)
+
+    @pytest.mark.parametrize("scenario", ["recovery-bench", "mitm-demo"])
+    def test_boardless_run_removes_a_stale_transcript(self, tmp_path, scenario):
+        """A scenario without a board leaves no transcript.json behind,
+        not even one an earlier run wrote to the same directory."""
+        assert main(["run", "--scenario", "honest", "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "transcript.json").exists()
+        assert main(["run", "--scenario", scenario, "--out", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / "report.json").read_text())["scenario"] == scenario
+        assert not (tmp_path / "transcript.json").exists()
 
     def test_identical_seeds_identical_bytes(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
