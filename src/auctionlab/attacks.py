@@ -278,12 +278,17 @@ class NoiseRemovalBidder(BidderAgent):
                    "proofs": None}
         return self._post("outcome", "outcome", payload)
 
-    def prove(self, stmt, challenge_source):
-        cell = self.forged.get(stmt)
-        if cell is None:
-            return super().prove(stmt, challenge_source)
-        return forge_outcome_eqdl(self.run, self.name, *cell, self.exponent,
-                                  challenge_source)
+    def prove(self, stmts, challenge_source):
+        """Forge a session for each posted share of ``stmts``, in order,
+        and hand every other statement to the honest prover (a redrawn
+        share, under the product check, has its witness)."""
+        out = []
+        for stmt in stmts:
+            cell = self.forged.get(stmt)
+            out.extend(super().prove([stmt], challenge_source) if cell is None else
+                       [forge_outcome_eqdl(self.run, self.name, *cell, self.exponent,
+                                           challenge_source)])
+        return out
 
 
 def recovered_bids_from_v(params: GroupParams, v, marker: int, exponent: int,
@@ -389,14 +394,21 @@ class CopycatBidder(BidderAgent):
                    "proofs": proofs, "sum_proof": sum_proof}
         return self.run.board.append(ROUND_BID, self.name, "bid", payload)
 
-    def prove(self, stmt, challenge_source):
-        original = self.copied.get(stmt)
-        if original is None:
-            return super().prove(stmt, challenge_source)
+    def prove(self, stmts, challenge_source):
+        """Relay a list of copied statements to the target, and hand any
+        other list to the honest prover: a round's entries are all copies
+        (the bid round) or all the copycat's own."""
+        originals = [self.copied.get(stmt) for stmt in stmts]
+        if None in originals:
+            return super().prove(stmts, challenge_source)
         target = self.run.bidder(self.target_index)
-        tr = target.prove(original, lambda _, com: challenge_source(None, com))
+        transcripts = target.prove(originals, lambda _, com: challenge_source(None, com))
         if not self.rerandomize:
-            return tr
+            return transcripts
+        return [self._shifted(tr) for tr in transcripts]
+
+    def _shifted(self, tr):
+        """The target's transcript answering for the re-randomised copy."""
         q = self.params.q
         if isinstance(tr, sigma.OrTranscript):     # a cell: shifted by one copy
             return tr._replace(branches=tuple(_shifted(b, self.shift, q)
@@ -541,17 +553,16 @@ def wrong_key_decrypt(config: AuctionConfig, bids: list[int],
                       seed: int) -> AttackReport:
     """The last bidder decrypts with the wrong key.  Every cell comes out
     garbage, nobody sees a 1, and the auction dies with no winner, with
-    no proof pointing at anyone unless key consistency is on."""
+    no proof pointing at anyone unless key consistency is on.  A chance
+    restart before decryption starts the next run (``attack_runs``)."""
     cheater = config.n
     factory = dishonest_bidder(cheater, WrongKeyBidder)
 
     report = AttackReport(scenario="wrong-key", true_bids=list(bids),
                           extras={"cheater_index": cheater,
                                   "offset": WrongKeyBidder.offset})
-    run = AuctionRun(config, bids, seed, agent_factory=factory)
-    report.board = run.board
     try:
-        outcome = run.run()
+        _, outcome = attack_runs(report, config, bids, seed, factory)
     except ProofRejected as exc:
         report.error = "ProofRejected"
         report.detail = (f"decrypt share by {exc.author} rejected: the proof "
@@ -559,7 +570,7 @@ def wrong_key_decrypt(config: AuctionConfig, bids: list[int],
         return report
     except RestartRequired as exc:
         report.error = "RestartRequired"
-        report.detail = "stopped before decryption: " + exc.reason
+        report.detail = "no run survived the restart checks: " + exc.reason
         return report
 
     report.record(outcome)

@@ -29,14 +29,16 @@ changes nothing.  Each post's statements are built in one place: a bid's by
 Honest agents verify every proof they see (``check_round``).  In
 hashed-proof mode they check static transcripts, each once, and every
 verifier shares the verdict.  In interactive mode each verifier builds the
-statement from the board and asks the poster's agent to prove it in a fresh
-commit/challenge/respond session; an agent proves only statements it posted
-itself.  Attack code must get past these checks, never around them.
+statements from the board and asks each poster's agent, once, to prove its
+statements in fresh commit/challenge/respond sessions; an agent proves only
+statements it posted itself.  Attack code must get past these checks, never
+around them.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 import weakref
 from collections import namedtuple
@@ -297,51 +299,52 @@ def _check_commitments(params: GroupParams, author: str, round_name: str,
                             f"malformed proof{where}: commitment outside {outside}")
 
 
-def check_proof(config: AuctionConfig, source: sigma.ChallengeSource, author: str,
-                round_name: str, stmt, payload, prover, failure: str,
-                where: str, batch: sigma.EquationBatch) -> None:
+def check_proof(config: AuctionConfig, author: str, round_name: str, stmt, proof,
+                failure: str, where: str, batch: sigma.EquationBatch,
+                prepared: sigma.Prepared | None = None) -> None:
     """Check ``author``'s proof of ``stmt`` in the run's proof mode, or
     raise ProofRejected naming the author, the round and ``where``.
 
-    Interactive: ``prover``, the author's agent, proves ``stmt`` as the
-    verifier built it, in a fresh session against challenges from the
-    verifier's ``source``; an agent that never posted ``stmt`` has no proof
-    and fails.
-    Hashed: the posted ``payload`` is parsed, and the challenge must be the
-    canonical hash.  In both modes every commitment must lie in the order-q
-    subgroup, and every challenge and response (OR branches included) in
-    0 <= v < q, so that no statement has a second accepting transcript made
-    by adding q, no verifier raises a base to an oversized response, and the
-    batch's small-exponent test sees members only.  The proof is missing
-    when the mode's prover or payload is None.  Every failure found here is
-    raised at once, and in a narrow group commitments are tested as they
-    arrive.  In a wide group only 0 < z < p is tested on arrival: the
-    proof's exponent equations go to ``batch``, which screens the round's
-    commitments for membership and checks the equations when the round's
-    checks are done.  Before any other failure of a proof is raised, its
-    own commitments are tested one by one, so the refusal is the one that
-    testing them on arrival gives.  ``check_round`` decides which verifier
-    checks which proof."""
+    Interactive: ``proof`` is the transcript the author's agent gave in a
+    session for ``stmt`` as the verifier built it, against the verifier's
+    challenges (``check_round`` runs the sessions), or None when the agent
+    had no proof: it never posted ``stmt``.
+    Hashed: ``proof`` is the posted payload, parsed here, and the challenge
+    must be the canonical hash; a None payload is a missing proof.  In both
+    modes every commitment must lie in the order-q subgroup, and every
+    challenge and response (OR branches included) in 0 <= v < q, so that no
+    statement has a second accepting transcript made by adding q, no
+    verifier raises a base to an oversized response, and the batch's
+    small-exponent test sees members only.  ``prepared`` is
+    ``sigma.prepare(params, stmt)``, derived once for every check of
+    ``stmt``; in a group with log tables it has the equations checked by
+    logarithms.  Every failure found here is raised at once, and in a
+    narrow group commitments are tested as they arrive.  In a wide group
+    only 0 < z < p is tested on arrival: the proof's exponent equations go
+    to ``batch``, which screens the round's commitments for membership and
+    checks the equations when the round's checks are done.  Before any
+    other failure of a proof is raised, its own commitments are tested one
+    by one, so the refusal is the one that testing them on arrival gives."""
     params, interactive = config.params, config.interactive
-    if (prover if interactive else payload) is None:
-        raise ProofRejected(author, round_name, f"missing proof{where}")
     if interactive:
-        tr = prover.prove(stmt, source)
+        tr = proof
         if tr is None:
             raise ProofRejected(author, round_name, failure + where)
+    elif proof is None:
+        raise ProofRejected(author, round_name, f"missing proof{where}")
     else:
         try:
-            tr = sigma.transcript_from_payload(payload)
+            tr = sigma.transcript_from_payload(proof)
         except ValueError as exc:
             raise ProofRejected(author, round_name,
                                 f"malformed proof{where}: {exc}") from exc
     com, p = tr.commitment, params.p
-    if not (params.wide and all(0 < z < p for z in com)):
+    if not (all(0 < z < p for z in com) if params.wide else params.are_elements(com)):
         _check_commitments(params, author, round_name, where, com)
     if not _canonical_scalars(tr, params.q):
         detail = f"malformed proof{where}: response or challenge outside 0 <= v < q"
     elif sigma.verify_transcript(params, stmt, tr, not interactive, batch,
-                                 (author, failure, where, com)):
+                                 (author, failure, where, com), prepared):
         return
     else:
         detail = failure + where
@@ -353,13 +356,20 @@ def check_round(run: "AuctionRun", round_name: str, verifiers, entries) -> None:
     """Have each verifier (a party with a ``name`` and an ``rng``) check
     every entry another author posted, verifier by verifier, in entry order.
     An entry is ``(author, statement, posted proof, failure, where)`` as
-    ``check_proof`` takes them; in interactive mode the author's agent in
-    ``run`` proves the statement, and a name with no agent behind it has no
-    proof.  Interactive sessions run once per verifier, each against the
-    verifier's one challenge source for the round (``sigma.verifier_source``
-    over its ``rng``).  A hashed proof's verdict depends on its statement
-    and transcript alone, so the first verifier that reaches it checks it
-    and every later one shares that verdict.
+    ``check_proof`` takes them.
+
+    Interactive (``_session_checks``): what depends on an entry's statement
+    alone is derived once per round (``sigma.prepare``), not once per
+    session, when more than one verifier checks it.  Each verifier asks each author's agent in ``run`` once for the
+    sessions of that author's consecutive entries (``BidderAgent.prove``),
+    with the same list for every verifier, and checks the transcripts in
+    entry order.  The sessions run in entry order against the verifier's
+    one challenge source for the round (``sigma.verifier_source`` over its
+    ``rng``), so every rng sees the draws a session at a time would make; a
+    name with no agent behind it has no proof.  Hashed (``_shared_checks``):
+    a proof's verdict depends on its statement and transcript alone, so the
+    first verifier that reaches it checks it and every later one shares
+    that verdict.
 
     In a wide group every proof's exponent equations go to one batch for
     the round (``sigma.EquationBatch``), which also screens their
@@ -369,28 +379,60 @@ def check_round(run: "AuctionRun", round_name: str, verifiers, entries) -> None:
     batch is settled, and after the last check it is settled again.  A
     batch that fails its screen or its test walks its proofs one at a
     time, in the order they arrived."""
-    config, agents = run.config, run.agents
+    config = run.config
     batch = sigma.EquationBatch(config.params)
+    checks = (_session_checks(run, round_name, verifiers, entries) if config.interactive
+              else _shared_checks(verifiers, entries))
+    try:
+        for author, stmt, proof, failure, where, prepared in checks:
+            check_proof(config, author, round_name, stmt, proof, failure, where,
+                        batch, prepared)
+    except Exception:
+        # An earlier proof's non-member or false equation is raised first.
+        _raise_first_failure(batch, round_name)
+        raise
+    _raise_first_failure(batch, round_name)
+
+
+def _shared_checks(verifiers, entries):
+    """``check_round``'s hashed checks: each entry once, by the first
+    verifier that did not post it, with no statement prepared."""
     pending = entries
     for verifier in verifiers:
-        source = sigma.verifier_source(config.params, verifier.rng)
         left = []
         for entry in pending:
-            author, stmt, payload, failure, where = entry
-            if author == verifier.name:
+            if entry[0] == verifier.name:
                 left.append(entry)            # nobody checks their own proof
-                continue
-            try:
-                check_proof(config, source, author, round_name, stmt, payload,
-                            agents.get(author), failure, where, batch)
-            except Exception:
-                # An earlier proof's non-member or false equation is raised first.
-                _raise_first_failure(batch, round_name)
-                raise
-            if config.interactive:
-                left.append(entry)            # every verifier runs a session
+            else:
+                yield (*entry, None)
         pending = left
-    _raise_first_failure(batch, round_name)
+
+
+def _session_checks(run: "AuctionRun", round_name: str, verifiers, entries):
+    """``check_round``'s interactive checks, verifier by verifier: each
+    author's consecutive entries, prepared once (``sigma.prepare``), with
+    the transcripts of the sessions its agent ran for them."""
+    params, agents = run.config.params, run.agents
+    # For a single check, deriving a statement's logarithms costs more than
+    # the powers it saves; a lone verifier prepares nothing.
+    shared = len(verifiers) > 1
+    asks = []                                 # (author, statements, (entry, prepared))
+    for author, group in itertools.groupby(entries, key=lambda entry: entry[0]):
+        checks = [(entry, sigma.prepare(params, entry[1]) if shared else None)
+                  for entry in group]
+        asks.append((author, [entry[1] for entry, _ in checks], checks))
+    for verifier in verifiers:
+        source = sigma.verifier_source(params, verifier.rng)
+        for author, stmts, checks in asks:
+            if author == verifier.name:
+                continue                      # nobody checks their own proof
+            agent = agents.get(author)
+            if agent is None:
+                raise ProofRejected(author, round_name, f"missing proof{checks[0][0][4]}")
+            # A prover that gives fewer transcripts has no proof for the rest.
+            transcripts = itertools.chain(agent.prove(stmts, source), itertools.repeat(None))
+            for ((_, stmt, _, failure, where), prepared), tr in zip(checks, transcripts):
+                yield author, stmt, tr, failure, where, prepared
 
 
 def _raise_first_failure(batch: sigma.EquationBatch, round_name: str) -> None:
@@ -504,6 +546,8 @@ class BidderAgent(Party):
         self.r: list[int] | None = None        # bid randomisers, length k
         self.phi: list[list[int]] | None = None
         self.witnesses: dict = {}              # posted statement -> witness
+        self._asked: list = []                 # the last statements asked for
+        self._sessions: list = []              # and their prove_sessions entries
 
     def _posted_proof(self, stmt, witness) -> dict | None:
         """The hashed transcript posted with ``stmt``.  In interactive mode
@@ -518,18 +562,28 @@ class BidderAgent(Party):
                          sigma.fiat_shamir_source(self.params))
         return sigma.transcript_to_payload(tr)
 
-    def prove(self, stmt, challenge_source: sigma.ChallengeSource):
-        """One interactive proof of ``stmt``, or None when this bidder never
-        posted it, from the witness checked when it was posted.
-        ``witnesses`` is empty under hashed proofs, so the mode is tested
-        only on a miss."""
-        witness = self.witnesses.get(stmt)
-        if witness is None:
-            if not self.config.interactive:
-                raise ModeMismatch("no interactive sessions under hashed proofs")
-            return None
-        return sigma.prove(self.params, stmt, witness, self.rng, challenge_source,
-                           checked=True)
+    def prove(self, stmts, challenge_source: sigma.ChallengeSource) -> list:
+        """One interactive session per statement of ``stmts``, in order,
+        each against ``challenge_source`` (``sigma.prove_sessions``): a
+        transcript from the witness checked when the statement was posted,
+        or None for a statement this bidder never posted.  The witnesses are
+        looked up, and the statements' cores derived, once per list: every
+        verifier of a round asks with an equal list, and reuses the sessions
+        the first one's request set up.  ``witnesses`` is empty under hashed
+        proofs, so the mode is tested only on a miss."""
+        if stmts != self._asked:
+            params, sessions = self.params, []
+            for stmt in stmts:
+                witness = self.witnesses.get(stmt)
+                if witness is None:
+                    if not self.config.interactive:
+                        raise ModeMismatch("no interactive sessions under hashed proofs")
+                    sessions.append(None)
+                else:
+                    sessions.append((stmt, witness, sigma.statement_cores(params, stmt)))
+            self._asked, self._sessions = list(stmts), sessions
+        return sigma.prove_sessions(self.params, self._sessions, self.rng,
+                                    challenge_source)
 
     # -- posting ----------------------------------------------------------
 

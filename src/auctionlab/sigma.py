@@ -11,10 +11,15 @@ Supported statements:
 
 One map, ``_core``, turns a knowledge, equality or sum statement into its
 exponent equations gens[i]^x = targets[i]; a bid cell is the OR of two such
-cores.  One prover, ``prove``, proves every statement, and its challenge
-source decides the mode.  One verifier, ``verify_transcript``, checks every
-statement through the equations gens[i]^s = z[i] * targets[i]^c of its
-transcript (``transcript_equations``): one at a time, or handed to an
+cores (``statement_cores`` gives either kind's).  One prover,
+``prove_sessions``, runs a list of sessions in order against one challenge
+source, which decides the mode; ``prove`` is its one-statement form.  It
+commits and responds for a plain statement itself.  ``ProverSession``, the
+commit/respond state machine, serves only the relays that answer a
+challenge learnt between their two moves (``attacks.forge_outcome_eqdl``,
+``attacks.mitm_affine_pdl``).  One verifier, ``verify_transcript``, checks
+every statement through the equations gens[i]^s = z[i] * targets[i]^c of
+its transcript (``transcript_equations``): one at a time, or handed to an
 ``EquationBatch``, which in a wide group checks a whole round's equations as
 one.  A plain transcript checked at once is checked in one pass over its
 core's vectors, with no list of equations built.  A batch's weights are 64
@@ -24,21 +29,28 @@ prover who can try t sets of equations offline gets a non-member or a false
 equation through with probability about t * 2^-63; callers check every
 other element's membership first.  Narrower groups check each equation as
 it arrives; below p = 2^16 each of its powers is read from the group's
-tables (``GroupParams.logs``).
+tables (``GroupParams.logs``).  A statement checked many times is prepared
+once (``prepare``): its cores, and in a group with log tables the
+logarithms of their generators and targets.  Each equation of a prepared
+statement is then checked as s * log gen = log z + c * log target mod q,
+which holds exactly when the powers agree; a value with no logarithm sends
+its equation back to the powers.
 
-Statements and transcripts are named tuples, so building, comparing and
-hashing one runs in C.  In interactive mode every honest verifier runs its
-own session with every prover, 8 184 sessions in a mid-group n=8, k=16
-auction, and below p = 2^16 a session's powers are table reads.  A masking
-share's session, ``prove`` against a verifier's source and then
-``verify_transcript``, costs about 4 us on CPython 3.11.7 (a shared 2-vCPU
-host), over half of it its six powers and two draws; as frozen dataclasses
-its records added about 2 us more.  A named tuple equals any tuple with the
-same items; the records' kinds differ in length or in the types of their
-items, so no two kinds built from one run's values compare equal, and none
-stands in for another as a witness key.  ``EQDLStatement`` refuses
-mismatched vectors when it is built (``_make`` and ``_replace`` do not
-check).
+Statements and transcripts are named tuples, so comparing and hashing one
+runs in C.  In interactive mode every honest verifier runs its own session
+with every prover, 8 184 sessions in a mid-group n=8, k=16 auction.
+``protocol.check_round`` prepares each statement once per round, and asks
+each prover once per verifier for the sessions of all its statements.  A
+masking share's session, from the prover's draw to the verifier's check by
+logarithms, costs about 3.8 us on CPython 3.11.7 (a shared 2-vCPU host),
+against about 5.1 us when each session was asked for alone and checked by
+six powers; about a third of it is the prover's two powers and the two
+draws.  As frozen dataclasses its records added about 2 us more.  A named
+tuple equals any tuple with the same items; the records' kinds differ in
+length or in the types of their items, so no two kinds built from one
+run's values compare equal, and none stands in for another as a witness
+key.  ``EQDLStatement`` refuses mismatched vectors when it is built
+(``_make`` and ``_replace`` do not check).
 
 The hashed challenge's encoder (``serialize_statement``) keeps the encoded
 p, q and g of the last eight groups it served, found by the group object's
@@ -276,8 +288,10 @@ def verifier_source(params: GroupParams, rng: random.Random) -> ChallengeSource:
 
 class ProverSession:
     """One-shot commit/respond state machine for a knowledge, equality or
-    sum statement, drawing its nonce from ``rng``.  Reuse is refused; open
-    a new session to prove again."""
+    sum statement, drawing its nonce from ``rng``, for a relay that must
+    answer a challenge it learns between the two moves
+    (``attacks.forge_outcome_eqdl``, ``attacks.mitm_affine_pdl``).  Reuse is
+    refused; open a new session to prove again."""
 
     __slots__ = ("params", "stmt", "gens", "witness", "rng", "nonce", "phase")
 
@@ -293,11 +307,9 @@ class ProverSession:
     def commit(self) -> tuple[int, ...]:
         if self.phase != "created":
             raise AlreadyCommitted("session already produced its commitment")
-        params = self.params
-        self.nonce = nonce = self.rng.randrange(params.q)
         self.phase = "committed"
-        exp = params.exp
-        return tuple([exp(gen, nonce) for gen in self.gens])
+        self.nonce, com = _commit(self.params, self.gens, self.rng)
+        return com
 
     def respond(self, challenge: int) -> int:
         if self.phase != "committed":
@@ -306,22 +318,66 @@ class ProverSession:
         return (self.nonce + challenge * self.witness) % self.params.q
 
 
+def _commit(params: GroupParams, gens, rng: random.Random):
+    """A nonce drawn from ``rng`` and the commitment: every generator raised
+    to it."""
+    nonce = rng.randrange(params.q)
+    exp = params.exp
+    return nonce, tuple([exp(gen, nonce) for gen in gens])
+
+
+def statement_cores(params: GroupParams, stmt) -> tuple:
+    """The cores of the equations a transcript of ``stmt`` answers: a bid
+    cell's two branch cores (``branch_statements``), any other statement's
+    one core (``_core``)."""
+    if isinstance(stmt, BidValidityStatement):
+        return branch_statements(params, stmt)
+    return (_core(params, stmt),)
+
+
+def prove_sessions(params: GroupParams, sessions, rng: random.Random,
+                   challenge_source: ChallengeSource) -> list:
+    """One three-move run per entry of ``sessions``, in order, each run's
+    challenge taken from ``challenge_source`` before the next run draws.  An
+    entry is ``(statement, witness, cores)``, with ``cores`` from
+    ``statement_cores`` and a bid cell's witness ``(r, is_marker)`` already
+    checked (``check_witness``); a None entry gives None and draws nothing.
+    A knowledge, equality or sum statement is committed to and answered
+    here: a nonce from ``rng``, the core's generators raised to it, then
+    nonce + c * witness mod q.  A bid cell gets an OR transcript."""
+    # The loop commits without calling _commit, and builds each transcript
+    # with tuple.__new__ rather than the named tuple's generated __new__:
+    # each call was a Python frame, in every one of a round's sessions.
+    q, exp, randrange, out = params.q, params.exp, rng.randrange, []
+    for session in sessions:
+        if session is None:
+            out.append(None)
+            continue
+        stmt, witness, cores = session
+        if isinstance(stmt, BidValidityStatement):
+            out.append(_prove_bid_cell(params, stmt, cores, *witness, rng,
+                                       challenge_source))
+            continue
+        nonce = randrange(q)
+        com = tuple([exp(gen, nonce) for gen in cores[0].gens])
+        c = challenge_source(stmt, com) % q
+        out.append(tuple.__new__(Transcript, (com, c, (nonce + c * witness) % q,
+                                              CHALLENGE_HASH)))
+    return out
+
+
 def prove(params: GroupParams, stmt, witness, rng: random.Random,
           challenge_source: ChallengeSource, checked: bool = False):
-    """Full three-move run proving ``stmt``; the challenge source always
-    sees ``stmt`` itself.  A knowledge, equality or sum statement takes the
-    exponent of its core (for a sum, the randomiser sum); a bid cell takes
-    ``(r, is_marker)`` and gets an OR transcript.  A bid cell's witness is
-    checked first (``check_witness``) unless ``checked`` says the caller
-    already has."""
-    if isinstance(stmt, BidValidityStatement):
-        if not checked:
-            check_witness(params, stmt, witness)
-        return _prove_bid_cell(params, stmt, *witness, rng, challenge_source)
-    session = ProverSession(params, stmt, witness, rng)
-    com = session.commit()
-    c = challenge_source(stmt, com) % params.q
-    return Transcript(com, c, session.respond(c))
+    """Full three-move run proving ``stmt`` (``prove_sessions``); the
+    challenge source always sees ``stmt`` itself.  A knowledge, equality or
+    sum statement takes the exponent of its core (for a sum, the randomiser
+    sum); a bid cell takes ``(r, is_marker)`` and gets an OR transcript.  A
+    bid cell's witness is checked first (``check_witness``) unless
+    ``checked`` says the caller already has."""
+    if not checked:
+        check_witness(params, stmt, witness)
+    session = (stmt, witness, statement_cores(params, stmt))
+    return prove_sessions(params, [session], rng, challenge_source)[0]
 
 
 # --------------------------------------------------------------------------
@@ -355,30 +411,28 @@ def check_witness(params: GroupParams, stmt, witness) -> None:
             raise WitnessMismatch("ciphertext does not open to the claimed plaintext")
 
 
-def _prove_bid_cell(params: GroupParams, stmt: BidValidityStatement,
+def _prove_bid_cell(params: GroupParams, stmt: BidValidityStatement, cores,
                     r: int, is_marker: bool, rng: random.Random,
                     challenge_source: ChallengeSource) -> OrTranscript:
-    """Prove the cell encrypts 1 or the marker without revealing which.
+    """Prove the cell encrypts 1 or the marker without revealing which;
+    ``cores`` are its two branch cores.
 
     The branch we do not hold a witness for is simulated with a pre-chosen
     sub-challenge; the outer challenge then pins the real branch's share.
     """
-    plain_stmt, marked_stmt = branch_statements(params, stmt)
     real_idx = 1 if is_marker else 0
-    sim_stmt = plain_stmt if is_marker else marked_stmt
-
-    simulated = _simulate_eqdl(params, sim_stmt, rng)
-    real = ProverSession(params, (plain_stmt, marked_stmt)[real_idx], r, rng)
-    real_com = real.commit()
+    simulated = _simulate_eqdl(params, cores[1 - real_idx], rng)
+    nonce, real_com = _commit(params, cores[real_idx].gens, rng)
 
     if real_idx == 0:
         flat = real_com + simulated.commitment
     else:
         flat = simulated.commitment + real_com
-    c = challenge_source(stmt, flat) % params.q
-    c_real = (c - simulated.challenge) % params.q
+    q = params.q
+    c = challenge_source(stmt, flat) % q
+    c_real = (c - simulated.challenge) % q
     real_tr = Transcript(commitment=real_com, challenge=c_real,
-                         response=real.respond(c_real))
+                         response=(nonce + c_real * r) % q)
 
     branches = (real_tr, simulated) if real_idx == 0 else (simulated, real_tr)
     return OrTranscript(branches=branches, challenge=c)
@@ -400,39 +454,91 @@ _ROWS = 8 * _WEIGHT_BYTES
 _ASCII_ZEROS = int.from_bytes(b"0" * _ROWS, "big")
 
 
-def _holds(params: GroupParams, gens, targets, tr) -> bool:
-    """Whether gens[i]^s = z[i] * targets[i]^c holds for every i, checked
-    in order, stopping at the first that fails."""
+class Prepared(NamedTuple):
+    """What checking a statement's transcripts needs from the statement
+    alone, derived once for all its sessions (``prepare``): its cores
+    (``statement_cores``) and, for each core in a group with log tables,
+    its equations as (gen, target, log gen, log target), or None where the
+    group has no log table or a generator or target has no logarithm."""
+
+    cores: tuple
+    logged: tuple
+
+
+def prepare(params: GroupParams, stmt) -> Prepared:
+    """``stmt``'s cores, with their equations' logarithms in a group with
+    log tables (``GroupParams.logs``)."""
+    cores = statement_cores(params, stmt)
+    table = params.logs
+    if table is None:
+        return Prepared(cores, (None,) * len(cores))
+    return Prepared(cores, tuple([_logged(table, params.p, core) for core in cores]))
+
+
+def _logged(table: list, p: int, core: EQDLStatement) -> tuple | None:
+    """``core``'s equations as (gen, target, log gen, log target), or None
+    when a generator or target is not an int member of the group."""
+    equations = []
+    for gen, target in zip(core.gens, core.targets):
+        if not (type(gen) is int and type(target) is int and 0 <= gen < p and 0 <= target < p):
+            return None
+        log_gen, log_target = table[gen], table[target]
+        if log_gen is None or log_target is None:
+            return None
+        equations.append((gen, target, log_gen, log_target))
+    return tuple(equations)
+
+
+def _holds(params: GroupParams, core: EQDLStatement, tr, logged=None) -> bool:
+    """Whether gens[i]^s = z[i] * targets[i]^c holds for every i of
+    ``core``, checked in order, stopping at the first that fails.  Given
+    ``logged``, the core's equations with their logarithms (``prepare``),
+    an equation whose commitment z has a logarithm too is checked as
+    s * log gens[i] = log z + c * log targets[i] mod q, which holds exactly
+    when the powers agree; every other equation is checked by its powers."""
     exp, p = params.exp, params.p
     s, c = tr.response, tr.challenge
-    for gen, target, com in zip(gens, targets, tr.commitment):
+    if logged is not None and type(s) is int and type(c) is int:
+        table, q = params.logs, params.q
+        for (gen, target, log_gen, log_target), z in zip(logged, tr.commitment):
+            log_z = table[z] if type(z) is int and 0 <= z < p else None
+            if log_z is None:
+                if exp(gen, s) != z * exp(target, c) % p:
+                    return False
+            elif (s * log_gen - c * log_target - log_z) % q:
+                return False
+        return True
+    for gen, target, com in zip(core.gens, core.targets, tr.commitment):
         if exp(gen, s) != com * exp(target, c) % p:
             return False
     return True
 
 
 def _all_hold(params: GroupParams, pairs) -> bool:
-    """Whether every equation of ``pairs`` holds, checked in order,
-    stopping at the first that fails."""
-    return all(_holds(params, core.gens, core.targets, tr) for core, tr in pairs)
+    """Whether every equation of ``pairs`` holds, checked by powers in
+    order, stopping at the first that fails."""
+    return all(_holds(params, core, tr) for core, tr in pairs)
 
 
-def transcript_equations(params: GroupParams, stmt, tr) -> tuple | None:
+def transcript_equations(params: GroupParams, stmt, tr, cores=None) -> tuple | None:
     """The equations ``tr`` must satisfy to prove ``stmt``, as (core,
     transcript) pairs: a bid cell's two branch cores with their branches,
-    every other statement's core with ``tr``.  None when the shape of
-    ``tr`` (a plain transcript with one commitment per generator for each
-    core), or a bid cell's challenge split, already refutes it."""
+    every other statement's core with ``tr``.  ``cores`` are the statement's
+    (``statement_cores``), derived here when not given.  None when the
+    shape of ``tr`` (a plain transcript with one commitment per generator
+    for each core), or a bid cell's challenge split, already refutes it."""
+    if cores is None:
+        cores = statement_cores(params, stmt)
     if isinstance(stmt, BidValidityStatement):
         if not isinstance(tr, OrTranscript):
             return None
-        plain, marked = branch_statements(params, stmt)
+        plain, marked = cores
         (b0, b1), q = tr.branches, params.q
         if ((b0.challenge + b1.challenge) % q != tr.challenge % q
                 or not _fits(plain, b0) or not _fits(marked, b1)):
             return None
         return (plain, b0), (marked, b1)
-    core = _core(params, stmt)
+    core = cores[0]
     return ((core, tr),) if _fits(core, tr) else None
 
 
@@ -443,27 +549,35 @@ def _fits(core: EQDLStatement, tr) -> bool:
 
 
 def verify_transcript(params: GroupParams, stmt, tr, require_hashed: bool,
-                      batch: "EquationBatch | None" = None, key=None) -> bool:
+                      batch: "EquationBatch | None" = None, key=None,
+                      prepared: Prepared | None = None) -> bool:
     """Check a transcript: its equations (``transcript_equations``) and then,
     under hashed challenges, that the challenge is exactly the canonical
     hash of statement and commitment.  The equations are checked now, in
     order, stopping at the first that fails, unless a batch is given in a
-    wide group: then they go to ``batch.add(key, ...)`` for later.  A plain
-    statement's transcript checked now is checked straight off its core,
-    with no equation list built."""
+    wide group: then they go to ``batch.add(key, ...)`` for later.
+    ``prepared`` is ``prepare(params, stmt)``, derived once by a caller that
+    checks many transcripts of ``stmt``; with it, equations in a group with
+    log tables are checked by logarithms (``_holds``).  Without it the cores
+    are derived here and every equation is checked by its powers.  A
+    plain statement's transcript checked now is checked straight off its
+    core, with no equation list built."""
+    if prepared is None:
+        cores, logged = statement_cores(params, stmt), (None, None)
+    else:
+        cores, logged = prepared
     batched = batch is not None and params.wide
-    if batched or isinstance(stmt, BidValidityStatement):
-        equations = transcript_equations(params, stmt, tr)
+    if batched or len(cores) > 1:
+        equations = transcript_equations(params, stmt, tr, cores)
         if equations is None:
             return False
         if batched:
             batch.add(key, equations)
-        elif not _all_hold(params, equations):
+        elif not all(_holds(params, core, branch, equations_logged)
+                     for (core, branch), equations_logged in zip(equations, logged)):
             return False
-    else:
-        core = _core(params, stmt)
-        if not (_fits(core, tr) and _holds(params, core.gens, core.targets, tr)):
-            return False
+    elif not (_fits(cores[0], tr) and _holds(params, cores[0], tr, logged[0])):
+        return False
     if not require_hashed:
         return True
     return (tr.challenge % params.q == fiat_shamir_challenge(params, stmt, tr.commitment)

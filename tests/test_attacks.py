@@ -285,6 +285,31 @@ class TestAttackRuns:
         assert not result.expectation_met and result.board_json is None
         assert result.report["notes"] == ["no run survived the restart checks"]
 
+    @pytest.mark.parametrize("group", ["small", "mid"])
+    @pytest.mark.parametrize("seed", range(1, 8))
+    def test_wrong_key_restarts_chance_collapses(self, group, seed):
+        """Under all four defenses a chance restart before decryption starts
+        the next run, and the cheat is refused in the decrypt round."""
+        result = run_scenario(ScenarioSpec(scenario="wrong-key", group_name=group,
+                                           seed=seed, flags=DefenseFlags.all_on()))
+        assert result.expectation_met
+        outcome = result.report["outcome"]
+        assert outcome["error"] == "ProofRejected" and "bidder-3" in outcome["detail"]
+
+    @pytest.mark.parametrize("group", ["small", "mid"])
+    @pytest.mark.parametrize("seed", range(1, 8))
+    def test_hashed_forgery_restarts_chance_collapses(self, group, seed):
+        """Under all four defenses the hashed branch restarts a chance
+        collapse of a base product, and reports the refusal of the attack:
+        the product check's detection of the stripped masking, raised as
+        the restart it is, with the board of the run that posted it."""
+        result = run_scenario(ScenarioSpec(scenario="forged-eqdl", group_name=group,
+                                           seed=seed, flags=DefenseFlags.all_on()))
+        assert result.expectation_met
+        assert result.report["outcome"] == {"error": "RestartRequired",
+                                            "detail": NOISE_CANCELLED}
+        assert any(post["kind"] == "outcome" for post in result.board_json)
+
 
 class TestEnumerationRecovery:
     """``recovery.invert_outcome_map`` against every bid vector, enumerated,

@@ -248,8 +248,11 @@ class SessionTamperer(BidderAgent):
         return (self.run.gammas is not None
                 and stmt == self.run.outcome_statements[self.index - 1][cell[0]][cell[1]])
 
-    def prove(self, stmt, challenge_source):
-        tr = super().prove(stmt, challenge_source)
+    def prove(self, stmts, challenge_source):
+        return [self.changed(stmt, tr)
+                for stmt, tr in zip(stmts, super().prove(stmts, challenge_source))]
+
+    def changed(self, stmt, tr):
         for cell, sessions in self.plan.items():
             if self.is_share(stmt, cell):
                 count = self.asked[cell] = self.asked.get(cell, -1) + 1
@@ -324,8 +327,8 @@ class TestBatchFallback:
         """Bidder 2's bumped response at cell (1,1) comes before its
         negated commitment at cell (1,2), so it is the one raised."""
         class Both(SessionTamperer):
-            def prove(self, stmt, challenge_source):
-                tr = super().prove(stmt, challenge_source)
+            def changed(self, stmt, tr):
+                tr = super().changed(stmt, tr)
                 if self.is_share(stmt, (0, 1)):
                     return _negate_commitment(tr)
                 return tr
@@ -402,9 +405,9 @@ class CommitmentNegator(BidderAgent):
                     return sigma.transcript_to_payload(_negate_first(tr))
         return super()._posted_proof(stmt, witness)
 
-    def prove(self, stmt, challenge_source):
-        tr = super().prove(stmt, challenge_source)
-        return _negate_first(tr) if stmt == self.chosen else tr
+    def prove(self, stmts, challenge_source):
+        return [_negate_first(tr) if stmt == self.chosen else tr
+                for stmt, tr in zip(stmts, super().prove(stmts, challenge_source))]
 
 
 class TestScreenedRounds:

@@ -292,6 +292,16 @@ class TestReports:
         report = json.loads((tmp_path / "report.json").read_text())
         assert "elapsed" not in json.dumps(report)
 
+    @pytest.mark.parametrize("n,k", [(2, 2), (1, 5)])
+    def test_bench_budget_covers_small_grids(self, tmp_path, n, k):
+        """Below n*k = 6 the quadratic budget is smaller than the 6nk - 2n
+        additions the solver spends; the linear bound 6nk stands there."""
+        assert main(["run", "--scenario", "recovery-bench", "--n", str(n), "--k", str(k),
+                     "--out", str(tmp_path)]) == 0
+        outcome = json.loads((tmp_path / "report.json").read_text())["outcome"]
+        assert outcome["additions"] == 6 * n * k - 2 * n
+        assert outcome["budget"] == 6 * n * k
+
     def test_bench_report_contents(self, tmp_path):
         main(["run", "--scenario", "recovery-bench", "--n", "5", "--k", "5",
               "--out", str(tmp_path)])

@@ -30,6 +30,17 @@ not.  Under ``noise_product_check`` alone (seeds 7 and 11): the scenario
 reports the product check's detection of the unit-exponent forgery, with
 the detecting run's transcript, where it used to restart every detecting
 run until none was left.
+
+Six more small-group digests were re-pinned when the wrong-key attack and
+the hashed branch of forged-eqdl moved onto the attacks' restart loop,
+where a chance restart starts the next run instead of being reported as
+the result.  (forged-eqdl, all, 7 and 11): the first run's chance
+"exceptional base product" is restarted, and the report now shows the
+product check's detection of the stripped masking, with that run's board.
+(wrong-key, all, 7 and 11): the chance restart before decryption is
+restarted, and the key-bound decrypt proof is refused.
+(wrong-key, noise_product_check, 7 and 11): the batch's runs that used to
+end in a chance restart are restarted.
 """
 
 import hashlib
@@ -74,7 +85,7 @@ GOLDEN = {
     ("forged-eqdl", "authenticate", 7): "44b27a01b94bf3b065bfaba56c20d93c0a3fd07d1b01846dde3e869f864ea56e",
     ("forged-eqdl", "noise_product_check", 7): "b8f3ae5ef0dad53fdd680d1a99fb5f40dd929163858ab6c197c039eebfebe15e",
     ("forged-eqdl", "key_consistency", 7): "c7f55a31376588c2ebae3df4b3952d8adeeb00766ecf7756402cde344944c84b",
-    ("forged-eqdl", "all", 7): "2f68e7f5241680824bf3446eaea9d2dae0d65182d79fd9fd4f1d1626a5df1451",
+    ("forged-eqdl", "all", 7): "07ff8bb04fe8c2567f1caa65bde1e1e25f8ad6b6c5018ff79813cdedebef5f0a",
     ("impersonation", "none", 7): "9cca37e654dd6f5c08a29fe34c2faa6dc8da4bd039e4508620d90e9545eb97ac",
     ("impersonation", "ni_proofs", 7): "9256baca9ce1df9b01e18175c4175d9cf7b4126a0af04eed92dea4cf70b73cec",
     ("impersonation", "authenticate", 7): "4a89da31930f681b71e0b625f2b47d73dccaa630a03f892a2677a49d0335f54c",
@@ -89,9 +100,9 @@ GOLDEN = {
     ("wrong-key", "none", 7): "4ac7654222c60b9b08debbe3f892527aee8669c4063e9149383c0f693843944e",
     ("wrong-key", "ni_proofs", 7): "a92b56990e3ef119c2072519af455cb80da3980b9f5c8c4203446f475b80b016",
     ("wrong-key", "authenticate", 7): "93311e76bc08d55be84aff1cc3674a7797ed470300cbb56d39b3f883d39b0ef5",
-    ("wrong-key", "noise_product_check", 7): "0d2ceb491e2175e2e62d61422e3fc94e3c88ee13ff22d0b47c30e683ca56349e",
+    ("wrong-key", "noise_product_check", 7): "0cddd270cd6989d6c874d4de81738c2ed1baff7157aecb8e5fd61740e408b4ed",
     ("wrong-key", "key_consistency", 7): "50503f3929f9bb8a7b8aad83bd7080ca2e98b4a5f09abd35faebb6d0b67868e9",
-    ("wrong-key", "all", 7): "ba4f67c4f7a96ae50b24a646ad172312189a7fcd962fb43bcbd2407c637d0b63",
+    ("wrong-key", "all", 7): "bb4c1cc5b3b3a8f2b258017e0041bd43d7ce16baa92d6a8ecce129813a57f9f4",
     ("recovery-bench", "none", 7): "34146c357cfeb2ed45f3d700612a4c839ee576f8801fa3672e5a4316b1593a08",
     ("recovery-bench", "ni_proofs", 7): "5e127795a3a176a98977b054da849233258a7ea957dab1debd2716e8faef7988",
     ("recovery-bench", "authenticate", 7): "a7bfda1e59c91a197ffadc99886b2d17a20493004af7b00ccbab135d9789d16a",
@@ -121,7 +132,7 @@ GOLDEN = {
     ("forged-eqdl", "authenticate", 11): "a744f7fc25c0751163cc16c6c395313131afbeb1789f34841b34e2b5447e71d6",
     ("forged-eqdl", "noise_product_check", 11): "19a226d032d0f0c00a2393c9ec02ba30e2c6346b9e79c901777f9b2cc6cea327",
     ("forged-eqdl", "key_consistency", 11): "04bc75df1580cb8a057f7a7d71962d6d113275e80674c47adedaa8e5cde1bde0",
-    ("forged-eqdl", "all", 11): "55c2e1d8a129f5a3339f4a421058b95fedfa53cd59ef2bccc75ed7b4aaa7f02d",
+    ("forged-eqdl", "all", 11): "b26fa0dba16dfbd227f2687efd1c071daa7ec08dcbd1f2a5ac3875025d11107e",
     ("impersonation", "none", 11): "012cc907042e19c7583a9069a974953b184e40ed252aa8cec4aff217f01a96b9",
     ("impersonation", "ni_proofs", 11): "c0f759a452acd3e28b008d8e831d1141cf8f0603499c62769a662a7dd1ee4e1f",
     ("impersonation", "authenticate", 11): "5c22688c91f1807fa922d04267c81c63b6413f555b71c46f3167084eef67e2e1",
@@ -136,9 +147,9 @@ GOLDEN = {
     ("wrong-key", "none", 11): "fda90aa1251e3c72d0ca2948f0c1aa17730334c102400440a392921d7dc537b9",
     ("wrong-key", "ni_proofs", 11): "fef839da29a4cc3a5a045219cc1481df519a469635993f51311abbfb9ba771a7",
     ("wrong-key", "authenticate", 11): "acae1a852154e20c8be5b6a0192d7c2ba7f22074151d33db8e479f08d29ca742",
-    ("wrong-key", "noise_product_check", 11): "a8c402552bf2d40d38c64e1c83e5388e2469cf25317451c0b1b01ef924c40ad9",
+    ("wrong-key", "noise_product_check", 11): "7bf55d34170ee55181edc3f15f948381ce6c44c01b0b1a7de296d8b298845e55",
     ("wrong-key", "key_consistency", 11): "52742e161142f5a1b488e4c12b285ed894ee3a66013a25e5401f29d1063f9cfc",
-    ("wrong-key", "all", 11): "7b39b9df7422082adb9098281e99394af377bad8207b8838aa552b958ce1c234",
+    ("wrong-key", "all", 11): "de02eb4f806297631d52be61cd8d1bac4a75e1b4455a7a444573e86d5bcc2921",
     ("recovery-bench", "none", 11): "f9bebe46aab04c715a54aebf5901ab34eb4ca6a5225876b3441a788431003934",
     ("recovery-bench", "ni_proofs", 11): "a6ebad6807dedcaff41fc079f9ffe7eac54babfd9200d0518833503ad975c1ea",
     ("recovery-bench", "authenticate", 11): "02223ea5eff2d9395606d98ee66a31e73a65a3d3ca704198bcba6af3f89e30fc",

@@ -234,11 +234,11 @@ class TestModeDiscipline:
                                                bid["alphas"], bid["betas"])
         source = sigma.verifier_source(cfg.params, random.Random(1))
         with pytest.raises(ModeMismatch):
-            agent.prove(sigma.PDLStatement(g=cfg.params.g, v=agent.share.y), source)
+            agent.prove([sigma.PDLStatement(g=cfg.params.g, v=agent.share.y)], source)
         with pytest.raises(ModeMismatch):
-            agent.prove(cells[0], source)
+            agent.prove([cells[0]], source)
         with pytest.raises(ModeMismatch):
-            agent.prove(total, source)
+            agent.prove([total], source)
 
     def test_hashed_posts_carry_checkable_proofs(self):
         cfg = AuctionConfig(n=2, k=2, flags=DefenseFlags(ni_proofs=True))
@@ -517,11 +517,10 @@ class TestNonCanonicalScalars:
         """An interactive response shifted by a multiple of q passes every
         equation too; it is refused before any verifier raises a base to it."""
         class ShiftingBidder(BidderAgent):
-            def prove(self, stmt, challenge_source):
-                tr = super().prove(stmt, challenge_source)
-                if not isinstance(stmt, sigma.PDLStatement):
-                    return tr
-                return tr._replace(response=tr.response + shift)
+            def prove(self, stmts, challenge_source):
+                return [tr._replace(response=tr.response + shift)
+                        if isinstance(stmt, sigma.PDLStatement) else tr
+                        for stmt, tr in zip(stmts, super().prove(stmts, challenge_source))]
 
         def factory(run, index, rng):
             return (ShiftingBidder if index == 2 else BidderAgent)(run, index, rng)
@@ -1145,8 +1144,8 @@ class TestProofRecords:
             eqdl = sigma.EQDLStatement((g,), (agent.share.y,))
             assert agent.witnesses[pdl] == agent.share.x
             assert eqdl not in agent.witnesses
-            assert agent.prove(eqdl, source) is None
-            assert agent.prove(pdl, source) is not None
+            assert agent.prove([eqdl], source) == [None]
+            assert agent.prove([pdl], source) != [None]
 
     def test_one_outcome_statement_grid_per_round(self):
         run = self._run()

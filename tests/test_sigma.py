@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from auctionlab import sigma
 from auctionlab.elgamal import encrypt
 from auctionlab.errors import AlreadyCommitted, NotCommitted, WitnessMismatch
-from auctionlab.groups import LARGE_GROUP, SMALL_GROUP, GroupParams
+from auctionlab.groups import LARGE_GROUP, MID_GROUP, SMALL_GROUP, GroupParams
 
 from conftest import FixedNonce, fixed_challenge
 
@@ -405,3 +405,77 @@ class TestVerifierWork:
         verdict = sigma.verify_transcript(group, stmt, tr, require_hashed)
         monkeypatch.undo()
         assert (verdict, calls["exp"], calls["inv"]) == (accepts, exps, invs)
+
+
+class TestPreparedChecks:
+    """A statement prepared once (``sigma.prepare``) is checked by
+    logarithms in a group with log tables: the same verdict as checking its
+    powers, with no power raised while every value has a logarithm, and a
+    fallback to the powers for a value that has none."""
+
+    KINDS = [
+        ("knowledge", None), ("knowledge", "response"),
+        ("equality", None), ("equality", "response"), ("equality", "target 3"),
+        ("equality", "one commitment short"),
+        ("bid cell", None), ("bid cell", "challenge split"),
+        ("bid cell", "plain branch"), ("bid cell", "marked branch"),
+        ("sum", None), ("sum", "response"),
+    ]
+
+    @staticmethod
+    def _counting(monkeypatch):
+        calls = collections.Counter()
+        exp = GroupParams.exp
+
+        def counting(self, *args):
+            calls["exp"] += 1
+            return exp(self, *args)
+        monkeypatch.setattr(GroupParams, "exp", counting)
+        return calls
+
+    @pytest.mark.parametrize("require_hashed", [False, True], ids=["plain", "hashed"])
+    @pytest.mark.parametrize("group", [SMALL_GROUP, MID_GROUP, LARGE_GROUP],
+                             ids=["small", "mid", "large"])
+    @pytest.mark.parametrize("kind,tamper", KINDS)
+    def test_same_verdict_as_the_powers(self, monkeypatch, group, require_hashed,
+                                        kind, tamper):
+        for seed in range(4):
+            stmt, tr = _tampered(group, *_statement_and_transcript(
+                group, kind, random.Random(seed)), tamper)
+            prepared = sigma.prepare(group, stmt)
+            assert prepared.cores == sigma.statement_cores(group, stmt)
+            assert all((logged is None) == (group.logs is None)
+                       for logged in prepared.logged)
+            by_powers = sigma.verify_transcript(group, stmt, tr, require_hashed)
+            calls = self._counting(monkeypatch)
+            assert sigma.verify_transcript(group, stmt, tr, require_hashed,
+                                           prepared=prepared) == by_powers
+            assert by_powers == (tamper is None)
+            if group.logs is not None:
+                assert calls["exp"] == 0
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("change", ["minus p", "plus p", "non-member"])
+    def test_commitment_without_a_log_falls_back(self, monkeypatch, change):
+        """A commitment with no logarithm has its equation checked by powers,
+        with the verdict that check gives: z - p and z + p pass as z does,
+        since the product is reduced mod p, and p - z fails."""
+        group = MID_GROUP
+        stmt, tr = _statement_and_transcript(group, "knowledge", random.Random(3))
+        (z,) = tr.commitment
+        other = {"minus p": z - group.p, "plus p": z + group.p,
+                 "non-member": group.p - z}[change]
+        changed = tr._replace(commitment=(other,))
+        prepared = sigma.prepare(group, stmt)
+        calls = self._counting(monkeypatch)
+        verdict = sigma.verify_transcript(group, stmt, changed, False, prepared=prepared)
+        assert calls["exp"] == 2
+        monkeypatch.undo()
+        assert verdict == sigma.verify_transcript(group, stmt, changed, False)
+        assert verdict == (change != "non-member")
+
+    def test_statement_value_without_a_log_keeps_the_powers(self):
+        """A generator outside the subgroup leaves its core unprepared."""
+        group = MID_GROUP
+        stmt = sigma.EQDLStatement(gens=(group.p - group.g, group.g), targets=(4, 16))
+        assert sigma.prepare(group, stmt).logged == (None,)
