@@ -367,15 +367,13 @@ def prove_sessions(params: GroupParams, sessions, rng: random.Random,
 
 
 def prove(params: GroupParams, stmt, witness, rng: random.Random,
-          challenge_source: ChallengeSource, checked: bool = False):
+          challenge_source: ChallengeSource):
     """Full three-move run proving ``stmt`` (``prove_sessions``); the
     challenge source always sees ``stmt`` itself.  A knowledge, equality or
     sum statement takes the exponent of its core (for a sum, the randomiser
     sum); a bid cell takes ``(r, is_marker)`` and gets an OR transcript.  A
-    bid cell's witness is checked first (``check_witness``) unless
-    ``checked`` says the caller already has."""
-    if not checked:
-        check_witness(params, stmt, witness)
+    bid cell's witness is checked first (``check_witness``)."""
+    check_witness(params, stmt, witness)
     session = (stmt, witness, statement_cores(params, stmt))
     return prove_sessions(params, [session], rng, challenge_source)[0]
 
