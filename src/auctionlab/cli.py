@@ -128,7 +128,6 @@ def spec_from_args(args: argparse.Namespace) -> ScenarioSpec:
         cell=cell,
         rerandomize=args.rerandomize,
         claim=tuple(claim_parts),
-        out_dir=Path(args.out),
     )
 
 
@@ -163,7 +162,7 @@ def main(argv: list[str] | None = None) -> int:
             raise UsageError("expected a command: run or list")
         spec = spec_from_args(args)
         result = run_scenario(spec)
-        paths = emit_report(result, spec.out_dir)
+        paths = emit_report(result, Path(args.out))
         _print_summary(result, paths)
         return 0 if result.expectation_met else 1
     except UsageError as exc:

@@ -66,6 +66,7 @@ ROUND_RESULT = "result"
 SELLER = "seller"
 MAX_ATTEMPTS = 200            # cap on auctions per with_restarts call
 NOISE_CANCELLED = "noise cancellation detected"   # a detection, not a chance collapse
+_INTS = frozenset((int,))
 
 
 def bidder_name(index: int) -> str:
@@ -279,12 +280,36 @@ def check_payload(config: AuctionConfig, kind: str, author: str, round_name: str
 
 
 def _canonical_scalars(tr, q: int) -> bool:
-    """Every challenge and response of ``tr``, OR branches included, lies
-    in 0 <= v < q."""
-    if isinstance(tr, sigma.OrTranscript):
-        return (0 <= tr.challenge < q and _canonical_scalars(tr.branches[0], q)
+    """Every challenge and response of ``tr``, OR branches included, is an
+    int in 0 <= v < q."""
+    if type(tr) is sigma.OrTranscript:
+        return (type(tr.challenge) is int and 0 <= tr.challenge < q
+                and _canonical_scalars(tr.branches[0], q)
                 and _canonical_scalars(tr.branches[1], q))
-    return 0 <= tr.challenge < q and 0 <= tr.response < q
+    return (type(tr.challenge) is int and type(tr.response) is int
+            and 0 <= tr.challenge < q and 0 <= tr.response < q)
+
+
+def _record_problem(tr) -> str | None:
+    """Why ``tr``, which an agent gave for an interactive session, is not a
+    transcript record with int commitments, or None: a plain transcript
+    with a tuple of ints, or an OR transcript of two of them."""
+    if type(tr) is sigma.OrTranscript:
+        branches = tr.branches
+        if type(branches) is not tuple or len(branches) != 2:
+            return "an OR proof needs two branches"
+        return _plain_problem(branches[0]) or _plain_problem(branches[1])
+    return _plain_problem(tr)
+
+
+def _plain_problem(tr) -> str | None:
+    """``_record_problem`` for a plain transcript."""
+    if type(tr) is not sigma.Transcript:
+        return f"{type(tr).__name__} is not a transcript"
+    com = tr.commitment
+    if type(com) is not tuple or not set(map(type, com)) <= _INTS:
+        return "commitments must be a tuple of integers"
+    return None
 
 
 def _check_commitments(params: GroupParams, author: str, round_name: str,
@@ -301,35 +326,40 @@ def _check_commitments(params: GroupParams, author: str, round_name: str,
 
 def check_proof(config: AuctionConfig, author: str, round_name: str, stmt, proof,
                 failure: str, where: str, batch: sigma.EquationBatch,
-                prepared: sigma.Prepared | None = None) -> None:
+                cores: tuple | None = None) -> None:
     """Check ``author``'s proof of ``stmt`` in the run's proof mode, or
     raise ProofRejected naming the author, the round and ``where``.
 
     Interactive: ``proof`` is the transcript the author's agent gave in a
     session for ``stmt`` as the verifier built it, against the verifier's
     challenges (``check_round`` runs the sessions), or None when the agent
-    had no proof: it never posted ``stmt``.
-    Hashed: ``proof`` is the posted payload, parsed here, and the challenge
-    must be the canonical hash; a None payload is a missing proof.  In both
-    modes every commitment must lie in the order-q subgroup, and every
-    challenge and response (OR branches included) in 0 <= v < q, so that no
-    statement has a second accepting transcript made by adding q, no
-    verifier raises a base to an oversized response, and the batch's
-    small-exponent test sees members only.  ``prepared`` is
-    ``sigma.prepare(params, stmt)``, derived once for every check of
-    ``stmt``; in a group with log tables it has the equations checked by
-    logarithms.  Every failure found here is raised at once, and in a
-    narrow group commitments are tested as they arrive.  In a wide group
-    only 0 < z < p is tested on arrival: the proof's exponent equations go
-    to ``batch``, which screens the round's commitments for membership and
-    checks the equations when the round's checks are done.  Before any
-    other failure of a proof is raised, its own commitments are tested one
-    by one, so the refusal is the one that testing them on arrival gives."""
+    had no proof: it never posted ``stmt``.  A transcript that is not a
+    record of ints (``_record_problem``) is malformed, as an unparseable
+    payload is.  Hashed: ``proof`` is the posted payload, parsed here, and
+    the challenge must be the canonical hash; a None payload is a missing
+    proof.  In both modes every commitment must lie in the order-q
+    subgroup, and every challenge and response (OR branches included) be
+    an int in 0 <= v < q, so that no statement has a second accepting
+    transcript made by adding q, no verifier raises a base to an oversized
+    response, and the batch's small-exponent test sees members only.
+    ``cores`` are the statement's (``sigma.statement_cores``), derived once
+    for every check of ``stmt``, or here when None.  Every failure found
+    here is raised at once, and in a narrow group commitments are tested
+    as they arrive and equations checked by ``sigma.verify_transcript``.
+    In a wide group only 0 < z < p is tested on arrival: the proof's
+    exponent equations go to ``batch``, which screens the round's
+    commitments for membership and checks the equations when the round's
+    checks are done.  Before any other failure of a proof is raised, its
+    own commitments are tested one by one, so the refusal is the one that
+    testing them on arrival gives."""
     params, interactive = config.params, config.interactive
     if interactive:
         tr = proof
         if tr is None:
             raise ProofRejected(author, round_name, failure + where)
+        problem = _record_problem(tr)
+        if problem is not None:
+            raise ProofRejected(author, round_name, f"malformed proof{where}: {problem}")
     elif proof is None:
         raise ProofRejected(author, round_name, f"missing proof{where}")
     else:
@@ -344,7 +374,7 @@ def check_proof(config: AuctionConfig, author: str, round_name: str, stmt, proof
     if not _canonical_scalars(tr, params.q):
         detail = f"malformed proof{where}: response or challenge outside 0 <= v < q"
     elif sigma.verify_transcript(params, stmt, tr, not interactive, batch,
-                                 (author, failure, where, com), prepared):
+                                 (author, failure, where, com), cores):
         return
     else:
         detail = failure + where
@@ -356,20 +386,21 @@ def check_round(run: "AuctionRun", round_name: str, verifiers, entries) -> None:
     """Have each verifier (a party with a ``name`` and an ``rng``) check
     every entry another author posted, verifier by verifier, in entry order.
     An entry is ``(author, statement, posted proof, failure, where)`` as
-    ``check_proof`` takes them.
+    ``check_proof`` takes them.  Every proof is checked alike, whatever the
+    mode and the number of verifiers (``sigma.verify_transcript``).
 
-    Interactive (``_session_checks``): what depends on an entry's statement
-    alone is derived once per round (``sigma.prepare``), not once per
-    session, when more than one verifier checks it.  Each verifier asks each author's agent in ``run`` once for the
+    Interactive (``_session_checks``): each entry's statement cores are
+    derived once per round (``sigma.statement_cores``), not once per
+    session.  Each verifier asks each author's agent in ``run`` once for the
     sessions of that author's consecutive entries (``BidderAgent.prove``),
     with the same list for every verifier, and checks the transcripts in
     entry order.  The sessions run in entry order against the verifier's
     one challenge source for the round (``sigma.verifier_source`` over its
     ``rng``), so every rng sees the draws a session at a time would make; a
-    name with no agent behind it has no proof.  Hashed (``_shared_checks``):
-    a proof's verdict depends on its statement and transcript alone, so the
-    first verifier that reaches it checks it and every later one shares
-    that verdict.
+    name with no agent behind it has no proof, and a reply that is not a
+    list is malformed.  Hashed (``_shared_checks``): a proof's verdict
+    depends on its statement and transcript alone, so the first verifier
+    that reaches it checks it and every later one shares that verdict.
 
     In a wide group every proof's exponent equations go to one batch for
     the round (``sigma.EquationBatch``), which also screens their
@@ -384,9 +415,9 @@ def check_round(run: "AuctionRun", round_name: str, verifiers, entries) -> None:
     checks = (_session_checks(run, round_name, verifiers, entries) if config.interactive
               else _shared_checks(verifiers, entries))
     try:
-        for author, stmt, proof, failure, where, prepared in checks:
+        for author, stmt, proof, failure, where, cores in checks:
             check_proof(config, author, round_name, stmt, proof, failure, where,
-                        batch, prepared)
+                        batch, cores)
     except Exception:
         # An earlier proof's non-member or false equation is raised first.
         _raise_first_failure(batch, round_name)
@@ -396,7 +427,7 @@ def check_round(run: "AuctionRun", round_name: str, verifiers, entries) -> None:
 
 def _shared_checks(verifiers, entries):
     """``check_round``'s hashed checks: each entry once, by the first
-    verifier that did not post it, with no statement prepared."""
+    verifier that did not post it, its cores derived in the check."""
     pending = entries
     for verifier in verifiers:
         left = []
@@ -410,16 +441,13 @@ def _shared_checks(verifiers, entries):
 
 def _session_checks(run: "AuctionRun", round_name: str, verifiers, entries):
     """``check_round``'s interactive checks, verifier by verifier: each
-    author's consecutive entries, prepared once (``sigma.prepare``), with
-    the transcripts of the sessions its agent ran for them."""
+    author's consecutive entries with their cores, derived once
+    (``sigma.statement_cores``), and the transcripts of the sessions its
+    agent ran for them."""
     params, agents = run.config.params, run.agents
-    # For a single check, deriving a statement's logarithms costs more than
-    # the powers it saves; a lone verifier prepares nothing.
-    shared = len(verifiers) > 1
-    asks = []                                 # (author, statements, (entry, prepared))
+    asks = []                                 # (author, statements, (entry, cores))
     for author, group in itertools.groupby(entries, key=lambda entry: entry[0]):
-        checks = [(entry, sigma.prepare(params, entry[1]) if shared else None)
-                  for entry in group]
+        checks = [(entry, sigma.statement_cores(params, entry[1])) for entry in group]
         asks.append((author, [entry[1] for entry, _ in checks], checks))
     for verifier in verifiers:
         source = sigma.verifier_source(params, verifier.rng)
@@ -427,12 +455,17 @@ def _session_checks(run: "AuctionRun", round_name: str, verifiers, entries):
             if author == verifier.name:
                 continue                      # nobody checks their own proof
             agent = agents.get(author)
+            first_where = checks[0][0][4]
             if agent is None:
-                raise ProofRejected(author, round_name, f"missing proof{checks[0][0][4]}")
+                raise ProofRejected(author, round_name, f"missing proof{first_where}")
+            reply = agent.prove(stmts, source)
+            if type(reply) is not list:
+                raise ProofRejected(author, round_name, f"malformed proof{first_where}: "
+                                    f"{type(reply).__name__} reply, not a list")
             # A prover that gives fewer transcripts has no proof for the rest.
-            transcripts = itertools.chain(agent.prove(stmts, source), itertools.repeat(None))
-            for ((_, stmt, _, failure, where), prepared), tr in zip(checks, transcripts):
-                yield author, stmt, tr, failure, where, prepared
+            transcripts = itertools.chain(reply, itertools.repeat(None))
+            for ((_, stmt, _, failure, where), cores), tr in zip(checks, transcripts):
+                yield author, stmt, tr, failure, where, cores
 
 
 def _raise_first_failure(batch: sigma.EquationBatch, round_name: str) -> None:

@@ -51,7 +51,6 @@ class ScenarioSpec:
     cell: tuple[int, int] | None = None
     rerandomize: bool = False
     claim: tuple[int, int, int] = (1, 1, -1)
-    out_dir: Path | None = None
 
     def __post_init__(self):
         """Resolve the group and marker once: an explicit marker wins, a

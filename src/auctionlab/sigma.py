@@ -28,29 +28,28 @@ membership in the order-q subgroup by 64 random-subset products, so a
 prover who can try t sets of equations offline gets a non-member or a false
 equation through with probability about t * 2^-63; callers check every
 other element's membership first.  Narrower groups check each equation as
-it arrives; below p = 2^16 each of its powers is read from the group's
-tables (``GroupParams.logs``).  A statement checked many times is prepared
-once (``prepare``): its cores, and in a group with log tables the
-logarithms of their generators and targets.  Each equation of a prepared
-statement is then checked as s * log gen = log z + c * log target mod q,
-which holds exactly when the powers agree; a value with no logarithm sends
-its equation back to the powers.
+it arrives.  In a group with log tables (``GroupParams.logs``, p < 2^16)
+an equation whose generator, target and commitment all have logarithms is
+checked as s * log gen = log z + c * log target mod q, which holds exactly
+when the powers agree; any other equation, such as one with a commitment
+z + p, is checked by its powers.  The check is the same for every caller:
+either mode, any number of verifiers.
 
 Statements and transcripts are named tuples, so comparing and hashing one
 runs in C.  In interactive mode every honest verifier runs its own session
 with every prover, 8 184 sessions in a mid-group n=8, k=16 auction.
-``protocol.check_round`` prepares each statement once per round, and asks
-each prover once per verifier for the sessions of all its statements.  A
-masking share's session, from the prover's draw to the verifier's check by
-logarithms, costs about 3.8 us on CPython 3.11.7 (a shared 2-vCPU host),
-against about 5.1 us when each session was asked for alone and checked by
-six powers; about a third of it is the prover's two powers and the two
-draws.  As frozen dataclasses its records added about 2 us more.  A named
-tuple equals any tuple with the same items; the records' kinds differ in
-length or in the types of their items, so no two kinds built from one
-run's values compare equal, and none stands in for another as a witness
-key.  ``EQDLStatement`` refuses mismatched vectors when it is built
-(``_make`` and ``_replace`` do not check).
+``protocol.check_round`` derives each statement's cores once per round,
+and asks each prover once per verifier for the sessions of all its
+statements.  A masking share's session, from the prover's draw to the
+verifier's check by logarithms, costs about 3.8-4.0 us on CPython 3.11.7
+(a shared 2-vCPU host), against about 5.1 us when each session was asked
+for alone and checked by six powers; about a third of it is the prover's
+two powers and the two draws.  As frozen dataclasses its records added about
+2 us more.  A named tuple equals any tuple with the same items; the
+records' kinds differ in length or in the types of their items, so no two
+kinds built from one run's values compare equal, and none stands in for
+another as a witness key.  ``EQDLStatement`` refuses mismatched vectors
+when it is built (``_make`` and ``_replace`` do not check).
 
 The hashed challenge's encoder (``serialize_statement``) keeps the encoded
 p, q and g of the last eight groups it served, found by the group object's
@@ -452,68 +451,32 @@ _ROWS = 8 * _WEIGHT_BYTES
 _ASCII_ZEROS = int.from_bytes(b"0" * _ROWS, "big")
 
 
-class Prepared(NamedTuple):
-    """What checking a statement's transcripts needs from the statement
-    alone, derived once for all its sessions (``prepare``): its cores
-    (``statement_cores``) and, for each core in a group with log tables,
-    its equations as (gen, target, log gen, log target), or None where the
-    group has no log table or a generator or target has no logarithm."""
-
-    cores: tuple
-    logged: tuple
-
-
-def prepare(params: GroupParams, stmt) -> Prepared:
-    """``stmt``'s cores, with their equations' logarithms in a group with
-    log tables (``GroupParams.logs``)."""
-    cores = statement_cores(params, stmt)
-    table = params.logs
-    if table is None:
-        return Prepared(cores, (None,) * len(cores))
-    return Prepared(cores, tuple([_logged(table, params.p, core) for core in cores]))
-
-
-def _logged(table: list, p: int, core: EQDLStatement) -> tuple | None:
-    """``core``'s equations as (gen, target, log gen, log target), or None
-    when a generator or target is not an int member of the group."""
-    equations = []
-    for gen, target in zip(core.gens, core.targets):
-        if not (type(gen) is int and type(target) is int and 0 <= gen < p and 0 <= target < p):
-            return None
-        log_gen, log_target = table[gen], table[target]
-        if log_gen is None or log_target is None:
-            return None
-        equations.append((gen, target, log_gen, log_target))
-    return tuple(equations)
-
-
-def _holds(params: GroupParams, core: EQDLStatement, tr, logged=None) -> bool:
+def _holds(params: GroupParams, core: EQDLStatement, tr) -> bool:
     """Whether gens[i]^s = z[i] * targets[i]^c holds for every i of
-    ``core``, checked in order, stopping at the first that fails.  Given
-    ``logged``, the core's equations with their logarithms (``prepare``),
-    an equation whose commitment z has a logarithm too is checked as
-    s * log gens[i] = log z + c * log targets[i] mod q, which holds exactly
-    when the powers agree; every other equation is checked by its powers."""
-    exp, p = params.exp, params.p
+    ``core``, checked in order, stopping at the first that fails.  In a
+    group with log tables (``GroupParams.logs``) an equation whose
+    generator, target and commitment are int members, with s and c ints, is
+    checked as s * log gen = log z + c * log target mod q, which holds
+    exactly when the powers agree; every other equation is checked by its
+    powers."""
+    p, q = params.p, params.q
     s, c = tr.response, tr.challenge
-    if logged is not None and type(s) is int and type(c) is int:
-        table, q = params.logs, params.q
-        for (gen, target, log_gen, log_target), z in zip(logged, tr.commitment):
-            log_z = table[z] if type(z) is int and 0 <= z < p else None
-            if log_z is None:
-                if exp(gen, s) != z * exp(target, c) % p:
+    logs = params.logs if type(s) is int and type(c) is int else None
+    for gen, target, z in zip(core.gens, core.targets, tr.commitment):
+        if (logs is not None and type(gen) is type(target) is type(z) is int
+                and 0 <= gen < p and 0 <= target < p and 0 <= z < p):
+            log_gen, log_target, log_z = logs[gen], logs[target], logs[z]
+            if log_gen is not None and log_target is not None and log_z is not None:
+                if (s * log_gen - c * log_target - log_z) % q:
                     return False
-            elif (s * log_gen - c * log_target - log_z) % q:
-                return False
-        return True
-    for gen, target, com in zip(core.gens, core.targets, tr.commitment):
-        if exp(gen, s) != com * exp(target, c) % p:
+                continue
+        if params.exp(gen, s) != z * params.exp(target, c) % p:
             return False
     return True
 
 
 def _all_hold(params: GroupParams, pairs) -> bool:
-    """Whether every equation of ``pairs`` holds, checked by powers in
+    """Whether every equation of ``pairs`` holds (``_holds``), checked in
     order, stopping at the first that fails."""
     return all(_holds(params, core, tr) for core, tr in pairs)
 
@@ -548,22 +511,18 @@ def _fits(core: EQDLStatement, tr) -> bool:
 
 def verify_transcript(params: GroupParams, stmt, tr, require_hashed: bool,
                       batch: "EquationBatch | None" = None, key=None,
-                      prepared: Prepared | None = None) -> bool:
+                      cores: tuple | None = None) -> bool:
     """Check a transcript: its equations (``transcript_equations``) and then,
     under hashed challenges, that the challenge is exactly the canonical
-    hash of statement and commitment.  The equations are checked now, in
-    order, stopping at the first that fails, unless a batch is given in a
-    wide group: then they go to ``batch.add(key, ...)`` for later.
-    ``prepared`` is ``prepare(params, stmt)``, derived once by a caller that
-    checks many transcripts of ``stmt``; with it, equations in a group with
-    log tables are checked by logarithms (``_holds``).  Without it the cores
-    are derived here and every equation is checked by its powers.  A
-    plain statement's transcript checked now is checked straight off its
-    core, with no equation list built."""
-    if prepared is None:
-        cores, logged = statement_cores(params, stmt), (None, None)
-    else:
-        cores, logged = prepared
+    hash of statement and commitment.  The equations are checked now
+    (``_holds``: by logarithms where the group has them, else by powers),
+    in order, stopping at the first that fails, unless a batch is given in
+    a wide group: then they go to ``batch.add(key, ...)`` for later.
+    ``cores`` are the statement's (``statement_cores``), derived here when
+    not given.  A plain statement's transcript checked now is checked
+    straight off its core, with no equation list built."""
+    if cores is None:
+        cores = statement_cores(params, stmt)
     batched = batch is not None and params.wide
     if batched or len(cores) > 1:
         equations = transcript_equations(params, stmt, tr, cores)
@@ -571,10 +530,9 @@ def verify_transcript(params: GroupParams, stmt, tr, require_hashed: bool,
             return False
         if batched:
             batch.add(key, equations)
-        elif not all(_holds(params, core, branch, equations_logged)
-                     for (core, branch), equations_logged in zip(equations, logged)):
+        elif not _all_hold(params, equations):
             return False
-    elif not (_fits(cores[0], tr) and _holds(params, cores[0], tr, logged[0])):
+    elif not (_fits(cores[0], tr) and _holds(params, cores[0], tr)):
         return False
     if not require_hashed:
         return True

@@ -547,6 +547,71 @@ class TestNonCanonicalScalars:
             "malformed proof at price 1: response or challenge outside 0 <= v < q")
 
 
+def _str_commitments(tr):
+    return tr._replace(commitment=tuple(str(z) for z in tr.commitment))
+
+
+def _dict_branch(tr):
+    if isinstance(tr, sigma.OrTranscript):
+        return tr._replace(branches=(tr.branches[0], sigma.transcript_to_payload(tr.branches[1])))
+    return tr
+
+
+class TestMalformedSessions:
+    """An agent's interactive sessions that are not transcript records of
+    ints are refused as malformed proofs naming the author and the round,
+    as an unparseable hashed payload is, in a narrow group (equations
+    checked as they arrive) and a wide one (equations batched)."""
+
+    REWRITES = {
+        "str commitments": _str_commitments,
+        "float response": lambda tr: tr._replace(response=float(tr.response)),
+        "None challenge": lambda tr: tr._replace(challenge=None),
+        "dict": sigma.transcript_to_payload,
+        "int": lambda tr: 7,
+        "empty tuple": lambda tr: (),
+        "dict OR branch": _dict_branch,
+    }
+    DETAILS = {
+        "str commitments": (ROUND_KEYGEN, "commitments must be a tuple of integers"),
+        "float response": (ROUND_KEYGEN, "response or challenge outside 0 <= v < q"),
+        "None challenge": (ROUND_KEYGEN, "response or challenge outside 0 <= v < q"),
+        "dict": (ROUND_KEYGEN, "dict is not a transcript"),
+        "int": (ROUND_KEYGEN, "int is not a transcript"),
+        "empty tuple": (ROUND_KEYGEN, "tuple is not a transcript"),
+        "dict OR branch": (ROUND_BID, "dict is not a transcript"),
+    }
+
+    @staticmethod
+    def _refusal(group, prove):
+        class RewritingBidder(BidderAgent):
+            def prove(self, stmts, challenge_source):
+                return prove(super().prove(stmts, challenge_source))
+
+        config = AuctionConfig(n=3, k=3, params=group, marker=9)
+        with pytest.raises(ProofRejected) as caught:
+            run_auction(config, [1, 2, 3], 5,
+                        agent_factory=dishonest_bidder(3, RewritingBidder))
+        exc = caught.value
+        return exc.author, exc.round_name, exc.detail
+
+    @pytest.mark.parametrize("group", [MID_GROUP, LARGE_GROUP], ids=["mid", "large"])
+    @pytest.mark.parametrize("shape", list(REWRITES))
+    def test_transcript(self, group, shape):
+        rewrite = self.REWRITES[shape]
+        round_name, problem = self.DETAILS[shape]
+        where = " at price 1" if round_name == ROUND_BID else ""
+        assert self._refusal(group, lambda transcripts: [rewrite(tr) for tr in transcripts]) == (
+            bidder_name(3), round_name, f"malformed proof{where}: {problem}")
+
+    @pytest.mark.parametrize("group", [MID_GROUP, LARGE_GROUP], ids=["mid", "large"])
+    @pytest.mark.parametrize("reply,name", [(None, "NoneType"), (7, "int"),
+                                            ((), "tuple")], ids=["None", "int", "tuple"])
+    def test_reply_not_a_list(self, group, reply, name):
+        assert self._refusal(group, lambda transcripts: reply) == (
+            bidder_name(3), ROUND_KEYGEN, f"malformed proof: {name} reply, not a list")
+
+
 def _hashed_bids_posted(n=2, k=3, seed=5):
     """A hashed run in the small group with keygen done and every bid on the
     board, not yet verified."""

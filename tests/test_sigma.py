@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from auctionlab import sigma
 from auctionlab.elgamal import encrypt
 from auctionlab.errors import AlreadyCommitted, NotCommitted, WitnessMismatch
-from auctionlab.groups import LARGE_GROUP, MID_GROUP, SMALL_GROUP, GroupParams
+from auctionlab.groups import (LARGE_GROUP, MID_GROUP, SMALL_GROUP, GroupParams,
+                               validate_group)
 
 from conftest import FixedNonce, fixed_challenge
 
@@ -370,13 +371,40 @@ def _tampered(params, stmt, tr, tamper):
     return stmt, tr
 
 
+def _by_powers(group):
+    """``group`` with its log tables hidden: every equation is checked by
+    its powers."""
+    bare = GroupParams(group.p, group.q, group.g)
+    object.__setattr__(bare, "_logs_pending", False)
+    return bare
+
+
+def _counting(monkeypatch, names=("exp",)):
+    """Count calls of the named ``GroupParams`` methods until undone."""
+    calls = collections.Counter()
+    for name in names:
+        def counting(self, *args, _name=name, _orig=getattr(GroupParams, name)):
+            calls[_name] += 1
+            return _orig(self, *args)
+        monkeypatch.setattr(GroupParams, name, counting)
+    return calls
+
+
+# No log table (p > 2^16) and not wide (p < 2^128): powers go to ``pow``.
+P17_GROUP = validate_group(73369, 1019, 62156)
+
+
 class TestVerifierWork:
     """What ``verify_transcript`` costs per statement kind, accepting and
-    rejecting: 2 powers per equation, stopping at the first that fails, and
-    one inverse for the marker in a bid cell or a sum."""
+    rejecting.  Checked by powers (a group with no log table): 2 powers per
+    equation, stopping at the first that fails.  In a group with log tables
+    every value of these proofs has a logarithm, so no power is raised, with
+    the same verdicts.  A bid cell or a sum takes one inverse for the
+    marker."""
 
     @pytest.mark.parametrize("require_hashed", [False, True], ids=["plain", "hashed"])
-    @pytest.mark.parametrize("group", [SMALL_GROUP, LARGE_GROUP], ids=["small", "large"])
+    @pytest.mark.parametrize("group", [SMALL_GROUP, LARGE_GROUP, MID_GROUP, P17_GROUP],
+                             ids=["small", "large", "mid", "p73369"])
     @pytest.mark.parametrize("kind,tamper,accepts,exps,invs", [
         ("knowledge", None, True, 2, 0),
         ("knowledge", "response", False, 2, 0),
@@ -396,22 +424,20 @@ class TestVerifierWork:
                               accepts, exps, invs):
         stmt, tr = _statement_and_transcript(group, kind, random.Random(17))
         stmt, tr = _tampered(group, stmt, tr, tamper)
-        calls = collections.Counter()
-        for name in ("exp", "inv"):
-            def counting(self, *args, _name=name, _orig=getattr(GroupParams, name)):
-                calls[_name] += 1
-                return _orig(self, *args)
-            monkeypatch.setattr(GroupParams, name, counting)
+        assert (group.logs is not None) == (group.p < 1 << 16)
+        calls = _counting(monkeypatch, ("exp", "inv"))
         verdict = sigma.verify_transcript(group, stmt, tr, require_hashed)
         monkeypatch.undo()
+        if group.logs is not None:
+            exps = 0
         assert (verdict, calls["exp"], calls["inv"]) == (accepts, exps, invs)
 
 
 class TestPreparedChecks:
-    """A statement prepared once (``sigma.prepare``) is checked by
-    logarithms in a group with log tables: the same verdict as checking its
-    powers, with no power raised while every value has a logarithm, and a
-    fallback to the powers for a value that has none."""
+    """An equation is checked by logarithms in a group with log tables: the
+    same verdict as checking its powers (the group with its tables hidden),
+    with no power raised while every value has a logarithm, and the powers
+    for an equation with a value that has none."""
 
     KINDS = [
         ("knowledge", None), ("knowledge", "response"),
@@ -422,38 +448,30 @@ class TestPreparedChecks:
         ("sum", None), ("sum", "response"),
     ]
 
-    @staticmethod
-    def _counting(monkeypatch):
-        calls = collections.Counter()
-        exp = GroupParams.exp
-
-        def counting(self, *args):
-            calls["exp"] += 1
-            return exp(self, *args)
-        monkeypatch.setattr(GroupParams, "exp", counting)
-        return calls
-
     @pytest.mark.parametrize("require_hashed", [False, True], ids=["plain", "hashed"])
     @pytest.mark.parametrize("group", [SMALL_GROUP, MID_GROUP, LARGE_GROUP],
                              ids=["small", "mid", "large"])
     @pytest.mark.parametrize("kind,tamper", KINDS)
     def test_same_verdict_as_the_powers(self, monkeypatch, group, require_hashed,
                                         kind, tamper):
+        bare = _by_powers(group)
         for seed in range(4):
             stmt, tr = _tampered(group, *_statement_and_transcript(
                 group, kind, random.Random(seed)), tamper)
-            prepared = sigma.prepare(group, stmt)
-            assert prepared.cores == sigma.statement_cores(group, stmt)
-            assert all((logged is None) == (group.logs is None)
-                       for logged in prepared.logged)
-            by_powers = sigma.verify_transcript(group, stmt, tr, require_hashed)
-            calls = self._counting(monkeypatch)
+            cores = sigma.statement_cores(group, stmt)
+            powers = _counting(monkeypatch)
+            by_powers = sigma.verify_transcript(bare, stmt, tr, require_hashed)
+            monkeypatch.undo()
+            assert bare.logs is None
+            assert powers["exp"] > 0 or tamper in ("one commitment short", "challenge split")
+            calls = _counting(monkeypatch)
             assert sigma.verify_transcript(group, stmt, tr, require_hashed,
-                                           prepared=prepared) == by_powers
+                                           cores=cores) == by_powers
+            assert sigma.verify_transcript(group, stmt, tr, require_hashed) == by_powers
+            monkeypatch.undo()
             assert by_powers == (tamper is None)
             if group.logs is not None:
                 assert calls["exp"] == 0
-            monkeypatch.undo()
 
     @pytest.mark.parametrize("change", ["minus p", "plus p", "non-member"])
     def test_commitment_without_a_log_falls_back(self, monkeypatch, change):
@@ -466,16 +484,27 @@ class TestPreparedChecks:
         other = {"minus p": z - group.p, "plus p": z + group.p,
                  "non-member": group.p - z}[change]
         changed = tr._replace(commitment=(other,))
-        prepared = sigma.prepare(group, stmt)
-        calls = self._counting(monkeypatch)
-        verdict = sigma.verify_transcript(group, stmt, changed, False, prepared=prepared)
+        calls = _counting(monkeypatch)
+        verdict = sigma.verify_transcript(group, stmt, changed, False)
         assert calls["exp"] == 2
         monkeypatch.undo()
-        assert verdict == sigma.verify_transcript(group, stmt, changed, False)
+        assert verdict == sigma.verify_transcript(_by_powers(group), stmt, changed, False)
         assert verdict == (change != "non-member")
 
-    def test_statement_value_without_a_log_keeps_the_powers(self):
-        """A generator outside the subgroup leaves its core unprepared."""
+    def test_statement_value_without_a_log_keeps_the_powers(self, monkeypatch):
+        """A generator outside the subgroup has its equation checked by
+        powers, and the statement's other equation by logarithms, accepting
+        and rejecting as the powers do."""
         group = MID_GROUP
-        stmt = sigma.EQDLStatement(gens=(group.p - group.g, group.g), targets=(4, 16))
-        assert sigma.prepare(group, stmt).logged == (None,)
+        x, outside = 5, group.p - group.g
+        stmt = sigma.EQDLStatement(gens=(outside, group.g),
+                                   targets=(group.exp(outside, x), group.exp(group.g, x)))
+        assert group.logs[outside] is None
+        tr = sigma.prove(group, stmt, x, random.Random(2), sigma.fiat_shamir_source(group))
+        for changed, accepts in ((tr, True), (tr._replace(response=tr.response + 1), False)):
+            calls = _counting(monkeypatch)
+            verdict = sigma.verify_transcript(group, stmt, changed, True)
+            monkeypatch.undo()
+            assert calls["exp"] == 2
+            assert verdict == accepts
+            assert verdict == sigma.verify_transcript(_by_powers(group), stmt, changed, True)
