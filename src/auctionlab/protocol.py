@@ -66,7 +66,6 @@ ROUND_RESULT = "result"
 SELLER = "seller"
 MAX_ATTEMPTS = 200            # cap on auctions per with_restarts call
 NOISE_CANCELLED = "noise cancellation detected"   # a detection, not a chance collapse
-_INTS = frozenset((int,))
 
 
 def bidder_name(index: int) -> str:
@@ -279,39 +278,6 @@ def check_payload(config: AuctionConfig, kind: str, author: str, round_name: str
     check_elements(config.params, author, round_name, schema.what, *rows)
 
 
-def _canonical_scalars(tr, q: int) -> bool:
-    """Every challenge and response of ``tr``, OR branches included, is an
-    int in 0 <= v < q."""
-    if type(tr) is sigma.OrTranscript:
-        return (type(tr.challenge) is int and 0 <= tr.challenge < q
-                and _canonical_scalars(tr.branches[0], q)
-                and _canonical_scalars(tr.branches[1], q))
-    return (type(tr.challenge) is int and type(tr.response) is int
-            and 0 <= tr.challenge < q and 0 <= tr.response < q)
-
-
-def _record_problem(tr) -> str | None:
-    """Why ``tr``, which an agent gave for an interactive session, is not a
-    transcript record with int commitments, or None: a plain transcript
-    with a tuple of ints, or an OR transcript of two of them."""
-    if type(tr) is sigma.OrTranscript:
-        branches = tr.branches
-        if type(branches) is not tuple or len(branches) != 2:
-            return "an OR proof needs two branches"
-        return _plain_problem(branches[0]) or _plain_problem(branches[1])
-    return _plain_problem(tr)
-
-
-def _plain_problem(tr) -> str | None:
-    """``_record_problem`` for a plain transcript."""
-    if type(tr) is not sigma.Transcript:
-        return f"{type(tr).__name__} is not a transcript"
-    com = tr.commitment
-    if type(com) is not tuple or not set(map(type, com)) <= _INTS:
-        return "commitments must be a tuple of integers"
-    return None
-
-
 def _check_commitments(params: GroupParams, author: str, round_name: str,
                        where: str, commitment: tuple) -> None:
     """Refuse a proof with a commitment outside the order-q subgroup,
@@ -333,15 +299,15 @@ def check_proof(config: AuctionConfig, author: str, round_name: str, stmt, proof
     Interactive: ``proof`` is the transcript the author's agent gave in a
     session for ``stmt`` as the verifier built it, against the verifier's
     challenges (``check_round`` runs the sessions), or None when the agent
-    had no proof: it never posted ``stmt``.  A transcript that is not a
-    record of ints (``_record_problem``) is malformed, as an unparseable
-    payload is.  Hashed: ``proof`` is the posted payload, parsed here, and
-    the challenge must be the canonical hash; a None payload is a missing
-    proof.  In both modes every commitment must lie in the order-q
-    subgroup, and every challenge and response (OR branches included) be
-    an int in 0 <= v < q, so that no statement has a second accepting
-    transcript made by adding q, no verifier raises a base to an oversized
-    response, and the batch's small-exponent test sees members only.
+    had no proof: it never posted ``stmt``.  Hashed: ``proof`` is the
+    posted payload, mapped to its record here, and the challenge must be
+    the canonical hash; a None payload is a missing proof.  Both modes'
+    records are judged by one check (``sigma.check_record``).  Then every
+    commitment must lie in the order-q subgroup, and every challenge and
+    response (OR branches included) in 0 <= v < q, so that no statement
+    has a second accepting transcript made by adding q, no verifier raises
+    a base to an oversized response, and the batch's small-exponent test
+    sees members only.
     ``cores`` are the statement's (``sigma.statement_cores``), derived once
     for every check of ``stmt``, or here when None.  Every failure found
     here is raised at once, and in a narrow group commitments are tested
@@ -353,25 +319,18 @@ def check_proof(config: AuctionConfig, author: str, round_name: str, stmt, proof
     own commitments are tested one by one, so the refusal is the one that
     testing them on arrival gives."""
     params, interactive = config.params, config.interactive
-    if interactive:
-        tr = proof
-        if tr is None:
-            raise ProofRejected(author, round_name, failure + where)
-        problem = _record_problem(tr)
-        if problem is not None:
-            raise ProofRejected(author, round_name, f"malformed proof{where}: {problem}")
-    elif proof is None:
-        raise ProofRejected(author, round_name, f"missing proof{where}")
-    else:
-        try:
-            tr = sigma.transcript_from_payload(proof)
-        except ValueError as exc:
-            raise ProofRejected(author, round_name,
-                                f"malformed proof{where}: {exc}") from exc
+    if proof is None:
+        raise ProofRejected(author, round_name,
+                            (failure if interactive else "missing proof") + where)
+    try:
+        tr = proof if interactive else sigma.transcript_from_payload(proof)
+        sigma.check_record(tr)
+    except ValueError as exc:
+        raise ProofRejected(author, round_name, f"malformed proof{where}: {exc}") from exc
     com, p = tr.commitment, params.p
     if not (all(0 < z < p for z in com) if params.wide else params.are_elements(com)):
         _check_commitments(params, author, round_name, where, com)
-    if not _canonical_scalars(tr, params.q):
+    if not sigma.scalars_in_range(tr, params.q):
         detail = f"malformed proof{where}: response or challenge outside 0 <= v < q"
     elif sigma.verify_transcript(params, stmt, tr, not interactive, batch,
                                  (author, failure, where, com), cores):
@@ -398,9 +357,10 @@ def check_round(run: "AuctionRun", round_name: str, verifiers, entries) -> None:
     one challenge source for the round (``sigma.verifier_source`` over its
     ``rng``), so every rng sees the draws a session at a time would make; a
     name with no agent behind it has no proof, and a reply that is not a
-    list is malformed.  Hashed (``_shared_checks``): a proof's verdict
-    depends on its statement and transcript alone, so the first verifier
-    that reaches it checks it and every later one shares that verdict.
+    list, or a ``prove`` that raises anything, is malformed.  Hashed
+    (``_shared_checks``): a proof's verdict depends on its statement and
+    transcript alone, so the first verifier that reaches it checks it and
+    every later one shares that verdict.
 
     In a wide group every proof's exponent equations go to one batch for
     the round (``sigma.EquationBatch``), which also screens their
@@ -458,7 +418,11 @@ def _session_checks(run: "AuctionRun", round_name: str, verifiers, entries):
             first_where = checks[0][0][4]
             if agent is None:
                 raise ProofRejected(author, round_name, f"missing proof{first_where}")
-            reply = agent.prove(stmts, source)
+            try:
+                reply = agent.prove(stmts, source)
+            except Exception as exc:          # a lab error too: it blames no one else
+                raise ProofRejected(author, round_name, f"malformed proof{first_where}: "
+                                    f"prove raised {type(exc).__name__}") from exc
             if type(reply) is not list:
                 raise ProofRejected(author, round_name, f"malformed proof{first_where}: "
                                     f"{type(reply).__name__} reply, not a list")

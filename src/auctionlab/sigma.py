@@ -33,7 +33,8 @@ an equation whose generator, target and commitment all have logarithms is
 checked as s * log gen = log z + c * log target mod q, which holds exactly
 when the powers agree; any other equation, such as one with a commitment
 z + p, is checked by its powers.  The check is the same for every caller:
-either mode, any number of verifiers.
+either mode, any number of verifiers.  So is the check of what a
+well-formed transcript record is (``check_record``).
 
 Statements and transcripts are named tuples, so comparing and hashing one
 runs in C.  In interactive mode every honest verifier runs its own session
@@ -177,6 +178,47 @@ class OrTranscript(NamedTuple):
     @property
     def commitment(self) -> tuple[int, ...]:
         return self.branches[0].commitment + self.branches[1].commitment
+
+
+_INTS = frozenset((int,))           # exactly int: not bool, not a subclass
+# OR levels a record may have: a bid cell's proof has one, and an OR in an
+# OR branch has no equations, so fails.  Every walk of a record stays shallow.
+_OR_LEVELS = 2
+
+
+def check_record(tr) -> None:
+    """Raise ValueError unless ``tr`` (an agent's interactive record, or a
+    posted proof's from ``transcript_from_payload``) has an int challenge,
+    a str hash name, and an int response with a tuple of int commitments
+    or two such records as OR branches."""
+    _check_record(tr, _OR_LEVELS)
+
+
+def _check_record(tr, levels: int) -> None:
+    kind = type(tr)
+    if kind is not Transcript and (kind is not OrTranscript or not levels):
+        raise ValueError(f"{kind.__name__} is not a transcript")
+    if type(tr.challenge) is not int or type(tr.hash_name) is not str:
+        raise ValueError("challenge or hash name missing or of the wrong type")
+    if kind is OrTranscript:
+        branches = tr.branches
+        if type(branches) is not tuple or len(branches) != 2:
+            raise ValueError("an OR proof needs two branches")
+        _check_record(branches[0], levels - 1)
+        _check_record(branches[1], levels - 1)
+    elif type(tr.response) is not int:
+        raise ValueError("response missing or of the wrong type")
+    elif type(tr.commitment) is not tuple or not set(map(type, tr.commitment)) <= _INTS:
+        raise ValueError("commitments must be a list of integers")
+
+
+def scalars_in_range(tr, q: int) -> bool:
+    """Whether every challenge and response of ``tr``, a record that passed
+    ``check_record``, OR branches included, lies in 0 <= v < q."""
+    if type(tr) is OrTranscript:
+        b0, b1 = tr.branches
+        return 0 <= tr.challenge < q and scalars_in_range(b0, q) and scalars_in_range(b1, q)
+    return 0 <= tr.challenge < q and 0 <= tr.response < q
 
 
 # --------------------------------------------------------------------------
@@ -691,26 +733,18 @@ def transcript_to_payload(tr) -> dict:
 
 
 def transcript_from_payload(payload: dict):
-    """Parse a posted proof.  Raises ValueError when the payload does not
-    have a transcript's shape: a mapping with an integer challenge, a hash
-    name, and either an integer response with a list of integer commitments
-    or two such transcripts under ``or``."""
+    """A posted proof's record, field by field, for ``check_record``.
+    Raises ValueError only for a payload that is not a mapping, or an
+    ``or`` that is not a list of two."""
     if type(payload) not in DICT_TYPES:
         raise ValueError("proof is not a mapping")
-    chal, hash_name = payload.get("chal"), payload.get("hash")
-    if type(chal) is not int or type(hash_name) is not str:
-        raise ValueError("challenge or hash name missing or of the wrong type")
-    if "or" in payload:
-        branches = payload["or"]
-        if type(branches) not in LIST_TYPES or len(branches) != 2:
-            raise ValueError("an OR proof needs two branches")
-        return OrTranscript(branches=(transcript_from_payload(branches[0]),
-                                      transcript_from_payload(branches[1])),
-                            challenge=chal, hash_name=hash_name)
-    com, resp = payload.get("com"), payload.get("resp")
-    if type(resp) is not int:
-        raise ValueError("response missing or of the wrong type")
-    if type(com) not in LIST_TYPES or not set(map(type, com)) <= {int}:
-        raise ValueError("commitments must be a list of integers")
-    return Transcript(commitment=tuple(com), challenge=chal, response=resp,
-                      hash_name=hash_name)
+    get = payload.get
+    if "or" not in payload:
+        com = get("com")
+        return Transcript(tuple(com) if type(com) in LIST_TYPES else com,
+                          get("chal"), get("resp"), get("hash"))
+    branches = payload["or"]
+    if type(branches) not in LIST_TYPES or len(branches) != 2:
+        raise ValueError("an OR proof needs two branches")
+    return OrTranscript(tuple(map(transcript_from_payload, branches)),
+                        get("chal"), get("hash"))

@@ -551,6 +551,14 @@ def _str_commitments(tr):
     return tr._replace(commitment=tuple(str(z) for z in tr.commitment))
 
 
+def _nested_or(tr, levels=1000):
+    """``tr`` as both branches of an OR, that OR as both branches of the
+    next, ``levels`` deep: 2^levels paths, one object per level."""
+    for _ in range(levels):
+        tr = sigma.OrTranscript((tr, tr), tr.challenge)
+    return tr
+
+
 def _dict_branch(tr):
     if isinstance(tr, sigma.OrTranscript):
         return tr._replace(branches=(tr.branches[0], sigma.transcript_to_payload(tr.branches[1])))
@@ -560,8 +568,12 @@ def _dict_branch(tr):
 class TestMalformedSessions:
     """An agent's interactive sessions that are not transcript records of
     ints are refused as malformed proofs naming the author and the round,
-    as an unparseable hashed payload is, in a narrow group (equations
-    checked as they arrive) and a wide one (equations batched)."""
+    in a narrow group (equations checked as they arrive) and a wide one
+    (equations batched).  A record is judged by the check a parsed hashed
+    payload gets (``sigma.check_record``), so a str commitment, a float
+    response or a None challenge gets the text the same fault in a posted
+    proof gets.  ORs nested past two levels are refused without walking
+    them.  A prover that raises is refused as well, whatever it raises."""
 
     REWRITES = {
         "str commitments": _str_commitments,
@@ -571,15 +583,17 @@ class TestMalformedSessions:
         "int": lambda tr: 7,
         "empty tuple": lambda tr: (),
         "dict OR branch": _dict_branch,
+        "ORs nested 1000 deep": _nested_or,
     }
     DETAILS = {
-        "str commitments": (ROUND_KEYGEN, "commitments must be a tuple of integers"),
-        "float response": (ROUND_KEYGEN, "response or challenge outside 0 <= v < q"),
-        "None challenge": (ROUND_KEYGEN, "response or challenge outside 0 <= v < q"),
+        "str commitments": (ROUND_KEYGEN, "commitments must be a list of integers"),
+        "float response": (ROUND_KEYGEN, "response missing or of the wrong type"),
+        "None challenge": (ROUND_KEYGEN, "challenge or hash name missing or of the wrong type"),
         "dict": (ROUND_KEYGEN, "dict is not a transcript"),
         "int": (ROUND_KEYGEN, "int is not a transcript"),
         "empty tuple": (ROUND_KEYGEN, "tuple is not a transcript"),
         "dict OR branch": (ROUND_BID, "dict is not a transcript"),
+        "ORs nested 1000 deep": (ROUND_KEYGEN, "OrTranscript is not a transcript"),
     }
 
     @staticmethod
@@ -610,6 +624,71 @@ class TestMalformedSessions:
     def test_reply_not_a_list(self, group, reply, name):
         assert self._refusal(group, lambda transcripts: reply) == (
             bidder_name(3), ROUND_KEYGEN, f"malformed proof: {name} reply, not a list")
+
+    @pytest.mark.parametrize("group", [MID_GROUP, LARGE_GROUP], ids=["mid", "large"])
+    @pytest.mark.parametrize("error", [
+        ValueError("no"), RestartRequired("chance collapse"),
+        ProofRejected(bidder_name(1), ROUND_KEYGEN, "key share proof failed"),
+    ], ids=lambda error: type(error).__name__)
+    def test_prove_raises(self, group, error):
+        """Whatever the prover raises, a lab error included, it is refused
+        as its own malformed proof: it can neither blame another party nor
+        force a restart."""
+        def raising(transcripts):
+            raise error
+
+        assert self._refusal(group, raising) == (
+            bidder_name(3), ROUND_KEYGEN,
+            f"malformed proof: prove raised {type(error).__name__}")
+
+
+class TestModeParity:
+    """One fault in a key share's proof gets one refusal in both proof
+    modes: made in the record bidder 2's agent gives an interactive
+    verifier, or in the payload it posts under hashed proofs.  Each fault
+    is made to a field's first item or to the field itself."""
+
+    FAULTS = {
+        "None challenge": ("chal", "challenge", lambda v: None),
+        "float response": ("resp", "response", float),
+        "str commitment": ("com", "commitment",
+                           lambda com: type(com)((str(com[0]), *com[1:]))),
+        "None hash name": ("hash", "hash_name", lambda v: None),
+    }
+    DETAILS = {
+        "None challenge": "challenge or hash name missing or of the wrong type",
+        "float response": "response missing or of the wrong type",
+        "str commitment": "commitments must be a list of integers",
+        "None hash name": "challenge or hash name missing or of the wrong type",
+    }
+
+    @staticmethod
+    def _interactive_keygen(rewrite):
+        class RewritingBidder(BidderAgent):
+            def prove(self, stmts, challenge_source):
+                return [rewrite(tr) for tr in super().prove(stmts, challenge_source)]
+
+        def factory(run, index, rng):
+            return (RewritingBidder if index == 2 else BidderAgent)(run, index, rng)
+
+        run = AuctionRun(AuctionConfig(n=2, k=2), [1, 2], 5, agent_factory=factory)
+        with pytest.raises(ProofRejected) as caught:
+            run.step_keygen()
+        exc = caught.value
+        return "ProofRejected", exc.author, exc.round_name, exc.detail
+
+    @pytest.mark.parametrize("fault", list(FAULTS))
+    def test_same_refusal(self, fault):
+        key, field, change = self.FAULTS[fault]
+
+        def tamper(proof):
+            proof[key] = change(proof[key])
+
+        hashed = _tampered_keygen(tamper)
+        interactive = self._interactive_keygen(
+            lambda tr: tr._replace(**{field: change(getattr(tr, field))}))
+        assert hashed == interactive == (
+            "ProofRejected", "bidder-2", ROUND_KEYGEN, f"malformed proof: {self.DETAILS[fault]}")
 
 
 def _hashed_bids_posted(n=2, k=3, seed=5):
