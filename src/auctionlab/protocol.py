@@ -302,16 +302,17 @@ def check_proof(config: AuctionConfig, author: str, round_name: str, stmt, proof
     had no proof: it never posted ``stmt``.  Hashed: ``proof`` is the
     posted payload, mapped to its record here, and the challenge must be
     the canonical hash; a None payload is a missing proof.  Both modes'
-    records are judged by one check (``sigma.check_record``).  Then every
-    commitment must lie in the order-q subgroup, and every challenge and
+    records go through the one walk of a record (``sigma.check_record``),
+    which refuses wrong types.  Then every commitment must lie in the
+    order-q subgroup, and then, by the walk's verdict, every challenge and
     response (OR branches included) in 0 <= v < q, so that no statement
     has a second accepting transcript made by adding q, no verifier raises
     a base to an oversized response, and the batch's small-exponent test
-    sees members only.
-    ``cores`` are the statement's (``sigma.statement_cores``), derived once
-    for every check of ``stmt``, or here when None.  Every failure found
-    here is raised at once, and in a narrow group commitments are tested
-    as they arrive and equations checked by ``sigma.verify_transcript``.
+    sees members only.  ``cores`` are the statement's from the one map
+    (``sigma.statement_cores``), derived once for every check of ``stmt``,
+    or here when None.  Every failure found here is raised at once, and in
+    a narrow group commitments are tested as they arrive and equations
+    checked by ``sigma.verify_transcript``.
     In a wide group only 0 < z < p is tested on arrival: the proof's
     exponent equations go to ``batch``, which screens the round's
     commitments for membership and checks the equations when the round's
@@ -324,13 +325,13 @@ def check_proof(config: AuctionConfig, author: str, round_name: str, stmt, proof
                             (failure if interactive else "missing proof") + where)
     try:
         tr = proof if interactive else sigma.transcript_from_payload(proof)
-        sigma.check_record(tr)
+        in_range = sigma.check_record(tr, params.q)
     except ValueError as exc:
         raise ProofRejected(author, round_name, f"malformed proof{where}: {exc}") from exc
     com, p = tr.commitment, params.p
     if not (all(0 < z < p for z in com) if params.wide else params.are_elements(com)):
         _check_commitments(params, author, round_name, where, com)
-    if not sigma.scalars_in_range(tr, params.q):
+    if not in_range:
         detail = f"malformed proof{where}: response or challenge outside 0 <= v < q"
     elif sigma.verify_transcript(params, stmt, tr, not interactive, batch,
                                  (author, failure, where, com), cores):

@@ -9,9 +9,9 @@ Supported statements:
   statements, composed by simulating the false branch);
 * a ciphertext vector encrypts exactly one marker (equality on aggregates).
 
-One map, ``_core``, turns a knowledge, equality or sum statement into its
-exponent equations gens[i]^x = targets[i]; a bid cell is the OR of two such
-cores (``statement_cores`` gives either kind's).  One prover,
+One map, ``statement_cores``, turns a statement into the cores of its
+exponent equations gens[i]^x = targets[i]: a bid cell's two under the OR,
+any other statement's one.  One prover,
 ``prove_sessions``, runs a list of sessions in order against one challenge
 source, which decides the mode; ``prove`` is its one-statement form.  It
 commits and responds for a plain statement itself.  ``ProverSession``, the
@@ -33,8 +33,9 @@ an equation whose generator, target and commitment all have logarithms is
 checked as s * log gen = log z + c * log target mod q, which holds exactly
 when the powers agree; any other equation, such as one with a commitment
 z + p, is checked by its powers.  The check is the same for every caller:
-either mode, any number of verifiers.  So is the check of what a
-well-formed transcript record is (``check_record``).
+either mode, any number of verifiers.  So is the one walk of a transcript
+record (``check_record``), which refuses a record of the wrong types and
+says whether its challenges and responses lie in 0 <= v < q.
 
 Statements and transcripts are named tuples, so comparing and hashing one
 runs in C.  In interactive mode every honest verifier runs its own session
@@ -43,10 +44,8 @@ with every prover, 8 184 sessions in a mid-group n=8, k=16 auction.
 and asks each prover once per verifier for the sessions of all its
 statements.  A masking share's session, from the prover's draw to the
 verifier's check by logarithms, costs about 3.8-4.0 us on CPython 3.11.7
-(a shared 2-vCPU host), against about 5.1 us when each session was asked
-for alone and checked by six powers; about a third of it is the prover's
-two powers and the two draws.  As frozen dataclasses its records added about
-2 us more.  A named tuple equals any tuple with the same items; the
+(a shared 2-vCPU host); about a third of it is the prover's two powers and
+the two draws.  A named tuple equals any tuple with the same items; the
 records' kinds differ in length or in the types of their items, so no two
 kinds built from one run's values compare equal, and none stands in for
 another as a witness key.  ``EQDLStatement`` refuses mismatched vectors
@@ -131,27 +130,24 @@ class SumValidityStatement(NamedTuple):
     betas: tuple[int, ...]
 
 
-def branch_statements(params: GroupParams, stmt: BidValidityStatement):
-    """The two cores underneath the OR: plaintext 1 / marker."""
-    plain = EQDLStatement(gens=(stmt.g, stmt.y), targets=(stmt.beta, stmt.alpha))
-    marked = EQDLStatement(
-        gens=(stmt.g, stmt.y),
-        targets=(stmt.beta, stmt.alpha * params.inv(stmt.marker) % params.p),
-    )
-    return plain, marked
-
-
-def _core(params: GroupParams, stmt) -> EQDLStatement:
-    """The exponent equations a knowledge, equality or sum statement stands
-    for.  A sum statement's are its aggregates: prod(alpha)/marker = y^R and
-    prod(beta) = g^R."""
+def statement_cores(params: GroupParams, stmt) -> tuple:
+    """The one map from a statement to the exponent equations
+    gens[i]^x = targets[i] a transcript of it answers, as cores: a bid
+    cell's two under the OR (plaintext 1, then the marker), any other
+    statement's one.  A sum statement's core is its aggregates:
+    prod(alpha)/marker = y^R and prod(beta) = g^R.  TypeError for an
+    object that is not a statement."""
+    if isinstance(stmt, BidValidityStatement):
+        gens, marked = (stmt.g, stmt.y), stmt.alpha * params.inv(stmt.marker) % params.p
+        return (EQDLStatement(gens, (stmt.beta, stmt.alpha)),
+                EQDLStatement(gens, (stmt.beta, marked)))
     if isinstance(stmt, EQDLStatement):
-        return stmt
+        return (stmt,)
     if isinstance(stmt, PDLStatement):
-        return EQDLStatement(gens=(stmt.g,), targets=(stmt.v,))
+        return (EQDLStatement(gens=(stmt.g,), targets=(stmt.v,)),)
     if isinstance(stmt, SumValidityStatement):
         v = params.mul(*stmt.alphas) * params.inv(stmt.marker) % params.p
-        return EQDLStatement(gens=(stmt.y, stmt.g), targets=(v, params.mul(*stmt.betas)))
+        return (EQDLStatement(gens=(stmt.y, stmt.g), targets=(v, params.mul(*stmt.betas))),)
     raise TypeError(f"no single-exponent core for {type(stmt).__name__}")
 
 
@@ -182,19 +178,21 @@ class OrTranscript(NamedTuple):
 
 _INTS = frozenset((int,))           # exactly int: not bool, not a subclass
 # OR levels a record may have: a bid cell's proof has one, and an OR in an
-# OR branch has no equations, so fails.  Every walk of a record stays shallow.
+# OR branch has no equations, so fails.  The walk of a record stays shallow.
 _OR_LEVELS = 2
 
 
-def check_record(tr) -> None:
-    """Raise ValueError unless ``tr`` (an agent's interactive record, or a
-    posted proof's from ``transcript_from_payload``) has an int challenge,
-    a str hash name, and an int response with a tuple of int commitments
-    or two such records as OR branches."""
-    _check_record(tr, _OR_LEVELS)
+def check_record(tr, q: int) -> bool:
+    """The one walk of a transcript record (an agent's interactive record,
+    or a posted proof's from ``transcript_from_payload``).  Raise
+    ValueError unless it has an int challenge, a str hash name, and an int
+    response with a tuple of int commitments or two such records as OR
+    branches, both checked before it returns; then whether every challenge
+    and response, OR branches included, lies in 0 <= v < q."""
+    return _check_record(tr, q, _OR_LEVELS)
 
 
-def _check_record(tr, levels: int) -> None:
+def _check_record(tr, q: int, levels: int) -> bool:
     kind = type(tr)
     if kind is not Transcript and (kind is not OrTranscript or not levels):
         raise ValueError(f"{kind.__name__} is not a transcript")
@@ -204,20 +202,13 @@ def _check_record(tr, levels: int) -> None:
         branches = tr.branches
         if type(branches) is not tuple or len(branches) != 2:
             raise ValueError("an OR proof needs two branches")
-        _check_record(branches[0], levels - 1)
-        _check_record(branches[1], levels - 1)
-    elif type(tr.response) is not int:
+        first = _check_record(branches[0], q, levels - 1)
+        second = _check_record(branches[1], q, levels - 1)
+        return first and second and 0 <= tr.challenge < q
+    if type(tr.response) is not int:
         raise ValueError("response missing or of the wrong type")
-    elif type(tr.commitment) is not tuple or not set(map(type, tr.commitment)) <= _INTS:
+    if type(tr.commitment) is not tuple or not set(map(type, tr.commitment)) <= _INTS:
         raise ValueError("commitments must be a list of integers")
-
-
-def scalars_in_range(tr, q: int) -> bool:
-    """Whether every challenge and response of ``tr``, a record that passed
-    ``check_record``, OR branches included, lies in 0 <= v < q."""
-    if type(tr) is OrTranscript:
-        b0, b1 = tr.branches
-        return 0 <= tr.challenge < q and scalars_in_range(b0, q) and scalars_in_range(b1, q)
     return 0 <= tr.challenge < q and 0 <= tr.response < q
 
 
@@ -339,7 +330,10 @@ class ProverSession:
     def __init__(self, params: GroupParams, stmt, witness: int, rng: random.Random):
         self.params = params
         self.stmt = stmt
-        self.gens = _core(params, stmt).gens
+        cores = statement_cores(params, stmt)
+        if len(cores) != 1:
+            raise TypeError(f"no single-exponent core for {type(stmt).__name__}")
+        self.gens = cores[0].gens
         self.witness = witness % params.q
         self.rng = rng
         self.nonce: int | None = None
@@ -365,15 +359,6 @@ def _commit(params: GroupParams, gens, rng: random.Random):
     nonce = rng.randrange(params.q)
     exp = params.exp
     return nonce, tuple([exp(gen, nonce) for gen in gens])
-
-
-def statement_cores(params: GroupParams, stmt) -> tuple:
-    """The cores of the equations a transcript of ``stmt`` answers: a bid
-    cell's two branch cores (``branch_statements``), any other statement's
-    one core (``_core``)."""
-    if isinstance(stmt, BidValidityStatement):
-        return branch_statements(params, stmt)
-    return (_core(params, stmt),)
 
 
 def prove_sessions(params: GroupParams, sessions, rng: random.Random,
@@ -517,12 +502,6 @@ def _holds(params: GroupParams, core: EQDLStatement, tr) -> bool:
     return True
 
 
-def _all_hold(params: GroupParams, pairs) -> bool:
-    """Whether every equation of ``pairs`` holds (``_holds``), checked in
-    order, stopping at the first that fails."""
-    return all(_holds(params, core, tr) for core, tr in pairs)
-
-
 def transcript_equations(params: GroupParams, stmt, tr, cores=None) -> tuple | None:
     """The equations ``tr`` must satisfy to prove ``stmt``, as (core,
     transcript) pairs: a bid cell's two branch cores with their branches,
@@ -560,9 +539,9 @@ def verify_transcript(params: GroupParams, stmt, tr, require_hashed: bool,
     (``_holds``: by logarithms where the group has them, else by powers),
     in order, stopping at the first that fails, unless a batch is given in
     a wide group: then they go to ``batch.add(key, ...)`` for later.
-    ``cores`` are the statement's (``statement_cores``), derived here when
-    not given.  A plain statement's transcript checked now is checked
-    straight off its core, with no equation list built."""
+    ``cores`` are the statement's from the one map (``statement_cores``),
+    derived here when not given.  A plain statement's transcript checked
+    now is checked straight off its core, with no equation list built."""
     if cores is None:
         cores = statement_cores(params, stmt)
     batched = batch is not None and params.wide
@@ -572,7 +551,7 @@ def verify_transcript(params: GroupParams, stmt, tr, require_hashed: bool,
             return False
         if batched:
             batch.add(key, equations)
-        elif not _all_hold(params, equations):
+        elif not all(_holds(params, core, part) for core, part in equations):
             return False
     elif not (_fits(cores[0], tr) and _holds(params, cores[0], tr)):
         return False
@@ -639,7 +618,7 @@ class EquationBatch:
         params = self.params
         for key, equations in pending:
             if not (params.are_elements(z for _, tr in equations for z in tr.commitment)
-                    and _all_hold(params, equations)):
+                    and all(_holds(params, core, tr) for core, tr in equations)):
                 return key
         return None
 

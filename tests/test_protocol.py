@@ -1252,7 +1252,7 @@ class TestProofRecords:
             records.append(sigma.EQDLStatement((g,), (agent.share.y,)))
             for stmt in agent.witnesses:
                 if isinstance(stmt, sigma.BidValidityStatement):
-                    records.extend(sigma.branch_statements(run.config.params, stmt))
+                    records.extend(sigma.statement_cores(run.config.params, stmt))
         kinds = {type(r) for r in records}
         assert kinds == {sigma.PDLStatement, sigma.EQDLStatement,
                          sigma.BidValidityStatement, sigma.SumValidityStatement}
