@@ -826,11 +826,14 @@ class AuctionRun:
         return [a for a in self.agents.values() if a.honest]
 
     def _check_auth(self, round_name: str, since: int = 0) -> None:
-        """Check the tags of the round's posts from board position ``since``."""
+        """Check the tags of the round's posts from board position ``since``;
+        a post whose author the registry does not hold is refused too."""
         if not self.config.flags.authenticate:
             return
+        keys = self.registry.keys
         for post in self.board.posts[since:]:
-            if post.round == round_name and not defenses.verify_post(self.registry, post):
+            if post.round == round_name and (post.author not in keys or
+                                             not defenses.verify_post(self.registry, post)):
                 raise AuthRejected(post.author, round_name)
 
     # -- rounds ------------------------------------------------------------

@@ -287,3 +287,19 @@ class TestAuthenticatedRun:
                          auth="beef")
         with pytest.raises(AuthRejected):
             run._check_auth(ROUND_BID)
+
+    @pytest.mark.parametrize("round_name, kind", [("keygen", "keyshare"), ("bid", "bid")])
+    @pytest.mark.parametrize("flags", [DefenseFlags(authenticate=True), DefenseFlags.all_on()],
+                             ids=["authenticate", "all-defenses"])
+    def test_post_by_an_unregistered_author_is_refused(self, flags, round_name, kind):
+        """A post under a name the registry does not hold is refused as
+        AuthRejected naming that author and the round, not with
+        ``verify_post``'s UnknownAuthor."""
+        from auctionlab.errors import AuthRejected
+        from auctionlab.groups import MID_GROUP
+
+        run = AuctionRun(AuctionConfig(n=2, k=2, params=MID_GROUP, flags=flags), [1, 2], 5)
+        run.board.append(round_name, "ghost", kind, {"bidder": 1, "y": 4, "proof": None})
+        with pytest.raises(AuthRejected) as caught:
+            run.run()
+        assert (caught.value.author, caught.value.round_name) == ("ghost", round_name)

@@ -691,6 +691,73 @@ class TestModeParity:
             "ProofRejected", "bidder-2", ROUND_KEYGEN, f"malformed proof: {self.DETAILS[fault]}")
 
 
+def _branch(tr, index, **changes):
+    """``tr`` with ``changes`` made to its OR branch ``index``."""
+    branches = list(tr.branches)
+    branches[index] = branches[index]._replace(**changes)
+    return tr._replace(branches=tuple(branches))
+
+
+def _first_commitment(tr, index, value):
+    """``tr`` with OR branch ``index``'s first commitment z set to
+    ``value(z)``."""
+    com = tr.branches[index].commitment
+    return _branch(tr, index, commitment=(value(com[0]), *com[1:]))
+
+
+class TestTwoFaultBidCell:
+    """A bid cell's proof with two faults is refused by ``check_proof`` for
+    the one that comes first in the order types (both branches),
+    commitments, range, equations, whichever branch holds the other: in a
+    narrow group and a wide one, in either proof mode, for a cell holding
+    either plaintext."""
+
+    FAULTS = {
+        "range then type": (
+            lambda tr, p, q: _branch(_branch(tr, 0, response=q), 1, response="1"),
+            "response missing or of the wrong type"),
+        "non-member then range": (
+            lambda tr, p, q: _branch(_first_commitment(tr, 0, lambda z: p - z), 1, response=q),
+            "commitment outside the order-q subgroup"),
+        "outer challenge + q": (
+            lambda tr, p, q: tr._replace(challenge=tr.challenge + q),
+            "response or challenge outside 0 <= v < q"),
+        "zero commitment then range": (
+            lambda tr, p, q: _branch(_first_commitment(tr, 0, lambda z: 0), 1, challenge=-1),
+            "commitment outside 0 < z < p"),
+    }
+
+    @pytest.mark.parametrize("is_marker", [False, True], ids=["one", "marker"])
+    @pytest.mark.parametrize("hashed", [False, True], ids=["interactive", "hashed"])
+    @pytest.mark.parametrize("group", [MID_GROUP, LARGE_GROUP], ids=["mid", "large"])
+    @pytest.mark.parametrize("fault", list(FAULTS))
+    def test_first_fault_refused(self, fault, group, hashed, is_marker):
+        rewrite, problem = self.FAULTS[fault]
+        config = AuctionConfig(n=2, k=2, params=group, marker=9,
+                               flags=DefenseFlags(ni_proofs=hashed))
+        p, q, g = group.p, group.q, group.g
+        rng = random.Random(5)
+        y, r = group.exp(g, rng.randrange(1, q)), rng.randrange(1, q)
+        stmt = sigma.BidValidityStatement(y=y, g=g, marker=9, beta=group.exp(g, r),
+                                          alpha=(9 if is_marker else 1) * group.exp(y, r) % p)
+        source = sigma.fiat_shamir_source(group) if hashed else sigma.verifier_source(group, rng)
+        tr = sigma.prove(group, stmt, (r, is_marker), rng, source)
+
+        def check(tr):
+            batch = sigma.EquationBatch(group)
+            protocol.check_proof(config, bidder_name(2), ROUND_BID, stmt,
+                                 sigma.transcript_to_payload(tr) if hashed else tr,
+                                 "validity proof failed", " at price 1", batch)
+            assert batch.first_failure() is None
+
+        check(tr)
+        with pytest.raises(ProofRejected) as caught:
+            check(rewrite(tr, p, q))
+        exc = caught.value
+        assert (exc.author, exc.round_name, exc.detail) == (
+            bidder_name(2), ROUND_BID, f"malformed proof at price 1: {problem}")
+
+
 def _hashed_bids_posted(n=2, k=3, seed=5):
     """A hashed run in the small group with keygen done and every bid on the
     board, not yet verified."""

@@ -84,6 +84,21 @@ class TestSessionDiscipline:
         with pytest.raises(NotCommitted):
             s.respond(6)
 
+    def test_bid_cell_has_no_session(self, small):
+        """A bid cell stands for two cores, so no one-exponent session
+        proves it."""
+        cell = sigma.BidValidityStatement(y=8, g=2, marker=4, alpha=3, beta=9)
+        assert len(sigma.statement_cores(small, cell)) == 2
+        with pytest.raises(TypeError, match="no single-exponent core for BidValidityStatement"):
+            sigma.ProverSession(small, cell, 3, random.Random(1))
+
+
+@pytest.mark.parametrize("obj", [(2, 8), 7, None], ids=["tuple", "int", "None"])
+def test_statement_cores_refuses_a_non_statement(small, obj):
+    """Not even a plain tuple equal to ``PDLStatement(2, 8)`` maps to cores."""
+    with pytest.raises(TypeError, match=f"no single-exponent core for {type(obj).__name__}"):
+        sigma.statement_cores(small, obj)
+
 
 class TestSpecialSoundness:
     def test_two_transcripts_extract_witness(self, small):
